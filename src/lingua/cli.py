@@ -9,10 +9,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional, TextIO
+from types import TracebackType
+from typing import Callable, Iterator, Optional, TextIO, TypeVar
 
-from .diagnostics import LinguaParseError, format_diagnostic
+from .diagnostics import LinguaParseError, ParseDiagnostic, SourceSpan, format_diagnostic
 from .kernel import (
     AbstractError,
     ArrayBody,
@@ -33,12 +35,14 @@ from .kernel import (
     WordData,
 )
 from . import nodes as n
-from .parser import parse_any, parse_program
+from .parser import Parser, parse_any, parse_program
 from .printer import ast_dump, print_concrete
 from .semantics import Evaluator, OutOfFuel
 from .state import State, empty_state, is_error, register_word
 
 DEFAULT_FUEL = 10_000_000
+
+T = TypeVar("T")
 
 # Lingua recursion rides the host stack; give it room and treat running out
 # as a resource outcome alongside fuel exhaustion.
@@ -112,6 +116,46 @@ def _read_file(path: str, err: TextIO) -> Optional[str]:
         return None
 
 
+@contextmanager
+def _deep_recursion() -> Iterator[None]:
+    """Raise the recursion limit for evaluation and put the old one back."""
+    previous = sys.getrecursionlimit()
+    sys.setrecursionlimit(RECURSION_LIMIT)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(previous)
+
+
+def _deepest_span(tb: Optional[TracebackType]) -> SourceSpan:
+    """The token the innermost parser frame of a traceback was looking at."""
+    span = SourceSpan(0, 0, 1, 1)
+    while tb is not None:
+        parser = tb.tb_frame.f_locals.get("self")
+        if isinstance(parser, Parser):
+            span = parser.peek().span
+        tb = tb.tb_next
+    return span
+
+
+def _parse(parse: Callable[[str], T], text: str, path: str, err: TextIO) -> Optional[T]:
+    """`parse(text)`, or None after printing one diagnostic for `path`.
+
+    Nesting too deep for the host stack is reported as a `too-deep`
+    diagnostic at the token where the parser ran out of room.
+    """
+    try:
+        return parse(text)
+    except LinguaParseError as exc:
+        diag = exc.diagnostic
+    except RecursionError as exc:
+        diag = ParseDiagnostic(
+            _deepest_span(exc.__traceback__), "nesting too deep to parse", "too-deep"
+        )
+    print(format_diagnostic(diag, path), file=err)
+    return None
+
+
 def _resolve_fuel(flag: Optional[str]) -> Optional[int]:
     raw = flag if flag is not None else os.environ.get("LINGUA_FUEL")
     if raw is None:
@@ -125,10 +169,8 @@ def cmd_run(path: str, config: RunConfig, out: TextIO, err: TextIO) -> int:
     text = _read_file(path, err)
     if text is None:
         return 4
-    try:
-        prg = parse_program(text)
-    except LinguaParseError as exc:
-        print(format_diagnostic(exc.diagnostic, path), file=err)
+    prg = _parse(parse_program, text, path, err)
+    if prg is None:
         return 2
     trace = None
     if config.trace:
@@ -136,9 +178,9 @@ def cmd_run(path: str, config: RunConfig, out: TextIO, err: TextIO) -> int:
             f"trace: {print_concrete(ins)[:72]}", file=err
         )
     evaluator = Evaluator(limits=config.limits, fuel=config.fuel, trace=trace)
-    sys.setrecursionlimit(RECURSION_LIMIT)
     try:
-        final = evaluator.run_program(prg, empty_state())
+        with _deep_recursion():
+            final = evaluator.run_program(prg, empty_state())
     except OutOfFuel:
         print("lingua: fuel exhausted", file=err)
         return 3
@@ -154,10 +196,7 @@ def cmd_check(path: str, out: TextIO, err: TextIO) -> int:
     text = _read_file(path, err)
     if text is None:
         return 4
-    try:
-        parse_any(text)
-    except LinguaParseError as exc:
-        print(format_diagnostic(exc.diagnostic, path), file=err)
+    if _parse(parse_any, text, path, err) is None:
         return 2
     return 0
 
@@ -166,12 +205,10 @@ def cmd_restore(path: str, out: TextIO, err: TextIO) -> int:
     text = _read_file(path, err)
     if text is None:
         return 4
-    try:
-        _, node = parse_any(text)
-    except LinguaParseError as exc:
-        print(format_diagnostic(exc.diagnostic, path), file=err)
+    parsed = _parse(parse_any, text, path, err)
+    if parsed is None:
         return 2
-    print(print_concrete(node), file=out)
+    print(print_concrete(parsed[1]), file=out)
     return 0
 
 
@@ -179,12 +216,10 @@ def cmd_ast(path: str, format: str, out: TextIO, err: TextIO) -> int:
     text = _read_file(path, err)
     if text is None:
         return 4
-    try:
-        _, node = parse_any(text)
-    except LinguaParseError as exc:
-        print(format_diagnostic(exc.diagnostic, path), file=err)
+    parsed = _parse(parse_any, text, path, err)
+    if parsed is None:
         return 2
-    print(ast_dump(node, format), file=out)
+    print(ast_dump(parsed[1], format), file=out)
     return 0
 
 
@@ -203,57 +238,55 @@ def repl(
 
     sta = empty_state()
     evaluator = Evaluator(limits=config.limits, fuel=config.fuel)
-    sys.setrecursionlimit(RECURSION_LIMIT)
     interactive = stdin.isatty()
-    while True:
-        if interactive:
-            print("lingua> ", end="", file=out, flush=True)
-        line = stdin.readline()
-        if not line:
-            return 0
-        line = line.strip()
-        if not line:
-            continue
-        if line == ":quit":
-            return 0
-        if line == ":state":
-            for report_line in state_report(sta):
-                print(report_line, file=out)
-            continue
-        if line == ":ok":
-            sta = clear_error(sta)
-            continue
-        try:
-            kind, node = parse_any(line)
-        except LinguaParseError as exc:
-            print(format_diagnostic(exc.diagnostic, "<repl>"), file=err)
-            continue
-        try:
-            if kind == "program":
-                sta = evaluator.run_program(node, sta)
-            elif kind == "preamble":
-                sta = evaluator.exec_preamble(node, sta)
-            elif kind == "instruction":
-                sta = evaluator.exec_instruction(node, sta)
-            elif kind == "data":
-                result = evaluator.eval_data_exp(node, sta)
-                if isinstance(result, AbstractError):
-                    print(f"error: {result.word}", file=out)
+    with _deep_recursion():
+        while True:
+            if interactive:
+                print("lingua> ", end="", file=out, flush=True)
+            line = stdin.readline()
+            if not line:
+                return 0
+            line = line.strip()
+            if not line:
+                continue
+            if line == ":quit":
+                return 0
+            if line == ":state":
+                for report_line in state_report(sta):
+                    print(report_line, file=out)
+                continue
+            if line == ":ok":
+                sta = clear_error(sta)
+                continue
+            parsed = _parse(parse_any, line, "<repl>", err)
+            if parsed is None:
+                continue
+            kind, node = parsed
+            try:
+                if kind == "program":
+                    sta = evaluator.run_program(node, sta)
+                elif kind == "preamble":
+                    sta = evaluator.exec_preamble(node, sta)
+                elif kind == "instruction":
+                    sta = evaluator.exec_instruction(node, sta)
+                elif kind == "data":
+                    result = evaluator.eval_data_exp(node, sta)
+                    if isinstance(result, AbstractError):
+                        print(f"error: {result.word}", file=out)
+                    else:
+                        print(format_composite(result), file=out)
+                    continue
                 else:
-                    print(format_composite(result), file=out)
+                    print(f"cannot execute a {kind} expression here", file=err)
+                    continue
+            except OutOfFuel:
+                print("lingua: fuel exhausted", file=err)
                 continue
-            else:
-                print(f"cannot execute a {kind} expression here", file=err)
+            except RecursionError:
+                print("lingua: evaluation too deep", file=err)
                 continue
-        except OutOfFuel:
-            print("lingua: fuel exhausted", file=err)
-            continue
-        except RecursionError:
-            print("lingua: evaluation too deep", file=err)
-            continue
-        if is_error(sta):
-            print(f"error: {register_word(sta)}", file=out)
-    return 0
+            if is_error(sta):
+                print(f"error: {register_word(sta)}", file=out)
 
 
 def _build_arg_parser() -> argparse.ArgumentParser:

@@ -21,7 +21,7 @@ class SourceSpan:
 class ParseDiagnostic:
     span: SourceSpan
     message: str
-    kind: str  # lexical | syntactic | keyword-misuse
+    kind: str  # lexical | syntactic | keyword-misuse | too-deep
 
     def __post_init__(self) -> None:
         if not self.message:

@@ -4,6 +4,13 @@ Every datum travels together with a structural descriptor (its body) inside a
 composite.  A type pairs a body with a transfer; transfers whose results are
 Boolean composites act as integrity constraints (yokes).  Everything here is
 immutable and freely shareable.
+
+Certification rule: the public constructors of `Composite`, `ListData` and
+`ArrayData` are the trust boundary and check the datum/body pairing (and the
+homogeneity of a collection) on every call.  The evaluator, which derives a
+result's body from parts that are already certified, builds those results
+with `_unchecked` instead, so a value is certified once and not on every
+touch.  `Value` keeps the composite it was bound from for the same reason.
 """
 
 from __future__ import annotations
@@ -197,7 +204,8 @@ class Number:
         return Number.make(abs(self.coeff), self.exp)
 
     def lt(self, other: "Number") -> bool:
-        return self.as_fraction() < other.as_fraction()
+        e = min(self.exp, other.exp)
+        return self.coeff * 10 ** (self.exp - e) < other.coeff * 10 ** (other.exp - e)
 
     def is_zero(self) -> bool:
         return self.coeff == 0
@@ -333,6 +341,17 @@ class RecordData(Data):
             if n == name:
                 return d
         raise KeyError(name)
+
+
+def _unchecked(cls: type, **fields):
+    """Build a `Composite`, `ListData` or `ArrayData` without its check.
+
+    Only for results whose pairing the caller has derived from certified
+    parts; everything else goes through the checking constructor.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def num(value: Union[int, str]) -> NumberData:
@@ -510,14 +529,22 @@ OMEGA = _Omega()
 
 @dataclass(frozen=True)
 class Value:
-    """What a variable is bound to: a datum (or Ω) together with its type."""
+    """What a variable is bound to: a datum (or Ω) together with its type.
+
+    `com` is the composite the value was bound from, when the binder already
+    holds one pairing `content` with `typ.bod`; without it `composite()`
+    builds, and so checks, a fresh one.
+    """
 
     content: Union[Data, _Omega]
     typ: LangType
+    com: Optional[Composite] = field(default=None, compare=False, repr=False)
 
     def composite(self) -> Composite:
         if self.content is OMEGA:
             raise ValueError("uninitialized value has no composite")
+        if self.com is not None:
+            return self.com
         return Composite(self.content, self.typ.bod)
 
 

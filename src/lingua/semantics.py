@@ -64,6 +64,7 @@ from .kernel import (
     Transfer,
     Value,
     WordData,
+    _unchecked,
     apply_transfer,
     boo_composite,
     clan_ty_member,
@@ -199,7 +200,7 @@ class Evaluator:
                 com = self.eval_data_exp(element, sta)
                 if isinstance(com, AbstractError):
                     return com
-                return self._sized(ListData((com.dat,)), ListBody(com.bod))
+                return self._sized(_unchecked(ListData, items=(com.dat,)), ListBody(com.bod))
             case n.PushExp(element, target):
                 coms = self._operands(sta, element, target)
                 if isinstance(coms, AbstractError):
@@ -209,7 +210,9 @@ class Evaluator:
                     return LIST_EXPECTED
                 if new.bod != lst.bod.element:
                     return NO_COHERENCE
-                return self._sized(ListData((new.dat, *lst.dat.items)), lst.bod)
+                return self._sized(
+                    _unchecked(ListData, items=(new.dat, *lst.dat.items)), lst.bod
+                )
             case n.TopExp(operand):
                 com = self.eval_data_exp(operand, sta)
                 if isinstance(com, AbstractError):
@@ -218,7 +221,7 @@ class Evaluator:
                     return LIST_EXPECTED
                 if not com.dat.items:
                     return EMPTY_LIST
-                return Composite(com.dat.items[0], com.bod.element)
+                return _unchecked(Composite, dat=com.dat.items[0], bod=com.bod.element)
             case n.PopExp(operand):
                 com = self.eval_data_exp(operand, sta)
                 if isinstance(com, AbstractError):
@@ -227,12 +230,13 @@ class Evaluator:
                     return LIST_EXPECTED
                 if not com.dat.items:
                     return EMPTY_LIST
-                return Composite(ListData(com.dat.items[1:]), com.bod)
+                rest = _unchecked(ListData, items=com.dat.items[1:])
+                return _unchecked(Composite, dat=rest, bod=com.bod)
             case n.ArrayExp(element):
                 com = self.eval_data_exp(element, sta)
                 if isinstance(com, AbstractError):
                     return com
-                return self._sized(ArrayData((com.dat,)), ArrayBody(com.bod))
+                return self._sized(_unchecked(ArrayData, items=(com.dat,)), ArrayBody(com.bod))
             case n.AddToArrExp(target, element):
                 coms = self._operands(sta, target, element)
                 if isinstance(coms, AbstractError):
@@ -242,7 +246,9 @@ class Evaluator:
                     return ARRAY_EXPECTED
                 if new.bod != arr.bod.element:
                     return NO_COHERENCE
-                return self._sized(ArrayData((*arr.dat.items, new.dat)), arr.bod)
+                return self._sized(
+                    _unchecked(ArrayData, items=(*arr.dat.items, new.dat)), arr.bod
+                )
             case n.ChangeArrExp(target, index, element):
                 coms = self._operands(sta, target, index, element)
                 if isinstance(coms, AbstractError):
@@ -259,7 +265,8 @@ class Evaluator:
                     return NO_COHERENCE
                 items = list(arr.dat.items)
                 items[i - 1] = new.dat
-                return Composite(ArrayData(tuple(items)), arr.bod)
+                changed = _unchecked(ArrayData, items=tuple(items))
+                return _unchecked(Composite, dat=changed, bod=arr.bod)
             case n.ArrAtExp(target, index):
                 coms = self._operands(sta, target, index)
                 if isinstance(coms, AbstractError):
@@ -272,7 +279,7 @@ class Evaluator:
                 i = self._index(idx.dat.value, len(arr.dat.items))
                 if i is None:
                     return INDEX_OUT_OF_RANGE
-                return Composite(arr.dat.items[i - 1], arr.bod.element)
+                return _unchecked(Composite, dat=arr.dat.items[i - 1], bod=arr.bod.element)
             case n.RecordExp(ide, expr):
                 com = self.eval_data_exp(expr, sta)
                 if isinstance(com, AbstractError):
@@ -301,7 +308,7 @@ class Evaluator:
                     return RECORD_EXPECTED
                 if not com.bod.has(ide):
                     return ATTRIBUTE_NOT_PRESENT
-                return Composite(com.dat.get(ide), com.bod.get(ide))
+                return _unchecked(Composite, dat=com.dat.get(ide), bod=com.bod.get(ide))
             case n.RemoveAttrExp(ide, target):
                 com = self.eval_data_exp(target, sta)
                 if isinstance(com, AbstractError):
@@ -312,7 +319,11 @@ class Evaluator:
                     return ATTRIBUTE_NOT_PRESENT
                 remaining = com.dat.attributes()
                 del remaining[ide]
-                return Composite(RecordData.of(remaining), com.bod.with_removed(ide))
+                return _unchecked(
+                    Composite,
+                    dat=RecordData.of(remaining),
+                    bod=com.bod.with_removed(ide),
+                )
             case n.ChangeRecExp(target, ide, expr):
                 coms = self._operands(sta, target, expr)
                 if isinstance(coms, AbstractError):
@@ -322,9 +333,10 @@ class Evaluator:
                     return RECORD_EXPECTED
                 if not rec.bod.has(ide):
                     return ATTRIBUTE_NOT_PRESENT
-                return Composite(
-                    RecordData.of({**rec.dat.attributes(), ide: new.dat}),
-                    RecordBody.of({**rec.bod.attributes(), ide: new.bod}),
+                return _unchecked(
+                    Composite,
+                    dat=RecordData.of({**rec.dat.attributes(), ide: new.dat}),
+                    bod=RecordBody.of({**rec.bod.attributes(), ide: new.bod}),
                 )
             case n.CondExp(guard, then_branch, else_branch):
                 com = self.eval_data_exp(guard, sta)
@@ -369,7 +381,7 @@ class Evaluator:
     def _sized(self, dat: Data, bod) -> EvalResult:
         if oversized(dat, self.limits):
             return OVERFLOW
-        return Composite(dat, bod)
+        return _unchecked(Composite, dat=dat, bod=bod)
 
     def _lazy_bool(
         self, left: n.DatExp, right: n.DatExp, sta: State, short_on: bool
@@ -420,7 +432,7 @@ class Evaluator:
                     return LIST_EXPECTED
                 if not com.dat.items:
                     return EMPTY_LIST
-                return Composite(com.dat.items[0], com.bod.element)
+                return _unchecked(Composite, dat=com.dat.items[0], bod=com.bod.element)
             case n.ArrayAtTra(index_tre):
                 if not isinstance(com.bod, ArrayBody):
                     return ARRAY_EXPECTED
@@ -432,13 +444,13 @@ class Evaluator:
                 i = self._index(idx.dat.value, len(com.dat.items))
                 if i is None:
                     return INDEX_OUT_OF_RANGE
-                return Composite(com.dat.items[i - 1], com.bod.element)
+                return _unchecked(Composite, dat=com.dat.items[i - 1], bod=com.bod.element)
             case n.RecordAtTra(ide):
                 if not isinstance(com.bod, RecordBody):
                     return RECORD_EXPECTED
                 if not com.bod.has(ide):
                     return ATTRIBUTE_NOT_PRESENT
-                return Composite(com.dat.get(ide), com.bod.get(ide))
+                return _unchecked(Composite, dat=com.dat.get(ide), bod=com.bod.get(ide))
             case n.TraAddExp(t1, t2):
                 return self._tra_arith(t1, t2, com, lambda x, y: self._number(x.add(y)))
             case n.TraDivExp(t1, t2):
@@ -590,7 +602,7 @@ class Evaluator:
     ) -> EvalResult:
         all_true = True
         for item in items:
-            result = self._apply_tra(inner, Composite(item, element_body))
+            result = self._apply_tra(inner, _unchecked(Composite, dat=item, bod=element_body))
             if isinstance(result, AbstractError):
                 return result
             if not is_boo_composite(result):
@@ -717,7 +729,7 @@ class Evaluator:
             return load_error(sta, A_YOKE_EXPECTED)
         if com == FALSE_COMPOSITE:
             return load_error(sta, YOKE_NOT_SATISFIED)
-        return bind_variable(sta, ide, Value(new.dat, LangType(new.bod, val.typ.tra)))
+        return bind_variable(sta, ide, Value(new.dat, LangType(new.bod, val.typ.tra), new))
 
     def _exec_yoke(self, ide: str, tre: n.TraExp, sta: State) -> State:
         # Symmetric to assignment: the old composite is kept, the transfer
@@ -730,14 +742,15 @@ class Evaluator:
         tra = self.eval_transfer_exp(tre, sta)
         if val.content is OMEGA:
             return load_error(sta, VARIABLE_NOT_INITIALIZED)
-        com = apply_transfer(tra, val.composite())
+        old = val.composite()
+        com = apply_transfer(tra, old)
         if isinstance(com, AbstractError):
             return load_error(sta, com)
         if not is_boo_composite(com):
             return load_error(sta, A_YOKE_EXPECTED)
         if com == FALSE_COMPOSITE:
             return load_error(sta, YOKE_NOT_SATISFIED)
-        return bind_variable(sta, ide, Value(val.content, LangType(val.typ.bod, tra)))
+        return bind_variable(sta, ide, Value(val.content, LangType(val.typ.bod, tra), old))
 
     def _exec_if_error(self, guard: n.DatExp, handler: n.Instruction, sta: State) -> State:
         if not is_error(sta):
@@ -863,7 +876,7 @@ class Evaluator:
                 com = actual_value.composite()
                 if not clan_ty_member(com, formal_type):
                     return PARAMETER_TYPE_MISMATCH
-                valuation[formal.ide] = Value(com.dat, formal_type)
+                valuation[formal.ide] = Value(com.dat, formal_type, com)
         return None
 
     def call_imperative_procedure(

@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, reports, restore fixpoint, REPL."""
 
 import io
+import re
+import sys
 
 from lingua.cli import RunConfig, main, repl
 
@@ -106,6 +108,21 @@ class TestRun:
         assert code == 0
         assert "trace:" in err
 
+    def test_recursion_limit_restored(self, tmp_path, capsys):
+        path = write(
+            tmp_path,
+            "ok.lng",
+            "begin-program let x be number tel ; x := 7 end-program",
+        )
+        previous = sys.getrecursionlimit()
+        sys.setrecursionlimit(1234)
+        try:
+            assert main(["run", path]) == 0
+            assert sys.getrecursionlimit() == 1234
+        finally:
+            sys.setrecursionlimit(previous)
+        capsys.readouterr()
+
     def test_ref_transfer_shown_in_report(self, tmp_path, capsys):
         path = write(
             tmp_path,
@@ -148,6 +165,17 @@ class TestCheckRestoreAst:
         _, err = capsys.readouterr()
         assert code == 2
         assert "keyword-misuse" in err
+
+    def test_parse_too_deep_is_a_diagnostic(self, tmp_path, capsys):
+        depth = max(600, sys.getrecursionlimit())
+        path = write(tmp_path, "deep.lng", "x := " + "(" * depth + "1" + ")" * depth)
+        code = main(["check", path])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert re.fullmatch(re.escape(path) + r":1:\d+: too-deep: .+", lines[0])
 
     def test_restore_expression(self, tmp_path, capsys):
         path = write(tmp_path, "expr.lng", "x + y * z")
@@ -240,3 +268,14 @@ class TestRepl:
     def test_quit_exits_zero(self, capsys):
         code, _, _ = self.drive([":quit"], capsys)
         assert code == 0
+
+    def test_recursion_limit_restored(self, capsys):
+        previous = sys.getrecursionlimit()
+        sys.setrecursionlimit(1234)
+        try:
+            code, out, _ = self.drive(["(1 + 2)", ":quit"], capsys)
+            assert sys.getrecursionlimit() == 1234
+        finally:
+            sys.setrecursionlimit(previous)
+        assert code == 0
+        assert "(3, number)" in out

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lingua.kernel import (
     ARRAY_EXPECTED,
@@ -79,6 +80,21 @@ class TestNumber:
         assert Number.parse("0.5").lt(Number.parse("0.6"))
         assert not Number.parse("2").lt(Number.parse("2"))
         assert Number.parse("-4").lt(Number.parse("0"))
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(
+        st.tuples(st.integers(-(10**25), 10**25), st.integers(-60, 60)),
+        st.tuples(st.integers(-(10**25), 10**25), st.integers(-60, 60)),
+    )
+    @example((0, 0), (0, 0))
+    @example((0, 0), (-1, -60))
+    @example((1, -60), (0, 0))
+    @example((-3, 60), (-3, -60))
+    @example((7, 40), (7000, 37))
+    def test_lt_orders_like_fractions(self, a, b):
+        x, y = Number.make(*a), Number.make(*b)
+        assert x.lt(y) == (x.as_fraction() < y.as_fraction())
+        assert y.lt(x) == (y.as_fraction() < x.as_fraction())
 
 
 # ---------------------------------------------------------------------------
