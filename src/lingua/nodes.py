@@ -563,3 +563,22 @@ class Program(Node):
 
     pam: Optional[Preamble]
     ins: Instruction
+
+
+def sequence_items(node: Node) -> list[Node]:
+    """The items of a sequence of any sort, left to right; a non-sequence
+    is its own only item.  The spine is walked with an explicit stack, so a
+    sequence of any length is flattened without recursion."""
+    items, stack = [], [node]
+    while stack:
+        match stack.pop():
+            case (
+                SeqIns(first, second)
+                | PreSeq(first, second)
+                | VarDecSeq(first, second)
+                | TypDefSeq(first, second)
+            ):
+                stack += (second, first)
+            case item:
+                items.append(item)
+    return items

@@ -154,12 +154,8 @@ def print_concrete(ast: n.Node) -> str:
         # declarations
         case n.VarDec(ide, t):
             return f"let {ide} be {p(t)} tel"
-        case n.VarDecSeq(a, b):
-            return f"{p(a)} ; {p(b)}"
         case n.TypDef(ide, t):
             return f"set {ide} as {p(t)} tes"
-        case n.TypDefSeq(a, b):
-            return f"{p(a)} ; {p(b)}"
         case n.FormalParam(ide, t):
             return f"{ide} as {p(t)}"
         case n.ImpProcDec(ide, val_params, ref_params, prg):
@@ -192,11 +188,11 @@ def print_concrete(ast: n.Node) -> str:
             return f"if-error {p(g)} then {p(a)} fi"
         case n.WhileIns(g, a):
             return f"while {p(g)} do {p(a)} od"
-        case n.SeqIns(a, b):
-            return f"{p(a)} ; {p(b)}"
-        # preambles and programs
-        case n.PreSeq(a, b):
-            return f"{p(a)} ; {p(b)}"
+        # sequences of every sort, joined along an explicit stack so that
+        # long straight-line programs print without deep recursion
+        case n.SeqIns() | n.PreSeq() | n.VarDecSeq() | n.TypDefSeq():
+            return " ; ".join(p(item) for item in n.sequence_items(ast))
+        # programs
         case n.Program(None, ins):
             return f"begin-program {p(ins)} end-program"
         case n.Program(pam, ins):

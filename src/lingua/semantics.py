@@ -7,6 +7,16 @@ passes error-carrying states through untouched.  Operands evaluate left to
 right and the first error wins, except that the Boolean connectives are
 lazy: a deciding left operand suppresses the right one entirely.
 
+Each clause is compiled once per evaluator into a Python closure, its
+denotation: a function from states to states, composites or types, or,
+for a transfer, from composites to composites.  Each operator is one
+function over operand composites, shared by data and transfer expressions;
+`_unary` and `_binary` turn it into code over operand closures.  Literals
+are built, and size-checked, when they compile; sequences compile to flat
+blocks.  An expression's code runs on a state whose register is clear: the
+register is tested once, where evaluation enters the expression, since the
+state cannot change inside it.
+
 Nontermination is bounded by a fuel budget, spent on loop iterations and
 procedure calls; running out raises OutOfFuel, which is an outcome of the
 run, not a language error, and never reaches an error register.
@@ -14,8 +24,9 @@ run, not a language error, and never reaches an error register.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, TypeVar, Union
 
 from .kernel import (
     A_YOKE_EXPECTED,
@@ -114,610 +125,443 @@ class Fuel:
 
 
 EvalResult = Union[Composite, AbstractError]
+TypeResult = Union[LangType, AbstractError]
+# Compiled code: a data or type expression maps a state to its result, a
+# transfer a composite, and an instruction or a preamble a state to a state.
+Code = Callable[[object], object]
+DataCode = Callable[[State], EvalResult]
+TransferCode = Callable[[Composite], EvalResult]
+TypeCode = Callable[[State], TypeResult]
+StateCode = Callable[[State], State]
+
+C = TypeVar("C")
 
 
-class Evaluator:
-    def __init__(
-        self,
-        limits: Limits = Limits(),
-        fuel: Optional[int] = None,
-        small_number_bound: Number = DEFAULT_SMALL_NUMBER_BOUND,
-        trace: Optional[Callable[[n.Instruction], None]] = None,
-    ):
-        self.limits = limits
-        self.fuel = Fuel(fuel)
-        self.small_number_bound = small_number_bound
-        self.trace = trace
+# ---------------------------------------------------------------------------
+# building code; `x` is the state a data or type expression reads, or the
+# composite a transfer is applied to
 
-    # -- data expressions --------------------------------------------------
 
-    def eval_data_exp(self, dae: n.DatExp, sta: State) -> EvalResult:
-        if is_error(sta):
-            return sta.store.register
-        match dae:
-            case n.BoolLit(value):
-                return boo_composite(value)
-            case n.NumLit(number):
-                return self._sized(NumberData(number), NUMBER)
-            case n.WordLit(text):
-                return self._sized(WordData(text), WORD)
-            case n.IdeExp(ide):
-                val = lookup_variable(sta, ide)
-                if val is None:
-                    return IDENTIFIER_NOT_DECLARED
-                if val.content is OMEGA:
-                    return VARIABLE_NOT_INITIALIZED
-                return val.composite()
-            case n.AndExp(left, right):
-                return self._lazy_bool(left, right, sta, short_on=False)
-            case n.OrExp(left, right):
-                return self._lazy_bool(left, right, sta, short_on=True)
-            case n.NotExp(operand):
-                com = self.eval_data_exp(operand, sta)
-                if isinstance(com, AbstractError):
-                    return com
-                if com.bod != BOOLEAN:
-                    return BOOLEAN_EXPECTED
-                return boo_composite(not com.dat.value)
-            case n.LessExp(a, b):
-                return self._arith(a, b, sta, lambda x, y: boo_composite(x.lt(y)))
-            case n.AddExp(a, b):
-                return self._arith(a, b, sta, lambda x, y: self._number(x.add(y)))
-            case n.SubExp(a, b):
-                return self._arith(a, b, sta, lambda x, y: self._number(x.sub(y)))
-            case n.MulExp(a, b):
-                return self._arith(a, b, sta, lambda x, y: self._number(x.mul(y)))
-            case n.DivExp(a, b):
-                coms = self._operands(sta, a, b)
-                if isinstance(coms, AbstractError):
-                    return coms
-                for com in coms:
-                    if com.bod != NUMBER:
-                        return NUMBER_EXPECTED
-                x, y = coms[0].dat.value, coms[1].dat.value
-                if y.is_zero():
-                    return DIVISION_BY_ZERO
-                quotient = x.divide(y)
-                if quotient is None:
-                    return OVERFLOW
-                return self._number(quotient)
-            case n.EqExp(a, b):
-                coms = self._operands(sta, a, b)
-                if isinstance(coms, AbstractError):
-                    return coms
-                if coms[0].bod != coms[1].bod:
-                    return FALSE_COMPOSITE
-                return boo_composite(coms[0].dat == coms[1].dat)
-            case n.GlueExp(a, b):
-                coms = self._operands(sta, a, b)
-                if isinstance(coms, AbstractError):
-                    return coms
-                for com in coms:
-                    if com.bod != WORD:
-                        return WORD_EXPECTED
-                return self._sized(WordData(coms[0].dat.text + coms[1].dat.text), WORD)
-            case n.ListExp(element):
-                com = self.eval_data_exp(element, sta)
-                if isinstance(com, AbstractError):
-                    return com
-                return self._sized(_unchecked(ListData, items=(com.dat,)), ListBody(com.bod))
-            case n.PushExp(element, target):
-                coms = self._operands(sta, element, target)
-                if isinstance(coms, AbstractError):
-                    return coms
-                new, lst = coms
-                if not isinstance(lst.bod, ListBody):
-                    return LIST_EXPECTED
-                if new.bod != lst.bod.element:
-                    return NO_COHERENCE
-                return self._sized(
-                    _unchecked(ListData, items=(new.dat, *lst.dat.items)), lst.bod
-                )
-            case n.TopExp(operand):
-                com = self.eval_data_exp(operand, sta)
-                if isinstance(com, AbstractError):
-                    return com
-                if not isinstance(com.bod, ListBody):
-                    return LIST_EXPECTED
-                if not com.dat.items:
-                    return EMPTY_LIST
-                return _unchecked(Composite, dat=com.dat.items[0], bod=com.bod.element)
-            case n.PopExp(operand):
-                com = self.eval_data_exp(operand, sta)
-                if isinstance(com, AbstractError):
-                    return com
-                if not isinstance(com.bod, ListBody):
-                    return LIST_EXPECTED
-                if not com.dat.items:
-                    return EMPTY_LIST
-                rest = _unchecked(ListData, items=com.dat.items[1:])
-                return _unchecked(Composite, dat=rest, bod=com.bod)
-            case n.ArrayExp(element):
-                com = self.eval_data_exp(element, sta)
-                if isinstance(com, AbstractError):
-                    return com
-                return self._sized(_unchecked(ArrayData, items=(com.dat,)), ArrayBody(com.bod))
-            case n.AddToArrExp(target, element):
-                coms = self._operands(sta, target, element)
-                if isinstance(coms, AbstractError):
-                    return coms
-                arr, new = coms
-                if not isinstance(arr.bod, ArrayBody):
-                    return ARRAY_EXPECTED
-                if new.bod != arr.bod.element:
-                    return NO_COHERENCE
-                return self._sized(
-                    _unchecked(ArrayData, items=(*arr.dat.items, new.dat)), arr.bod
-                )
-            case n.ChangeArrExp(target, index, element):
-                coms = self._operands(sta, target, index, element)
-                if isinstance(coms, AbstractError):
-                    return coms
-                arr, idx, new = coms
-                if not isinstance(arr.bod, ArrayBody):
-                    return ARRAY_EXPECTED
-                if idx.bod != NUMBER:
-                    return NUMBER_EXPECTED
-                i = self._index(idx.dat.value, len(arr.dat.items))
-                if i is None:
-                    return INDEX_OUT_OF_RANGE
-                if new.bod != arr.bod.element:
-                    return NO_COHERENCE
-                items = list(arr.dat.items)
-                items[i - 1] = new.dat
-                changed = _unchecked(ArrayData, items=tuple(items))
-                return _unchecked(Composite, dat=changed, bod=arr.bod)
-            case n.ArrAtExp(target, index):
-                coms = self._operands(sta, target, index)
-                if isinstance(coms, AbstractError):
-                    return coms
-                arr, idx = coms
-                if not isinstance(arr.bod, ArrayBody):
-                    return ARRAY_EXPECTED
-                if idx.bod != NUMBER:
-                    return NUMBER_EXPECTED
-                i = self._index(idx.dat.value, len(arr.dat.items))
-                if i is None:
-                    return INDEX_OUT_OF_RANGE
-                return _unchecked(Composite, dat=arr.dat.items[i - 1], bod=arr.bod.element)
-            case n.RecordExp(ide, expr):
-                com = self.eval_data_exp(expr, sta)
-                if isinstance(com, AbstractError):
-                    return com
-                return self._sized(
-                    RecordData.of({ide: com.dat}), RecordBody.of({ide: com.bod})
-                )
-            case n.AddAttrExp(ide, expr, target):
-                coms = self._operands(sta, expr, target)
-                if isinstance(coms, AbstractError):
-                    return coms
-                new, rec = coms
-                if not isinstance(rec.bod, RecordBody):
-                    return RECORD_EXPECTED
-                if rec.bod.has(ide):
-                    return ATTRIBUTE_ALREADY_PRESENT
-                return self._sized(
-                    RecordData.of({**rec.dat.attributes(), ide: new.dat}),
-                    rec.bod.with_added(ide, new.bod),
-                )
-            case n.RecAtExp(target, ide):
-                com = self.eval_data_exp(target, sta)
-                if isinstance(com, AbstractError):
-                    return com
-                if not isinstance(com.bod, RecordBody):
-                    return RECORD_EXPECTED
-                if not com.bod.has(ide):
-                    return ATTRIBUTE_NOT_PRESENT
-                return _unchecked(Composite, dat=com.dat.get(ide), bod=com.bod.get(ide))
-            case n.RemoveAttrExp(ide, target):
-                com = self.eval_data_exp(target, sta)
-                if isinstance(com, AbstractError):
-                    return com
-                if not isinstance(com.bod, RecordBody):
-                    return RECORD_EXPECTED
-                if not com.bod.has(ide):
-                    return ATTRIBUTE_NOT_PRESENT
-                remaining = com.dat.attributes()
-                del remaining[ide]
-                return _unchecked(
-                    Composite,
-                    dat=RecordData.of(remaining),
-                    bod=com.bod.with_removed(ide),
-                )
-            case n.ChangeRecExp(target, ide, expr):
-                coms = self._operands(sta, target, expr)
-                if isinstance(coms, AbstractError):
-                    return coms
-                rec, new = coms
-                if not isinstance(rec.bod, RecordBody):
-                    return RECORD_EXPECTED
-                if not rec.bod.has(ide):
-                    return ATTRIBUTE_NOT_PRESENT
-                return _unchecked(
-                    Composite,
-                    dat=RecordData.of({**rec.dat.attributes(), ide: new.dat}),
-                    bod=RecordBody.of({**rec.bod.attributes(), ide: new.bod}),
-                )
-            case n.CondExp(guard, then_branch, else_branch):
-                com = self.eval_data_exp(guard, sta)
-                if isinstance(com, AbstractError):
-                    return com
-                if com.bod != BOOLEAN:
-                    return BOOLEAN_EXPECTED
-                branch = then_branch if com.dat.value else else_branch
-                return self.eval_data_exp(branch, sta)
-            case n.FunCallExp(ide, apar):
-                return self.call_functional_procedure(ide, apar, sta)
-        raise TypeError(f"not a data expression: {dae!r}")
+def _constant(result) -> Code:
+    return lambda x: result
 
-    def _operands(self, sta: State, *daes: n.DatExp) -> Union[list[Composite], AbstractError]:
-        """Left-to-right evaluation; the first error becomes the result."""
-        coms = []
-        for dae in daes:
-            com = self.eval_data_exp(dae, sta)
-            if isinstance(com, AbstractError):
-                return com
-            coms.append(com)
-        return coms
 
-    def _arith(
-        self,
-        a: n.DatExp,
-        b: n.DatExp,
-        sta: State,
-        op: Callable[[Number, Number], EvalResult],
-    ) -> EvalResult:
-        coms = self._operands(sta, a, b)
-        if isinstance(coms, AbstractError):
-            return coms
-        for com in coms:
-            if com.bod != NUMBER:
-                return NUMBER_EXPECTED
-        return op(coms[0].dat.value, coms[1].dat.value)
+def _value(com: Composite) -> EvalResult:
+    """The transfer `value`, and the operand of the transfer selections."""
+    return com
 
-    def _number(self, number: Number) -> EvalResult:
-        return self._sized(NumberData(number), NUMBER)
 
-    def _sized(self, dat: Data, bod) -> EvalResult:
-        if oversized(dat, self.limits):
-            return OVERFLOW
-        return _unchecked(Composite, dat=dat, bod=bod)
+def _unary(a: Code, op: Callable, param) -> Code:
+    """An error from the operand is the result; otherwise `op(com, param)`."""
 
-    def _lazy_bool(
-        self, left: n.DatExp, right: n.DatExp, sta: State, short_on: bool
-    ) -> EvalResult:
-        """McCarthy connectives: the left operand may decide alone."""
-        com = self.eval_data_exp(left, sta)
+    def unary(x):
+        com = a(x)
         if isinstance(com, AbstractError):
             return com
-        if com.bod != BOOLEAN:
-            return BOOLEAN_EXPECTED
-        if com.dat.value == short_on:
-            return boo_composite(short_on)
-        com = self.eval_data_exp(right, sta)
-        if isinstance(com, AbstractError):
-            return com
-        if com.bod != BOOLEAN:
-            return BOOLEAN_EXPECTED
-        return com
+        return op(com, param)
 
-    @staticmethod
-    def _index(number: Number, length: int) -> Optional[int]:
-        if not number.is_integer():
-            return None
-        i = number.to_int()
-        if not 1 <= i <= length:
-            return None
-        return i
+    return unary
 
-    # -- transfer expressions ----------------------------------------------
 
-    def eval_transfer_exp(self, tre: n.TraExp, sta: State) -> Union[Transfer, AbstractError]:
-        if is_error(sta):
-            return sta.store.register
-        return Transfer(print_concrete(tre), lambda com: self._apply_tra(tre, com))
+def _binary(a: Code, b: Code, op: Callable, param) -> Code:
+    """Operands left to right, the first error is the result; otherwise
+    `op(left, right, param)`."""
 
-    def _apply_tra(self, tre: n.TraExp, com: Composite) -> EvalResult:
-        match tre:
-            case n.TraNumLit(number):
-                return self._number(number)
-            case n.TraWordLit(text):
-                return self._sized(WordData(text), WORD)
-            case n.TraBoolLit(value):
-                return boo_composite(value)
-            case n.ValueTra():
-                return com
-            case n.TopTra():
-                if not isinstance(com.bod, ListBody):
-                    return LIST_EXPECTED
-                if not com.dat.items:
-                    return EMPTY_LIST
-                return _unchecked(Composite, dat=com.dat.items[0], bod=com.bod.element)
-            case n.ArrayAtTra(index_tre):
-                if not isinstance(com.bod, ArrayBody):
-                    return ARRAY_EXPECTED
-                idx = self._apply_tra(index_tre, com)
-                if isinstance(idx, AbstractError):
-                    return idx
-                if idx.bod != NUMBER:
-                    return NUMBER_EXPECTED
-                i = self._index(idx.dat.value, len(com.dat.items))
-                if i is None:
-                    return INDEX_OUT_OF_RANGE
-                return _unchecked(Composite, dat=com.dat.items[i - 1], bod=com.bod.element)
-            case n.RecordAtTra(ide):
-                if not isinstance(com.bod, RecordBody):
-                    return RECORD_EXPECTED
-                if not com.bod.has(ide):
-                    return ATTRIBUTE_NOT_PRESENT
-                return _unchecked(Composite, dat=com.dat.get(ide), bod=com.bod.get(ide))
-            case n.TraAddExp(t1, t2):
-                return self._tra_arith(t1, t2, com, lambda x, y: self._number(x.add(y)))
-            case n.TraDivExp(t1, t2):
-                results = self._tra_operands(com, t1, t2)
-                if isinstance(results, AbstractError):
-                    return results
-                for r in results:
-                    if r.bod != NUMBER:
-                        return NUMBER_EXPECTED
-                x, y = results[0].dat.value, results[1].dat.value
-                if y.is_zero():
-                    return DIVISION_BY_ZERO
-                quotient = x.divide(y)
-                if quotient is None:
-                    return OVERFLOW
-                return self._number(quotient)
-            case n.TraLessExp(t1, t2):
-                return self._tra_arith(t1, t2, com, lambda x, y: boo_composite(x.lt(y)))
-            case n.TraEqExp(t1, t2):
-                results = self._tra_operands(com, t1, t2)
-                if isinstance(results, AbstractError):
-                    return results
-                if results[0].bod != results[1].bod:
-                    return FALSE_COMPOSITE
-                return boo_composite(results[0].dat == results[1].dat)
-            case n.TraGlueExp(t1, t2):
-                results = self._tra_operands(com, t1, t2)
-                if isinstance(results, AbstractError):
-                    return results
-                for r in results:
-                    if r.bod != WORD:
-                        return WORD_EXPECTED
-                return self._sized(
-                    WordData(results[0].dat.text + results[1].dat.text), WORD
-                )
-            case n.SumExp(inner):
-                items = self._numeric_collection(inner, com)
-                if isinstance(items, AbstractError):
-                    return items
-                total = Number.make(0)
-                for number in items:
-                    total = total.add(number)
-                return self._number(total)
-            case n.MaxExp(inner):
-                items = self._numeric_collection(inner, com)
-                if isinstance(items, AbstractError):
-                    return items
-                best = items[0]
-                for number in items[1:]:
-                    if best.lt(number):
-                        best = number
-                return self._number(best)
-            case n.SmallNumberExp(inner):
-                result = self._apply_tra(inner, com)
-                if isinstance(result, AbstractError):
-                    return result
-                if result.bod != NUMBER:
-                    return NUMBER_EXPECTED
-                return boo_composite(result.dat.value.abs().lt(self.small_number_bound))
-            case n.IncreasingExp(inner):
-                result = self._apply_tra(inner, com)
-                if isinstance(result, AbstractError):
-                    return result
-                if not isinstance(result.bod, ArrayBody):
-                    return ARRAY_EXPECTED
-                if result.bod.element != NUMBER:
-                    return NUMBER_EXPECTED
-                numbers = [item.value for item in result.dat.items]
-                increasing = all(
-                    numbers[i].lt(numbers[i + 1]) for i in range(len(numbers) - 1)
-                )
-                return boo_composite(increasing)
-            case n.TraAndExp(t1, t2):
-                return self._tra_lazy_bool(t1, t2, com, short_on=False)
-            case n.TraOrExp(t1, t2):
-                return self._tra_lazy_bool(t1, t2, com, short_on=True)
-            case n.TraNotExp(inner):
-                result = self._apply_tra(inner, com)
-                if isinstance(result, AbstractError):
-                    return result
-                if not is_boo_composite(result):
-                    return A_YOKE_EXPECTED
-                return boo_composite(not result.dat.value)
-            case n.AllListExp(inner):
-                if not isinstance(com.bod, ListBody):
-                    return LIST_EXPECTED
-                return self._all_elements(inner, com.dat.items, com.bod.element)
-            case n.AllArrayExp(inner):
-                if not isinstance(com.bod, ArrayBody):
-                    return ARRAY_EXPECTED
-                return self._all_elements(inner, com.dat.items, com.bod.element)
-        raise TypeError(f"not a transfer expression: {tre!r}")
+    def binary(x):
+        left = a(x)
+        if isinstance(left, AbstractError):
+            return left
+        right = b(x)
+        if isinstance(right, AbstractError):
+            return right
+        return op(left, right, param)
 
-    def _tra_operands(self, com: Composite, *tres: n.TraExp) -> Union[list[Composite], AbstractError]:
-        results = []
-        for tre in tres:
-            result = self._apply_tra(tre, com)
-            if isinstance(result, AbstractError):
-                return result
-            results.append(result)
-        return results
+    return binary
 
-    def _tra_arith(
-        self,
-        t1: n.TraExp,
-        t2: n.TraExp,
-        com: Composite,
-        op: Callable[[Number, Number], EvalResult],
-    ) -> EvalResult:
-        results = self._tra_operands(com, t1, t2)
-        if isinstance(results, AbstractError):
-            return results
-        for r in results:
-            if r.bod != NUMBER:
-                return NUMBER_EXPECTED
-        return op(results[0].dat.value, results[1].dat.value)
 
-    def _tra_lazy_bool(
-        self, t1: n.TraExp, t2: n.TraExp, com: Composite, short_on: bool
-    ) -> EvalResult:
-        result = self._apply_tra(t1, com)
-        if isinstance(result, AbstractError):
-            return result
-        if not is_boo_composite(result):
-            return A_YOKE_EXPECTED
-        if result.dat.value == short_on:
-            return boo_composite(short_on)
-        result = self._apply_tra(t2, com)
-        if isinstance(result, AbstractError):
-            return result
-        if not is_boo_composite(result):
-            return A_YOKE_EXPECTED
-        return result
+def _lazy(a: Code, b: Code, short_on: bool, expected: AbstractError) -> Code:
+    """McCarthy connectives: a left operand equal to `short_on` decides
+    alone; a non-Boolean operand yields `expected`."""
 
-    def _numeric_collection(
-        self, inner: n.TraExp, com: Composite
-    ) -> Union[list[Number], AbstractError]:
-        result = self._apply_tra(inner, com)
-        if isinstance(result, AbstractError):
-            return result
-        if isinstance(result.bod, (ListBody, ArrayBody)) and result.bod.element == NUMBER:
-            if not result.dat.items:
-                return EMPTY_LIST
-            return [item.value for item in result.dat.items]
+    def lazy(x):
+        left = a(x)
+        if isinstance(left, AbstractError):
+            return left
+        if left.bod != BOOLEAN:
+            return expected
+        if left.dat.value == short_on:
+            return left
+        right = b(x)
+        if isinstance(right, AbstractError):
+            return right
+        if right.bod != BOOLEAN:
+            return expected
+        return right
+
+    return lazy
+
+
+def _block(codes: list[C]) -> C:
+    """Run compiled steps one after another."""
+    if len(codes) == 1:
+        return codes[0]
+    steps = tuple(codes)
+
+    def block(sta):
+        for step in steps:
+            sta = step(sta)
+        return sta
+
+    return block
+
+
+def _skip(sta: State) -> State:
+    return sta
+
+
+# ---------------------------------------------------------------------------
+# operators over composites; `param` is what the clause fixes when it
+# compiles: the limits, an attribute name or an error word
+
+
+def _sized(dat: Data, bod, limits: Limits) -> EvalResult:
+    """A freshly computed result, or overflow when it exceeds the limits."""
+    if oversized(dat, limits):
+        return OVERFLOW
+    return _unchecked(Composite, dat=dat, bod=bod)
+
+
+def _number(number: Number, limits: Limits) -> EvalResult:
+    return _sized(NumberData(number), NUMBER, limits)
+
+
+def _add(left: Composite, right: Composite, limits: Limits) -> EvalResult:
+    if left.bod != NUMBER or right.bod != NUMBER:
+        return NUMBER_EXPECTED
+    return _number(left.dat.value.add(right.dat.value), limits)
+
+
+def _sub(left: Composite, right: Composite, limits: Limits) -> EvalResult:
+    if left.bod != NUMBER or right.bod != NUMBER:
+        return NUMBER_EXPECTED
+    return _number(left.dat.value.sub(right.dat.value), limits)
+
+
+def _mul(left: Composite, right: Composite, limits: Limits) -> EvalResult:
+    if left.bod != NUMBER or right.bod != NUMBER:
+        return NUMBER_EXPECTED
+    return _number(left.dat.value.mul(right.dat.value), limits)
+
+
+def _divide(left: Composite, right: Composite, limits: Limits) -> EvalResult:
+    if left.bod != NUMBER or right.bod != NUMBER:
+        return NUMBER_EXPECTED
+    if right.dat.value.is_zero():
+        return DIVISION_BY_ZERO
+    quotient = left.dat.value.divide(right.dat.value)
+    if quotient is None:
+        return OVERFLOW
+    return _number(quotient, limits)
+
+
+def _less(left: Composite, right: Composite, _) -> EvalResult:
+    if left.bod != NUMBER or right.bod != NUMBER:
+        return NUMBER_EXPECTED
+    return boo_composite(left.dat.value.lt(right.dat.value))
+
+
+def _equal(left: Composite, right: Composite, _) -> EvalResult:
+    if left.bod != right.bod:
+        return FALSE_COMPOSITE
+    return boo_composite(left.dat == right.dat)
+
+
+def _glue(left: Composite, right: Composite, limits: Limits) -> EvalResult:
+    if left.bod != WORD or right.bod != WORD:
+        return WORD_EXPECTED
+    return _sized(WordData(left.dat.text + right.dat.text), WORD, limits)
+
+
+def _negate(com: Composite, expected: AbstractError) -> EvalResult:
+    if com.bod != BOOLEAN:
+        return expected
+    return boo_composite(not com.dat.value)
+
+
+def _top(com: Composite, _) -> EvalResult:
+    if not isinstance(com.bod, ListBody):
+        return LIST_EXPECTED
+    if not com.dat.items:
+        return EMPTY_LIST
+    return _unchecked(Composite, dat=com.dat.items[0], bod=com.bod.element)
+
+
+def _index(number: Number, length: int) -> Optional[int]:
+    if not number.is_integer():
+        return None
+    i = number.to_int()
+    if not 1 <= i <= length:
+        return None
+    return i
+
+
+def _array_at(arr: Composite, idx: Composite, _) -> EvalResult:
+    if not isinstance(arr.bod, ArrayBody):
         return ARRAY_EXPECTED
+    if idx.bod != NUMBER:
+        return NUMBER_EXPECTED
+    i = _index(idx.dat.value, len(arr.dat.items))
+    if i is None:
+        return INDEX_OUT_OF_RANGE
+    return _unchecked(Composite, dat=arr.dat.items[i - 1], bod=arr.bod.element)
 
-    def _all_elements(
-        self, inner: n.TraExp, items: tuple[Data, ...], element_body
-    ) -> EvalResult:
-        all_true = True
-        for item in items:
-            result = self._apply_tra(inner, _unchecked(Composite, dat=item, bod=element_body))
+
+def _record_at(com: Composite, ide: str) -> EvalResult:
+    if not isinstance(com.bod, RecordBody):
+        return RECORD_EXPECTED
+    if not com.bod.has(ide):
+        return ATTRIBUTE_NOT_PRESENT
+    return _unchecked(Composite, dat=com.dat.get(ide), bod=com.bod.get(ide))
+
+
+# -- data expressions only
+
+
+def _list(com: Composite, limits: Limits) -> EvalResult:
+    return _sized(_unchecked(ListData, items=(com.dat,)), ListBody(com.bod), limits)
+
+
+def _push(new: Composite, lst: Composite, limits: Limits) -> EvalResult:
+    if not isinstance(lst.bod, ListBody):
+        return LIST_EXPECTED
+    if new.bod != lst.bod.element:
+        return NO_COHERENCE
+    return _sized(_unchecked(ListData, items=(new.dat, *lst.dat.items)), lst.bod, limits)
+
+
+def _pop(com: Composite, _) -> EvalResult:
+    if not isinstance(com.bod, ListBody):
+        return LIST_EXPECTED
+    if not com.dat.items:
+        return EMPTY_LIST
+    rest = _unchecked(ListData, items=com.dat.items[1:])
+    return _unchecked(Composite, dat=rest, bod=com.bod)
+
+
+def _array(com: Composite, limits: Limits) -> EvalResult:
+    return _sized(_unchecked(ArrayData, items=(com.dat,)), ArrayBody(com.bod), limits)
+
+
+def _add_to_array(arr: Composite, new: Composite, limits: Limits) -> EvalResult:
+    if not isinstance(arr.bod, ArrayBody):
+        return ARRAY_EXPECTED
+    if new.bod != arr.bod.element:
+        return NO_COHERENCE
+    return _sized(_unchecked(ArrayData, items=(*arr.dat.items, new.dat)), arr.bod, limits)
+
+
+def _change_array(a: DataCode, index: DataCode, element: DataCode) -> DataCode:
+    def change_array(sta):
+        arr = a(sta)
+        if isinstance(arr, AbstractError):
+            return arr
+        idx = index(sta)
+        if isinstance(idx, AbstractError):
+            return idx
+        new = element(sta)
+        if isinstance(new, AbstractError):
+            return new
+        if not isinstance(arr.bod, ArrayBody):
+            return ARRAY_EXPECTED
+        if idx.bod != NUMBER:
+            return NUMBER_EXPECTED
+        i = _index(idx.dat.value, len(arr.dat.items))
+        if i is None:
+            return INDEX_OUT_OF_RANGE
+        if new.bod != arr.bod.element:
+            return NO_COHERENCE
+        items = list(arr.dat.items)
+        items[i - 1] = new.dat
+        changed = _unchecked(ArrayData, items=tuple(items))
+        return _unchecked(Composite, dat=changed, bod=arr.bod)
+
+    return change_array
+
+
+def _record(com: Composite, param: tuple[str, Limits]) -> EvalResult:
+    ide, limits = param
+    return _sized(RecordData.of({ide: com.dat}), RecordBody.of({ide: com.bod}), limits)
+
+
+def _add_attribute(new: Composite, rec: Composite, param: tuple[str, Limits]) -> EvalResult:
+    ide, limits = param
+    if not isinstance(rec.bod, RecordBody):
+        return RECORD_EXPECTED
+    if rec.bod.has(ide):
+        return ATTRIBUTE_ALREADY_PRESENT
+    return _sized(
+        RecordData.of({**rec.dat.attributes(), ide: new.dat}),
+        rec.bod.with_added(ide, new.bod),
+        limits,
+    )
+
+
+def _remove_attribute(com: Composite, ide: str) -> EvalResult:
+    if not isinstance(com.bod, RecordBody):
+        return RECORD_EXPECTED
+    if not com.bod.has(ide):
+        return ATTRIBUTE_NOT_PRESENT
+    remaining = com.dat.attributes()
+    del remaining[ide]
+    return _unchecked(Composite, dat=RecordData.of(remaining), bod=com.bod.with_removed(ide))
+
+
+def _change_record(rec: Composite, new: Composite, ide: str) -> EvalResult:
+    if not isinstance(rec.bod, RecordBody):
+        return RECORD_EXPECTED
+    if not rec.bod.has(ide):
+        return ATTRIBUTE_NOT_PRESENT
+    return _unchecked(
+        Composite,
+        dat=RecordData.of({**rec.dat.attributes(), ide: new.dat}),
+        bod=RecordBody.of({**rec.bod.attributes(), ide: new.bod}),
+    )
+
+
+def _conditional(guard: DataCode, then_code: DataCode, else_code: DataCode) -> DataCode:
+    def conditional(sta):
+        com = guard(sta)
+        if isinstance(com, AbstractError):
+            return com
+        if com.bod != BOOLEAN:
+            return BOOLEAN_EXPECTED
+        return (then_code if com.dat.value else else_code)(sta)
+
+    return conditional
+
+
+# -- transfer expressions only
+
+
+def _array_first(code: TransferCode) -> TransferCode:
+    """A transfer's array selection checks for an array before it evaluates
+    the index; a data expression evaluates both operands first."""
+    return lambda com: code(com) if isinstance(com.bod, ArrayBody) else ARRAY_EXPECTED
+
+
+def _numbers_in(com: Composite) -> Union[list[Number], AbstractError]:
+    """The numbers of a non-empty list or array of numbers."""
+    if not (isinstance(com.bod, (ListBody, ArrayBody)) and com.bod.element == NUMBER):
+        return ARRAY_EXPECTED
+    if not com.dat.items:
+        return EMPTY_LIST
+    return [item.value for item in com.dat.items]
+
+
+def _sum(com: Composite, limits: Limits) -> EvalResult:
+    numbers = _numbers_in(com)
+    if isinstance(numbers, AbstractError):
+        return numbers
+    total = Number.make(0)
+    for number in numbers:
+        total = total.add(number)
+    return _number(total, limits)
+
+
+def _max(com: Composite, limits: Limits) -> EvalResult:
+    numbers = _numbers_in(com)
+    if isinstance(numbers, AbstractError):
+        return numbers
+    best = numbers[0]
+    for number in numbers[1:]:
+        if best.lt(number):
+            best = number
+    return _number(best, limits)
+
+
+def _small_number(com: Composite, bound: Number) -> EvalResult:
+    if com.bod != NUMBER:
+        return NUMBER_EXPECTED
+    return boo_composite(com.dat.value.abs().lt(bound))
+
+
+def _increasing(com: Composite, _) -> EvalResult:
+    if not isinstance(com.bod, ArrayBody):
+        return ARRAY_EXPECTED
+    if com.bod.element != NUMBER:
+        return NUMBER_EXPECTED
+    numbers = [item.value for item in com.dat.items]
+    return boo_composite(all(numbers[i].lt(numbers[i + 1]) for i in range(len(numbers) - 1)))
+
+
+def _all_elements(inner: TransferCode, body_cls: type, expected: AbstractError) -> TransferCode:
+    """`all-list`/`all-array`: `inner` must hold of every element; every
+    element is visited, so a later error still wins over an earlier false."""
+
+    def all_elements(com):
+        if not isinstance(com.bod, body_cls):
+            return expected
+        element, all_true = com.bod.element, True
+        for item in com.dat.items:
+            result = inner(_unchecked(Composite, dat=item, bod=element))
             if isinstance(result, AbstractError):
                 return result
-            if not is_boo_composite(result):
+            if result.bod != BOOLEAN:
                 return A_YOKE_EXPECTED
             if not result.dat.value:
                 all_true = False
         return boo_composite(all_true)
 
-    # -- type expressions ----------------------------------------------------
+    return all_elements
 
-    def eval_type_exp(self, tex: n.TypExp, sta: State) -> Union[LangType, AbstractError]:
-        if is_error(sta):
-            return sta.store.register
-        match tex:
-            case n.BooleanTyp():
-                return LangType(BOOLEAN, TT)
-            case n.NumberTyp():
-                return LangType(NUMBER, TT)
-            case n.WordTyp():
-                return LangType(WORD, TT)
-            case n.IdeTyp(ide):
-                typ = lookup_type(sta, ide)
-                if typ is None:
-                    return TYPE_NOT_DEFINED
-                return typ
-            case n.ListTyp(inner):
-                typ = self.eval_type_exp(inner, sta)
-                if isinstance(typ, AbstractError):
-                    return typ
-                return LangType(ListBody(typ.bod), TT)
-            case n.ArrayTyp(inner):
-                typ = self.eval_type_exp(inner, sta)
-                if isinstance(typ, AbstractError):
-                    return typ
-                return LangType(ArrayBody(typ.bod), TT)
-            case n.RecordTyp(ide, inner):
-                typ = self.eval_type_exp(inner, sta)
-                if isinstance(typ, AbstractError):
-                    return typ
-                return LangType(RecordBody.of({ide: typ.bod}), TT)
-            case n.ExpandRecordTyp(base, ide, addition):
-                typ = self.eval_type_exp(base, sta)
-                if isinstance(typ, AbstractError):
-                    return typ
-                if not isinstance(typ.bod, RecordBody):
-                    return NOT_A_RECORD_TYPE
-                if typ.bod.has(ide):
-                    return ATTRIBUTE_ALREADY_PRESENT
-                added = self.eval_type_exp(addition, sta)
-                if isinstance(added, AbstractError):
-                    return added
-                return LangType(typ.bod.with_added(ide, added.bod), typ.tra)
-            case n.ReplaceTransferTyp(base, tre):
-                typ = self.eval_type_exp(base, sta)
-                if isinstance(typ, AbstractError):
-                    return typ
-                tra = self.eval_transfer_exp(tre, sta)
-                if isinstance(tra, AbstractError):
-                    return tra
-                return LangType(typ.bod, tra)
-        raise TypeError(f"not a type expression: {tex!r}")
 
-    # -- instructions ----------------------------------------------------------
+# -- type expressions
 
-    def exec_instruction(self, ins: n.Instruction, sta: State) -> State:
-        if self.trace is not None:
-            self.trace(ins)
-        match ins:
-            case n.SkipIns():
-                return sta
-            case n.SeqIns(first, second):
-                return self.exec_instruction(second, self.exec_instruction(first, sta))
-            case n.AssignIns(ide, dae):
-                return self._exec_assign(ide, dae, sta)
-            case n.YokeIns(ide, tre):
-                return self._exec_yoke(ide, tre, sta)
-            case n.CallIns(ide, ref_args, val_args):
-                return self.call_imperative_procedure(ide, ref_args, val_args, sta)
-            case n.IfIns(guard, then_branch, else_branch):
-                if is_error(sta):
-                    return sta
-                com = self.eval_data_exp(guard, sta)
-                if isinstance(com, AbstractError):
-                    return load_error(sta, com)
-                if com.bod != BOOLEAN:
-                    return load_error(sta, BOOLEAN_EXPECTED)
-                branch = then_branch if com.dat.value else else_branch
-                return self.exec_instruction(branch, sta)
-            case n.IfErrorIns(guard, handler):
-                return self._exec_if_error(guard, handler, sta)
-            case n.WhileIns(guard, body):
-                while True:
-                    if is_error(sta):
-                        return sta
-                    com = self.eval_data_exp(guard, sta)
-                    if isinstance(com, AbstractError):
-                        return load_error(sta, com)
-                    if com.bod != BOOLEAN:
-                        return load_error(sta, BOOLEAN_EXPECTED)
-                    if not com.dat.value:
-                        return sta
-                    self.fuel.spend()
-                    sta = self.exec_instruction(body, sta)
-        raise TypeError(f"not an instruction: {ins!r}")
 
-    def _exec_assign(self, ide: str, dae: n.DatExp, sta: State) -> State:
-        # The nine-step ladder: error state, declaredness, expression error,
-        # yoke error, coherence, yoke shape, yoke satisfaction, then rebind
-        # with the new composite and the unchanged transfer.
+def _collection_type(typ: LangType, body_cls: type) -> TypeResult:
+    return LangType(body_cls(typ.bod), TT)
+
+
+def _record_type(typ: LangType, ide: str) -> TypeResult:
+    return LangType(RecordBody.of({ide: typ.bod}), TT)
+
+
+def _expanded_type(base: TypeCode, ide: str, addition: TypeCode) -> TypeCode:
+    def expanded(sta):
+        typ = base(sta)
+        if isinstance(typ, AbstractError):
+            return typ
+        if not isinstance(typ.bod, RecordBody):
+            return NOT_A_RECORD_TYPE
+        if typ.bod.has(ide):
+            return ATTRIBUTE_ALREADY_PRESENT
+        added = addition(sta)
+        if isinstance(added, AbstractError):
+            return added
+        return LangType(typ.bod.with_added(ide, added.bod), typ.tra)
+
+    return expanded
+
+
+def _replaced_transfer(typ: LangType, tra: Transfer) -> TypeResult:
+    return LangType(typ.bod, tra)
+
+
+# ---------------------------------------------------------------------------
+# instructions and declarations
+
+
+def _assign(ide: str, value: DataCode) -> StateCode:
+    def assign(sta):
+        # The nine-step ladder: error state, declaredness, expression
+        # error, yoke error, coherence, yoke shape, yoke satisfaction,
+        # then rebind with the new composite and the unchanged transfer.
         if is_error(sta):
             return sta
         val = lookup_variable(sta, ide)
         if val is None:
             return load_error(sta, IDENTIFIER_NOT_DECLARED)
-        new = self.eval_data_exp(dae, sta)
+        new = value(sta)
         if isinstance(new, AbstractError):
             return load_error(sta, new)
         com = apply_transfer(val.typ.tra, new)
@@ -731,7 +575,11 @@ class Evaluator:
             return load_error(sta, YOKE_NOT_SATISFIED)
         return bind_variable(sta, ide, Value(new.dat, LangType(new.bod, val.typ.tra), new))
 
-    def _exec_yoke(self, ide: str, tre: n.TraExp, sta: State) -> State:
+    return assign
+
+
+def _yoke(ide: str, tra: Transfer) -> StateCode:
+    def yoke(sta):
         # Symmetric to assignment: the old composite is kept, the transfer
         # is replaced, and the new transfer must accept the old composite.
         if is_error(sta):
@@ -739,7 +587,6 @@ class Evaluator:
         val = lookup_variable(sta, ide)
         if val is None:
             return load_error(sta, IDENTIFIER_NOT_DECLARED)
-        tra = self.eval_transfer_exp(tre, sta)
         if val.content is OMEGA:
             return load_error(sta, VARIABLE_NOT_INITIALIZED)
         old = val.composite()
@@ -752,98 +599,384 @@ class Evaluator:
             return load_error(sta, YOKE_NOT_SATISFIED)
         return bind_variable(sta, ide, Value(val.content, LangType(val.typ.bod, tra), old))
 
-    def _exec_if_error(self, guard: n.DatExp, handler: n.Instruction, sta: State) -> State:
+    return yoke
+
+
+def _if(guard: DataCode, then_code: StateCode, else_code: StateCode) -> StateCode:
+    def if_then_else(sta):
+        if is_error(sta):
+            return sta
+        com = guard(sta)
+        if isinstance(com, AbstractError):
+            return load_error(sta, com)
+        if com.bod != BOOLEAN:
+            return load_error(sta, BOOLEAN_EXPECTED)
+        return (then_code if com.dat.value else else_code)(sta)
+
+    return if_then_else
+
+
+def _if_error(guard: DataCode, handler: StateCode) -> StateCode:
+    def if_error(sta):
         if not is_error(sta):
             return sta
-        # The handled word is evaluated with the register cleared; otherwise
-        # transparency would poison the evaluation.
+        # The handled word is evaluated with the register cleared;
+        # otherwise transparency would poison the evaluation.
         cleared = clear_error(sta)
-        com = self.eval_data_exp(guard, cleared)
+        com = guard(cleared)
         if isinstance(com, AbstractError):
             return load_error(sta, com)
         if com.bod != WORD:
             return load_error(sta, WORD_EXPECTED)
         if com.dat.text != sta.store.register.word:
             return sta
-        return self.exec_instruction(handler, cleared)
+        return handler(cleared)
 
-    # -- declarations and definitions -----------------------------------------
+    return if_error
 
-    def exec_variable_declaration(self, vde, sta: State) -> State:
-        match vde:
-            case n.VarDec(ide, tex):
-                if is_error(sta):
-                    return sta
-                if lookup_variable(sta, ide) is not None:
-                    return load_error(sta, IDENTIFIER_NOT_FREE)
-                typ = self.eval_type_exp(tex, sta)
-                if isinstance(typ, AbstractError):
-                    return load_error(sta, typ)
-                return bind_variable(sta, ide, Value(OMEGA, typ))
-            case n.VarDecSeq(first, second):
-                return self.exec_variable_declaration(
-                    second, self.exec_variable_declaration(first, sta)
-                )
-        raise TypeError(f"not a variable declaration: {vde!r}")
 
-    def exec_type_definition(self, tde, sta: State) -> State:
-        match tde:
-            case n.TypDef(ide, tex):
-                if is_error(sta):
-                    return sta
-                if lookup_type(sta, ide) is not None:
-                    return load_error(sta, IDENTIFIER_NOT_FREE)
-                typ = self.eval_type_exp(tex, sta)
-                if isinstance(typ, AbstractError):
-                    return load_error(sta, typ)
-                return bind_type(sta, ide, typ)
-            case n.TypDefSeq(first, second):
-                return self.exec_type_definition(
-                    second, self.exec_type_definition(first, sta)
-                )
-        raise TypeError(f"not a type definition: {tde!r}")
+def _while(guard: DataCode, body: StateCode, fuel: Fuel) -> StateCode:
+    def loop(sta):
+        while True:
+            if is_error(sta):
+                return sta
+            com = guard(sta)
+            if isinstance(com, AbstractError):
+                return load_error(sta, com)
+            if com.bod != BOOLEAN:
+                return load_error(sta, BOOLEAN_EXPECTED)
+            if not com.dat.value:
+                return sta
+            fuel.spend()
+            sta = body(sta)
 
-    def declare_procedures(self, dec, sta: State) -> State:
+    return loop
+
+
+def _declare(ide: str, type_code: TypeCode, lookup: Callable, bind: Callable) -> StateCode:
+    """A variable declaration or a type definition: `ide` must be free."""
+
+    def declare(sta):
         if is_error(sta):
             return sta
-        match dec:
-            case n.ImpProcDec(ide):
-                if lookup_procedure(sta, ide) is not None:
-                    return load_error(sta, IDENTIFIER_NOT_FREE)
-                return bind_procedure(
-                    sta, ide, ImperativeProc(ide, dec, (dec,), sta.env)
-                )
-            case n.MultiProcDec(decs):
-                names = [d.ide for d in decs]
-                if len(set(names)) != len(names):
-                    return load_error(sta, IDENTIFIER_NOT_FREE)
-                if any(lookup_procedure(sta, name) is not None for name in names):
-                    return load_error(sta, IDENTIFIER_NOT_FREE)
-                out = sta
-                for d in decs:
-                    out = bind_procedure(
-                        out, d.ide, ImperativeProc(d.ide, d, decs, sta.env)
-                    )
-                return out
-            case n.FunProcDec(ide):
-                if lookup_procedure(sta, ide) is not None:
-                    return load_error(sta, IDENTIFIER_NOT_FREE)
-                return bind_procedure(sta, ide, FunctionalProc(ide, dec, sta.env))
-        raise TypeError(f"not a procedure declaration: {dec!r}")
+        if lookup(sta, ide) is not None:
+            return load_error(sta, IDENTIFIER_NOT_FREE)
+        typ = type_code(sta)
+        if isinstance(typ, AbstractError):
+            return load_error(sta, typ)
+        return bind(sta, ide, typ)
+
+    return declare
+
+
+def _bind_omega(sta: State, ide: str, typ: LangType) -> State:
+    return bind_variable(sta, ide, Value(OMEGA, typ))
+
+
+def _declare_procedures(decs: tuple, make: Callable[[n.Node, Env], object]) -> StateCode:
+    """Procedures declared together; every name must be free and distinct."""
+    names = [dec.ide for dec in decs]
+    repeated = len(set(names)) != len(names)
+
+    def declare(sta):
+        if is_error(sta):
+            return sta
+        if repeated or any(lookup_procedure(sta, name) is not None for name in names):
+            return load_error(sta, IDENTIFIER_NOT_FREE)
+        out = sta
+        for dec in decs:
+            out = bind_procedure(out, dec.ide, make(dec, sta.env))
+        return out
+
+    return declare
+
+
+# ---------------------------------------------------------------------------
+
+
+class Evaluator:
+    """Compiles phrases on first use and runs the compiled closures.
+
+    The public `eval_*`, `exec_*` and `run_program` methods compile (once
+    per node, cached by node identity) and then run.  The `compile_*`
+    methods build the closure of one node and its subtree; they read the
+    limits, the fuel counter and the trace hook as they compile.  The trace
+    hook is called before every executed instruction that is not a
+    sequence.
+    """
+
+    def __init__(
+        self,
+        limits: Limits = Limits(),
+        fuel: Optional[int] = None,
+        small_number_bound: Number = DEFAULT_SMALL_NUMBER_BOUND,
+        trace: Optional[Callable[[n.Instruction], None]] = None,
+    ):
+        self.limits = limits
+        self.fuel = Fuel(fuel)
+        self.small_number_bound = small_number_bound
+        self.trace = trace
+        self._cache: dict[str, dict[int, tuple[n.Node, object]]] = {}
+        # Compiled code reaches the evaluator only weakly, so the evaluator
+        # and its cache form no reference cycle and are freed as soon as
+        # the run that made them is over.
+        self._weak = weakref.proxy(self)
+
+    def _cached(self, compile: Callable[[n.Node], C], node: n.Node) -> C:
+        """`compile(node)`, once per evaluator.  The entry keeps the node
+        alive, so its identity cannot be reused while it is cached."""
+        table = self._cache.setdefault(compile.__name__, {})
+        entry = table.get(id(node))
+        if entry is None:
+            entry = table[id(node)] = (node, compile(node))
+        return entry[1]
+
+    # -- entry points: compile, then run -----------------------------------
+
+    def eval_data_exp(self, dae: n.DatExp, sta: State) -> EvalResult:
+        if is_error(sta):
+            return sta.store.register
+        return self._cached(self.compile_data_exp, dae)(sta)
+
+    def eval_transfer_exp(self, tre: n.TraExp, sta: State) -> Union[Transfer, AbstractError]:
+        if is_error(sta):
+            return sta.store.register
+        return self._cached(self._transfer, tre)
+
+    def eval_type_exp(self, tex: n.TypExp, sta: State) -> TypeResult:
+        if is_error(sta):
+            return sta.store.register
+        return self._cached(self.compile_type_exp, tex)(sta)
+
+    def exec_instruction(self, ins: n.Instruction, sta: State) -> State:
+        return self._cached(self._step, ins)(sta)
 
     def exec_preamble(self, pam, sta: State) -> State:
-        match pam:
-            case n.PreSeq(first, second):
-                return self.exec_preamble(second, self.exec_preamble(first, sta))
+        return self._cached(self.compile_preamble, pam)(sta)
+
+    def run_program(self, prg: n.Program, sta: State) -> State:
+        if prg.pam is not None:
+            sta = self.exec_preamble(prg.pam, sta)
+        return self.exec_instruction(prg.ins, sta)
+
+    # -- compilation ---------------------------------------------------------
+
+    def compile_data_exp(self, dae: n.DatExp) -> DataCode:
+        sub, limits = self.compile_data_exp, self.limits
+        match dae:
+            case n.BoolLit(value):
+                return _constant(boo_composite(value))
+            case n.NumLit(number):
+                return _constant(_number(number, limits))
+            case n.WordLit(text):
+                return _constant(_sized(WordData(text), WORD, limits))
+            case n.IdeExp(ide):
+
+                def variable(sta):
+                    val = lookup_variable(sta, ide)
+                    if val is None:
+                        return IDENTIFIER_NOT_DECLARED
+                    if val.content is OMEGA:
+                        return VARIABLE_NOT_INITIALIZED
+                    return val.composite()
+
+                return variable
+            case n.AndExp(a, b):
+                return _lazy(sub(a), sub(b), False, BOOLEAN_EXPECTED)
+            case n.OrExp(a, b):
+                return _lazy(sub(a), sub(b), True, BOOLEAN_EXPECTED)
+            case n.NotExp(a):
+                return _unary(sub(a), _negate, BOOLEAN_EXPECTED)
+            case n.LessExp(a, b):
+                return _binary(sub(a), sub(b), _less, None)
+            case n.AddExp(a, b):
+                return _binary(sub(a), sub(b), _add, limits)
+            case n.SubExp(a, b):
+                return _binary(sub(a), sub(b), _sub, limits)
+            case n.MulExp(a, b):
+                return _binary(sub(a), sub(b), _mul, limits)
+            case n.DivExp(a, b):
+                return _binary(sub(a), sub(b), _divide, limits)
+            case n.EqExp(a, b):
+                return _binary(sub(a), sub(b), _equal, None)
+            case n.GlueExp(a, b):
+                return _binary(sub(a), sub(b), _glue, limits)
+            case n.ListExp(element):
+                return _unary(sub(element), _list, limits)
+            case n.PushExp(element, target):
+                return _binary(sub(element), sub(target), _push, limits)
+            case n.TopExp(a):
+                return _unary(sub(a), _top, None)
+            case n.PopExp(a):
+                return _unary(sub(a), _pop, None)
+            case n.ArrayExp(element):
+                return _unary(sub(element), _array, limits)
+            case n.AddToArrExp(target, element):
+                return _binary(sub(target), sub(element), _add_to_array, limits)
+            case n.ChangeArrExp(target, index, element):
+                return _change_array(sub(target), sub(index), sub(element))
+            case n.ArrAtExp(target, index):
+                return _binary(sub(target), sub(index), _array_at, None)
+            case n.RecordExp(ide, expr):
+                return _unary(sub(expr), _record, (ide, limits))
+            case n.AddAttrExp(ide, expr, target):
+                return _binary(sub(expr), sub(target), _add_attribute, (ide, limits))
+            case n.RecAtExp(target, ide):
+                return _unary(sub(target), _record_at, ide)
+            case n.RemoveAttrExp(ide, target):
+                return _unary(sub(target), _remove_attribute, ide)
+            case n.ChangeRecExp(target, ide, expr):
+                return _binary(sub(target), sub(expr), _change_record, ide)
+            case n.CondExp(guard, then_branch, else_branch):
+                return _conditional(sub(guard), sub(then_branch), sub(else_branch))
+            case n.FunCallExp(ide, apar):
+                evaluator = self._weak
+                return lambda sta: evaluator.call_functional_procedure(ide, apar, sta)
+        raise TypeError(f"not a data expression: {dae!r}")
+
+    def _transfer(self, tre: n.TraExp) -> Transfer:
+        """The transfer a transfer expression denotes, its source printed once."""
+        return Transfer(print_concrete(tre), self.compile_transfer_exp(tre))
+
+    def compile_transfer_exp(self, tre: n.TraExp) -> TransferCode:
+        sub, limits = self.compile_transfer_exp, self.limits
+        match tre:
+            case n.TraNumLit(number):
+                return _constant(_number(number, limits))
+            case n.TraWordLit(text):
+                return _constant(_sized(WordData(text), WORD, limits))
+            case n.TraBoolLit(value):
+                return _constant(boo_composite(value))
+            case n.ValueTra():
+                return _value
+            case n.TopTra():
+                return _unary(_value, _top, None)
+            case n.ArrayAtTra(index):
+                return _array_first(_binary(_value, sub(index), _array_at, None))
+            case n.RecordAtTra(ide):
+                return _unary(_value, _record_at, ide)
+            case n.TraAddExp(a, b):
+                return _binary(sub(a), sub(b), _add, limits)
+            case n.TraDivExp(a, b):
+                return _binary(sub(a), sub(b), _divide, limits)
+            case n.TraLessExp(a, b):
+                return _binary(sub(a), sub(b), _less, None)
+            case n.TraEqExp(a, b):
+                return _binary(sub(a), sub(b), _equal, None)
+            case n.TraGlueExp(a, b):
+                return _binary(sub(a), sub(b), _glue, limits)
+            case n.TraAndExp(a, b):
+                return _lazy(sub(a), sub(b), False, A_YOKE_EXPECTED)
+            case n.TraOrExp(a, b):
+                return _lazy(sub(a), sub(b), True, A_YOKE_EXPECTED)
+            case n.TraNotExp(a):
+                return _unary(sub(a), _negate, A_YOKE_EXPECTED)
+            case n.SumExp(a):
+                return _unary(sub(a), _sum, limits)
+            case n.MaxExp(a):
+                return _unary(sub(a), _max, limits)
+            case n.SmallNumberExp(a):
+                return _unary(sub(a), _small_number, self.small_number_bound)
+            case n.IncreasingExp(a):
+                return _unary(sub(a), _increasing, None)
+            case n.AllListExp(a):
+                return _all_elements(sub(a), ListBody, LIST_EXPECTED)
+            case n.AllArrayExp(a):
+                return _all_elements(sub(a), ArrayBody, ARRAY_EXPECTED)
+        raise TypeError(f"not a transfer expression: {tre!r}")
+
+    def compile_type_exp(self, tex: n.TypExp) -> TypeCode:
+        sub = self.compile_type_exp
+        match tex:
+            case n.BooleanTyp():
+                return _constant(LangType(BOOLEAN, TT))
+            case n.NumberTyp():
+                return _constant(LangType(NUMBER, TT))
+            case n.WordTyp():
+                return _constant(LangType(WORD, TT))
+            case n.IdeTyp(ide):
+                return lambda sta: lookup_type(sta, ide) or TYPE_NOT_DEFINED
+            case n.ListTyp(inner):
+                return _unary(sub(inner), _collection_type, ListBody)
+            case n.ArrayTyp(inner):
+                return _unary(sub(inner), _collection_type, ArrayBody)
+            case n.RecordTyp(ide, inner):
+                return _unary(sub(inner), _record_type, ide)
+            case n.ExpandRecordTyp(base, ide, addition):
+                return _expanded_type(sub(base), ide, sub(addition))
+            case n.ReplaceTransferTyp(base, tre):
+                return _unary(sub(base), _replaced_transfer, self._transfer(tre))
+        raise TypeError(f"not a type expression: {tex!r}")
+
+    def _step(self, ins: n.Instruction) -> StateCode:
+        """An instruction's code, reported to the trace hook before it runs
+        unless it is a sequence, whose items report themselves."""
+        code, trace = self.compile_instruction(ins), self.trace
+        if trace is None or isinstance(ins, n.SeqIns):
+            return code
+
+        def traced(sta):
+            trace(ins)
+            return code(sta)
+
+        return traced
+
+    def compile_instruction(self, ins: n.Instruction) -> StateCode:
+        data, step = self.compile_data_exp, self._step
+        match ins:
             case n.SkipIns():
-                return sta
-            case n.VarDec() | n.VarDecSeq():
-                return self.exec_variable_declaration(pam, sta)
-            case n.TypDef() | n.TypDefSeq():
-                return self.exec_type_definition(pam, sta)
-            case n.ImpProcDec() | n.MultiProcDec() | n.FunProcDec():
-                return self.declare_procedures(pam, sta)
-        raise TypeError(f"not a preamble item: {pam!r}")
+                return _skip
+            case n.SeqIns():
+                return _block([step(item) for item in n.sequence_items(ins)])
+            case n.AssignIns(ide, dae):
+                return _assign(ide, data(dae))
+            case n.YokeIns(ide, tre):
+                return _yoke(ide, self._transfer(tre))
+            case n.CallIns(ide, ref_args, val_args):
+                evaluator = self._weak
+                return lambda sta: evaluator.call_imperative_procedure(
+                    ide, ref_args, val_args, sta
+                )
+            case n.IfIns(guard, then_branch, else_branch):
+                return _if(data(guard), step(then_branch), step(else_branch))
+            case n.IfErrorIns(guard, handler):
+                return _if_error(data(guard), step(handler))
+            case n.WhileIns(guard, body):
+                return _while(data(guard), step(body), self.fuel)
+        raise TypeError(f"not an instruction: {ins!r}")
+
+    def compile_preamble(self, pam) -> StateCode:
+        return _block([self.compile_declaration(item) for item in n.sequence_items(pam)])
+
+    def compile_declaration(self, dec) -> StateCode:
+        """One preamble item: a declaration, a definition or skip."""
+        match dec:
+            case n.SkipIns():
+                return _skip
+            case n.VarDec(ide, tex):
+                return _declare(ide, self.compile_type_exp(tex), lookup_variable, _bind_omega)
+            case n.TypDef(ide, tex):
+                return _declare(ide, self.compile_type_exp(tex), lookup_type, bind_type)
+            case n.ImpProcDec():
+                return _declare_procedures(
+                    (dec,), lambda d, env: ImperativeProc(d.ide, d, (dec,), env)
+                )
+            case n.MultiProcDec(decs):
+                return _declare_procedures(
+                    decs, lambda d, env: ImperativeProc(d.ide, d, decs, env)
+                )
+            case n.FunProcDec():
+                return _declare_procedures((dec,), lambda d, env: FunctionalProc(d.ide, d, env))
+        raise TypeError(f"not a preamble item: {dec!r}")
+
+    def compile_program(self, prg: n.Program) -> StateCode:
+        """A procedure body: its preamble, then its instruction.  A whole
+        program run by `run_program` enters both through the public methods."""
+        body = self._step(prg.ins)
+        if prg.pam is None:
+            return body
+        preamble = self.compile_preamble(prg.pam)
+        return lambda sta: body(preamble(sta))
 
     # -- procedure calls ----------------------------------------------------
 
@@ -867,7 +1000,7 @@ class Evaluator:
             actual_value = lookup_variable(sta, actual)
             if actual_value is None:
                 return IDENTIFIER_NOT_DECLARED
-            formal_type = self.eval_type_exp(formal.tex, type_state)
+            formal_type = self._cached(self.compile_type_exp, formal.tex)(type_state)
             if isinstance(formal_type, AbstractError):
                 return formal_type
             if actual_value.content is OMEGA:
@@ -907,7 +1040,8 @@ class Evaluator:
         if failure is not None:
             return load_error(sta, failure)
         # Stage 3: run the body on the local state.
-        terminal = self.run_program(dec.prg, State(local_env, Store(valuation, None)))
+        body = self._cached(self.compile_program, dec.prg)
+        terminal = body(State(local_env, Store(valuation, None)))
         if is_error(terminal):
             return load_error(sta, terminal.store.register)
         # Stage 4: local environment is abandoned; reference parameters are
@@ -935,27 +1069,21 @@ class Evaluator:
         failure = self._bind_parameters(dec.params, val_args, sta, type_state, valuation)
         if failure is not None:
             return failure
-        local = State(local_env, Store(valuation, None))
-        terminal = self.run_program(dec.prg, local) if dec.prg is not None else local
-        if is_error(terminal):
-            return terminal.store.register
-        result = self.eval_data_exp(dec.dae, terminal)
+        terminal = State(local_env, Store(valuation, None))
+        if dec.prg is not None:
+            terminal = self._cached(self.compile_program, dec.prg)(terminal)
+            if is_error(terminal):
+                return terminal.store.register
+        result = self._cached(self.compile_data_exp, dec.dae)(terminal)
         if isinstance(result, AbstractError):
             return result
         if dec.tex is not None:
-            return_type = self.eval_type_exp(dec.tex, terminal)
+            return_type = self._cached(self.compile_type_exp, dec.tex)(terminal)
             if isinstance(return_type, AbstractError):
                 return return_type
             if not clan_ty_member(result, return_type):
                 return RETURN_TYPE_MISMATCH
         return result
-
-    # -- programs ----------------------------------------------------------
-
-    def run_program(self, prg: n.Program, sta: State) -> State:
-        if prg.pam is not None:
-            sta = self.exec_preamble(prg.pam, sta)
-        return self.exec_instruction(prg.ins, sta)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@ The third value ee stands for an observable evaluation error (a diverging
 computation never returns at all).  The left argument decides first: a left
 ee poisons the result even when the right argument would settle it, so the
 connectives are not commutative.
+
+This is the reference model the tests hold the evaluator's lazy `and`,
+`or` and `not` against; the interpreter does not use it.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from lingua.kernel import (
     num,
     word,
 )
-from lingua.mccarthy import EE, FF, TT as M_TT, and_m, not_m, or_m
+from mccarthy import EE, FF, TT as M_TT, and_m, not_m, or_m
 from lingua.parser import (
     ALL_PRODUCTION_TAGS,
     Parser,

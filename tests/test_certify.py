@@ -77,25 +77,43 @@ class CheckingEvaluator(Evaluator):
         super().__init__(**kwargs)
         self.built: set[type] = set()
 
-    def eval_data_exp(self, dae, sta):
-        result = super().eval_data_exp(dae, sta)
-        if isinstance(result, Composite):
-            assert_certified(result)
-            self.built.add(type(dae))
-        return result
+    # The hooks wrap the compiled closure of every node, so they see each
+    # result and state as the closures produce them.
 
-    def _apply_tra(self, tre, com):
-        assert_certified(com)
-        result = super()._apply_tra(tre, com)
-        if isinstance(result, Composite):
-            assert_certified(result)
-            self.built.add(type(tre))
-        return result
+    def compile_data_exp(self, dae):
+        code = super().compile_data_exp(dae)
 
-    def exec_instruction(self, ins, sta):
-        result = super().exec_instruction(ins, sta)
-        assert_values_certified(result)
-        return result
+        def checked(sta):
+            result = code(sta)
+            if isinstance(result, Composite):
+                assert_certified(result)
+                self.built.add(type(dae))
+            return result
+
+        return checked
+
+    def compile_transfer_exp(self, tre):
+        code = super().compile_transfer_exp(tre)
+
+        def checked(com):
+            assert_certified(com)
+            result = code(com)
+            if isinstance(result, Composite):
+                assert_certified(result)
+                self.built.add(type(tre))
+            return result
+
+        return checked
+
+    def compile_instruction(self, ins):
+        code = super().compile_instruction(ins)
+
+        def checked(sta):
+            result = code(sta)
+            assert_values_certified(result)
+            return result
+
+        return checked
 
 
 def seeded_state():

@@ -117,7 +117,7 @@ class TestBooleans:
         assert eval_text("(true and 1)") == err("Boolean-expected")
 
     def test_mccarthy_agreement(self):
-        from lingua.mccarthy import EE, FF, TT as M_TT, and_m, not_m, or_m
+        from mccarthy import EE, FF, TT as M_TT, and_m, not_m, or_m
 
         atoms = {"true": M_TT, "false": FF, "((1 / 0) < 1)": EE}
 

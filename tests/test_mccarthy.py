@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from lingua.mccarthy import EE, FF, TT, Bool3, and_m, implies_m, not_m, or_m
+from mccarthy import EE, FF, TT, Bool3, and_m, implies_m, not_m, or_m
 
 ALL = (TT, FF, EE)
 
