@@ -16,12 +16,10 @@ Run from the repository root:
 from __future__ import annotations
 
 import json
-import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 from astgen import AstGen
-from lingua.cli import format_composite, state_report
+from lingua.cli import _deep_recursion, format_composite, state_report
 from lingua.kernel import OMEGA, AbstractError
 from lingua.semantics import Evaluator, OutOfFuel
 from lingua.state import register_word
@@ -29,19 +27,7 @@ from test_certify import seeded_state, shaped
 
 CASES = 500
 FUEL = 300
-# Deep enough that fuel, not the host stack, ends every seeded program.
-RECURSION_LIMIT = 20_000
 SNAPSHOT = Path(__file__).parent / "data" / "eval_snapshot.json"
-
-
-@contextmanager
-def deep_recursion():
-    previous = sys.getrecursionlimit()
-    sys.setrecursionlimit(RECURSION_LIMIT)
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(previous)
 
 
 def formatted(result) -> str:
@@ -81,7 +67,8 @@ def snapshot_case(seed: int) -> dict:
 
 
 def main() -> None:
-    with deep_recursion():
+    # The CLI's stack allowance: fuel, not the host stack, ends every case.
+    with _deep_recursion():
         cases = [snapshot_case(seed) for seed in range(CASES)]
     SNAPSHOT.parent.mkdir(exist_ok=True)
     lines = ",\n".join(json.dumps(case, ensure_ascii=False) for case in cases)

@@ -7,13 +7,14 @@ closures; every case must still come out the same.
 
 import json
 
-from make_eval_snapshot import FUEL, SNAPSHOT, deep_recursion, snapshot_case
+from lingua.cli import _deep_recursion
+from make_eval_snapshot import FUEL, SNAPSHOT, snapshot_case
 
 
 def test_snapshot_is_reproduced():
     recorded = json.loads(SNAPSHOT.read_text(encoding="utf-8"))
     assert recorded["fuel"] == FUEL
     assert 0 < len(recorded["cases"]) <= 500
-    with deep_recursion():
+    with _deep_recursion():
         for case in recorded["cases"]:
             assert snapshot_case(case["seed"]) == case, case["seed"]

@@ -13,6 +13,7 @@ from lingua.parser import parse_program
 from lingua.printer import print_concrete
 from lingua.semantics import run_source
 from lingua.state import register_word
+from test_cli import write
 
 
 def assignments(k: int) -> str:
@@ -26,12 +27,6 @@ def assignments(k: int) -> str:
 def canonical(k: int) -> str:
     items = ["x := 0"] + ["x := (x + 1)"] * (k - 1)
     return "begin-program let x be number tel ; " + " ; ".join(items) + " end-program"
-
-
-def write(tmp_path, name, text):
-    path = tmp_path / name
-    path.write_text(text, encoding="utf-8")
-    return str(path)
 
 
 def test_thousand_assignments_run():
