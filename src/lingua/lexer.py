@@ -1,17 +1,25 @@
 """Tokenizer.
 
-Whitespace separates tokens and is otherwise ignored.  Identifiers are
-letter-led segments joined by hyphens (`measurement-data`); a hyphen
+Whitespace is any character `str.isspace` accepts; it separates tokens
+and is otherwise ignored.  Identifiers are ASCII-letter-led segments of
+ASCII letters and digits joined by hyphens (`measurement-data`); a hyphen
 followed by a digit never continues an identifier, so `y-1` is a
-subtraction while `x-y` is one name.  Word literals sit between
-apostrophes.  Keywords are classified here; using one where an identifier
-is required is reported by the parser as keyword-misuse.
+subtraction while `x-y` is one name.  Numerals are ASCII digits with an
+optional fraction (`12`, `0.5`); any other digit is an illegal character.
+Word literals sit between apostrophes and may span lines.  Keywords are
+classified here; using one where an identifier is required is reported by
+the parser as keyword-misuse.
+
+Positions are offsets, lines and columns counted in code points; only
+`\n` ends a line.  A token keeps its position as plain fields and builds
+its `SourceSpan` only when a diagnostic asks for one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+import re
+from string import ascii_letters, digits
+from typing import NamedTuple, NoReturn, Optional
 
 from .diagnostics import LinguaParseError, ParseDiagnostic, SourceSpan
 from .kernel import Number
@@ -35,16 +43,41 @@ KEYWORDS = frozenset(
     """.split()
 )
 
-_PUNCT_TWO = (":=", "<=")
-_PUNCT_ONE = "()[],;.+-*/<="
+# One match per token: the whitespace before it, then the lexeme, and at
+# the end of the text an empty lexeme.  Any other character, and an
+# apostrophe that no second one closes, is matched alone by `\S` and
+# reported below.
+_TOKEN = re.compile(
+    r"(\s*)("
+    r"[A-Za-z](?:[A-Za-z0-9]|-[A-Za-z])*"  # identifier or keyword
+    r"|[0-9]+(?:\.[0-9]+)?"  # numeral
+    r"|'[^']*'"  # word literal
+    r"|:=|<="
+    r"|\S|\Z)"
+)
+
+# A lexeme's kind follows from its first character; `:` starts only `:=`.
+_KIND = {
+    **dict.fromkeys(ascii_letters, "ident"),
+    **dict.fromkeys(digits, "num"),
+    **dict.fromkeys("()[],;.+-*/<=", "punct"),
+    "'": "word",
+    "": "eof",
+}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # keyword | ident | num | word | punct | eof
     text: str
-    span: SourceSpan
+    begin: int  # offset of the lexeme's first code point
+    end: int  # offset just past its last
+    line: int
+    column: int
     num: Optional[Number] = None
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.begin, self.end, self.line, self.column)
 
     def is_keyword(self, *names: str) -> bool:
         return self.kind == "keyword" and self.text in names
@@ -53,98 +86,49 @@ class Token:
         return self.kind == "punct" and self.text in names
 
 
-def _is_ident_start(c: str) -> bool:
-    return c.isascii() and c.isalpha()
-
-
-def _is_ident_char(c: str) -> bool:
-    return c.isascii() and (c.isalpha() or c.isdigit())
+def _fail(message: str, begin: int, end: int, line: int, column: int) -> NoReturn:
+    raise LinguaParseError(
+        ParseDiagnostic(SourceSpan(begin, end, line, column), message, "lexical")
+    )
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    pos = 0
-    line = 1
-    col = 1
-    n = len(text)
-
-    def span(begin: int, begin_line: int, begin_col: int) -> SourceSpan:
-        return SourceSpan(begin, pos, begin_line, begin_col)
-
-    def fail(message: str, begin: int, begin_line: int, begin_col: int) -> None:
-        raise LinguaParseError(
-            ParseDiagnostic(span(begin, begin_line, begin_col), message, "lexical")
-        )
-
-    def advance() -> str:
-        nonlocal pos, line, col
-        c = text[pos]
-        pos += 1
-        if c == "\n":
-            line += 1
-            col = 1
+    # Tokens are built with tuple.__new__, skipping NamedTuple's Python-level
+    # __new__; the fields are always given in full.
+    append, new, kind_of = tokens.append, tuple.__new__, _KIND.get
+    numbers: dict[str, Number] = {}  # each numeral is parsed once per text
+    line, line_start, pos = 1, 0, 0
+    for space, lexeme in _TOKEN.findall(text):
+        if "\n" in space:
+            line += space.count("\n")
+            line_start = pos + space.rindex("\n") + 1
+        begin = pos + len(space)
+        pos = begin + len(lexeme)
+        column = begin - line_start + 1
+        kind = kind_of(lexeme[:1])
+        if kind == "punct":
+            append(new(Token, (kind, lexeme, begin, pos, line, column, None)))
+        elif kind == "num":
+            num = numbers.get(lexeme)
+            if num is None:
+                num = numbers[lexeme] = Number.parse(lexeme)
+            append(new(Token, (kind, lexeme, begin, pos, line, column, num)))
+        elif kind == "ident":
+            kind = "keyword" if lexeme in KEYWORDS else kind
+            append(new(Token, (kind, lexeme, begin, pos, line, column, None)))
+        elif kind == "word":
+            if len(lexeme) == 1:
+                _fail("unterminated word literal", begin, len(text), line, column)
+            append(new(Token, (kind, lexeme[1:-1], begin, pos, line, column, None)))
+            if "\n" in lexeme:
+                line += lexeme.count("\n")
+                line_start = begin + lexeme.rindex("\n") + 1
+        elif lexeme == ":=":
+            append(new(Token, ("punct", lexeme, begin, pos, line, column, None)))
+        elif kind == "eof":  # trailing whitespace can leave an empty match after it
+            append(new(Token, (kind, lexeme, begin, pos, line, column, None)))
+            break
         else:
-            col += 1
-        return c
-
-    while pos < n:
-        c = text[pos]
-        if c.isspace():
-            advance()
-            continue
-        begin, begin_line, begin_col = pos, line, col
-        if c == "'":
-            advance()
-            chars: list[str] = []
-            while pos < n and text[pos] != "'":
-                chars.append(advance())
-            if pos >= n:
-                fail("unterminated word literal", begin, begin_line, begin_col)
-            advance()
-            tokens.append(Token("word", "".join(chars), span(begin, begin_line, begin_col)))
-            continue
-        if c.isdigit():
-            while pos < n and text[pos].isdigit():
-                advance()
-            if pos + 1 < n and text[pos] == "." and text[pos + 1].isdigit():
-                advance()
-                while pos < n and text[pos].isdigit():
-                    advance()
-            lexeme = text[begin:pos]
-            tokens.append(
-                Token("num", lexeme, span(begin, begin_line, begin_col), Number.parse(lexeme))
-            )
-            continue
-        if _is_ident_start(c):
-            advance()
-            while pos < n:
-                if _is_ident_char(text[pos]):
-                    advance()
-                elif (
-                    text[pos] == "-"
-                    and pos + 1 < n
-                    and _is_ident_start(text[pos + 1])
-                ):
-                    advance()
-                    advance()
-                else:
-                    break
-            lexeme = text[begin:pos]
-            kind = "keyword" if lexeme in KEYWORDS else "ident"
-            tokens.append(Token(kind, lexeme, span(begin, begin_line, begin_col)))
-            continue
-        two = text[pos : pos + 2]
-        if two in _PUNCT_TWO:
-            advance()
-            advance()
-            tokens.append(Token("punct", two, span(begin, begin_line, begin_col)))
-            continue
-        if c in _PUNCT_ONE:
-            advance()
-            tokens.append(Token("punct", c, span(begin, begin_line, begin_col)))
-            continue
-        advance()
-        fail(f"illegal character {c!r}", begin, begin_line, begin_col)
-
-    tokens.append(Token("eof", "", SourceSpan(pos, pos, line, col)))
+            _fail(f"illegal character {lexeme!r}", begin, pos, line, column)
     return tokens

@@ -13,7 +13,7 @@ set, which is how the test corpus measures production coverage.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, TypeVar, Union
 
 from .diagnostics import LinguaParseError, ParseDiagnostic
 from .lexer import Token, tokenize
@@ -95,6 +95,8 @@ _COMBINATORS = {
 
 _DECL_KEYWORDS = ("let", "set", "proc", "fun")
 
+T = TypeVar("T")
+
 
 def _fold_right(items: list, ctor: Callable):
     out = items[-1]
@@ -115,17 +117,22 @@ def _rebase_value(tre: n.TraExp, attr: str) -> n.TraExp:
 
 
 class Parser:
-    def __init__(self, text: str):
+    """Parses `text`, from `tokens` when they are given: parsers that try
+    several sorts on one text share a single tokenization."""
+
+    def __init__(self, text: str, tokens: Optional[list[Token]] = None):
         self.text = text
-        self.tokens = tokenize(text)
+        self.tokens = tokenize(text) if tokens is None else tokens
         self.pos = 0
         self.fired: set[str] = set()
 
     # -- token plumbing ----------------------------------------------------
 
     def peek(self, k: int = 0) -> Token:
-        i = min(self.pos + k, len(self.tokens) - 1)
-        return self.tokens[i]
+        try:
+            return self.tokens[self.pos + k]
+        except IndexError:  # looking past the end sees the eof token
+            return self.tokens[-1]
 
     def take(self) -> Token:
         tok = self.tokens[self.pos]
@@ -944,46 +951,31 @@ class Parser:
 # entry points
 
 
+def _whole(parser: Parser, rule: Callable[[Parser], T]) -> T:
+    """`rule` must consume every token of the parser's text."""
+    result = rule(parser)
+    parser.expect_eof()
+    return result
+
+
 def parse_program(text: str) -> n.Program:
-    parser = Parser(text)
-    prg = parser.program()
-    parser.expect_eof()
-    return prg
-
-
-def parse_program_with_coverage(text: str) -> tuple[n.Program, frozenset[str]]:
-    parser = Parser(text)
-    prg = parser.program()
-    parser.expect_eof()
-    return prg, frozenset(parser.fired)
+    return _whole(Parser(text), Parser.program)
 
 
 def parse_data_expression(text: str) -> n.DatExp:
-    parser = Parser(text)
-    dae = parser.data_exp(0)
-    parser.expect_eof()
-    return dae
+    return _whole(Parser(text), Parser.data_exp)
 
 
 def parse_transfer_expression(text: str) -> n.TraExp:
-    parser = Parser(text)
-    tre = parser.tra_exp(0)
-    parser.expect_eof()
-    return tre
+    return _whole(Parser(text), Parser.tra_exp)
 
 
 def parse_type_expression(text: str) -> n.TypExp:
-    parser = Parser(text)
-    tex = parser.typ_exp()
-    parser.expect_eof()
-    return tex
+    return _whole(Parser(text), Parser.typ_exp)
 
 
 def parse_instruction(text: str) -> n.Instruction:
-    parser = Parser(text)
-    ins = parser.instruction_seq()
-    parser.expect_eof()
-    return ins
+    return _whole(Parser(text), Parser.instruction_seq)
 
 
 def restore_expression(colloquial: Union[str, n.Node]) -> n.Node:
@@ -1002,22 +994,21 @@ def parse_any(text: str) -> tuple[str, n.Node]:
 
     Tries, in order: program, data expression, declaration/instruction
     sequence, transfer expression, type expression.  On total failure the
-    diagnostic that made it furthest into the input is reported.
+    diagnostic that made it furthest into the input is reported.  The text
+    is tokenized once and every attempt reads the same tokens.
     """
-    probe = Parser(text)
-    if probe.peek().is_keyword("begin-program"):
-        return "program", parse_program(text)
+    tokens = tokenize(text)
+    if tokens[0].is_keyword("begin-program"):
+        return "program", _whole(Parser(text, tokens), Parser.program)
     attempts: list[LinguaParseError] = []
-    for kind, run in (
-        ("data", lambda p: p.data_exp(0)),
-        ("items", lambda p: p.item_sequence()),
-        ("transfer", lambda p: p.tra_exp(0)),
-        ("type", lambda p: p.typ_exp()),
+    for kind, rule in (
+        ("data", Parser.data_exp),
+        ("items", Parser.item_sequence),
+        ("transfer", Parser.tra_exp),
+        ("type", Parser.typ_exp),
     ):
-        parser = Parser(text)
         try:
-            result = run(parser)
-            parser.expect_eof()
+            result = _whole(Parser(text, tokens), rule)
         except LinguaParseError as exc:
             attempts.append(exc)
             continue

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
+from functools import cache
 from typing import Any
 
 from .kernel import Number
@@ -204,44 +206,67 @@ def print_concrete(ast: n.Node) -> str:
 # dumps
 
 
+@cache  # one entry per node class
 def _kebab(name: str) -> str:
     if name.endswith("Ins"):  # instruction labels read like their clauses
         name = name[:-3]
-    out = []
-    for i, c in enumerate(name):
-        if c.isupper() and i > 0:
-            out.append("-")
-        out.append(c.lower())
-    return "".join(out)
+    return re.sub(r"(?<=.)(?=[A-Z])", "-", name).lower()
 
 
-def _dump_value(value: Any) -> Any:
-    if isinstance(value, n.Node):
-        return _dump_node(value)
-    if isinstance(value, Number):
-        return value.text()
+def _fields(value: Any) -> list[tuple[Any, Any]]:
+    """A node's (key, value) pairs, its kebab-case name first, or a tuple's
+    (None, item) pairs."""
     if isinstance(value, tuple):
-        return [_dump_value(v) for v in value]
-    return value
+        return [(None, item) for item in value]
+    fields = [(f.name, getattr(value, f.name)) for f in dataclasses.fields(value)]
+    return [("node", _kebab(type(value).__name__))] + fields
 
 
-def _dump_node(ast: n.Node) -> dict[str, Any]:
-    out: dict[str, Any] = {"node": _kebab(type(ast).__name__)}
-    for f in dataclasses.fields(ast):
-        out[f.name] = _dump_value(getattr(ast, f.name))
-    return out
+def _render(ast: n.Node, container, scalar) -> str:
+    """Dump `ast` along an explicit stack, so nesting costs no recursion.
+
+    `container(value, depth)` gives a node's or tuple's (opening text,
+    [(text before child, child)], closing text); `scalar(value)` gives the
+    text of anything else, numbers as their literal text.  Plain text rides
+    the stack as `(text, None)`.
+    """
+    parts: list[str] = []
+    stack: list[tuple[Any, Any]] = [(ast, 0)]
+    while stack:
+        value, depth = stack.pop()
+        if depth is None:
+            parts.append(value)
+        elif isinstance(value, (n.Node, tuple)):
+            opening, children, closing = container(value, depth)
+            parts.append(opening)
+            stack.append((closing, None))
+            for before, child in reversed(children):
+                stack += ((child, depth + 1), (before, None))
+        else:
+            parts.append(scalar(value.text() if isinstance(value, Number) else value))
+    return "".join(parts)
 
 
-def _sexpr(value: Any) -> str:
-    if isinstance(value, dict):
-        parts = [value["node"]]
-        for key, field_value in value.items():
-            if key == "node":
-                continue
-            parts.append(_sexpr(field_value))
-        return "(" + " ".join(parts) + ")"
-    if isinstance(value, list):
-        return "(" + " ".join(_sexpr(v) for v in value) + ")"
+def _json_container(value: Any, depth: int):
+    """As `json.dumps(indent=2)` lays out an object or an array."""
+    brackets = "[]" if isinstance(value, tuple) else "{}"
+    fields = _fields(value)
+    if not fields:
+        return brackets, [], ""
+    inner = "\n" + "  " * (depth + 1)
+    children = [
+        (("," if i else "") + inner + ("" if key is None else json.dumps(key) + ": "), v)
+        for i, (key, v) in enumerate(fields)
+    ]
+    return brackets[0], children, "\n" + "  " * depth + brackets[1]
+
+
+def _sexpr_container(value: Any, depth: int):
+    children = [(" " if i else "", v) for i, (_, v) in enumerate(_fields(value))]
+    return "(", children, ")"
+
+
+def _sexpr_scalar(value: Any) -> str:
     if value is None:
         return "()"
     if isinstance(value, bool):
@@ -255,9 +280,8 @@ def _sexpr(value: Any) -> str:
 
 def ast_dump(ast: n.Node, format: str = "sexpr") -> str:
     """Deterministic serialization; format is 'json' or 'sexpr'."""
-    tree = _dump_node(ast)
     if format == "json":
-        return json.dumps(tree, indent=2, sort_keys=False)
+        return _render(ast, _json_container, json.dumps)
     if format == "sexpr":
-        return _sexpr(tree)
+        return _render(ast, _sexpr_container, _sexpr_scalar)
     raise ValueError(f"unknown dump format: {format!r}")

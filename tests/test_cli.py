@@ -177,6 +177,15 @@ class TestCheckRestoreAst:
         assert len(lines) == 1
         assert re.fullmatch(re.escape(path) + r":1:\d+: too-deep: .+", lines[0])
 
+    def test_check_non_ascii_digit_is_a_diagnostic(self, tmp_path, capsys):
+        for digit in ("\u00b2", "\u0663"):
+            path = write(tmp_path, "digit.lng", f"x := {digit}")
+            code = main(["check", path])
+            out, err = capsys.readouterr()
+            assert code == 2
+            assert out == ""
+            assert err == f"{path}:1:6: lexical: illegal character {digit!r}\n"
+
     def test_restore_expression(self, tmp_path, capsys):
         path = write(tmp_path, "expr.lng", "x + y * z")
         code = main(["restore", path])

@@ -1,8 +1,12 @@
-import pytest
+from string import ascii_letters, digits
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import lexer_oracle
 from lingua.diagnostics import LinguaParseError
 from lingua.kernel import Number
-from lingua.lexer import tokenize
+from lingua.lexer import KEYWORDS, tokenize
 
 
 def kinds_and_texts(text):
@@ -118,3 +122,62 @@ def test_spans_track_lines():
 def test_lone_colon_is_lexical_error():
     with pytest.raises(LinguaParseError):
         tokenize("x : 1")
+
+
+@pytest.mark.parametrize(
+    "text, char, column",
+    [("x := \u00b2", "\u00b2", 6), ("x := \u0663", "\u0663", 6), ("x := 12\u00b3", "\u00b3", 8)],
+)
+def test_non_ascii_digit_is_illegal(text, char, column):
+    # Numerals are ASCII; any other digit is an illegal character.
+    with pytest.raises(LinguaParseError) as exc:
+        tokenize(text)
+    diag = exc.value.diagnostic
+    assert diag.kind == "lexical"
+    assert diag.message == f"illegal character {char!r}"
+    assert (diag.span.line, diag.span.column) == (1, column)
+    assert (diag.span.begin, diag.span.end) == (column - 1, column)
+
+
+def test_positions_count_code_points_and_only_newline_ends_a_line():
+    toks = tokenize("'a\nb' x\r\n\u2028 y")
+    assert [(t.text, t.span.line, t.span.column) for t in toks] == [
+        ("a\nb", 1, 1),
+        ("x", 2, 4),
+        ("y", 3, 3),
+        ("", 3, 4),
+    ]
+
+
+# ---------------------------------------------------------------------------
+# differential test against the character-at-a-time tokenizer
+
+# Non-ASCII digits stay out: the oracle mistakes them for numerals.  A
+# piece listed twice is drawn more often.
+_PIECES = st.one_of(
+    st.sampled_from(list(ascii_letters)),
+    st.sampled_from(list(digits) + [".", "0.5"]),
+    st.sampled_from(list("()[],;.+-*/<=") + [":=", "<=", "'", "'", "-", "."]),
+    st.sampled_from(sorted(KEYWORDS)),
+    st.sampled_from([" ", " ", "\n", "\r\n", "\t", "\u00a0", "\u2028"]),
+    st.sampled_from(["\u00e9", "@", ":", "'"]),
+)
+
+
+def _outcome(tokenize_text, text):
+    try:
+        return [(t.kind, t.text, t.num, t.span) for t in tokenize_text(text)]
+    except LinguaParseError as exc:
+        diag = exc.diagnostic
+        return diag.kind, diag.message, diag.span
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(st.lists(_PIECES, max_size=40).map("".join))
+@example("")
+@example("x :=\n  'two\nlines' ;\n y")
+@example("1. 1.5.2 x-1 x-y a- a-b-c 007")
+@example("x := 'unterminated\nline")
+@example("\u2028x\r\ny\n\n")
+def test_tokenize_matches_the_oracle(text):
+    assert _outcome(tokenize, text) == _outcome(lexer_oracle.tokenize, text)

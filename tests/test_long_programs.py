@@ -1,8 +1,8 @@
 """Resources of long programs: stack depth, trace length, leftover memory.
 
-Sequences compile to flat blocks and print by walking their spine with an
-explicit stack, so the host recursion limit bounds how deeply a program
-nests, not how long it is.
+Sequences compile to flat blocks, print by walking their spine with an
+explicit stack and dump along an explicit stack, so the host recursion
+limit bounds how deeply a program nests, not how long it is.
 """
 
 import gc
@@ -96,6 +96,27 @@ def test_restore_long_program_is_a_fixpoint(tmp_path, capsys):
     assert main(["restore", again]) == 0
     second, _ = capsys.readouterr()
     assert second == first
+
+
+def test_ast_dumps_long_program(tmp_path, capsys):
+    k = 1_300
+    step = "(assign x (add-exp (ide-exp x) (num-lit 1)))"
+    expected = (
+        "(program (var-dec x (number-typ)) (seq (assign x (num-lit 0)) "
+        + f"(seq {step} " * (k - 2)
+        + step
+        + ")" * (k - 1)
+        + ")\n"
+    )
+    path = write(tmp_path, "long.lng", assignments(k))
+    assert main(["ast", path]) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == (expected, "")
+    assert main(["ast", path, "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.count('"node": "assign"') == k
+    assert out.endswith("\n}\n")
 
 
 def test_run_leaves_no_cyclic_garbage():

@@ -3,6 +3,7 @@ import pytest
 from lingua.diagnostics import LinguaParseError
 from lingua.kernel import Number
 from lingua import nodes as n
+from lingua import parser
 from lingua.parser import (
     parse_any,
     parse_data_expression,
@@ -547,3 +548,24 @@ class TestParseAny:
     def test_mixed_fragment_rejected(self):
         with pytest.raises(LinguaParseError):
             parse_any("let x be number tel ; x := 1")
+
+    @pytest.mark.parametrize(
+        "text, kind",
+        [
+            ("begin-program x := 1 end-program", "program"),
+            ("x + y * z", "data"),
+            # fails as data, item sequence and transfer before it parses
+            ("list-type number ee", "type"),
+        ],
+    )
+    def test_tokenizes_once(self, monkeypatch, text, kind):
+        calls = []
+        tokenize = parser.tokenize
+
+        def counting(source):
+            calls.append(source)
+            return tokenize(source)
+
+        monkeypatch.setattr(parser, "tokenize", counting)
+        assert parse_any(text)[0] == kind
+        assert calls == [text]

@@ -1,10 +1,13 @@
 """Print/parse round trips and dump determinism."""
 
+import json
+
 import pytest
 
 from astgen import AstGen
 from lingua import nodes as n
 from lingua.parser import (
+    parse_any,
     parse_data_expression,
     parse_instruction,
     parse_program,
@@ -80,6 +83,33 @@ def test_dump_sexpr_and_json_are_deterministic():
     assert ast_dump(node, "sexpr") == ast_dump(node, "sexpr")
     assert ast_dump(node, "json") == ast_dump(node, "json")
     assert ast_dump(n.SkipIns(), "sexpr") == "(skip)"
+
+
+@pytest.mark.parametrize(
+    "text, dump",
+    [
+        (
+            "if true then 'a b' else f(empty-ap) fi",
+            '(cond-exp (bool-lit true) (word-lit "a b") (fun-call-exp f ()))',
+        ),
+        (
+            "begin-program fun f (x as number) (x * 2.5) endfun ; "
+            "call p (ref empty-ap val x, y) end-program",
+            "(program (fun-proc-dec f ((formal-param x (number-typ))) () "
+            "(mul-exp (ide-exp x) (num-lit 2.5)) ()) (call p () (x y)))",
+        ),
+    ],
+)
+def test_dump_sexpr_golden(text, dump):
+    assert ast_dump(parse_any(text)[1], "sexpr") == dump
+
+
+def test_json_dump_is_laid_out_as_json_dumps():
+    gen = AstGen(seed=11)
+    for _ in range(150):
+        _, ast = gen.any_sort(depth=3)
+        out = ast_dump(ast, "json")
+        assert json.dumps(json.loads(out), indent=2) == out
 
 
 def test_dump_stable_under_whitespace():
