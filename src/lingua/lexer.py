@@ -94,10 +94,6 @@ def _fail(message: str, begin: int, end: int, line: int, column: int) -> NoRetur
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    # Tokens are built with tuple.__new__, skipping NamedTuple's Python-level
-    # __new__; the fields are always given in full.
-    append, new, kind_of = tokens.append, tuple.__new__, _KIND.get
-    numbers: dict[str, Number] = {}  # each numeral is parsed once per text
     line, line_start, pos = 1, 0, 0
     for space, lexeme in _TOKEN.findall(text):
         if "\n" in space:
@@ -106,29 +102,23 @@ def tokenize(text: str) -> list[Token]:
         begin = pos + len(space)
         pos = begin + len(lexeme)
         column = begin - line_start + 1
-        kind = kind_of(lexeme[:1])
-        if kind == "punct":
-            append(new(Token, (kind, lexeme, begin, pos, line, column, None)))
-        elif kind == "num":
-            num = numbers.get(lexeme)
-            if num is None:
-                num = numbers[lexeme] = Number.parse(lexeme)
-            append(new(Token, (kind, lexeme, begin, pos, line, column, num)))
-        elif kind == "ident":
-            kind = "keyword" if lexeme in KEYWORDS else kind
-            append(new(Token, (kind, lexeme, begin, pos, line, column, None)))
+        kind, value, num = _KIND.get(lexeme[:1]), lexeme, None
+        if kind == "num":
+            num = Number.parse(lexeme)
+        elif kind == "ident" and lexeme in KEYWORDS:
+            kind = "keyword"
         elif kind == "word":
             if len(lexeme) == 1:
                 _fail("unterminated word literal", begin, len(text), line, column)
-            append(new(Token, (kind, lexeme[1:-1], begin, pos, line, column, None)))
-            if "\n" in lexeme:
-                line += lexeme.count("\n")
-                line_start = begin + lexeme.rindex("\n") + 1
+            value = lexeme[1:-1]
         elif lexeme == ":=":
-            append(new(Token, ("punct", lexeme, begin, pos, line, column, None)))
-        elif kind == "eof":  # trailing whitespace can leave an empty match after it
-            append(new(Token, (kind, lexeme, begin, pos, line, column, None)))
-            break
-        else:
+            kind = "punct"
+        elif kind is None:
             _fail(f"illegal character {lexeme!r}", begin, pos, line, column)
+        tokens.append(Token(kind, value, begin, pos, line, column, num))
+        if kind == "eof":  # trailing whitespace can leave an empty match after it
+            break
+        if kind == "word" and "\n" in lexeme:
+            line += lexeme.count("\n")
+            line_start = begin + lexeme.rindex("\n") + 1
     return tokens
