@@ -11,10 +11,9 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
-from types import TracebackType
 from typing import Callable, Iterator, Optional, TextIO, TypeVar
 
-from .diagnostics import LinguaParseError, ParseDiagnostic, SourceSpan, format_diagnostic
+from .diagnostics import LinguaParseError, format_diagnostic
 from .kernel import (
     AbstractError,
     ArrayBody,
@@ -35,7 +34,7 @@ from .kernel import (
     WordData,
 )
 from . import nodes as n
-from .parser import Parser, parse_any, parse_program
+from .parser import parse_any, parse_program
 from .printer import ast_dump, print_concrete
 from .semantics import Evaluator, OutOfFuel
 from .state import State, empty_state, is_error, register_word
@@ -127,33 +126,13 @@ def _deep_recursion() -> Iterator[None]:
         sys.setrecursionlimit(previous)
 
 
-def _deepest_span(tb: Optional[TracebackType]) -> SourceSpan:
-    """The token the innermost parser frame of a traceback was looking at."""
-    span = SourceSpan(0, 0, 1, 1)
-    while tb is not None:
-        parser = tb.tb_frame.f_locals.get("self")
-        if isinstance(parser, Parser):
-            span = parser.peek().span
-        tb = tb.tb_next
-    return span
-
-
 def _parse(parse: Callable[[str], T], text: str, path: str, err: TextIO) -> Optional[T]:
-    """`parse(text)`, or None after printing one diagnostic for `path`.
-
-    Nesting too deep for the host stack is reported as a `too-deep`
-    diagnostic at the token where the parser ran out of room.
-    """
+    """`parse(text)`, or None after printing its diagnostic for `path`."""
     try:
         return parse(text)
     except LinguaParseError as exc:
-        diag = exc.diagnostic
-    except RecursionError as exc:
-        diag = ParseDiagnostic(
-            _deepest_span(exc.__traceback__), "nesting too deep to parse", "too-deep"
-        )
-    print(format_diagnostic(diag, path), file=err)
-    return None
+        print(format_diagnostic(exc.diagnostic, path), file=err)
+        return None
 
 
 def _resolve_fuel(flag: Optional[str]) -> Optional[int]:

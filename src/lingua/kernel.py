@@ -9,14 +9,25 @@ Certification rule: the public constructors of `Composite`, `ListData` and
 `ArrayData` are the trust boundary and check the datum/body pairing (and the
 homogeneity of a collection) on every call.  The evaluator, which derives a
 result's body from parts that are already certified, builds those results
-with `_unchecked` instead, so a value is certified once and not on every
-touch.  `Value` keeps the composite it was bound from for the same reason.
+with the `_unchecked_*` constructors instead, so a value is certified once
+and not on every touch.  `Value` keeps the composite it was bound from for
+the same reason.
+
+Lean numbers: the values every operation builds are cheap.  Numbers, data,
+bodies and composites are slotted.  `Number(coeff, exp)` checks the normal
+form, but `Number.make`, which normalizes, builds its result unchecked, as
+the evaluator does its numbers and composites.  The size rule in `oversized`
+compares a coefficient with a power of ten and never writes it out, so it
+costs the same whatever the limit.  There are exactly three simple bodies,
+`BOOLEAN`, `NUMBER` and `WORD`: `SimpleBody(name)`, `copy` and `pickle` all
+return the canonical instance, so the evaluator tests a body with `is`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Mapping, Optional, Union
 
 
@@ -95,7 +106,7 @@ ERROR_CATALOGUE = (
 # exact decimal numbers
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Number:
     """An exact decimal number coeff * 10**exp.
 
@@ -116,12 +127,13 @@ class Number:
 
     @staticmethod
     def make(coeff: int, exp: int = 0) -> "Number":
+        """The number coeff * 10**exp in normal form."""
         if coeff == 0:
-            return Number(0, 0)
+            return ZERO
         while coeff % 10 == 0:
             coeff //= 10
             exp += 1
-        return Number(coeff, exp)
+        return _unchecked_number(coeff, exp)
 
     @staticmethod
     def parse(text: str) -> "Number":
@@ -166,10 +178,12 @@ class Number:
         return sign + s[:point] + "." + s[point:]
 
     def add(self, other: "Number") -> "Number":
-        e = min(self.exp, other.exp)
-        return Number.make(
-            self.coeff * 10 ** (self.exp - e) + other.coeff * 10 ** (other.exp - e), e
-        )
+        a, x, b, y = self.coeff, self.exp, other.coeff, other.exp
+        if x == y:
+            return Number.make(a + b, x)
+        if x > y:
+            return Number.make(a * 10 ** (x - y) + b, y)
+        return Number.make(a + b * 10 ** (y - x), x)
 
     def sub(self, other: "Number") -> "Number":
         return self.add(other.neg())
@@ -198,14 +212,18 @@ class Number:
         return Number.make(coeff, self.exp - other.exp - shift)
 
     def neg(self) -> "Number":
-        return Number.make(-self.coeff, self.exp)
+        return _unchecked_number(-self.coeff, self.exp)
 
     def abs(self) -> "Number":
-        return Number.make(abs(self.coeff), self.exp)
+        return _unchecked_number(abs(self.coeff), self.exp)
 
     def lt(self, other: "Number") -> bool:
-        e = min(self.exp, other.exp)
-        return self.coeff * 10 ** (self.exp - e) < other.coeff * 10 ** (other.exp - e)
+        a, x, b, y = self.coeff, self.exp, other.coeff, other.exp
+        if x == y:
+            return a < b
+        if x > y:
+            return a * 10 ** (x - y) < b
+        return a < b * 10 ** (y - x)
 
     def is_zero(self) -> bool:
         return self.coeff == 0
@@ -222,6 +240,21 @@ class Number:
         return self.text()
 
 
+_new = object.__new__
+_set_coeff, _set_exp = Number.coeff.__set__, Number.exp.__set__
+
+
+def _unchecked_number(coeff: int, exp: int) -> Number:
+    """`Number(coeff, exp)` for a pair already in normal form."""
+    number = _new(Number)
+    _set_coeff(number, coeff)
+    _set_exp(number, exp)
+    return number
+
+
+ZERO = Number(0, 0)
+
+
 # ---------------------------------------------------------------------------
 # bodies
 
@@ -229,23 +262,41 @@ class Number:
 class Body:
     """Structural descriptor of a datum."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
+_SIMPLE_BODIES: dict[str, "SimpleBody"] = {}
+
+
+@dataclass(frozen=True, slots=True)
 class SimpleBody(Body):
+    """One of exactly three instances, one per name, so `is` decides equality."""
+
     name: str  # 'Boolean' | 'number' | 'word'
 
+    def __new__(cls, name: str) -> "SimpleBody":
+        body = _SIMPLE_BODIES.get(name)
+        if body is None:
+            if name not in ("Boolean", "number", "word"):
+                raise ValueError(f"no simple body is called {name!r}")
+            body = _SIMPLE_BODIES[name] = _new(cls)
+        return body
 
-@dataclass(frozen=True)
+    def __reduce__(self):
+        return SimpleBody, (self.name,)
+
+
+@dataclass(frozen=True, slots=True)
 class ListBody(Body):
     element: Body
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArrayBody(Body):
     element: Body
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecordBody(Body):
     """Attribute map; stored sorted by name so equality ignores written order."""
 
@@ -288,23 +339,25 @@ WORD = SimpleBody("word")
 class Data:
     """A runtime datum: boolean, number, word, list, array or record."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class BoolData(Data):
     value: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NumberData(Data):
     value: Number
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WordData(Data):
     text: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ListData(Data):
     items: tuple[Data, ...]
 
@@ -312,7 +365,7 @@ class ListData(Data):
         body_of(self)  # raises on a provably heterogeneous collection
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArrayData(Data):
     """Array indexed 1..n; item with index i sits at items[i - 1]."""
 
@@ -322,7 +375,7 @@ class ArrayData(Data):
         body_of(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecordData(Data):
     fields: tuple[tuple[str, Data], ...]
 
@@ -343,15 +396,31 @@ class RecordData(Data):
         raise KeyError(name)
 
 
-def _unchecked(cls: type, **fields):
-    """Build a `Composite`, `ListData` or `ArrayData` without its check.
+# Unchecked construction, for results whose pairing the caller has derived
+# from certified parts; everything else goes through the checking
+# constructors.  A slot is set through its descriptor, which also skips the
+# frozen dataclass's `object.__setattr__` per field.
+_set_value = NumberData.value.__set__
+_set_list_items = ListData.items.__set__
+_set_array_items = ArrayData.items.__set__
 
-    Only for results whose pairing the caller has derived from certified
-    parts; everything else goes through the checking constructor.
-    """
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
+
+def _number_data(value: Number) -> NumberData:
+    dat = _new(NumberData)
+    _set_value(dat, value)
+    return dat
+
+
+def _unchecked_list(items: tuple) -> ListData:
+    dat = _new(ListData)
+    _set_list_items(dat, items)
+    return dat
+
+
+def _unchecked_array(items: tuple) -> ArrayData:
+    dat = _new(ArrayData)
+    _set_array_items(dat, items)
+    return dat
 
 
 def num(value: Union[int, str]) -> NumberData:
@@ -407,11 +476,11 @@ def clan_bo_member(dat: Data, bod: Body) -> bool:
     """
     match dat:
         case BoolData():
-            return bod == BOOLEAN
+            return bod is BOOLEAN
         case NumberData():
-            return bod == NUMBER
+            return bod is NUMBER
         case WordData():
-            return bod == WORD
+            return bod is WORD
         case ListData(items):
             return isinstance(bod, ListBody) and all(
                 clan_bo_member(item, bod.element) for item in items
@@ -434,7 +503,7 @@ def clan_bo_member(dat: Data, bod: Body) -> bool:
 # composites, transfers, types, values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Composite:
     """A certified datum/body pair: construction checks the pairing."""
 
@@ -444,6 +513,16 @@ class Composite:
     def __post_init__(self) -> None:
         if not clan_bo_member(self.dat, self.bod):
             raise ValueError("data does not match body")
+
+
+_set_dat, _set_bod = Composite.dat.__set__, Composite.bod.__set__
+
+
+def _unchecked_composite(dat: Data, bod: Body) -> Composite:
+    com = _new(Composite)
+    _set_dat(com, dat)
+    _set_bod(com, bod)
+    return com
 
 
 @dataclass(frozen=True)
@@ -485,7 +564,7 @@ def boo_composite(value: bool) -> Composite:
 def is_boo_composite(com: Union[Composite, AbstractError]) -> bool:
     return (
         isinstance(com, Composite)
-        and com.bod == BOOLEAN
+        and com.bod is BOOLEAN
         and isinstance(com.dat, BoolData)
     )
 
@@ -578,10 +657,26 @@ class Limits:
             raise ValueError("limits must be strictly positive")
 
 
+@lru_cache(maxsize=64)
+def _power_of_ten(k: int) -> int:
+    return 10**k
+
+
 def oversized(dat: Data, lim: Limits) -> bool:
+    """Does a freshly computed datum exceed the limits?  A number does when
+    `digits()` exceeds `max_significant_digits`."""
     match dat:
-        case NumberData(value):
-            return value.digits() > lim.max_significant_digits
+        case NumberData(Number(coeff, exp)):
+            limit = lim.max_significant_digits
+            if exp < -limit:
+                return True  # zero has exponent 0
+            # The digit positions left for the coefficient.
+            room = limit - exp if exp > 0 else limit
+            # |coeff| < 2**bits <= 8**room < 10**room: most numbers are
+            # decided without a power of ten, however large the limit.
+            if coeff.bit_length() <= 3 * room:
+                return False
+            return room <= 0 or abs(coeff) >= _power_of_ten(room)
         case WordData(text):
             return len(text) > lim.max_word_length
         case ListData(items) | ArrayData(items):

@@ -13,9 +13,10 @@ set, which is how the test corpus measures production coverage.
 from __future__ import annotations
 
 import dataclasses
+from types import TracebackType
 from typing import Callable, Optional, TypeVar, Union
 
-from .diagnostics import LinguaParseError, ParseDiagnostic
+from .diagnostics import LinguaParseError, ParseDiagnostic, SourceSpan
 from .lexer import Token, tokenize
 from . import nodes as n
 
@@ -951,9 +952,30 @@ class Parser:
 # entry points
 
 
+def _deepest_span(tb: Optional[TracebackType]) -> SourceSpan:
+    """The token the innermost parser frame of a traceback was looking at."""
+    span = SourceSpan(0, 0, 1, 1)
+    while tb is not None:
+        parser = tb.tb_frame.f_locals.get("self")
+        if isinstance(parser, Parser):
+            span = parser.peek().span
+        tb = tb.tb_next
+    return span
+
+
 def _whole(parser: Parser, rule: Callable[[Parser], T]) -> T:
-    """`rule` must consume every token of the parser's text."""
-    result = rule(parser)
+    """`rule` must consume every token of the parser's text.
+
+    Nesting too deep for the host stack is a `too-deep` diagnostic at the
+    token where the parser ran out of room.
+    """
+    try:
+        result = rule(parser)
+    except RecursionError as exc:
+        span = _deepest_span(exc.__traceback__)
+        raise LinguaParseError(
+            ParseDiagnostic(span, "nesting too deep to parse", "too-deep")
+        ) from None
     parser.expect_eof()
     return result
 
@@ -1010,6 +1032,8 @@ def parse_any(text: str) -> tuple[str, n.Node]:
         try:
             result = _whole(Parser(text, tokens), rule)
         except LinguaParseError as exc:
+            if exc.diagnostic.kind == "too-deep":
+                raise  # as deep for every other sort
             attempts.append(exc)
             continue
         if kind == "items":

@@ -61,13 +61,11 @@ from .kernel import (
     YOKE_NOT_SATISFIED,
     AbstractError,
     ArrayBody,
-    ArrayData,
     Composite,
     Data,
     LangType,
     Limits,
     ListBody,
-    ListData,
     Number,
     NumberData,
     RecordBody,
@@ -75,7 +73,10 @@ from .kernel import (
     Transfer,
     Value,
     WordData,
-    _unchecked,
+    _number_data,
+    _unchecked_array,
+    _unchecked_composite,
+    _unchecked_list,
     apply_transfer,
     boo_composite,
     clan_ty_member,
@@ -187,14 +188,14 @@ def _lazy(a: Code, b: Code, short_on: bool, expected: AbstractError) -> Code:
         left = a(x)
         if isinstance(left, AbstractError):
             return left
-        if left.bod != BOOLEAN:
+        if left.bod is not BOOLEAN:
             return expected
         if left.dat.value == short_on:
             return left
         right = b(x)
         if isinstance(right, AbstractError):
             return right
-        if right.bod != BOOLEAN:
+        if right.bod is not BOOLEAN:
             return expected
         return right
 
@@ -228,33 +229,33 @@ def _sized(dat: Data, bod, limits: Limits) -> EvalResult:
     """A freshly computed result, or overflow when it exceeds the limits."""
     if oversized(dat, limits):
         return OVERFLOW
-    return _unchecked(Composite, dat=dat, bod=bod)
+    return _unchecked_composite(dat, bod)
 
 
 def _number(number: Number, limits: Limits) -> EvalResult:
-    return _sized(NumberData(number), NUMBER, limits)
+    return _sized(_number_data(number), NUMBER, limits)
 
 
 def _add(left: Composite, right: Composite, limits: Limits) -> EvalResult:
-    if left.bod != NUMBER or right.bod != NUMBER:
+    if left.bod is not NUMBER or right.bod is not NUMBER:
         return NUMBER_EXPECTED
     return _number(left.dat.value.add(right.dat.value), limits)
 
 
 def _sub(left: Composite, right: Composite, limits: Limits) -> EvalResult:
-    if left.bod != NUMBER or right.bod != NUMBER:
+    if left.bod is not NUMBER or right.bod is not NUMBER:
         return NUMBER_EXPECTED
     return _number(left.dat.value.sub(right.dat.value), limits)
 
 
 def _mul(left: Composite, right: Composite, limits: Limits) -> EvalResult:
-    if left.bod != NUMBER or right.bod != NUMBER:
+    if left.bod is not NUMBER or right.bod is not NUMBER:
         return NUMBER_EXPECTED
     return _number(left.dat.value.mul(right.dat.value), limits)
 
 
 def _divide(left: Composite, right: Composite, limits: Limits) -> EvalResult:
-    if left.bod != NUMBER or right.bod != NUMBER:
+    if left.bod is not NUMBER or right.bod is not NUMBER:
         return NUMBER_EXPECTED
     if right.dat.value.is_zero():
         return DIVISION_BY_ZERO
@@ -265,7 +266,7 @@ def _divide(left: Composite, right: Composite, limits: Limits) -> EvalResult:
 
 
 def _less(left: Composite, right: Composite, _) -> EvalResult:
-    if left.bod != NUMBER or right.bod != NUMBER:
+    if left.bod is not NUMBER or right.bod is not NUMBER:
         return NUMBER_EXPECTED
     return boo_composite(left.dat.value.lt(right.dat.value))
 
@@ -277,13 +278,13 @@ def _equal(left: Composite, right: Composite, _) -> EvalResult:
 
 
 def _glue(left: Composite, right: Composite, limits: Limits) -> EvalResult:
-    if left.bod != WORD or right.bod != WORD:
+    if left.bod is not WORD or right.bod is not WORD:
         return WORD_EXPECTED
     return _sized(WordData(left.dat.text + right.dat.text), WORD, limits)
 
 
 def _negate(com: Composite, expected: AbstractError) -> EvalResult:
-    if com.bod != BOOLEAN:
+    if com.bod is not BOOLEAN:
         return expected
     return boo_composite(not com.dat.value)
 
@@ -293,7 +294,7 @@ def _top(com: Composite, _) -> EvalResult:
         return LIST_EXPECTED
     if not com.dat.items:
         return EMPTY_LIST
-    return _unchecked(Composite, dat=com.dat.items[0], bod=com.bod.element)
+    return _unchecked_composite(com.dat.items[0], com.bod.element)
 
 
 def _index(number: Number, length: int) -> Optional[int]:
@@ -308,12 +309,12 @@ def _index(number: Number, length: int) -> Optional[int]:
 def _array_at(arr: Composite, idx: Composite, _) -> EvalResult:
     if not isinstance(arr.bod, ArrayBody):
         return ARRAY_EXPECTED
-    if idx.bod != NUMBER:
+    if idx.bod is not NUMBER:
         return NUMBER_EXPECTED
     i = _index(idx.dat.value, len(arr.dat.items))
     if i is None:
         return INDEX_OUT_OF_RANGE
-    return _unchecked(Composite, dat=arr.dat.items[i - 1], bod=arr.bod.element)
+    return _unchecked_composite(arr.dat.items[i - 1], arr.bod.element)
 
 
 def _record_at(com: Composite, ide: str) -> EvalResult:
@@ -321,14 +322,14 @@ def _record_at(com: Composite, ide: str) -> EvalResult:
         return RECORD_EXPECTED
     if not com.bod.has(ide):
         return ATTRIBUTE_NOT_PRESENT
-    return _unchecked(Composite, dat=com.dat.get(ide), bod=com.bod.get(ide))
+    return _unchecked_composite(com.dat.get(ide), com.bod.get(ide))
 
 
 # -- data expressions only
 
 
 def _list(com: Composite, limits: Limits) -> EvalResult:
-    return _sized(_unchecked(ListData, items=(com.dat,)), ListBody(com.bod), limits)
+    return _sized(_unchecked_list((com.dat,)), ListBody(com.bod), limits)
 
 
 def _push(new: Composite, lst: Composite, limits: Limits) -> EvalResult:
@@ -336,7 +337,7 @@ def _push(new: Composite, lst: Composite, limits: Limits) -> EvalResult:
         return LIST_EXPECTED
     if new.bod != lst.bod.element:
         return NO_COHERENCE
-    return _sized(_unchecked(ListData, items=(new.dat, *lst.dat.items)), lst.bod, limits)
+    return _sized(_unchecked_list((new.dat, *lst.dat.items)), lst.bod, limits)
 
 
 def _pop(com: Composite, _) -> EvalResult:
@@ -344,12 +345,12 @@ def _pop(com: Composite, _) -> EvalResult:
         return LIST_EXPECTED
     if not com.dat.items:
         return EMPTY_LIST
-    rest = _unchecked(ListData, items=com.dat.items[1:])
-    return _unchecked(Composite, dat=rest, bod=com.bod)
+    rest = _unchecked_list(com.dat.items[1:])
+    return _unchecked_composite(rest, com.bod)
 
 
 def _array(com: Composite, limits: Limits) -> EvalResult:
-    return _sized(_unchecked(ArrayData, items=(com.dat,)), ArrayBody(com.bod), limits)
+    return _sized(_unchecked_array((com.dat,)), ArrayBody(com.bod), limits)
 
 
 def _add_to_array(arr: Composite, new: Composite, limits: Limits) -> EvalResult:
@@ -357,7 +358,7 @@ def _add_to_array(arr: Composite, new: Composite, limits: Limits) -> EvalResult:
         return ARRAY_EXPECTED
     if new.bod != arr.bod.element:
         return NO_COHERENCE
-    return _sized(_unchecked(ArrayData, items=(*arr.dat.items, new.dat)), arr.bod, limits)
+    return _sized(_unchecked_array((*arr.dat.items, new.dat)), arr.bod, limits)
 
 
 def _change_array(a: DataCode, index: DataCode, element: DataCode) -> DataCode:
@@ -373,7 +374,7 @@ def _change_array(a: DataCode, index: DataCode, element: DataCode) -> DataCode:
             return new
         if not isinstance(arr.bod, ArrayBody):
             return ARRAY_EXPECTED
-        if idx.bod != NUMBER:
+        if idx.bod is not NUMBER:
             return NUMBER_EXPECTED
         i = _index(idx.dat.value, len(arr.dat.items))
         if i is None:
@@ -382,8 +383,8 @@ def _change_array(a: DataCode, index: DataCode, element: DataCode) -> DataCode:
             return NO_COHERENCE
         items = list(arr.dat.items)
         items[i - 1] = new.dat
-        changed = _unchecked(ArrayData, items=tuple(items))
-        return _unchecked(Composite, dat=changed, bod=arr.bod)
+        changed = _unchecked_array(tuple(items))
+        return _unchecked_composite(changed, arr.bod)
 
     return change_array
 
@@ -413,7 +414,7 @@ def _remove_attribute(com: Composite, ide: str) -> EvalResult:
         return ATTRIBUTE_NOT_PRESENT
     remaining = com.dat.attributes()
     del remaining[ide]
-    return _unchecked(Composite, dat=RecordData.of(remaining), bod=com.bod.with_removed(ide))
+    return _unchecked_composite(RecordData.of(remaining), com.bod.with_removed(ide))
 
 
 def _change_record(rec: Composite, new: Composite, ide: str) -> EvalResult:
@@ -421,10 +422,9 @@ def _change_record(rec: Composite, new: Composite, ide: str) -> EvalResult:
         return RECORD_EXPECTED
     if not rec.bod.has(ide):
         return ATTRIBUTE_NOT_PRESENT
-    return _unchecked(
-        Composite,
-        dat=RecordData.of({**rec.dat.attributes(), ide: new.dat}),
-        bod=RecordBody.of({**rec.bod.attributes(), ide: new.bod}),
+    return _unchecked_composite(
+        RecordData.of({**rec.dat.attributes(), ide: new.dat}),
+        RecordBody.of({**rec.bod.attributes(), ide: new.bod}),
     )
 
 
@@ -433,7 +433,7 @@ def _conditional(guard: DataCode, then_code: DataCode, else_code: DataCode) -> D
         com = guard(sta)
         if isinstance(com, AbstractError):
             return com
-        if com.bod != BOOLEAN:
+        if com.bod is not BOOLEAN:
             return BOOLEAN_EXPECTED
         return (then_code if com.dat.value else else_code)(sta)
 
@@ -449,38 +449,57 @@ def _array_first(code: TransferCode) -> TransferCode:
     return lambda com: code(com) if isinstance(com.bod, ArrayBody) else ARRAY_EXPECTED
 
 
-def _numbers_in(com: Composite) -> Union[list[Number], AbstractError]:
-    """The numbers of a non-empty list or array of numbers."""
-    if not (isinstance(com.bod, (ListBody, ArrayBody)) and com.bod.element == NUMBER):
+def _numbers_in(com: Composite) -> Union[tuple[NumberData, ...], AbstractError]:
+    """The items of a non-empty list or array of numbers."""
+    if not (isinstance(com.bod, (ListBody, ArrayBody)) and com.bod.element is NUMBER):
         return ARRAY_EXPECTED
     if not com.dat.items:
         return EMPTY_LIST
-    return [item.value for item in com.dat.items]
+    return com.dat.items
+
+
+# `_sum` and `_max` walk the coefficients once, each scaled to the least
+# exponent seen so far, with no `Number` built or compared per item.
 
 
 def _sum(com: Composite, limits: Limits) -> EvalResult:
-    numbers = _numbers_in(com)
-    if isinstance(numbers, AbstractError):
-        return numbers
-    total = Number.make(0)
-    for number in numbers:
-        total = total.add(number)
-    return _number(total, limits)
+    items = _numbers_in(com)
+    if isinstance(items, AbstractError):
+        return items
+    total, exp = 0, items[0].value.exp
+    for item in items:
+        coeff, e = item.value.coeff, item.value.exp
+        if e == exp:
+            total += coeff
+        elif e > exp:
+            total += coeff * 10 ** (e - exp)
+        else:
+            total = total * 10 ** (exp - e) + coeff
+            exp = e
+    return _number(Number.make(total, exp), limits)
 
 
 def _max(com: Composite, limits: Limits) -> EvalResult:
-    numbers = _numbers_in(com)
-    if isinstance(numbers, AbstractError):
-        return numbers
-    best = numbers[0]
-    for number in numbers[1:]:
-        if best.lt(number):
-            best = number
+    items = _numbers_in(com)
+    if isinstance(items, AbstractError):
+        return items
+    best = items[0].value
+    top, exp = best.coeff, best.exp
+    for item in items:
+        number = item.value
+        coeff, e = number.coeff, number.exp
+        if e > exp:
+            coeff *= 10 ** (e - exp)
+        elif e < exp:
+            top *= 10 ** (exp - e)
+            exp = e
+        if coeff > top:
+            best, top = number, coeff
     return _number(best, limits)
 
 
 def _small_number(com: Composite, bound: Number) -> EvalResult:
-    if com.bod != NUMBER:
+    if com.bod is not NUMBER:
         return NUMBER_EXPECTED
     return boo_composite(com.dat.value.abs().lt(bound))
 
@@ -488,7 +507,7 @@ def _small_number(com: Composite, bound: Number) -> EvalResult:
 def _increasing(com: Composite, _) -> EvalResult:
     if not isinstance(com.bod, ArrayBody):
         return ARRAY_EXPECTED
-    if com.bod.element != NUMBER:
+    if com.bod.element is not NUMBER:
         return NUMBER_EXPECTED
     numbers = [item.value for item in com.dat.items]
     return boo_composite(all(numbers[i].lt(numbers[i + 1]) for i in range(len(numbers) - 1)))
@@ -503,10 +522,10 @@ def _all_elements(inner: TransferCode, body_cls: type, expected: AbstractError) 
             return expected
         element, all_true = com.bod.element, True
         for item in com.dat.items:
-            result = inner(_unchecked(Composite, dat=item, bod=element))
+            result = inner(_unchecked_composite(item, element))
             if isinstance(result, AbstractError):
                 return result
-            if result.bod != BOOLEAN:
+            if result.bod is not BOOLEAN:
                 return A_YOKE_EXPECTED
             if not result.dat.value:
                 all_true = False
@@ -609,7 +628,7 @@ def _if(guard: DataCode, then_code: StateCode, else_code: StateCode) -> StateCod
         com = guard(sta)
         if isinstance(com, AbstractError):
             return load_error(sta, com)
-        if com.bod != BOOLEAN:
+        if com.bod is not BOOLEAN:
             return load_error(sta, BOOLEAN_EXPECTED)
         return (then_code if com.dat.value else else_code)(sta)
 
@@ -626,7 +645,7 @@ def _if_error(guard: DataCode, handler: StateCode) -> StateCode:
         com = guard(cleared)
         if isinstance(com, AbstractError):
             return load_error(sta, com)
-        if com.bod != WORD:
+        if com.bod is not WORD:
             return load_error(sta, WORD_EXPECTED)
         if com.dat.text != sta.store.register.word:
             return sta
@@ -643,7 +662,7 @@ def _while(guard: DataCode, body: StateCode, fuel: Fuel) -> StateCode:
             com = guard(sta)
             if isinstance(com, AbstractError):
                 return load_error(sta, com)
-            if com.bod != BOOLEAN:
+            if com.bod is not BOOLEAN:
                 return load_error(sta, BOOLEAN_EXPECTED)
             if not com.dat.value:
                 return sta

@@ -1,3 +1,9 @@
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+from fractions import Fraction
+from functools import reduce
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -22,6 +28,7 @@ from lingua.kernel import (
     NumberData,
     RecordBody,
     RecordData,
+    SimpleBody,
     Transfer,
     Value,
     apply_transfer,
@@ -35,6 +42,7 @@ from lingua.kernel import (
     oversized,
     word,
 )
+from lingua.semantics import OVERFLOW, _max, _sum
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +103,118 @@ class TestNumber:
         x, y = Number.make(*a), Number.make(*b)
         assert x.lt(y) == (x.as_fraction() < y.as_fraction())
         assert y.lt(x) == (y.as_fraction() < x.as_fraction())
+
+
+# ---------------------------------------------------------------------------
+# lean numbers: the unchecked and fast paths against exact fractions
+
+EXACT = settings(max_examples=500, deadline=None, derandomize=True, database=None)
+# Small exponents make equal ones, and so the same-exponent paths, common.
+EXPONENTS = st.one_of(st.integers(-2, 2), st.integers(-40, 40))
+NUMBERS = st.builds(Number.make, st.integers(-(10**25), 10**25), EXPONENTS)
+
+
+def finite_decimal(q: Fraction) -> bool:
+    den = q.denominator
+    for prime in (2, 5):
+        while den % prime == 0:
+            den //= prime
+    return den == 1
+
+
+def checked(x: Number) -> Number:
+    """`x` rebuilt by the checking constructor, which rejects a non-normal form."""
+    assert type(x) is Number
+    return Number(x.coeff, x.exp)
+
+
+class TestLeanNumbers:
+    @EXACT
+    @given(NUMBERS, NUMBERS)
+    @example(Number.make(0), Number.make(0))
+    @example(Number.make(5, -1), Number.make(5, -1))  # 0.5 + 0.5 renormalizes
+    @example(Number.make(-3, 2), Number.make(3, 2))  # cancels to zero
+    @example(Number.make(7, 40), Number.make(-7, -40))
+    def test_arithmetic_matches_fractions(self, x, y):
+        fx, fy = x.as_fraction(), y.as_fraction()
+        for result, exact in ((x.add(y), fx + fy), (x.sub(y), fx - fy), (x.mul(y), fx * fy)):
+            assert checked(result) == result
+            assert result.as_fraction() == exact
+        assert x.lt(y) == (fx < fy)
+        assert x.neg().as_fraction() == -fx and checked(x.neg()) == x.neg()
+        assert x.abs().as_fraction() == abs(fx) and checked(x.abs()) == x.abs()
+        if not y.is_zero():
+            quotient = x.divide(y)
+            if finite_decimal(fx / fy):
+                assert checked(quotient).as_fraction() == fx / fy
+            else:
+                assert quotient is None
+
+    @EXACT
+    @given(
+        st.lists(NUMBERS, min_size=1, max_size=12),
+        st.sampled_from([(ListData, ListBody), (ArrayData, ArrayBody)]),
+        st.sampled_from([1, 20, 1000]),
+    )
+    @example([Number.make(5, -1), Number.make(5, -1)], (ArrayData, ArrayBody), 20)
+    @example([Number.make(0), Number.make(-1, -3)], (ListData, ListBody), 1)
+    def test_sum_and_max_match_a_fold(self, numbers, shape, limit):
+        data, body = shape
+        com = Composite(data(tuple(NumberData(x) for x in numbers)), body(NUMBER))
+        lim = Limits(max_significant_digits=limit)
+
+        def expected(x):
+            return OVERFLOW if x.digits() > limit else Composite(NumberData(x), NUMBER)
+
+        assert _sum(com, lim) == expected(reduce(Number.add, numbers, Number.make(0)))
+        assert _max(com, lim) == expected(reduce(lambda a, b: b if a.lt(b) else a, numbers))
+
+    @EXACT
+    @given(st.integers(-(10**45), 10**45), st.integers(-1002, 1002), st.sampled_from([1, 20, 1000]))
+    def test_size_rule_counts_digits(self, coeff, exp, limit):
+        x = Number.make(coeff, exp)
+        assert oversized(NumberData(x), Limits(max_significant_digits=limit)) == (
+            x.digits() > limit
+        )
+
+    @pytest.mark.parametrize("limit", [1, 20, 1000])
+    def test_size_rule_at_its_boundaries(self, limit):
+        lim = Limits(max_significant_digits=limit)
+        widths = {1, 2, 3, limit // 2, limit - 1, limit, limit + 1} - {0}
+        for k in sorted(widths):
+            for base in (Number.make(10**k - 1), Number.make(10**k), Number.make(1 - 10**k)):
+                for exp in range(-limit - 1, limit + 2):
+                    x = Number(base.coeff, base.exp + exp)
+                    assert oversized(NumberData(x), lim) == (x.digits() > limit), (k, x)
+
+    @EXACT
+    @given(st.integers(-(10**30), 10**30), st.integers(-60, 60))
+    def test_make_is_the_checked_number(self, coeff, exp):
+        x = Number.make(coeff, exp)
+        assert x == checked(x) and hash(x) == hash(checked(x))
+        assert x.as_fraction() == coeff * Fraction(10) ** exp
+        with pytest.raises(FrozenInstanceError):
+            x.coeff = 1
+
+    def test_checked_constructor_still_rejects(self):
+        for coeff, exp in ((10, 0), (-20, 3), (0, 1)):
+            with pytest.raises(ValueError):
+                Number(coeff, exp)
+
+
+class TestSimpleBodies:
+    def test_every_simple_body_is_canonical(self):
+        for body, name in ((BOOLEAN, "Boolean"), (NUMBER, "number"), (WORD, "word")):
+            assert SimpleBody(name) is body
+            assert copy.copy(body) is body
+            assert copy.deepcopy(body) is body
+            assert pickle.loads(pickle.dumps(body)) is body
+            assert copy.deepcopy(ListBody(body)).element is body
+            assert copy.deepcopy(Composite(BoolData(True), BOOLEAN)).bod is BOOLEAN
+
+    def test_no_other_simple_body(self):
+        with pytest.raises(ValueError):
+            SimpleBody("text")
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from lingua.diagnostics import LinguaParseError
@@ -14,6 +16,7 @@ from lingua.parser import (
     restore_expression,
 )
 from lingua.printer import print_concrete
+from lingua.semantics import run_source
 
 
 def lit(value):
@@ -512,6 +515,30 @@ class TestDiagnostics:
         with pytest.raises(LinguaParseError) as exc:
             parse_program("begin-program x := end-program")
         assert exc.value.diagnostic.span.line == 1
+
+    DEPTH = max(600, sys.getrecursionlimit())
+    NESTED = "(" * DEPTH + "1" + ")" * DEPTH
+    DEEP_PROGRAM = f"begin-program let x be number tel ; x := {NESTED} end-program"
+
+    @pytest.mark.parametrize(
+        "entry, text",
+        [
+            (parse_program, DEEP_PROGRAM),
+            (run_source, DEEP_PROGRAM),
+            (parse_any, NESTED),
+            (parse_data_expression, NESTED),
+        ],
+        ids=["parse_program", "run_source", "parse_any", "parse_data_expression"],
+    )
+    def test_nesting_too_deep_is_a_diagnostic(self, entry, text):
+        with pytest.raises(LinguaParseError) as exc:
+            entry(text)
+        diag = exc.value.diagnostic
+        assert diag.kind == "too-deep"
+        # at a token inside the nest, where the parser ran out of room
+        assert diag.span.line == 1
+        assert text.index("(") < diag.span.begin < text.index("1")
+        assert text[diag.span.begin] == "("
 
 
 # ---------------------------------------------------------------------------
