@@ -666,8 +666,8 @@ def oversized(dat: Data, lim: Limits) -> bool:
     """Does a freshly computed datum exceed the limits?  A number does when
     `digits()` exceeds `max_significant_digits`."""
     match dat:
-        case NumberData(Number(coeff, exp)):
-            limit = lim.max_significant_digits
+        case NumberData(value):
+            coeff, exp, limit = value.coeff, value.exp, lim.max_significant_digits
             if exp < -limit:
                 return True  # zero has exponent 0
             # The digit positions left for the coefficient.

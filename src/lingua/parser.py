@@ -13,10 +13,9 @@ set, which is how the test corpus measures production coverage.
 from __future__ import annotations
 
 import dataclasses
-from types import TracebackType
 from typing import Callable, Optional, TypeVar, Union
 
-from .diagnostics import LinguaParseError, ParseDiagnostic, SourceSpan
+from .diagnostics import LinguaParseError, ParseDiagnostic
 from .lexer import Token, tokenize
 from . import nodes as n
 
@@ -952,17 +951,6 @@ class Parser:
 # entry points
 
 
-def _deepest_span(tb: Optional[TracebackType]) -> SourceSpan:
-    """The token the innermost parser frame of a traceback was looking at."""
-    span = SourceSpan(0, 0, 1, 1)
-    while tb is not None:
-        parser = tb.tb_frame.f_locals.get("self")
-        if isinstance(parser, Parser):
-            span = parser.peek().span
-        tb = tb.tb_next
-    return span
-
-
 def _whole(parser: Parser, rule: Callable[[Parser], T]) -> T:
     """`rule` must consume every token of the parser's text.
 
@@ -971,11 +959,10 @@ def _whole(parser: Parser, rule: Callable[[Parser], T]) -> T:
     """
     try:
         result = rule(parser)
-    except RecursionError as exc:
-        span = _deepest_span(exc.__traceback__)
-        raise LinguaParseError(
-            ParseDiagnostic(span, "nesting too deep to parse", "too-deep")
-        ) from None
+    except RecursionError:
+        # The parser never moves back, so it still stands where it ran out.
+        diag = ParseDiagnostic(parser.peek().span, "nesting too deep to parse", "too-deep")
+        raise LinguaParseError(diag) from None
     parser.expect_eof()
     return result
 
