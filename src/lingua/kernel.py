@@ -13,10 +13,11 @@ with the `_unchecked_*` constructors instead, so a value is certified once
 and not on every touch.  `Value` keeps the composite it was bound from for
 the same reason.
 
-Lean numbers: the values every operation builds are cheap.  Numbers, data,
-bodies and composites are slotted.  `Number(coeff, exp)` checks the normal
-form, but `Number.make`, which normalizes, builds its result unchecked, as
-the evaluator does its numbers and composites.  The size rule in `oversized`
+Lean numbers: the values every operation builds are cheap.  Numbers,
+composites and number, list and array data are slotted.  `Number(coeff,
+exp)` checks the normal form, but `Number.make`, which normalizes, builds
+its result unchecked, as the evaluator does the data and composites it
+derives.  The size rule in `oversized`
 compares a coefficient with a power of ten and never writes it out, so it
 costs the same whatever the limit.  There are exactly three simple bodies,
 `BOOLEAN`, `NUMBER` and `WORD`: `SimpleBody(name)`, `copy` and `pickle` all
@@ -262,13 +263,11 @@ ZERO = Number(0, 0)
 class Body:
     """Structural descriptor of a datum."""
 
-    __slots__ = ()
-
 
 _SIMPLE_BODIES: dict[str, "SimpleBody"] = {}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class SimpleBody(Body):
     """One of exactly three instances, one per name, so `is` decides equality."""
 
@@ -286,17 +285,17 @@ class SimpleBody(Body):
         return SimpleBody, (self.name,)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ListBody(Body):
     element: Body
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ArrayBody(Body):
     element: Body
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class RecordBody(Body):
     """Attribute map; stored sorted by name so equality ignores written order."""
 
@@ -342,7 +341,7 @@ class Data:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class BoolData(Data):
     value: bool
 
@@ -352,7 +351,7 @@ class NumberData(Data):
     value: Number
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class WordData(Data):
     text: str
 
@@ -375,7 +374,7 @@ class ArrayData(Data):
         body_of(self)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class RecordData(Data):
     fields: tuple[tuple[str, Data], ...]
 
