@@ -17,11 +17,11 @@ Lean numbers: the values every operation builds are cheap.  Numbers,
 composites and number, list and array data are slotted.  `Number(coeff,
 exp)` checks the normal form, but `Number.make`, which normalizes, builds
 its result unchecked, as the evaluator does the data and composites it
-derives.  The size rule in `oversized`
-compares a coefficient with a power of ten and never writes it out, so it
-costs the same whatever the limit.  There are exactly three simple bodies,
-`BOOLEAN`, `NUMBER` and `WORD`: `SimpleBody(name)`, `copy` and `pickle` all
-return the canonical instance, so the evaluator tests a body with `is`.
+derives.  The size rule in `oversized` compares a coefficient with a power
+of ten and never writes it out, so it costs the same whatever the limit.
+There are exactly three simple bodies, `BOOLEAN`, `NUMBER` and `WORD`:
+`SimpleBody(name)`, `copy` and `pickle` all return the canonical instance,
+so the evaluator tests a body with `is`.
 """
 
 from __future__ import annotations
