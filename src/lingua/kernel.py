@@ -17,8 +17,10 @@ Lean numbers: the values every operation builds are cheap.  Numbers,
 composites and number, list and array data are slotted.  `Number(coeff,
 exp)` checks the normal form, but `Number.make`, which normalizes, builds
 its result unchecked, as the evaluator does the data and composites it
-derives.  The size rule in `oversized` compares a coefficient with a power
-of ten and never writes it out, so it costs the same whatever the limit.
+derives.  `Number.sum` and `Number.max` fold a sequence in one pass over
+its coefficients.  The size rule in `oversized` compares a coefficient
+with a cached power of ten and never writes it out, so once that power is
+cached a check costs the same whatever the limit.
 There are exactly three simple bodies, `BOOLEAN`, `NUMBER` and `WORD`:
 `SimpleBody(name)`, `copy` and `pickle` all return the canonical instance,
 so the evaluator tests a body with `is`.
@@ -29,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +227,40 @@ class Number:
         if x > y:
             return a * 10 ** (x - y) < b
         return a < b * 10 ** (y - x)
+
+    @staticmethod
+    def sum(numbers: Sequence["Number"]) -> "Number":
+        """The sum of a non-empty sequence, in one pass: each coefficient is
+        scaled to the least exponent seen so far, and the total is
+        normalized once at the end."""
+        total, exp = 0, numbers[0].exp
+        for number in numbers:
+            coeff, e = number.coeff, number.exp
+            if e == exp:
+                total += coeff
+            elif e > exp:
+                total += coeff * 10 ** (e - exp)
+            else:
+                total = total * 10 ** (exp - e) + coeff
+                exp = e
+        return Number.make(total, exp)
+
+    @staticmethod
+    def max(numbers: Sequence["Number"]) -> "Number":
+        """The largest number of a non-empty sequence, in one pass over
+        the coefficients, as `sum` scales them."""
+        best = numbers[0]
+        top, exp = best.coeff, best.exp
+        for number in numbers:
+            coeff, e = number.coeff, number.exp
+            if e > exp:
+                coeff *= 10 ** (e - exp)
+            elif e < exp:
+                top *= 10 ** (exp - e)
+                exp = e
+            if coeff > top:
+                best, top = number, coeff
+        return best
 
     def is_zero(self) -> bool:
         return self.coeff == 0
@@ -667,15 +703,9 @@ def oversized(dat: Data, lim: Limits) -> bool:
     match dat:
         case NumberData(value):
             coeff, exp, limit = value.coeff, value.exp, lim.max_significant_digits
-            if exp < -limit:
-                return True  # zero has exponent 0
-            # The digit positions left for the coefficient.
+            # The digit positions left for the coefficient; zero has exponent 0.
             room = limit - exp if exp > 0 else limit
-            # |coeff| < 2**bits <= 8**room < 10**room: most numbers are
-            # decided without a power of ten, however large the limit.
-            if coeff.bit_length() <= 3 * room:
-                return False
-            return room <= 0 or abs(coeff) >= _power_of_ten(room)
+            return exp < -limit or room <= 0 or abs(coeff) >= _power_of_ten(room)
         case WordData(text):
             return len(text) > lim.max_word_length
         case ListData(items) | ArrayData(items):

@@ -449,53 +449,27 @@ def _array_first(code: TransferCode) -> TransferCode:
     return lambda com: code(com) if isinstance(com.bod, ArrayBody) else ARRAY_EXPECTED
 
 
-def _numbers_in(com: Composite) -> Union[tuple[NumberData, ...], AbstractError]:
-    """The items of a non-empty list or array of numbers."""
+def _numbers_in(com: Composite) -> Union[list[Number], AbstractError]:
+    """The numbers of a non-empty list or array of numbers."""
     if not (isinstance(com.bod, (ListBody, ArrayBody)) and com.bod.element is NUMBER):
         return ARRAY_EXPECTED
     if not com.dat.items:
         return EMPTY_LIST
-    return com.dat.items
-
-
-# `_sum` and `_max` walk the coefficients once, each scaled to the least
-# exponent seen so far, with no `Number` built or compared per item.
+    return [item.value for item in com.dat.items]
 
 
 def _sum(com: Composite, limits: Limits) -> EvalResult:
-    items = _numbers_in(com)
-    if isinstance(items, AbstractError):
-        return items
-    total, exp = 0, items[0].value.exp
-    for item in items:
-        coeff, e = item.value.coeff, item.value.exp
-        if e == exp:
-            total += coeff
-        elif e > exp:
-            total += coeff * 10 ** (e - exp)
-        else:
-            total = total * 10 ** (exp - e) + coeff
-            exp = e
-    return _number(Number.make(total, exp), limits)
+    numbers = _numbers_in(com)
+    if isinstance(numbers, AbstractError):
+        return numbers
+    return _number(Number.sum(numbers), limits)
 
 
 def _max(com: Composite, limits: Limits) -> EvalResult:
-    items = _numbers_in(com)
-    if isinstance(items, AbstractError):
-        return items
-    best = items[0].value
-    top, exp = best.coeff, best.exp
-    for item in items:
-        number = item.value
-        coeff, e = number.coeff, number.exp
-        if e > exp:
-            coeff *= 10 ** (e - exp)
-        elif e < exp:
-            top *= 10 ** (exp - e)
-            exp = e
-        if coeff > top:
-            best, top = number, coeff
-    return _number(best, limits)
+    numbers = _numbers_in(com)
+    if isinstance(numbers, AbstractError):
+        return numbers
+    return _number(Number.max(numbers), limits)
 
 
 def _small_number(com: Composite, bound: Number) -> EvalResult:

@@ -166,8 +166,11 @@ class TestLeanNumbers:
         def expected(x):
             return OVERFLOW if x.digits() > limit else Composite(NumberData(x), NUMBER)
 
-        assert _sum(com, lim) == expected(reduce(Number.add, numbers, Number.make(0)))
-        assert _max(com, lim) == expected(reduce(lambda a, b: b if a.lt(b) else a, numbers))
+        total = reduce(Number.add, numbers, Number.make(0))
+        best = reduce(lambda a, b: b if a.lt(b) else a, numbers)
+        assert checked(Number.sum(numbers)) == total and Number.max(numbers) == best
+        assert _sum(com, lim) == expected(total)
+        assert _max(com, lim) == expected(best)
 
     @EXACT
     @given(st.integers(-(10**45), 10**45), st.integers(-1002, 1002), st.sampled_from([1, 20, 1000]))
