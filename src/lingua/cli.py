@@ -53,7 +53,6 @@ class RunConfig:
     fuel: Optional[int] = DEFAULT_FUEL
     limits: Limits = Limits()
     trace: bool = False
-    format: str = "sexpr"
 
 
 def format_data(dat: Data) -> str:

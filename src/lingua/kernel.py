@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 
 # ---------------------------------------------------------------------------
@@ -76,33 +76,6 @@ PARAMETER_LIST_MISMATCH = AbstractError("parameter-list-mismatch")
 PROCEDURE_NOT_DECLARED = AbstractError("procedure-not-declared")
 RETURN_TYPE_MISMATCH = AbstractError("return-type-mismatch")
 EMPTY_LIST = AbstractError("empty-list")
-
-ERROR_CATALOGUE = (
-    DIVISION_BY_ZERO,
-    OVERFLOW,
-    NUMBER_EXPECTED,
-    WORD_EXPECTED,
-    BOOLEAN_EXPECTED,
-    LIST_EXPECTED,
-    ARRAY_EXPECTED,
-    RECORD_EXPECTED,
-    INDEX_OUT_OF_RANGE,
-    ATTRIBUTE_NOT_PRESENT,
-    ATTRIBUTE_ALREADY_PRESENT,
-    IDENTIFIER_NOT_DECLARED,
-    IDENTIFIER_NOT_FREE,
-    VARIABLE_NOT_INITIALIZED,
-    TYPE_NOT_DEFINED,
-    NOT_A_RECORD_TYPE,
-    NO_COHERENCE,
-    A_YOKE_EXPECTED,
-    YOKE_NOT_SATISFIED,
-    PARAMETER_TYPE_MISMATCH,
-    PARAMETER_LIST_MISMATCH,
-    PROCEDURE_NOT_DECLARED,
-    RETURN_TYPE_MISMATCH,
-    EMPTY_LIST,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -331,27 +304,33 @@ class ArrayBody(Body):
     element: Body
 
 
-@dataclass(frozen=True)
-class RecordBody(Body):
-    """Attribute map; stored sorted by name so equality ignores written order."""
+class _Attributes:
+    """A record's attribute map, the `fields` of a record body or datum:
+    (name, item) pairs stored sorted by name, so equality ignores written
+    order."""
 
-    fields: tuple[tuple[str, Body], ...]
+    __slots__ = ()
 
-    @staticmethod
-    def of(mapping: Mapping[str, Body]) -> "RecordBody":
-        return RecordBody(tuple(sorted(mapping.items())))
+    @classmethod
+    def of(cls, mapping: Mapping[str, Any]):
+        return cls(tuple(sorted(mapping.items())))
 
-    def attributes(self) -> dict[str, Body]:
+    def attributes(self) -> dict[str, Any]:
         return dict(self.fields)
 
     def has(self, name: str) -> bool:
         return any(n == name for n, _ in self.fields)
 
-    def get(self, name: str) -> Body:
-        for n, b in self.fields:
+    def get(self, name: str):
+        for n, item in self.fields:
             if n == name:
-                return b
+                return item
         raise KeyError(name)
+
+
+@dataclass(frozen=True)
+class RecordBody(_Attributes, Body):
+    fields: tuple[tuple[str, Body], ...]
 
     def with_added(self, name: str, body: Body) -> "RecordBody":
         return RecordBody.of({**self.attributes(), name: body})
@@ -411,24 +390,8 @@ class ArrayData(Data):
 
 
 @dataclass(frozen=True)
-class RecordData(Data):
+class RecordData(_Attributes, Data):
     fields: tuple[tuple[str, Data], ...]
-
-    @staticmethod
-    def of(mapping: Mapping[str, Data]) -> "RecordData":
-        return RecordData(tuple(sorted(mapping.items())))
-
-    def attributes(self) -> dict[str, Data]:
-        return dict(self.fields)
-
-    def has(self, name: str) -> bool:
-        return any(n == name for n, _ in self.fields)
-
-    def get(self, name: str) -> Data:
-        for n, d in self.fields:
-            if n == name:
-                return d
-        raise KeyError(name)
 
 
 # Unchecked construction, for results whose pairing the caller has derived

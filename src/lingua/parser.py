@@ -60,31 +60,25 @@ ALL_PRODUCTION_TAGS = frozenset(
     f"{sort}:{name}" for sort, names in ALL_PRODUCTIONS.items() for name in names
 )
 
-_EXTENSION_TAGS = frozenset(
-    {"DatExp:mul", "DatExp:sub", "DatExp:eq", "DatExp:neg"}
-)
+# The operators data and transfer expressions share, written once:
+# token -> (priority, (data node, tag), (transfer node, tag)).  `-` and `*`
+# have no transfer form.  An expression's sort is its column.
+DATA, TRANSFER = 1, 2
 
-_DATA_OPS: dict[str, tuple[int, Callable, str]] = {
-    "or": (1, n.OrExp, "DatExp:or"),
-    "and": (2, n.AndExp, "DatExp:and"),
-    "<": (3, n.LessExp, "DatExp:less"),
-    "=": (3, n.EqExp, "DatExp:eq"),
-    "glue": (4, n.GlueExp, "DatExp:glue"),
-    "+": (5, n.AddExp, "DatExp:add"),
-    "-": (5, n.SubExp, "DatExp:sub"),
-    "*": (6, n.MulExp, "DatExp:mul"),
-    "/": (6, n.DivExp, "DatExp:div"),
+_OPERATORS: dict[str, tuple] = {
+    "or": (1, (n.OrExp, "DatExp:or"), (n.TraOrExp, "TraExp:or")),
+    "and": (2, (n.AndExp, "DatExp:and"), (n.TraAndExp, "TraExp:and")),
+    "<": (3, (n.LessExp, "DatExp:less"), (n.TraLessExp, "TraExp:less")),
+    "=": (3, (n.EqExp, "DatExp:eq"), (n.TraEqExp, "TraExp:eq")),
+    "glue": (4, (n.GlueExp, "DatExp:glue"), (n.TraGlueExp, "TraExp:glue")),
+    "+": (5, (n.AddExp, "DatExp:add"), (n.TraAddExp, "TraExp:add")),
+    "-": (5, (n.SubExp, "DatExp:sub"), None),
+    "*": (6, (n.MulExp, "DatExp:mul"), None),
+    "/": (6, (n.DivExp, "DatExp:div"), (n.TraDivExp, "TraExp:div")),
 }
 
-_TRA_OPS: dict[str, tuple[int, Callable, str]] = {
-    "or": (1, n.TraOrExp, "TraExp:or"),
-    "and": (2, n.TraAndExp, "TraExp:and"),
-    "<": (3, n.TraLessExp, "TraExp:less"),
-    "=": (3, n.TraEqExp, "TraExp:eq"),
-    "glue": (4, n.TraGlueExp, "TraExp:glue"),
-    "+": (5, n.TraAddExp, "TraExp:add"),
-    "/": (6, n.TraDivExp, "TraExp:div"),
-}
+# `not`, by the same columns
+_NOT = (None, (n.NotExp, "DatExp:not"), (n.TraNotExp, "TraExp:not"))
 
 _COMBINATORS = {
     "sum": (n.SumExp, "TraExp:sum"),
@@ -195,33 +189,33 @@ class Parser:
             return f"word literal '{tok.text}'"
         return f"'{tok.text}'"
 
-    # -- data expressions ----------------------------------------------------
+    # -- data and transfer expressions --------------------------------------
 
-    def data_exp(self, min_prec: int = 0) -> n.DatExp:
-        left = self.data_unary()
+    def expression(self, sort: int, min_prec: int = 0) -> n.Node:
+        """A data or transfer expression, as `sort` says, whose binary
+        operators bind at least as tightly as `min_prec`."""
+        left = self.unary(sort)
         while True:
             tok = self.peek()
-            if tok.kind == "punct" and tok.text in _DATA_OPS:
-                op = tok.text
-            elif tok.is_keyword("and", "or", "glue"):
-                op = tok.text
-            else:
-                break
-            prec, ctor, tag = _DATA_OPS[op]
-            if prec < min_prec:
+            op = _OPERATORS.get(tok.text) if tok.kind != "word" else None
+            if op is None or op[sort] is None or op[0] < min_prec:
                 break
             self.take()
-            right = self.data_exp(prec + 1)
+            right = self.expression(sort, op[0] + 1)
+            ctor, tag = op[sort]
             left = ctor(left, right)
             self.fire(tag)
         return left
 
-    def data_unary(self) -> n.DatExp:
+    def unary(self, sort: int) -> n.Node:
         if self.accept_keyword("not"):
-            operand = self.data_unary()
-            self.fire("DatExp:not")
-            return n.NotExp(operand)
-        return self.data_postfix(self.data_atom())
+            operand = self.unary(sort)
+            ctor, tag = _NOT[sort]
+            self.fire(tag)
+            return ctor(operand)
+        if sort == DATA:
+            return self.data_postfix(self.data_atom())
+        return self.tra_atom()
 
     def data_postfix(self, node: n.DatExp) -> n.DatExp:
         while self.peek().is_punct("."):
@@ -229,7 +223,7 @@ class Parser:
             if nxt.is_punct("["):
                 self.take()
                 self.take()
-                index = self.data_exp(0)
+                index = self.expression(DATA)
                 self.expect_punct("]")
                 node = n.ArrAtExp(node, index)
                 self.fire("DatExp:arr-at")
@@ -272,7 +266,7 @@ class Parser:
             return n.IdeExp(tok.text)
         if tok.is_punct("("):
             self.take()
-            inner = self.data_exp(0)
+            inner = self.expression(DATA)
             self.expect_punct(")")
             return inner
         if tok.kind == "keyword":
@@ -287,31 +281,31 @@ class Parser:
             return n.BoolLit(kw == "true")
         if kw == "list":
             self.take()
-            element = self.data_exp(0)
+            element = self.expression(DATA)
             self.expect_keyword("ee")
             self.fire("DatExp:list")
             return n.ListExp(element)
         if kw == "push":
             self.take()
-            element = self.data_exp(0)
+            element = self.expression(DATA)
             self.expect_keyword("on")
-            target = self.data_exp(0)
+            target = self.expression(DATA)
             self.expect_keyword("ee")
             self.fire("DatExp:push")
             return n.PushExp(element, target)
         if kw in ("top", "pop"):
             self.take()
             self.expect_punct("(")
-            operand = self.data_exp(0)
+            operand = self.expression(DATA)
             self.expect_punct(")")
             self.fire(f"DatExp:{kw}")
             return n.TopExp(operand) if kw == "top" else n.PopExp(operand)
         if kw == "array":
             self.take()
             if self.accept_punct("["):
-                elements = [self.data_exp(0)]
+                elements = [self.expression(DATA)]
                 while self.accept_punct(","):
-                    elements.append(self.data_exp(0))
+                    elements.append(self.expression(DATA))
                 self.expect_punct("]")
                 self.fire("DatExp:array")
                 node: n.DatExp = n.ArrayExp(elements[0])
@@ -319,27 +313,27 @@ class Parser:
                     node = n.AddToArrExp(node, element)
                     self.fire("DatExp:add-to-arr")
                 return node
-            element = self.data_exp(0)
+            element = self.expression(DATA)
             self.expect_keyword("ee")
             self.fire("DatExp:array")
             return n.ArrayExp(element)
         if kw == "add-to-arr":
             self.take()
-            target = self.data_exp(0)
+            target = self.expression(DATA)
             self.expect_keyword("new")
-            element = self.data_exp(0)
+            element = self.expression(DATA)
             self.expect_keyword("ee")
             self.fire("DatExp:add-to-arr")
             return n.AddToArrExp(target, element)
         if kw == "change-arr":
             self.take()
-            target = self.data_exp(0)
+            target = self.expression(DATA)
             if self.accept_keyword("by"):
                 pairs = []
                 while True:
-                    index = self.data_exp(0)
+                    index = self.expression(DATA)
                     self.expect_punct("<=")
-                    element = self.data_exp(0)
+                    element = self.expression(DATA)
                     pairs.append((index, element))
                     if not self.accept_punct(","):
                         break
@@ -350,17 +344,17 @@ class Parser:
                     self.fire("DatExp:change-arr")
                 return node
             self.expect_keyword("at")
-            index = self.data_exp(0)
+            index = self.expression(DATA)
             self.expect_keyword("by")
-            element = self.data_exp(0)
+            element = self.expression(DATA)
             self.expect_keyword("ee")
             self.fire("DatExp:change-arr")
             return n.ChangeArrExp(target, index, element)
         if kw == "arr":
             self.take()
-            target = self.data_exp(0)
+            target = self.expression(DATA)
             self.expect_keyword("at")
-            index = self.data_exp(0)
+            index = self.expression(DATA)
             self.expect_keyword("ee")
             self.fire("DatExp:arr-at")
             return n.ArrAtExp(target, index)
@@ -368,17 +362,17 @@ class Parser:
             self.take()
             ide = self.expect_ident()
             if self.accept_keyword("of-value"):
-                expr = self.data_exp(0)
+                expr = self.expression(DATA)
                 self.expect_keyword("ee")
                 self.fire("DatExp:record")
                 return n.RecordExp(ide, expr)
             self.expect_punct("<=")
-            first = self.data_exp(0)
+            first = self.expression(DATA)
             fields = []
             while self.accept_punct(","):
                 attr = self.expect_ident()
                 self.expect_punct("<=")
-                fields.append((attr, self.data_exp(0)))
+                fields.append((attr, self.expression(DATA)))
             self.expect_keyword("ee")
             self.fire("DatExp:record")
             node = n.RecordExp(ide, first)
@@ -390,15 +384,15 @@ class Parser:
             self.take()
             ide = self.expect_ident()
             self.expect_keyword("of-value")
-            expr = self.data_exp(0)
+            expr = self.expression(DATA)
             self.expect_keyword("to")
-            target = self.data_exp(0)
+            target = self.expression(DATA)
             self.expect_keyword("ee")
             self.fire("DatExp:add-attr")
             return n.AddAttrExp(ide, expr, target)
         if kw == "rec":
             self.take()
-            target = self.data_exp(0)
+            target = self.expression(DATA)
             self.expect_keyword("at")
             ide = self.expect_ident()
             self.expect_keyword("ee")
@@ -408,59 +402,31 @@ class Parser:
             self.take()
             ide = self.expect_ident()
             self.expect_keyword("from")
-            target = self.data_exp(0)
+            target = self.expression(DATA)
             self.expect_keyword("ee")
             self.fire("DatExp:remove-attr")
             return n.RemoveAttrExp(ide, target)
         if kw == "change-rec":
             self.take()
-            target = self.data_exp(0)
+            target = self.expression(DATA)
             self.expect_keyword("at")
             ide = self.expect_ident()
             self.expect_keyword("by")
-            expr = self.data_exp(0)
+            expr = self.expression(DATA)
             self.expect_keyword("ee")
             self.fire("DatExp:change-rec")
             return n.ChangeRecExp(target, ide, expr)
         if kw == "if":
             self.take()
-            guard = self.data_exp(0)
+            guard = self.expression(DATA)
             self.expect_keyword("then")
-            then_branch = self.data_exp(0)
+            then_branch = self.expression(DATA)
             self.expect_keyword("else")
-            else_branch = self.data_exp(0)
+            else_branch = self.expression(DATA)
             self.expect_keyword("fi")
             self.fire("DatExp:cond")
             return n.CondExp(guard, then_branch, else_branch)
         self.error(f"expected a data expression, found {self._describe(tok)}")
-
-    # -- transfer expressions --------------------------------------------
-
-    def tra_exp(self, min_prec: int = 0) -> n.TraExp:
-        left = self.tra_unary()
-        while True:
-            tok = self.peek()
-            if tok.kind == "punct" and tok.text in _TRA_OPS:
-                op = tok.text
-            elif tok.is_keyword("and", "or", "glue"):
-                op = tok.text
-            else:
-                break
-            prec, ctor, tag = _TRA_OPS[op]
-            if prec < min_prec:
-                break
-            self.take()
-            right = self.tra_exp(prec + 1)
-            left = ctor(left, right)
-            self.fire(tag)
-        return left
-
-    def tra_unary(self) -> n.TraExp:
-        if self.accept_keyword("not"):
-            operand = self.tra_unary()
-            self.fire("TraExp:not")
-            return n.TraNotExp(operand)
-        return self.tra_atom()
 
     def tra_atom(self) -> n.TraExp:
         tok = self.peek()
@@ -474,7 +440,7 @@ class Parser:
             return n.TraWordLit(tok.text)
         if tok.is_punct("("):
             self.take()
-            inner = self.tra_exp(0)
+            inner = self.expression(TRANSFER)
             self.expect_punct(")")
             return inner
         if tok.is_keyword("true", "false"):
@@ -485,13 +451,13 @@ class Parser:
             self.take()
             ctor, tag = _COMBINATORS[tok.text]
             self.expect_punct("(")
-            inner = self.tra_exp(0)
+            inner = self.expression(TRANSFER)
             self.expect_punct(")")
             self.fire(tag)
             return ctor(inner)
         if tok.is_keyword("all-list", "all-array", "all-of-array"):
             self.take()
-            inner = self.tra_exp(0)
+            inner = self.expression(TRANSFER)
             self.expect_keyword("ee")
             if tok.text == "all-list":
                 self.fire("TraExp:all-list")
@@ -504,13 +470,13 @@ class Parser:
                 self.expect_punct("[")
             elif not self.accept_punct("["):
                 self.error("expected '[' after 'array' in a transfer expression")
-            index = self.tra_exp(0)
+            index = self.expression(TRANSFER)
             self.expect_punct("]")
             self.fire("TraExp:array-at")
             return n.ArrayAtTra(index)
         if tok.is_keyword("get-from-array"):
             self.take()
-            index = self.tra_exp(0)
+            index = self.expression(TRANSFER)
             self.expect_keyword("ee")
             self.fire("TraExp:array-at")
             return n.ArrayAtTra(index)
@@ -546,7 +512,7 @@ class Parser:
             self.fire(tag)
             self.fire("TraExp:value")
             return ctor(n.ValueTra())
-        return self.tra_exp(0)
+        return self.expression(TRANSFER)
 
     # -- type expressions --------------------------------------------------
 
@@ -597,7 +563,7 @@ class Parser:
             self.take()
             base = self.typ_exp()
             self.expect_keyword("by")
-            transfer = self.tra_exp(0)
+            transfer = self.expression(TRANSFER)
             self.expect_keyword("ee")
             self.fire("TypExp:replace-transfer-in")
             return n.ReplaceTransferTyp(base, transfer)
@@ -605,7 +571,7 @@ class Parser:
             self.take()
             base = self.typ_exp()
             if self.accept_keyword("with"):
-                transfer = self.tra_exp(0)
+                transfer = self.expression(TRANSFER)
             else:
                 transfer = n.TraBoolLit(True)
                 self.fire("TraExp:true")
@@ -715,7 +681,7 @@ class Parser:
             return n.CallIns(ide, ref_args, val_args)
         if tok.is_keyword("if"):
             self.take()
-            guard = self.data_exp(0)
+            guard = self.expression(DATA)
             self.expect_keyword("then")
             then_branch = self.instruction_seq()
             self.expect_keyword("else")
@@ -725,7 +691,7 @@ class Parser:
             return n.IfIns(guard, then_branch, else_branch)
         if tok.is_keyword("if-error"):
             self.take()
-            guard = self.data_exp(0)
+            guard = self.expression(DATA)
             self.expect_keyword("then")
             handler = self.instruction_seq()
             self.expect_keyword("fi")
@@ -733,7 +699,7 @@ class Parser:
             return n.IfErrorIns(guard, handler)
         if tok.is_keyword("while"):
             self.take()
-            guard = self.data_exp(0)
+            guard = self.expression(DATA)
             self.expect_keyword("do")
             body = self.instruction_seq()
             self.expect_keyword("od")
@@ -743,7 +709,7 @@ class Parser:
             self.take()
             ide = self.expect_ident()
             self.expect_punct(":=")
-            transfer = self.tra_exp(0)
+            transfer = self.expression(TRANSFER)
             self.fire("Instruction:yoke")
             return n.YokeIns(ide, transfer)
         if tok.is_keyword(*_DECL_KEYWORDS) or (
@@ -753,7 +719,7 @@ class Parser:
         if tok.kind == "ident":
             ide = self.expect_ident()
             self.expect_punct(":=")
-            expr = self.data_exp(0)
+            expr = self.expression(DATA)
             self.fire("Instruction:assign")
             return n.AssignIns(ide, expr)
         self.error(f"expected an instruction, found {self._describe(tok)}")
@@ -815,7 +781,7 @@ class Parser:
         if self.peek().is_keyword("begin-program"):
             prg = self.program()
             self.expect_keyword("return")
-            dae = self.data_exp(0)
+            dae = self.expression(DATA)
             self.expect_keyword("as")
             tex = self.typ_exp()
             if not (self.accept_keyword("end") or self.accept_keyword("and")):
@@ -823,7 +789,7 @@ class Parser:
             self.expect_keyword("fun")
             self.fire("FunProcDec:program")
             return n.FunProcDec(ide, params, prg, dae, tex)
-        dae = self.data_exp(0)
+        dae = self.expression(DATA)
         self.expect_keyword("endfun")
         self.fire("FunProcDec:expression")
         return n.FunProcDec(ide, params, None, dae, None)
@@ -951,14 +917,14 @@ class Parser:
 # entry points
 
 
-def _whole(parser: Parser, rule: Callable[[Parser], T]) -> T:
-    """`rule` must consume every token of the parser's text.
+def _whole(parser: Parser, rule: Callable[..., T], *args) -> T:
+    """`rule(parser, *args)` must consume every token of the parser's text.
 
     Nesting too deep for the host stack is a `too-deep` diagnostic at the
     token where the parser ran out of room.
     """
     try:
-        result = rule(parser)
+        result = rule(parser, *args)
     except RecursionError:
         # The parser never moves back, so it still stands where it ran out.
         diag = ParseDiagnostic(parser.peek().span, "nesting too deep to parse", "too-deep")
@@ -972,11 +938,11 @@ def parse_program(text: str) -> n.Program:
 
 
 def parse_data_expression(text: str) -> n.DatExp:
-    return _whole(Parser(text), Parser.data_exp)
+    return _whole(Parser(text), Parser.expression, DATA)
 
 
 def parse_transfer_expression(text: str) -> n.TraExp:
-    return _whole(Parser(text), Parser.tra_exp)
+    return _whole(Parser(text), Parser.expression, TRANSFER)
 
 
 def parse_type_expression(text: str) -> n.TypExp:
@@ -1010,14 +976,14 @@ def parse_any(text: str) -> tuple[str, n.Node]:
     if tokens[0].is_keyword("begin-program"):
         return "program", _whole(Parser(text, tokens), Parser.program)
     attempts: list[LinguaParseError] = []
-    for kind, rule in (
-        ("data", Parser.data_exp),
+    for kind, rule, *args in (
+        ("data", Parser.expression, DATA),
         ("items", Parser.item_sequence),
-        ("transfer", Parser.tra_exp),
+        ("transfer", Parser.expression, TRANSFER),
         ("type", Parser.typ_exp),
     ):
         try:
-            result = _whole(Parser(text, tokens), rule)
+            result = _whole(Parser(text, tokens), rule, *args)
         except LinguaParseError as exc:
             if exc.diagnostic.kind == "too-deep":
                 raise  # as deep for every other sort

@@ -32,34 +32,35 @@ def _actuals(names: tuple[str, ...]) -> str:
 def print_concrete(ast: n.Node) -> str:
     p = print_concrete
     match ast:
-        # data expressions
-        case n.BoolLit(value):
+        # data expressions, each shared operator in one arm with its
+        # transfer twin
+        case n.BoolLit(value) | n.TraBoolLit(value):
             return "true" if value else "false"
-        case n.NumLit(num):
+        case n.NumLit(num) | n.TraNumLit(num):
             return num.text()
-        case n.WordLit(wor):
+        case n.WordLit(wor) | n.TraWordLit(wor):
             return f"'{wor}'"
         case n.IdeExp(ide):
             return ide
-        case n.AndExp(a, b):
+        case n.AndExp(a, b) | n.TraAndExp(a, b):
             return f"({p(a)} and {p(b)})"
-        case n.OrExp(a, b):
+        case n.OrExp(a, b) | n.TraOrExp(a, b):
             return f"({p(a)} or {p(b)})"
-        case n.NotExp(a):
+        case n.NotExp(a) | n.TraNotExp(a):
             return f"(not {p(a)})"
-        case n.LessExp(a, b):
+        case n.LessExp(a, b) | n.TraLessExp(a, b):
             return f"({p(a)} < {p(b)})"
-        case n.AddExp(a, b):
+        case n.AddExp(a, b) | n.TraAddExp(a, b):
             return f"({p(a)} + {p(b)})"
-        case n.DivExp(a, b):
+        case n.DivExp(a, b) | n.TraDivExp(a, b):
             return f"({p(a)} / {p(b)})"
         case n.MulExp(a, b):
             return f"({p(a)} * {p(b)})"
         case n.SubExp(a, b):
             return f"({p(a)} - {p(b)})"
-        case n.EqExp(a, b):
+        case n.EqExp(a, b) | n.TraEqExp(a, b):
             return f"({p(a)} = {p(b)})"
-        case n.GlueExp(a, b):
+        case n.GlueExp(a, b) | n.TraGlueExp(a, b):
             return f"({p(a)} glue {p(b)})"
         case n.ListExp(a):
             return f"list {p(a)} ee"
@@ -91,37 +92,15 @@ def print_concrete(ast: n.Node) -> str:
             return f"if {p(g)} then {p(a)} else {p(b)} fi"
         case n.FunCallExp(ide, apar):
             return f"{ide}({_actuals(apar)})"
-        # transfer expressions
-        case n.TraNumLit(num):
-            return num.text()
-        case n.TraWordLit(wor):
-            return f"'{wor}'"
-        case n.TraBoolLit(value):
-            return "true" if value else "false"
-        case n.TraAddExp(a, b):
-            return f"({p(a)} + {p(b)})"
-        case n.TraDivExp(a, b):
-            return f"({p(a)} / {p(b)})"
+        # transfer-only expressions
         case n.SumExp(a):
             return f"sum ({p(a)})"
         case n.MaxExp(a):
             return f"max ({p(a)})"
-        case n.TraGlueExp(a, b):
-            return f"({p(a)} glue {p(b)})"
-        case n.TraEqExp(a, b):
-            return f"({p(a)} = {p(b)})"
-        case n.TraLessExp(a, b):
-            return f"({p(a)} < {p(b)})"
         case n.SmallNumberExp(a):
             return f"small-number ({p(a)})"
         case n.IncreasingExp(a):
             return f"increasing ({p(a)})"
-        case n.TraAndExp(a, b):
-            return f"({p(a)} and {p(b)})"
-        case n.TraOrExp(a, b):
-            return f"({p(a)} or {p(b)})"
-        case n.TraNotExp(a):
-            return f"(not {p(a)})"
         case n.AllListExp(a):
             return f"all-list {p(a)} ee"
         case n.AllArrayExp(a):

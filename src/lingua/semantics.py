@@ -283,6 +283,11 @@ def _glue(left: Composite, right: Composite, limits: Limits) -> EvalResult:
     return _sized(WordData(left.dat.text + right.dat.text), WORD, limits)
 
 
+def _not_boolean(exp: n.Node) -> AbstractError:
+    """A connective's error word for a non-Boolean operand, by its sort."""
+    return A_YOKE_EXPECTED if isinstance(exp, n.TraExp) else BOOLEAN_EXPECTED
+
+
 def _negate(com: Composite, expected: AbstractError) -> EvalResult:
     if com.bod is not BOOLEAN:
         return expected
@@ -564,7 +569,7 @@ def _assign(ide: str, value: DataCode) -> StateCode:
             return load_error(sta, NO_COHERENCE)
         if not is_boo_composite(com):
             return load_error(sta, A_YOKE_EXPECTED)
-        if com == FALSE_COMPOSITE:
+        if not com.dat.value:
             return load_error(sta, YOKE_NOT_SATISFIED)
         return bind_variable(sta, ide, Value(new.dat, LangType(new.bod, val.typ.tra), new))
 
@@ -588,7 +593,7 @@ def _yoke(ide: str, tra: Transfer) -> StateCode:
             return load_error(sta, com)
         if not is_boo_composite(com):
             return load_error(sta, A_YOKE_EXPECTED)
-        if com == FALSE_COMPOSITE:
+        if not com.dat.value:
             return load_error(sta, YOKE_NOT_SATISFIED)
         return bind_variable(sta, ide, Value(val.content, LangType(val.typ.bod, tra), old))
 
@@ -729,7 +734,7 @@ class Evaluator:
     def eval_data_exp(self, dae: n.DatExp, sta: State) -> EvalResult:
         if is_error(sta):
             return sta.store.register
-        return self._cached(self.compile_data_exp, dae)(sta)
+        return self._cached(self.compile_expression, dae)(sta)
 
     def eval_transfer_exp(self, tre: n.TraExp, sta: State) -> Union[Transfer, AbstractError]:
         if is_error(sta):
@@ -754,14 +759,16 @@ class Evaluator:
 
     # -- compilation ---------------------------------------------------------
 
-    def compile_data_exp(self, dae: n.DatExp) -> DataCode:
-        sub, limits = self.compile_data_exp, self.limits
-        match dae:
-            case n.BoolLit(value):
+    def compile_expression(self, exp: n.Node) -> Code:
+        """The code of a data expression, over states, or of a transfer
+        expression, over composites.  A shared operator has one arm."""
+        sub, limits = self.compile_expression, self.limits
+        match exp:
+            case n.BoolLit(value) | n.TraBoolLit(value):
                 return _constant(boo_composite(value))
-            case n.NumLit(number):
+            case n.NumLit(number) | n.TraNumLit(number):
                 return _constant(_number(number, limits))
-            case n.WordLit(text):
+            case n.WordLit(text) | n.TraWordLit(text):
                 return _constant(_sized(WordData(text), WORD, limits))
             case n.IdeExp(ide):
 
@@ -774,25 +781,25 @@ class Evaluator:
                     return val.composite()
 
                 return variable
-            case n.AndExp(a, b):
-                return _lazy(sub(a), sub(b), False, BOOLEAN_EXPECTED)
-            case n.OrExp(a, b):
-                return _lazy(sub(a), sub(b), True, BOOLEAN_EXPECTED)
-            case n.NotExp(a):
-                return _unary(sub(a), _negate, BOOLEAN_EXPECTED)
-            case n.LessExp(a, b):
+            case n.AndExp(a, b) | n.TraAndExp(a, b):
+                return _lazy(sub(a), sub(b), False, _not_boolean(exp))
+            case n.OrExp(a, b) | n.TraOrExp(a, b):
+                return _lazy(sub(a), sub(b), True, _not_boolean(exp))
+            case n.NotExp(a) | n.TraNotExp(a):
+                return _unary(sub(a), _negate, _not_boolean(exp))
+            case n.LessExp(a, b) | n.TraLessExp(a, b):
                 return _binary(sub(a), sub(b), _less, None)
-            case n.AddExp(a, b):
+            case n.AddExp(a, b) | n.TraAddExp(a, b):
                 return _binary(sub(a), sub(b), _add, limits)
             case n.SubExp(a, b):
                 return _binary(sub(a), sub(b), _sub, limits)
             case n.MulExp(a, b):
                 return _binary(sub(a), sub(b), _mul, limits)
-            case n.DivExp(a, b):
+            case n.DivExp(a, b) | n.TraDivExp(a, b):
                 return _binary(sub(a), sub(b), _divide, limits)
-            case n.EqExp(a, b):
+            case n.EqExp(a, b) | n.TraEqExp(a, b):
                 return _binary(sub(a), sub(b), _equal, None)
-            case n.GlueExp(a, b):
+            case n.GlueExp(a, b) | n.TraGlueExp(a, b):
                 return _binary(sub(a), sub(b), _glue, limits)
             case n.ListExp(element):
                 return _unary(sub(element), _list, limits)
@@ -825,21 +832,7 @@ class Evaluator:
             case n.FunCallExp(ide, apar):
                 evaluator = self._weak
                 return lambda sta: evaluator.call_functional_procedure(ide, apar, sta)
-        raise TypeError(f"not a data expression: {dae!r}")
-
-    def _transfer(self, tre: n.TraExp) -> Transfer:
-        """The transfer a transfer expression denotes, its source printed once."""
-        return Transfer(print_concrete(tre), self.compile_transfer_exp(tre))
-
-    def compile_transfer_exp(self, tre: n.TraExp) -> TransferCode:
-        sub, limits = self.compile_transfer_exp, self.limits
-        match tre:
-            case n.TraNumLit(number):
-                return _constant(_number(number, limits))
-            case n.TraWordLit(text):
-                return _constant(_sized(WordData(text), WORD, limits))
-            case n.TraBoolLit(value):
-                return _constant(boo_composite(value))
+            # transfer expressions only
             case n.ValueTra():
                 return _value
             case n.TopTra():
@@ -848,22 +841,6 @@ class Evaluator:
                 return _array_first(_binary(_value, sub(index), _array_at, None))
             case n.RecordAtTra(ide):
                 return _unary(_value, _record_at, ide)
-            case n.TraAddExp(a, b):
-                return _binary(sub(a), sub(b), _add, limits)
-            case n.TraDivExp(a, b):
-                return _binary(sub(a), sub(b), _divide, limits)
-            case n.TraLessExp(a, b):
-                return _binary(sub(a), sub(b), _less, None)
-            case n.TraEqExp(a, b):
-                return _binary(sub(a), sub(b), _equal, None)
-            case n.TraGlueExp(a, b):
-                return _binary(sub(a), sub(b), _glue, limits)
-            case n.TraAndExp(a, b):
-                return _lazy(sub(a), sub(b), False, A_YOKE_EXPECTED)
-            case n.TraOrExp(a, b):
-                return _lazy(sub(a), sub(b), True, A_YOKE_EXPECTED)
-            case n.TraNotExp(a):
-                return _unary(sub(a), _negate, A_YOKE_EXPECTED)
             case n.SumExp(a):
                 return _unary(sub(a), _sum, limits)
             case n.MaxExp(a):
@@ -876,7 +853,11 @@ class Evaluator:
                 return _all_elements(sub(a), ListBody, LIST_EXPECTED)
             case n.AllArrayExp(a):
                 return _all_elements(sub(a), ArrayBody, ARRAY_EXPECTED)
-        raise TypeError(f"not a transfer expression: {tre!r}")
+        raise TypeError(f"not a data or transfer expression: {exp!r}")
+
+    def _transfer(self, tre: n.TraExp) -> Transfer:
+        """The transfer a transfer expression denotes, its source printed once."""
+        return Transfer(print_concrete(tre), self.compile_expression(tre))
 
     def compile_type_exp(self, tex: n.TypExp) -> TypeCode:
         sub = self.compile_type_exp
@@ -915,7 +896,7 @@ class Evaluator:
         return traced
 
     def compile_instruction(self, ins: n.Instruction) -> StateCode:
-        data, step = self.compile_data_exp, self._step
+        data, step = self.compile_expression, self._step
         match ins:
             case n.SkipIns():
                 return _skip
@@ -1067,7 +1048,7 @@ class Evaluator:
             terminal = self._cached(self.compile_program, dec.prg)(terminal)
             if is_error(terminal):
                 return terminal.store.register
-        result = self._cached(self.compile_data_exp, dec.dae)(terminal)
+        result = self._cached(self.compile_expression, dec.dae)(terminal)
         if isinstance(result, AbstractError):
             return result
         if dec.tex is not None:

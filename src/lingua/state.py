@@ -53,22 +53,6 @@ class State:
     env: Env
     store: Store
 
-    @property
-    def types(self) -> dict[str, LangType]:
-        return self.env.types
-
-    @property
-    def procs(self) -> dict[str, Procedure]:
-        return self.env.procs
-
-    @property
-    def valuation(self) -> dict[str, Value]:
-        return self.store.valuation
-
-    @property
-    def register(self) -> Optional[AbstractError]:
-        return self.store.register
-
 
 def empty_state() -> State:
     return State(Env({}, {}), Store({}, None))

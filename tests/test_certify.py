@@ -80,28 +80,27 @@ class CheckingEvaluator(Evaluator):
     # The hooks wrap the compiled closure of every node, so they see each
     # result and state as the closures produce them.
 
-    def compile_data_exp(self, dae):
-        code = super().compile_data_exp(dae)
+    def compile_expression(self, exp):
+        code = super().compile_expression(exp)
 
-        def checked(sta):
-            result = code(sta)
-            if isinstance(result, Composite):
-                assert_certified(result)
-                self.built.add(type(dae))
-            return result
+        if isinstance(exp, n.DatExp):
 
-        return checked
+            def checked(sta):
+                result = code(sta)
+                if isinstance(result, Composite):
+                    assert_certified(result)
+                    self.built.add(type(exp))
+                return result
 
-    def compile_transfer_exp(self, tre):
-        code = super().compile_transfer_exp(tre)
+        else:
 
-        def checked(com):
-            assert_certified(com)
-            result = code(com)
-            if isinstance(result, Composite):
-                assert_certified(result)
-                self.built.add(type(tre))
-            return result
+            def checked(com):
+                assert_certified(com)
+                result = code(com)
+                if isinstance(result, Composite):
+                    assert_certified(result)
+                    self.built.add(type(exp))
+                return result
 
         return checked
 

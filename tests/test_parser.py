@@ -3,7 +3,7 @@ import sys
 import pytest
 
 from lingua.diagnostics import LinguaParseError
-from lingua.kernel import Number
+from lingua.kernel import BoolData, Number, num
 from lingua import nodes as n
 from lingua import parser
 from lingua.parser import (
@@ -16,7 +16,7 @@ from lingua.parser import (
     restore_expression,
 )
 from lingua.printer import print_concrete
-from lingua.semantics import run_source
+from lingua.semantics import eval_source_expression, run_source
 
 
 def lit(value):
@@ -243,8 +243,14 @@ class TestTransferExpressions:
         assert parse_transfer_expression("record. fa-name") == n.RecordAtTra("fa-name")
 
     def test_no_multiplication_in_transfers(self):
-        with pytest.raises(LinguaParseError):
-            parse_transfer_expression("value * 2")
+        # `*` and `-` end a transfer expression, so the operator is left over
+        for op in "*-":
+            with pytest.raises(LinguaParseError) as exc:
+                parse_transfer_expression(f"value {op} 2")
+            diag = exc.value.diagnostic
+            assert diag.kind == "syntactic"
+            assert diag.message == f"unexpected '{op}' after the end of the phrase"
+            assert (diag.span.begin, diag.span.end, diag.span.line, diag.span.column) == (6, 7, 1, 7)
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +545,41 @@ class TestDiagnostics:
         assert diag.span.line == 1
         assert text.index("(") < diag.span.begin < text.index("1")
         assert text[diag.span.begin] == "("
+
+
+class TestNestingDepth:
+    """How deep expressions nest at the host's default recursion limit.
+
+    Each level of nesting costs the parser, the compiler and the compiled
+    code a fixed number of Python frames; one frame more per level on the
+    path a case takes fails that case.
+    """
+
+    @pytest.fixture(autouse=True)
+    def default_recursion_limit(self):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        yield
+        sys.setrecursionlimit(limit)
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("(" * 300 + "1" + ")" * 300, num(1)),
+            ("(1 + " * 225 + "1" + ")" * 225, num(226)),
+            ("not " * 900 + "true", BoolData(True)),
+        ],
+        ids=["parentheses", "sums", "negations"],
+    )
+    def test_data_expression(self, text, expected):
+        assert eval_source_expression(text).dat == expected
+
+    def test_transfer_expression(self):
+        tre = parse_transfer_expression("(value + " * 225 + "value" + ")" * 225)
+        for _ in range(225):
+            assert isinstance(tre, n.TraAddExp) and tre.tre1 == n.ValueTra()
+            tre = tre.tre2
+        assert tre == n.ValueTra()
 
 
 # ---------------------------------------------------------------------------
