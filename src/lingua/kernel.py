@@ -535,6 +535,10 @@ class Transfer:
     fn: Callable[[Composite], Union[Composite, AbstractError]] = field(
         compare=False, repr=False
     )
+    # True for `all-list T` and `all-array T`: their verdict on a collection
+    # of the right kind is T's on every element, so on a collection of one
+    # element it is T's verdict on that element.
+    elementwise: bool = field(default=False, compare=False, repr=False)
 
     def apply(self, x: Union[Composite, AbstractError]) -> Union[Composite, AbstractError]:
         return apply_transfer(self, x)
@@ -576,15 +580,14 @@ class LangType:
 
 
 def clan_tr_member(com: Composite, tra: Transfer) -> bool:
-    return apply_transfer(tra, com) == TRUE_COMPOSITE
+    verdict = apply_transfer(tra, com)
+    return is_boo_composite(verdict) and verdict.dat.value
 
 
 def clan_ty_member(com: Composite, typ: LangType) -> bool:
-    return (
-        com.bod == typ.bod
-        and clan_bo_member(com.dat, typ.bod)
-        and clan_tr_member(com, typ.tra)
-    )
+    """A composite is certified against its own body, so with an equal body
+    it is in the type's clan exactly when the transfer accepts it."""
+    return com.bod == typ.bod and clan_tr_member(com, typ.tra)
 
 
 class _Omega:

@@ -11,11 +11,11 @@ Each clause is compiled once per evaluator into a Python closure, its
 denotation: a function from states to states, composites or types, or,
 for a transfer, from composites to composites.  Each operator is one
 function over operand composites, shared by data and transfer expressions;
-`_unary` and `_binary` turn it into code over operand closures.  Literals
-are built, and size-checked, when they compile; sequences compile to flat
-blocks.  An expression's code runs on a state whose register is clear: the
-register is tested once, where evaluation enters the expression, since the
-state cannot change inside it.
+`_unary`, `_binary` and `_ternary` turn it into code over operand closures.
+Literals are built, and size-checked, when they compile; sequences compile
+to flat blocks.  An expression's code runs on a state whose register is
+clear: the register is tested once, where evaluation enters the
+expression, since the state cannot change inside it.
 
 Nontermination is bounded by a fuel budget, spent on loop iterations and
 procedure calls; running out raises OutOfFuel, which is an outcome of the
@@ -178,6 +178,38 @@ def _binary(a: Code, b: Code, op: Callable, param) -> Code:
         return op(left, right, param)
 
     return binary
+
+
+def _ternary(a: Code, b: Code, c: Code, op: Callable, param) -> Code:
+    """Three operands left to right, the first error is the result;
+    otherwise `op(first, second, third, param)`."""
+
+    def ternary(x):
+        first = a(x)
+        if isinstance(first, AbstractError):
+            return first
+        second = b(x)
+        if isinstance(second, AbstractError):
+            return second
+        third = c(x)
+        if isinstance(third, AbstractError):
+            return third
+        return op(first, second, third, param)
+
+    return ternary
+
+
+def _with_element(op: Callable, at: int) -> Callable:
+    """`op`, its result paired with its operand `at`: the element it adds
+    to, or changes in, a collection."""
+
+    def paired(*operands):
+        com = op(*operands)
+        if isinstance(com, AbstractError):
+            return com
+        return com, operands[at]
+
+    return paired
 
 
 def _lazy(a: Code, b: Code, short_on: bool, expected: AbstractError) -> Code:
@@ -366,32 +398,19 @@ def _add_to_array(arr: Composite, new: Composite, limits: Limits) -> EvalResult:
     return _sized(_unchecked_array((*arr.dat.items, new.dat)), arr.bod, limits)
 
 
-def _change_array(a: DataCode, index: DataCode, element: DataCode) -> DataCode:
-    def change_array(sta):
-        arr = a(sta)
-        if isinstance(arr, AbstractError):
-            return arr
-        idx = index(sta)
-        if isinstance(idx, AbstractError):
-            return idx
-        new = element(sta)
-        if isinstance(new, AbstractError):
-            return new
-        if not isinstance(arr.bod, ArrayBody):
-            return ARRAY_EXPECTED
-        if idx.bod is not NUMBER:
-            return NUMBER_EXPECTED
-        i = _index(idx.dat.value, len(arr.dat.items))
-        if i is None:
-            return INDEX_OUT_OF_RANGE
-        if new.bod != arr.bod.element:
-            return NO_COHERENCE
-        items = list(arr.dat.items)
-        items[i - 1] = new.dat
-        changed = _unchecked_array(tuple(items))
-        return _unchecked_composite(changed, arr.bod)
-
-    return change_array
+def _change_array(arr: Composite, idx: Composite, new: Composite, _) -> EvalResult:
+    if not isinstance(arr.bod, ArrayBody):
+        return ARRAY_EXPECTED
+    if idx.bod is not NUMBER:
+        return NUMBER_EXPECTED
+    i = _index(idx.dat.value, len(arr.dat.items))
+    if i is None:
+        return INDEX_OUT_OF_RANGE
+    if new.bod != arr.bod.element:
+        return NO_COHERENCE
+    items = list(arr.dat.items)
+    items[i - 1] = new.dat
+    return _unchecked_composite(_unchecked_array(tuple(items)), arr.bod)
 
 
 def _record(com: Composite, param: tuple[str, Limits]) -> EvalResult:
@@ -572,6 +591,45 @@ def _assign(ide: str, value: DataCode) -> StateCode:
         if not com.dat.value:
             return load_error(sta, YOKE_NOT_SATISFIED)
         return bind_variable(sta, ide, Value(new.dat, LangType(new.bod, val.typ.tra), new))
+
+    return assign
+
+
+def _element_write(ide: str, value: DataCode, single: Callable[[tuple], Data]) -> StateCode:
+    """`ide := dae` where `dae` adds one element to, or changes one element
+    of, the collection `ide` holds; `value` yields the new collection and
+    that element, and `single` makes a collection of one datum.
+
+    Every binder checks a value against its own transfer, so under
+    `all-list T` or `all-array T` every old element satisfies T, and the
+    verdict on the new collection is the verdict on the one element alone.
+    Any other yoke checks the whole value.  The new collection keeps the
+    held body, so it is coherent and keeps the held type.
+    """
+
+    def assign(sta):
+        if is_error(sta):
+            return sta
+        val = lookup_variable(sta, ide)
+        if val is None:
+            return load_error(sta, IDENTIFIER_NOT_DECLARED)
+        out = value(sta)
+        if isinstance(out, AbstractError):
+            return load_error(sta, out)
+        new, element = out
+        tra = val.typ.tra
+        if tra.elementwise:
+            new_only = _unchecked_composite(single((element.dat,)), new.bod)
+            com = apply_transfer(tra, new_only)
+        else:
+            com = apply_transfer(tra, new)
+        if isinstance(com, AbstractError):
+            return load_error(sta, com)
+        if not is_boo_composite(com):
+            return load_error(sta, A_YOKE_EXPECTED)
+        if not com.dat.value:
+            return load_error(sta, YOKE_NOT_SATISFIED)
+        return bind_variable(sta, ide, Value(new.dat, val.typ, new))
 
     return assign
 
@@ -814,7 +872,7 @@ class Evaluator:
             case n.AddToArrExp(target, element):
                 return _binary(sub(target), sub(element), _add_to_array, limits)
             case n.ChangeArrExp(target, index, element):
-                return _change_array(sub(target), sub(index), sub(element))
+                return _ternary(sub(target), sub(index), sub(element), _change_array, None)
             case n.ArrAtExp(target, index):
                 return _binary(sub(target), sub(index), _array_at, None)
             case n.RecordExp(ide, expr):
@@ -857,7 +915,8 @@ class Evaluator:
 
     def _transfer(self, tre: n.TraExp) -> Transfer:
         """The transfer a transfer expression denotes, its source printed once."""
-        return Transfer(print_concrete(tre), self.compile_expression(tre))
+        elementwise = isinstance(tre, (n.AllListExp, n.AllArrayExp))
+        return Transfer(print_concrete(tre), self.compile_expression(tre), elementwise)
 
     def compile_type_exp(self, tex: n.TypExp) -> TypeCode:
         sub = self.compile_type_exp
@@ -903,7 +962,7 @@ class Evaluator:
             case n.SeqIns():
                 return _block([step(item) for item in n.sequence_items(ins)])
             case n.AssignIns(ide, dae):
-                return _assign(ide, data(dae))
+                return self.compile_assignment(ide, dae)
             case n.YokeIns(ide, tre):
                 return _yoke(ide, self._transfer(tre))
             case n.CallIns(ide, ref_args, val_args):
@@ -918,6 +977,25 @@ class Evaluator:
             case n.WhileIns(guard, body):
                 return _while(data(guard), step(body), self.fuel)
         raise TypeError(f"not an instruction: {ins!r}")
+
+    def compile_assignment(self, ide: str, dae: n.DatExp) -> StateCode:
+        """`ide := dae`.  Whether `dae` adds or changes one element of the
+        value `ide` holds is decided here, from the tree: `add-to-arr`,
+        `push` and `change-arr` with `ide` itself as their collection."""
+        sub, limits = self.compile_expression, self.limits
+        match dae:
+            case n.AddToArrExp(n.IdeExp(held) as target, element) if held == ide:
+                value = _binary(sub(target), sub(element), _with_element(_add_to_array, 1), limits)
+                return _element_write(ide, value, _unchecked_array)
+            case n.PushExp(element, n.IdeExp(held) as target) if held == ide:
+                value = _binary(sub(element), sub(target), _with_element(_push, 0), limits)
+                return _element_write(ide, value, _unchecked_list)
+            case n.ChangeArrExp(n.IdeExp(held) as target, index, element) if held == ide:
+                value = _ternary(
+                    sub(target), sub(index), sub(element), _with_element(_change_array, 2), None
+                )
+                return _element_write(ide, value, _unchecked_array)
+        return _assign(ide, sub(dae))
 
     def compile_preamble(self, pam) -> StateCode:
         return _block([self.compile_declaration(item) for item in n.sequence_items(pam)])
@@ -1071,6 +1149,13 @@ def run_program(
     limits: Limits = Limits(),
     trace: Optional[Callable[[n.Instruction], None]] = None,
 ) -> State:
+    """Run a program from `sta`, by default the empty state.
+
+    Every initialized value in `sta` must satisfy its own type: its datum
+    pairs with its body and its transfer yields `true`.  The evaluator's
+    binders guarantee this for every state it returns; a write that adds or
+    changes one element under `all-list T` or `all-array T` relies on it.
+    """
     evaluator = Evaluator(limits=limits, fuel=fuel, trace=trace)
     return evaluator.run_program(prg, sta if sta is not None else empty_state())
 
@@ -1081,6 +1166,8 @@ def run_source(
     fuel: Optional[int] = None,
     limits: Limits = Limits(),
 ) -> State:
+    """Parse and run a program; `sta`, if given, must satisfy the
+    precondition of `run_program`, and is left unchanged."""
     from .parser import parse_program
 
     return run_program(parse_program(text), sta, fuel=fuel, limits=limits)

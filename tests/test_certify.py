@@ -6,6 +6,11 @@ tests stand in for the per-touch check: every composite the evaluator
 produces, and every initialized value it binds, must pass
 `clan_bo_member`, over the acceptance programs and over seeded random
 expressions and programs.
+
+Every initialized value the evaluator binds must also satisfy its own
+transfer: a write that adds or changes one element of a collection under
+`all-list T` or `all-array T` checks T on that element alone, which is
+exact only because every old element already satisfies T.
 """
 
 import pytest
@@ -27,7 +32,9 @@ from lingua.kernel import (
     Number,
     RecordBody,
     RecordData,
+    TRUE_COMPOSITE,
     Value,
+    apply_transfer,
     clan_bo_member,
     num,
     word,
@@ -68,6 +75,7 @@ def assert_values_certified(sta) -> None:
         com = val.composite()
         assert com.dat == val.content and com.bod == val.typ.bod, ide
         assert_certified(com)
+        assert apply_transfer(val.typ.tra, com) == TRUE_COMPOSITE, ide
 
 
 class CheckingEvaluator(Evaluator):

@@ -3,10 +3,13 @@ from lingua.kernel import (
     OMEGA,
     TT,
     AbstractError,
+    ArrayBody,
+    ArrayData,
     LangType,
     Value,
     num,
 )
+from lingua.semantics import run_source
 from lingua.state import (
     bind_type,
     bind_variable,
@@ -95,3 +98,20 @@ def test_omega_binding_round_trips():
 def test_clear_error():
     sta = load_error(empty_state(), OVERFLOW)
     assert not is_error(clear_error(sta))
+
+
+def test_run_source_leaves_the_callers_state_untouched():
+    numbers = Value(ArrayData((num(1), num(2))), LangType(ArrayBody(NUMBER), TT))
+    sta = bind_variable(empty_state(), "a", numbers)
+    sta = bind_variable(sta, "x", Value(num(1), NUMBER_TYPE))
+    valuation = dict(sta.store.valuation)
+    final = run_source(
+        "begin-program x := 5 ; a := add-to-arr a new 3 ee ; "
+        "yoke a := all-array (value < 10) ee ; a := add-to-arr a new 4 ee end-program",
+        sta,
+    )
+    assert register_word(final) == "OK"
+    assert lookup_variable(final, "a").content == ArrayData((num(1), num(2), num(3), num(4)))
+    assert sta.store.valuation == valuation
+    assert all(sta.store.valuation[ide] is val for ide, val in valuation.items())
+    assert sta.store.register is None
