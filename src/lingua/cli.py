@@ -1,7 +1,8 @@
 """Command-line front door: run, check, restore, ast and a line REPL.
 
 Exit codes: 0 clean run, 1 an abstract error is left in the register,
-2 parse diagnostics, 3 fuel exhausted, 4 I/O failure.
+2 parse diagnostics or a bad command line, 3 fuel exhausted, 4 unreadable
+input (an I/O failure or text that is not UTF-8).
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def _read_file(path: str, err: TextIO) -> Optional[str]:
     try:
         with open(path, encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"lingua: cannot read {path}: {exc}", file=err)
         return None
 
@@ -134,13 +135,26 @@ def _parse(parse: Callable[[str], T], text: str, path: str, err: TextIO) -> Opti
         return None
 
 
-def _resolve_fuel(flag: Optional[str]) -> Optional[int]:
-    raw = flag if flag is not None else os.environ.get("LINGUA_FUEL")
-    if raw is None:
-        return DEFAULT_FUEL
-    if raw == "unlimited":
+def _fuel(text: str) -> Optional[int]:
+    """A step budget: a whole number, or None for 'unlimited'."""
+    if text == "unlimited":
         return None
-    return int(raw)
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a whole number or 'unlimited': {text!r}"
+        ) from None
+
+
+def _digits(text: str) -> int:
+    try:
+        digits = int(text)
+    except ValueError:
+        digits = 0
+    if digits < 1:
+        raise argparse.ArgumentTypeError(f"not a positive whole number: {text!r}")
+    return digits
 
 
 def cmd_run(path: str, config: RunConfig, out: TextIO, err: TextIO) -> int:
@@ -270,11 +284,18 @@ def repl(
 def _build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lingua")
     sub = parser.add_subparsers(dest="command", required=True)
+    # argparse checks a string default with `type` too, so a bad LINGUA_FUEL
+    # is a usage error like a bad --fuel
+    fuel = dict(
+        type=_fuel,
+        default=os.environ.get("LINGUA_FUEL", str(DEFAULT_FUEL)),
+        help="step budget or 'unlimited'; LINGUA_FUEL sets the default",
+    )
 
     run = sub.add_parser("run", help="parse and execute a program")
     run.add_argument("file")
-    run.add_argument("--fuel", default=None, help="step budget or 'unlimited'")
-    run.add_argument("--max-digits", type=int, default=None)
+    run.add_argument("--fuel", **fuel)
+    run.add_argument("--max-digits", type=_digits, default=None)
     run.add_argument("--trace", action="store_true")
 
     check = sub.add_parser("check", help="parse only")
@@ -288,7 +309,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     ast.add_argument("--format", choices=("json", "sexpr"), default="sexpr")
 
     repl_cmd = sub.add_parser("repl", help="interactive session")
-    repl_cmd.add_argument("--fuel", default=None, help="step budget or 'unlimited'")
+    repl_cmd.add_argument("--fuel", **fuel)
     return parser
 
 
@@ -299,9 +320,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         limits = Limits()
         if args.max_digits is not None:
             limits = Limits(max_significant_digits=args.max_digits)
-        config = RunConfig(
-            fuel=_resolve_fuel(args.fuel), limits=limits, trace=args.trace
-        )
+        config = RunConfig(fuel=args.fuel, limits=limits, trace=args.trace)
         return cmd_run(args.file, config, out, err)
     if args.command == "check":
         return cmd_check(args.file, out, err)
@@ -310,7 +329,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.command == "ast":
         return cmd_ast(args.file, args.format, out, err)
     if args.command == "repl":
-        config = RunConfig(fuel=_resolve_fuel(args.fuel))
+        config = RunConfig(fuel=args.fuel)
         return repl(config, sys.stdin, out, err)
     raise AssertionError(f"unhandled command {args.command}")
 

@@ -6,6 +6,12 @@ grouping are rewritten while parsing.
 Operator priorities, tightest first: not, then * /, then + -, then glue,
 then < =, then and, then or; equal priorities associate to the left.
 
+Each keyword phrase is written once, in `PHRASES`: its template of
+keywords, punctuation and operand kinds.  The parser reads a template from
+its lead keyword and the printer writes it from the same row.  Only
+colloquial forms that branch after a prefix they share with another form
+are read by hand.
+
 Each grammar clause the parser goes through is recorded in a `fired` tag
 set, which is how the test corpus measures production coverage.
 """
@@ -60,12 +66,15 @@ ALL_PRODUCTION_TAGS = frozenset(
     f"{sort}:{name}" for sort, names in ALL_PRODUCTIONS.items() for name in names
 )
 
+# The sorts of phrases, which are also operand kinds in a template.  DATA
+# and TRANSFER are the columns of OPERATORS.  IDENT is an identifier, and
+# YOKE an optional `with` transfer that is `true` when absent.
+DATA, TRANSFER, TYPE, INSTRUCTION, DECLARATION, IDENT, YOKE = range(1, 8)
+
 # The operators data and transfer expressions share, written once:
 # token -> (priority, (data node, tag), (transfer node, tag)).  `-` and `*`
 # have no transfer form.  An expression's sort is its column.
-DATA, TRANSFER = 1, 2
-
-_OPERATORS: dict[str, tuple] = {
+OPERATORS: dict[str, tuple] = {
     "or": (1, (n.OrExp, "DatExp:or"), (n.TraOrExp, "TraExp:or")),
     "and": (2, (n.AndExp, "DatExp:and"), (n.TraAndExp, "TraExp:and")),
     "<": (3, (n.LessExp, "DatExp:less"), (n.TraLessExp, "TraExp:less")),
@@ -78,14 +87,112 @@ _OPERATORS: dict[str, tuple] = {
 }
 
 # `not`, by the same columns
-_NOT = (None, (n.NotExp, "DatExp:not"), (n.TraNotExp, "TraExp:not"))
+NEGATION = (None, (n.NotExp, "DatExp:not"), (n.TraNotExp, "TraExp:not"))
 
-_COMBINATORS = {
-    "sum": (n.SumExp, "TraExp:sum"),
-    "max": (n.MaxExp, "TraExp:max"),
-    "small-number": (n.SmallNumberExp, "TraExp:small-number"),
-    "increasing": (n.IncreasingExp, "TraExp:increasing"),
+# Every phrase with a fixed form, written once: node class -> (coverage
+# tag, template, colloquial templates...).  A template is the phrase's
+# keywords and punctuation, and the operand kind of each field in field
+# order.  The first template is the canonical form, which the printer
+# writes.  The parser reads each template from its lead keyword, except
+# the canonical forms of _BY_HAND.
+PHRASES: dict[type, tuple] = {
+    n.ListExp: ("DatExp:list", ("list", DATA, "ee")),
+    n.PushExp: ("DatExp:push", ("push", DATA, "on", DATA, "ee")),
+    n.TopExp: ("DatExp:top", ("top", "(", DATA, ")")),
+    n.PopExp: ("DatExp:pop", ("pop", "(", DATA, ")")),
+    n.ArrayExp: ("DatExp:array", ("array", DATA, "ee")),
+    n.AddToArrExp: ("DatExp:add-to-arr", ("add-to-arr", DATA, "new", DATA, "ee")),
+    n.ChangeArrExp: (
+        "DatExp:change-arr", ("change-arr", DATA, "at", DATA, "by", DATA, "ee")
+    ),
+    n.ArrAtExp: ("DatExp:arr-at", ("arr", DATA, "at", DATA, "ee")),
+    n.RecordExp: ("DatExp:record", ("record", IDENT, "of-value", DATA, "ee")),
+    n.AddAttrExp: (
+        "DatExp:add-attr", ("add-attr", IDENT, "of-value", DATA, "to", DATA, "ee")
+    ),
+    n.RecAtExp: ("DatExp:rec-at", ("rec", DATA, "at", IDENT, "ee")),
+    n.RemoveAttrExp: ("DatExp:remove-attr", ("remove-attr", IDENT, "from", DATA, "ee")),
+    n.ChangeRecExp: (
+        "DatExp:change-rec", ("change-rec", DATA, "at", IDENT, "by", DATA, "ee")
+    ),
+    n.CondExp: ("DatExp:cond", ("if", DATA, "then", DATA, "else", DATA, "fi")),
+    n.SumExp: ("TraExp:sum", ("sum", "(", TRANSFER, ")")),
+    n.MaxExp: ("TraExp:max", ("max", "(", TRANSFER, ")")),
+    n.SmallNumberExp: ("TraExp:small-number", ("small-number", "(", TRANSFER, ")")),
+    n.IncreasingExp: ("TraExp:increasing", ("increasing", "(", TRANSFER, ")")),
+    n.AllListExp: ("TraExp:all-list", ("all-list", TRANSFER, "ee")),
+    n.AllArrayExp: ("TraExp:all-array", ("all-array", TRANSFER, "ee")),
+    n.TopTra: ("TraExp:top", ("top",)),
+    n.ArrayAtTra: (
+        "TraExp:array-at", ("array", "[", TRANSFER, "]"), ("get-from-array", TRANSFER, "ee")
+    ),
+    n.RecordAtTra: (
+        "TraExp:record-attr", ("record", ".", IDENT), ("get-from-record", IDENT, "ee")
+    ),
+    n.ValueTra: ("TraExp:value", ("value",)),
+    n.BooleanTyp: ("TypExp:boolean", ("boolean",)),
+    n.NumberTyp: ("TypExp:number", ("number",)),
+    n.WordTyp: ("TypExp:word", ("word",)),
+    n.ListTyp: ("TypExp:list-type", ("list-type", TYPE, "ee")),
+    n.ArrayTyp: ("TypExp:array-type", ("array-type", TYPE, "ee")),
+    n.RecordTyp: ("TypExp:record-type", ("record-type", IDENT, "as", TYPE, "ee")),
+    n.ExpandRecordTyp: (
+        "TypExp:expand-record-type",
+        ("expand-record-type", TYPE, "at", IDENT, "by", TYPE, "ee"),
+    ),
+    n.ReplaceTransferTyp: (
+        "TypExp:replace-transfer-in",
+        ("replace-transfer-in", TYPE, "by", TRANSFER, "ee"),
+        ("set-type", TYPE, YOKE, "ee"),
+    ),
+    n.VarDec: ("VarDec:dec", ("let", IDENT, "be", TYPE, "tel")),
+    n.TypDef: ("TypDef:def", ("set", IDENT, "as", TYPE, "tes")),
+    n.YokeIns: ("Instruction:yoke", ("yoke", IDENT, ":=", TRANSFER)),
+    n.SkipIns: ("Instruction:skip", ("skip",)),
+    n.IfIns: (
+        "Instruction:if", ("if", DATA, "then", INSTRUCTION, "else", INSTRUCTION, "fi")
+    ),
+    n.IfErrorIns: ("Instruction:if-error", ("if-error", DATA, "then", INSTRUCTION, "fi")),
+    n.WhileIns: ("Instruction:while", ("while", DATA, "do", INSTRUCTION, "od")),
 }
+
+# Leads that name another lead's phrase
+_SYNONYMS = {
+    "add-atr": "add-attr",
+    "all-of-array": "all-array",
+    "array-of": "array-type",
+    "expand-record": "expand-record-type",
+    "string": "word",
+}
+
+# Phrases whose canonical form shares a prefix with a colloquial form that
+# branches after it.  The parser reads both forms by hand.
+_BY_HAND = (n.ArrayExp, n.ChangeArrExp, n.RecordExp, n.ArrayAtTra, n.RecordTyp)
+
+_SORTS = (
+    (n.DatExp, DATA),
+    (n.TraExp, TRANSFER),
+    (n.TypExp, TYPE),
+    (n.Instruction, INSTRUCTION),
+    (n.Declaration, DECLARATION),
+)
+
+
+def _index() -> dict[int, dict[str, tuple]]:
+    """Per sort: lead keyword -> (node class, tag, rest of the template)."""
+    leads: dict[int, dict[str, tuple]] = {sort: {} for _, sort in _SORTS}
+    for cls, (tag, *templates) in PHRASES.items():
+        index = next(leads[sort] for base, sort in _SORTS if issubclass(cls, base))
+        for lead, *rest in templates[cls in _BY_HAND :]:
+            index[lead] = (cls, tag, tuple(rest))
+    for synonym, lead in _SYNONYMS.items():
+        for index in leads.values():
+            if lead in index:
+                index[synonym] = index[lead]
+    return leads
+
+
+_LEADS = _index()
 
 _DECL_KEYWORDS = ("let", "set", "proc", "fun")
 
@@ -141,27 +248,19 @@ class Parser:
         tok = token or self.peek()
         raise LinguaParseError(ParseDiagnostic(tok.span, message, kind))
 
-    def accept_keyword(self, *names: str) -> bool:
-        if self.peek().is_keyword(*names):
+    # A keyword or punctuation token is matched by its text; a word literal
+    # never is, whatever its text.
+
+    def accept(self, *names: str) -> bool:
+        tok = self.peek()
+        if tok.text in names and tok.kind != "word":
             self.take()
             return True
         return False
 
-    def accept_punct(self, *names: str) -> bool:
-        if self.peek().is_punct(*names):
-            self.take()
-            return True
-        return False
-
-    def expect_keyword(self, name: str) -> Token:
+    def expect(self, name: str) -> Token:
         tok = self.peek()
-        if not tok.is_keyword(name):
-            self.error(f"expected '{name}', found {self._describe(tok)}")
-        return self.take()
-
-    def expect_punct(self, name: str) -> Token:
-        tok = self.peek()
-        if not tok.is_punct(name):
+        if tok.text != name or tok.kind == "word":
             self.error(f"expected '{name}', found {self._describe(tok)}")
         return self.take()
 
@@ -189,6 +288,42 @@ class Parser:
             return f"word literal '{tok.text}'"
         return f"'{tok.text}'"
 
+    # -- table phrases -------------------------------------------------------
+
+    def phrase(self, sort: int) -> n.Node:
+        """The phrase of `sort` at the current token.
+
+        A table phrase is read here, in the frame that dispatched on its
+        lead keyword, so an operand of its own sort costs one frame a level.
+        Data and transfer expressions come here only for a table lead
+        (`unary`); types and instructions read anything else by hand.
+        """
+        tok = self.peek()
+        row = _LEADS[sort].get(tok.text) if tok.kind == "keyword" else None
+        if row is None:
+            return self.typ_atom() if sort == TYPE else self.simple_instruction()
+        self.take()
+        ctor, tag, template = row
+        args = []
+        for part in template:
+            if part.__class__ is str:
+                self.expect(part)
+            elif part <= TRANSFER:
+                args.append(self.expression(part))
+            elif part == TYPE:
+                args.append(self.phrase(TYPE))
+            elif part == INSTRUCTION:
+                args.append(self.instruction_seq())
+            elif part == IDENT:
+                args.append(self.expect_ident())
+            elif self.accept("with"):  # YOKE
+                args.append(self.expression(TRANSFER))
+            else:
+                args.append(n.TraBoolLit(True))
+                self.fire("TraExp:true")
+        self.fire(tag)
+        return ctor(*args)
+
     # -- data and transfer expressions --------------------------------------
 
     def expression(self, sort: int, min_prec: int = 0) -> n.Node:
@@ -197,7 +332,7 @@ class Parser:
         left = self.unary(sort)
         while True:
             tok = self.peek()
-            op = _OPERATORS.get(tok.text) if tok.kind != "word" else None
+            op = OPERATORS.get(tok.text) if tok.kind != "word" else None
             if op is None or op[sort] is None or op[0] < min_prec:
                 break
             self.take()
@@ -208,14 +343,20 @@ class Parser:
         return left
 
     def unary(self, sort: int) -> n.Node:
-        if self.accept_keyword("not"):
+        tok = self.peek()
+        if tok.is_keyword("not"):
+            self.take()
             operand = self.unary(sort)
-            ctor, tag = _NOT[sort]
+            ctor, tag = NEGATION[sort]
             self.fire(tag)
             return ctor(operand)
-        if sort == DATA:
-            return self.data_postfix(self.data_atom())
-        return self.tra_atom()
+        if tok.kind == "keyword" and tok.text in _LEADS[sort]:
+            node = self.phrase(sort)
+        elif sort == DATA:
+            node = self.data_atom()
+        else:
+            return self.tra_atom()
+        return self.data_postfix(node) if sort == DATA else node
 
     def data_postfix(self, node: n.DatExp) -> n.DatExp:
         while self.peek().is_punct("."):
@@ -224,14 +365,14 @@ class Parser:
                 self.take()
                 self.take()
                 index = self.expression(DATA)
-                self.expect_punct("]")
+                self.expect("]")
                 node = n.ArrAtExp(node, index)
                 self.fire("DatExp:arr-at")
             elif nxt.is_punct("("):
                 self.take()
                 self.take()
                 ide = self.expect_ident()
-                self.expect_punct(")")
+                self.expect(")")
                 node = n.RecAtExp(node, ide)
                 self.fire("DatExp:rec-at")
             else:
@@ -259,7 +400,7 @@ class Parser:
             if self.peek().is_punct("("):
                 self.take()
                 apar = self.actual_params()
-                self.expect_punct(")")
+                self.expect(")")
                 self.fire("DatExp:call")
                 return n.FunCallExp(tok.text, apar)
             self.fire("DatExp:ide")
@@ -267,46 +408,19 @@ class Parser:
         if tok.is_punct("("):
             self.take()
             inner = self.expression(DATA)
-            self.expect_punct(")")
+            self.expect(")")
             return inner
-        if tok.kind == "keyword":
-            return self._data_keyword_atom(tok)
-        self.error(f"expected a data expression, found {self._describe(tok)}")
-
-    def _data_keyword_atom(self, tok: Token) -> n.DatExp:
-        kw = tok.text
-        if kw in ("true", "false"):
+        if tok.is_keyword("true", "false"):
             self.take()
-            self.fire(f"DatExp:{kw}")
-            return n.BoolLit(kw == "true")
-        if kw == "list":
+            self.fire(f"DatExp:{tok.text}")
+            return n.BoolLit(tok.text == "true")
+        if tok.is_keyword("array"):
             self.take()
-            element = self.expression(DATA)
-            self.expect_keyword("ee")
-            self.fire("DatExp:list")
-            return n.ListExp(element)
-        if kw == "push":
-            self.take()
-            element = self.expression(DATA)
-            self.expect_keyword("on")
-            target = self.expression(DATA)
-            self.expect_keyword("ee")
-            self.fire("DatExp:push")
-            return n.PushExp(element, target)
-        if kw in ("top", "pop"):
-            self.take()
-            self.expect_punct("(")
-            operand = self.expression(DATA)
-            self.expect_punct(")")
-            self.fire(f"DatExp:{kw}")
-            return n.TopExp(operand) if kw == "top" else n.PopExp(operand)
-        if kw == "array":
-            self.take()
-            if self.accept_punct("["):
+            if self.accept("["):
                 elements = [self.expression(DATA)]
-                while self.accept_punct(","):
+                while self.accept(","):
                     elements.append(self.expression(DATA))
-                self.expect_punct("]")
+                self.expect("]")
                 self.fire("DatExp:array")
                 node: n.DatExp = n.ArrayExp(elements[0])
                 for element in elements[1:]:
@@ -314,118 +428,56 @@ class Parser:
                     self.fire("DatExp:add-to-arr")
                 return node
             element = self.expression(DATA)
-            self.expect_keyword("ee")
+            self.expect("ee")
             self.fire("DatExp:array")
             return n.ArrayExp(element)
-        if kw == "add-to-arr":
+        if tok.is_keyword("change-arr"):
             self.take()
             target = self.expression(DATA)
-            self.expect_keyword("new")
-            element = self.expression(DATA)
-            self.expect_keyword("ee")
-            self.fire("DatExp:add-to-arr")
-            return n.AddToArrExp(target, element)
-        if kw == "change-arr":
-            self.take()
-            target = self.expression(DATA)
-            if self.accept_keyword("by"):
+            if self.accept("by"):
                 pairs = []
                 while True:
                     index = self.expression(DATA)
-                    self.expect_punct("<=")
+                    self.expect("<=")
                     element = self.expression(DATA)
                     pairs.append((index, element))
-                    if not self.accept_punct(","):
+                    if not self.accept(","):
                         break
-                self.expect_keyword("ee")
+                self.expect("ee")
                 node = target
                 for index, element in pairs:
                     node = n.ChangeArrExp(node, index, element)
                     self.fire("DatExp:change-arr")
                 return node
-            self.expect_keyword("at")
+            self.expect("at")
             index = self.expression(DATA)
-            self.expect_keyword("by")
+            self.expect("by")
             element = self.expression(DATA)
-            self.expect_keyword("ee")
+            self.expect("ee")
             self.fire("DatExp:change-arr")
             return n.ChangeArrExp(target, index, element)
-        if kw == "arr":
-            self.take()
-            target = self.expression(DATA)
-            self.expect_keyword("at")
-            index = self.expression(DATA)
-            self.expect_keyword("ee")
-            self.fire("DatExp:arr-at")
-            return n.ArrAtExp(target, index)
-        if kw in ("record", "set-record"):
+        if tok.is_keyword("record", "set-record"):
             self.take()
             ide = self.expect_ident()
-            if self.accept_keyword("of-value"):
+            if self.accept("of-value"):
                 expr = self.expression(DATA)
-                self.expect_keyword("ee")
+                self.expect("ee")
                 self.fire("DatExp:record")
                 return n.RecordExp(ide, expr)
-            self.expect_punct("<=")
+            self.expect("<=")
             first = self.expression(DATA)
             fields = []
-            while self.accept_punct(","):
+            while self.accept(","):
                 attr = self.expect_ident()
-                self.expect_punct("<=")
+                self.expect("<=")
                 fields.append((attr, self.expression(DATA)))
-            self.expect_keyword("ee")
+            self.expect("ee")
             self.fire("DatExp:record")
             node = n.RecordExp(ide, first)
             for attr, expr in fields:
                 node = n.AddAttrExp(attr, expr, node)
                 self.fire("DatExp:add-attr")
             return node
-        if kw in ("add-attr", "add-atr"):
-            self.take()
-            ide = self.expect_ident()
-            self.expect_keyword("of-value")
-            expr = self.expression(DATA)
-            self.expect_keyword("to")
-            target = self.expression(DATA)
-            self.expect_keyword("ee")
-            self.fire("DatExp:add-attr")
-            return n.AddAttrExp(ide, expr, target)
-        if kw == "rec":
-            self.take()
-            target = self.expression(DATA)
-            self.expect_keyword("at")
-            ide = self.expect_ident()
-            self.expect_keyword("ee")
-            self.fire("DatExp:rec-at")
-            return n.RecAtExp(target, ide)
-        if kw == "remove-attr":
-            self.take()
-            ide = self.expect_ident()
-            self.expect_keyword("from")
-            target = self.expression(DATA)
-            self.expect_keyword("ee")
-            self.fire("DatExp:remove-attr")
-            return n.RemoveAttrExp(ide, target)
-        if kw == "change-rec":
-            self.take()
-            target = self.expression(DATA)
-            self.expect_keyword("at")
-            ide = self.expect_ident()
-            self.expect_keyword("by")
-            expr = self.expression(DATA)
-            self.expect_keyword("ee")
-            self.fire("DatExp:change-rec")
-            return n.ChangeRecExp(target, ide, expr)
-        if kw == "if":
-            self.take()
-            guard = self.expression(DATA)
-            self.expect_keyword("then")
-            then_branch = self.expression(DATA)
-            self.expect_keyword("else")
-            else_branch = self.expression(DATA)
-            self.expect_keyword("fi")
-            self.fire("DatExp:cond")
-            return n.CondExp(guard, then_branch, else_branch)
         self.error(f"expected a data expression, found {self._describe(tok)}")
 
     def tra_atom(self) -> n.TraExp:
@@ -441,74 +493,33 @@ class Parser:
         if tok.is_punct("("):
             self.take()
             inner = self.expression(TRANSFER)
-            self.expect_punct(")")
+            self.expect(")")
             return inner
         if tok.is_keyword("true", "false"):
             self.take()
             self.fire(f"TraExp:{tok.text}")
             return n.TraBoolLit(tok.text == "true")
-        if tok.kind == "keyword" and tok.text in _COMBINATORS:
-            self.take()
-            ctor, tag = _COMBINATORS[tok.text]
-            self.expect_punct("(")
-            inner = self.expression(TRANSFER)
-            self.expect_punct(")")
-            self.fire(tag)
-            return ctor(inner)
-        if tok.is_keyword("all-list", "all-array", "all-of-array"):
-            self.take()
-            inner = self.expression(TRANSFER)
-            self.expect_keyword("ee")
-            if tok.text == "all-list":
-                self.fire("TraExp:all-list")
-                return n.AllListExp(inner)
-            self.fire("TraExp:all-array")
-            return n.AllArrayExp(inner)
         if tok.is_keyword("array"):
             self.take()
-            if self.accept_punct("."):
-                self.expect_punct("[")
-            elif not self.accept_punct("["):
+            if self.accept("."):
+                self.expect("[")
+            elif not self.accept("["):
                 self.error("expected '[' after 'array' in a transfer expression")
             index = self.expression(TRANSFER)
-            self.expect_punct("]")
+            self.expect("]")
             self.fire("TraExp:array-at")
             return n.ArrayAtTra(index)
-        if tok.is_keyword("get-from-array"):
-            self.take()
-            index = self.expression(TRANSFER)
-            self.expect_keyword("ee")
-            self.fire("TraExp:array-at")
-            return n.ArrayAtTra(index)
-        if tok.is_keyword("record"):
-            self.take()
-            self.expect_punct(".")
-            ide = self.expect_ident()
-            self.fire("TraExp:record-attr")
-            return n.RecordAtTra(ide)
-        if tok.is_keyword("get-from-record"):
-            self.take()
-            ide = self.expect_ident()
-            self.expect_keyword("ee")
-            self.fire("TraExp:record-attr")
-            return n.RecordAtTra(ide)
-        if tok.is_keyword("top"):
-            self.take()
-            self.fire("TraExp:top")
-            return n.TopTra()
-        if tok.is_keyword("value"):
-            self.take()
-            self.fire("TraExp:value")
-            return n.ValueTra()
         self.error(f"expected a transfer expression, found {self._describe(tok)}")
 
     def _with_transfer(self) -> n.TraExp:
-        # A bare combinator name (`with small-number`) means the combinator
+        # A bare combinator name (`with small-number`), which is a transfer
+        # phrase whose operand is parenthesized, means the combinator
         # applied to the attribute value.
         tok = self.peek()
-        if tok.kind == "keyword" and tok.text in _COMBINATORS and not self.peek(1).is_punct("("):
+        row = _LEADS[TRANSFER].get(tok.text) if tok.kind == "keyword" else None
+        if row is not None and row[2][:1] == ("(",) and not self.peek(1).is_punct("("):
             self.take()
-            ctor, tag = _COMBINATORS[tok.text]
+            ctor, tag, _ = row
             self.fire(tag)
             self.fire("TraExp:value")
             return ctor(n.ValueTra())
@@ -516,83 +527,27 @@ class Parser:
 
     # -- type expressions --------------------------------------------------
 
-    def typ_exp(self) -> n.TypExp:
+    def typ_atom(self) -> n.TypExp:
         tok = self.peek()
-        if tok.is_keyword("boolean"):
-            self.take()
-            self.fire("TypExp:boolean")
-            return n.BooleanTyp()
-        if tok.is_keyword("number"):
-            self.take()
-            self.fire("TypExp:number")
-            return n.NumberTyp()
-        if tok.is_keyword("word", "string"):
-            self.take()
-            self.fire("TypExp:word")
-            return n.WordTyp()
         if tok.kind == "ident":
             self.take()
             self.fire("TypExp:ide")
             return n.IdeTyp(tok.text)
-        if tok.is_keyword("list-type"):
-            self.take()
-            inner = self.typ_exp()
-            self.expect_keyword("ee")
-            self.fire("TypExp:list-type")
-            return n.ListTyp(inner)
-        if tok.is_keyword("array-type", "array-of"):
-            self.take()
-            inner = self.typ_exp()
-            self.expect_keyword("ee")
-            self.fire("TypExp:array-type")
-            return n.ArrayTyp(inner)
-        if tok.is_keyword("record-type", "record-of"):
-            self.take()
-            return self._record_type()
-        if tok.is_keyword("expand-record-type", "expand-record"):
-            self.take()
-            base = self.typ_exp()
-            self.expect_keyword("at")
-            ide = self.expect_ident()
-            self.expect_keyword("by")
-            addition = self.typ_exp()
-            self.expect_keyword("ee")
-            self.fire("TypExp:expand-record-type")
-            return n.ExpandRecordTyp(base, ide, addition)
-        if tok.is_keyword("replace-transfer-in"):
-            self.take()
-            base = self.typ_exp()
-            self.expect_keyword("by")
-            transfer = self.expression(TRANSFER)
-            self.expect_keyword("ee")
-            self.fire("TypExp:replace-transfer-in")
-            return n.ReplaceTransferTyp(base, transfer)
-        if tok.is_keyword("set-type"):
-            self.take()
-            base = self.typ_exp()
-            if self.accept_keyword("with"):
-                transfer = self.expression(TRANSFER)
-            else:
-                transfer = n.TraBoolLit(True)
-                self.fire("TraExp:true")
-            self.expect_keyword("ee")
-            self.fire("TypExp:replace-transfer-in")
-            return n.ReplaceTransferTyp(base, transfer)
-        self.error(f"expected a type expression, found {self._describe(tok)}")
-
-    def _record_type(self) -> n.TypExp:
+        if not tok.is_keyword("record-type", "record-of"):
+            self.error(f"expected a type expression, found {self._describe(tok)}")
+        self.take()
         # Multi-attribute lists and inline `with` yokes are colloquial; they
         # fold into expand-record-type chains and one replace-transfer-in.
         fields: list[tuple[str, n.TypExp, Optional[n.TraExp]]] = []
         while True:
             ide = self.expect_ident()
-            self.expect_keyword("as")
-            tex = self.typ_exp()
-            yoke = self._with_transfer() if self.accept_keyword("with") else None
+            self.expect("as")
+            tex = self.phrase(TYPE)
+            yoke = self._with_transfer() if self.accept("with") else None
             fields.append((ide, tex, yoke))
-            if not self.accept_punct(","):
+            if not self.accept(","):
                 break
-        self.expect_keyword("ee")
+        self.expect("ee")
         self.fire("TypExp:record-type")
         node: n.TypExp = n.RecordTyp(fields[0][0], fields[0][1])
         for ide, tex, _ in fields[1:]:
@@ -613,14 +568,14 @@ class Parser:
     # -- parameters ----------------------------------------------------------
 
     def actual_params(self, stop: tuple[str, ...] = ()) -> tuple[str, ...]:
-        if self.accept_keyword("empty-ap"):
+        if self.accept("empty-ap"):
             self.fire("ActParameters:empty")
             return ()
         if self.peek().is_punct(")") or self.peek().is_keyword(*stop):
             self.fire("ActParameters:empty")
             return ()
         names = [self.expect_ident()]
-        while self.accept_punct(","):
+        while self.accept(","):
             names.append(self.expect_ident())
         self.fire("ActParameters:single")
         if len(names) > 1:
@@ -628,7 +583,7 @@ class Parser:
         return tuple(names)
 
     def formal_params(self, stop: tuple[str, ...] = ()) -> tuple[n.FormalParam, ...]:
-        if self.accept_keyword("empty-fp"):
+        if self.accept("empty-fp"):
             self.fire("ForParameters:empty")
             return ()
         if self.peek().is_punct(")") or self.peek().is_keyword(*stop):
@@ -638,14 +593,14 @@ class Parser:
         pending: list[str] = []
         while True:
             pending.append(self.expect_ident())
-            if self.accept_keyword("as"):
-                tex = self.typ_exp()
+            if self.accept("as"):
+                tex = self.phrase(TYPE)
                 for name in pending:
                     params.append(n.FormalParam(name, tex))
                 pending = []
-                if not self.accept_punct(","):
+                if not self.accept(","):
                     break
-            elif not self.accept_punct(","):
+            elif not self.accept(","):
                 self.error("expected 'as' with a type in the formal parameter list")
         self.fire("ForParameters:single")
         if len(params) > 1:
@@ -655,70 +610,34 @@ class Parser:
     # -- instructions ----------------------------------------------------------
 
     def instruction_seq(self) -> n.Instruction:
-        items = [self.simple_instruction()]
-        while self.accept_punct(";"):
-            items.append(self.simple_instruction())
+        items = [self.phrase(INSTRUCTION)]
+        while self.accept(";"):
+            items.append(self.phrase(INSTRUCTION))
         if len(items) > 1:
             self.fire("Instruction:seq")
         return _fold_right(items, n.SeqIns)
 
     def simple_instruction(self) -> n.Instruction:
+        """An instruction that is not a table phrase."""
         tok = self.peek()
-        if tok.is_keyword("skip"):
-            self.take()
-            self.fire("Instruction:skip")
-            return n.SkipIns()
         if tok.is_keyword("call"):
             self.take()
             ide = self.expect_ident()
-            self.expect_punct("(")
-            self.expect_keyword("ref")
+            self.expect("(")
+            self.expect("ref")
             ref_args = self.actual_params(stop=("val",))
-            self.expect_keyword("val")
+            self.expect("val")
             val_args = self.actual_params()
-            self.expect_punct(")")
+            self.expect(")")
             self.fire("Instruction:call")
             return n.CallIns(ide, ref_args, val_args)
-        if tok.is_keyword("if"):
-            self.take()
-            guard = self.expression(DATA)
-            self.expect_keyword("then")
-            then_branch = self.instruction_seq()
-            self.expect_keyword("else")
-            else_branch = self.instruction_seq()
-            self.expect_keyword("fi")
-            self.fire("Instruction:if")
-            return n.IfIns(guard, then_branch, else_branch)
-        if tok.is_keyword("if-error"):
-            self.take()
-            guard = self.expression(DATA)
-            self.expect_keyword("then")
-            handler = self.instruction_seq()
-            self.expect_keyword("fi")
-            self.fire("Instruction:if-error")
-            return n.IfErrorIns(guard, handler)
-        if tok.is_keyword("while"):
-            self.take()
-            guard = self.expression(DATA)
-            self.expect_keyword("do")
-            body = self.instruction_seq()
-            self.expect_keyword("od")
-            self.fire("Instruction:while")
-            return n.WhileIns(guard, body)
-        if tok.is_keyword("yoke"):
-            self.take()
-            ide = self.expect_ident()
-            self.expect_punct(":=")
-            transfer = self.expression(TRANSFER)
-            self.fire("Instruction:yoke")
-            return n.YokeIns(ide, transfer)
         if tok.is_keyword(*_DECL_KEYWORDS) or (
             tok.is_keyword("begin") and self.peek(1).is_keyword("multiproc")
         ):
             self.error("declarations must precede the instructions of a program")
         if tok.kind == "ident":
             ide = self.expect_ident()
-            self.expect_punct(":=")
+            self.expect(":=")
             expr = self.expression(DATA)
             self.fire("Instruction:assign")
             return n.AssignIns(ide, expr)
@@ -726,99 +645,79 @@ class Parser:
 
     # -- declarations ----------------------------------------------------
 
-    def var_dec(self) -> n.VarDec:
-        self.expect_keyword("let")
-        ide = self.expect_ident()
-        self.expect_keyword("be")
-        tex = self.typ_exp()
-        self.expect_keyword("tel")
-        self.fire("VarDec:dec")
-        return n.VarDec(ide, tex)
-
-    def typ_def(self) -> n.TypDef:
-        self.expect_keyword("set")
-        ide = self.expect_ident()
-        self.expect_keyword("as")
-        tex = self.typ_exp()
-        self.expect_keyword("tes")
-        self.fire("TypDef:def")
-        return n.TypDef(ide, tex)
-
     def imp_proc_dec(self) -> n.ImpProcDec:
-        self.expect_keyword("proc")
+        self.expect("proc")
         ide = self.expect_ident()
-        self.expect_punct("(")
-        self.expect_keyword("val")
+        self.expect("(")
+        self.expect("val")
         val_params = self.formal_params(stop=("ref",))
-        self.expect_keyword("ref")
+        self.expect("ref")
         ref_params = self.formal_params()
-        self.expect_punct(")")
+        self.expect(")")
         prg = self.program()
-        self.expect_keyword("end")
-        self.expect_keyword("proc")
+        self.expect("end")
+        self.expect("proc")
         self.fire("ImpProcDec:dec")
         return n.ImpProcDec(ide, val_params, ref_params, prg)
 
     def multi_proc_dec(self) -> n.MultiProcDec:
-        self.expect_keyword("begin")
-        self.expect_keyword("multiproc")
+        self.expect("begin")
+        self.expect("multiproc")
         decs = [self.imp_proc_dec()]
-        self.accept_punct(";")
+        self.accept(";")
         while self.peek().is_keyword("proc"):
             decs.append(self.imp_proc_dec())
-            self.accept_punct(";")
-        self.expect_keyword("end")
-        self.expect_keyword("multiproc")
+            self.accept(";")
+        self.expect("end")
+        self.expect("multiproc")
         self.fire("MultiProcDec:dec")
         return n.MultiProcDec(tuple(decs))
 
     def fun_proc_dec(self) -> n.FunProcDec:
-        self.expect_keyword("fun")
+        self.expect("fun")
         ide = self.expect_ident()
-        self.expect_punct("(")
+        self.expect("(")
         params = self.formal_params()
-        self.expect_punct(")")
+        self.expect(")")
         if self.peek().is_keyword("begin-program"):
             prg = self.program()
-            self.expect_keyword("return")
+            self.expect("return")
             dae = self.expression(DATA)
-            self.expect_keyword("as")
-            tex = self.typ_exp()
-            if not (self.accept_keyword("end") or self.accept_keyword("and")):
+            self.expect("as")
+            tex = self.phrase(TYPE)
+            if not self.accept("end", "and"):
                 self.error("expected 'end fun' to close the function declaration")
-            self.expect_keyword("fun")
+            self.expect("fun")
             self.fire("FunProcDec:program")
             return n.FunProcDec(ide, params, prg, dae, tex)
         dae = self.expression(DATA)
-        self.expect_keyword("endfun")
+        self.expect("endfun")
         self.fire("FunProcDec:expression")
         return n.FunProcDec(ide, params, None, dae, None)
 
     def program_item(self) -> n.Node:
         tok = self.peek()
-        if tok.is_keyword("let"):
-            return self.var_dec()
-        if tok.is_keyword("set"):
-            return self.typ_def()
+        if tok.kind == "keyword" and tok.text in _LEADS[DECLARATION]:
+            return self.phrase(DECLARATION)
         if tok.is_keyword("proc"):
             return self.imp_proc_dec()
         if tok.is_keyword("begin") and self.peek(1).is_keyword("multiproc"):
             return self.multi_proc_dec()
         if tok.is_keyword("fun"):
             return self.fun_proc_dec()
-        return self.simple_instruction()
+        return self.phrase(INSTRUCTION)
 
     # -- preambles and programs ------------------------------------------
 
     def program(self) -> n.Program:
-        self.expect_keyword("begin-program")
+        self.expect("begin-program")
         items: list[tuple[n.Node, Token]] = []
         while True:
             start = self.peek()
             items.append((self.program_item(), start))
-            if not self.accept_punct(";"):
+            if not self.accept(";"):
                 break
-        self.expect_keyword("end-program")
+        self.expect("end-program")
         return self._assemble_program(items)
 
     def _assemble_program(self, items: list[tuple[n.Node, Token]]) -> n.Program:
@@ -899,7 +798,7 @@ class Parser:
         while True:
             start = self.peek()
             items.append((self.program_item(), start))
-            if not self.accept_punct(";"):
+            if not self.accept(";"):
                 break
         decls = [isinstance(node, n.Declaration) for node, _ in items]
         if all(decls):
@@ -946,7 +845,7 @@ def parse_transfer_expression(text: str) -> n.TraExp:
 
 
 def parse_type_expression(text: str) -> n.TypExp:
-    return _whole(Parser(text), Parser.typ_exp)
+    return _whole(Parser(text), Parser.phrase, TYPE)
 
 
 def parse_instruction(text: str) -> n.Instruction:
@@ -980,7 +879,7 @@ def parse_any(text: str) -> tuple[str, n.Node]:
         ("data", Parser.expression, DATA),
         ("items", Parser.item_sequence),
         ("transfer", Parser.expression, TRANSFER),
-        ("type", Parser.typ_exp),
+        ("type", Parser.phrase, TYPE),
     ):
         try:
             result = _whole(Parser(text, tokens), rule, *args)

@@ -1,8 +1,10 @@
 """Canonical concrete-syntax printing and AST dumps.
 
-print_concrete fully parenthesizes binary operators, glue included: the
-grammar writes glue without parentheses of its own, but under the priority
-ladder a bare glue nested inside another operator would re-parse
+print_concrete writes every phrase of the parser's tables from its row:
+a keyword phrase from its canonical template in `PHRASES`, an operator
+from `OPERATORS`.  It fully parenthesizes binary operators, glue included:
+the grammar writes glue without parentheses of its own, but under the
+priority ladder a bare glue nested inside another operator would re-parse
 differently, and the printing contract is that output re-parses to an
 equal tree.  The parser accepts the added parentheses as plain grouping.
 """
@@ -16,7 +18,36 @@ from functools import cache
 from typing import Any
 
 from .kernel import Number
+from .parser import DATA, NEGATION, OPERATORS, PHRASES
 from . import nodes as n
+
+
+def _form(cls: type, template: tuple) -> tuple[str, tuple[str, ...]]:
+    """`cls`'s template as %-format text, each operand a `%s`, with the
+    names of the fields that fill them.  Words are spaced; brackets and
+    parentheses hug what they enclose, and `.` and `[` what they follow."""
+    text = ""
+    for part in template:
+        word = part if part.__class__ is str else "%s"
+        if text and text[-1] not in "([." and word not in (")", "]", "[", "."):
+            text += " "
+        text += word
+    return text, tuple(f.name for f in dataclasses.fields(cls))
+
+
+def _forms() -> dict[type, tuple[str, tuple[str, ...]]]:
+    forms = {cls: _form(cls, templates[0]) for cls, (_, *templates) in PHRASES.items()}
+    for token, (priority, *columns) in (*OPERATORS.items(), ("not", NEGATION)):
+        if priority is None:
+            template: tuple = ("(", token, DATA, ")")
+        else:
+            template = ("(", DATA, token, DATA, ")")
+        for column in filter(None, columns):
+            forms[column[0]] = _form(column[0], template)
+    return forms
+
+
+_FORMS = _forms()
 
 
 def _formals(params: tuple[n.FormalParam, ...]) -> str:
@@ -31,112 +62,26 @@ def _actuals(names: tuple[str, ...]) -> str:
 
 def print_concrete(ast: n.Node) -> str:
     p = print_concrete
+    form = _FORMS.get(ast.__class__)
+    if form is not None:
+        text, names = form
+        operands = []
+        for name in names:  # a loop, not a generator, keeps one frame a level
+            value = getattr(ast, name)
+            operands.append(value if value.__class__ is str else p(value))
+        return text % tuple(operands)
     match ast:
-        # data expressions, each shared operator in one arm with its
-        # transfer twin
         case n.BoolLit(value) | n.TraBoolLit(value):
             return "true" if value else "false"
         case n.NumLit(num) | n.TraNumLit(num):
             return num.text()
         case n.WordLit(wor) | n.TraWordLit(wor):
             return f"'{wor}'"
-        case n.IdeExp(ide):
+        case n.IdeExp(ide) | n.IdeTyp(ide):
             return ide
-        case n.AndExp(a, b) | n.TraAndExp(a, b):
-            return f"({p(a)} and {p(b)})"
-        case n.OrExp(a, b) | n.TraOrExp(a, b):
-            return f"({p(a)} or {p(b)})"
-        case n.NotExp(a) | n.TraNotExp(a):
-            return f"(not {p(a)})"
-        case n.LessExp(a, b) | n.TraLessExp(a, b):
-            return f"({p(a)} < {p(b)})"
-        case n.AddExp(a, b) | n.TraAddExp(a, b):
-            return f"({p(a)} + {p(b)})"
-        case n.DivExp(a, b) | n.TraDivExp(a, b):
-            return f"({p(a)} / {p(b)})"
-        case n.MulExp(a, b):
-            return f"({p(a)} * {p(b)})"
-        case n.SubExp(a, b):
-            return f"({p(a)} - {p(b)})"
-        case n.EqExp(a, b) | n.TraEqExp(a, b):
-            return f"({p(a)} = {p(b)})"
-        case n.GlueExp(a, b) | n.TraGlueExp(a, b):
-            return f"({p(a)} glue {p(b)})"
-        case n.ListExp(a):
-            return f"list {p(a)} ee"
-        case n.PushExp(a, b):
-            return f"push {p(a)} on {p(b)} ee"
-        case n.TopExp(a):
-            return f"top ({p(a)})"
-        case n.PopExp(a):
-            return f"pop ({p(a)})"
-        case n.ArrayExp(a):
-            return f"array {p(a)} ee"
-        case n.AddToArrExp(a, b):
-            return f"add-to-arr {p(a)} new {p(b)} ee"
-        case n.ChangeArrExp(a, i, e):
-            return f"change-arr {p(a)} at {p(i)} by {p(e)} ee"
-        case n.ArrAtExp(a, i):
-            return f"arr {p(a)} at {p(i)} ee"
-        case n.RecordExp(ide, e):
-            return f"record {ide} of-value {p(e)} ee"
-        case n.AddAttrExp(ide, e, r):
-            return f"add-attr {ide} of-value {p(e)} to {p(r)} ee"
-        case n.RecAtExp(r, ide):
-            return f"rec {p(r)} at {ide} ee"
-        case n.RemoveAttrExp(ide, r):
-            return f"remove-attr {ide} from {p(r)} ee"
-        case n.ChangeRecExp(r, ide, e):
-            return f"change-rec {p(r)} at {ide} by {p(e)} ee"
-        case n.CondExp(g, a, b):
-            return f"if {p(g)} then {p(a)} else {p(b)} fi"
         case n.FunCallExp(ide, apar):
             return f"{ide}({_actuals(apar)})"
-        # transfer-only expressions
-        case n.SumExp(a):
-            return f"sum ({p(a)})"
-        case n.MaxExp(a):
-            return f"max ({p(a)})"
-        case n.SmallNumberExp(a):
-            return f"small-number ({p(a)})"
-        case n.IncreasingExp(a):
-            return f"increasing ({p(a)})"
-        case n.AllListExp(a):
-            return f"all-list {p(a)} ee"
-        case n.AllArrayExp(a):
-            return f"all-array {p(a)} ee"
-        case n.TopTra():
-            return "top"
-        case n.ArrayAtTra(a):
-            return f"array[{p(a)}]"
-        case n.RecordAtTra(ide):
-            return f"record.{ide}"
-        case n.ValueTra():
-            return "value"
-        # type expressions
-        case n.BooleanTyp():
-            return "boolean"
-        case n.NumberTyp():
-            return "number"
-        case n.WordTyp():
-            return "word"
-        case n.IdeTyp(ide):
-            return ide
-        case n.ListTyp(t):
-            return f"list-type {p(t)} ee"
-        case n.ArrayTyp(t):
-            return f"array-type {p(t)} ee"
-        case n.RecordTyp(ide, t):
-            return f"record-type {ide} as {p(t)} ee"
-        case n.ExpandRecordTyp(t1, ide, t2):
-            return f"expand-record-type {p(t1)} at {ide} by {p(t2)} ee"
-        case n.ReplaceTransferTyp(t, w):
-            return f"replace-transfer-in {p(t)} by {p(w)} ee"
         # declarations
-        case n.VarDec(ide, t):
-            return f"let {ide} be {p(t)} tel"
-        case n.TypDef(ide, t):
-            return f"set {ide} as {p(t)} tes"
         case n.FormalParam(ide, t):
             return f"{ide} as {p(t)}"
         case n.ImpProcDec(ide, val_params, ref_params, prg):
@@ -157,18 +102,8 @@ def print_concrete(ast: n.Node) -> str:
         # instructions
         case n.AssignIns(ide, dae):
             return f"{ide} := {p(dae)}"
-        case n.YokeIns(ide, tre):
-            return f"yoke {ide} := {p(tre)}"
-        case n.SkipIns():
-            return "skip"
         case n.CallIns(ide, ref_args, val_args):
             return f"call {ide} (ref {_actuals(ref_args)} val {_actuals(val_args)})"
-        case n.IfIns(g, a, b):
-            return f"if {p(g)} then {p(a)} else {p(b)} fi"
-        case n.IfErrorIns(g, a):
-            return f"if-error {p(g)} then {p(a)} fi"
-        case n.WhileIns(g, a):
-            return f"while {p(g)} do {p(a)} od"
         # sequences of every sort, joined along an explicit stack so that
         # long straight-line programs print without deep recursion
         case n.SeqIns() | n.PreSeq() | n.VarDecSeq() | n.TypDefSeq():

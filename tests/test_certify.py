@@ -41,7 +41,7 @@ from lingua.kernel import (
 )
 from lingua.semantics import Evaluator, OutOfFuel
 from lingua.parser import parse_program
-from lingua.state import bind_variable, empty_state
+from lingua.state import bind_variable, empty_state, is_error, lookup_variable, register_word
 
 from test_acceptance import (
     COVERAGE_CORPUS,
@@ -78,12 +78,27 @@ def assert_values_certified(sta) -> None:
         assert apply_transfer(val.typ.tra, com) == TRUE_COMPOSITE, ide
 
 
+def is_element_write(ide: str, dae: n.DatExp) -> bool:
+    """Does `ide := dae` add or change one element of the value `ide` holds?"""
+    match dae:
+        case (
+            n.AddToArrExp(n.IdeExp(held), _)
+            | n.ChangeArrExp(n.IdeExp(held), _, _)
+            | n.PushExp(_, n.IdeExp(held))
+        ):
+            return held == ide
+    return False
+
+
 class CheckingEvaluator(Evaluator):
     """Checks every composite and every state the evaluator produces."""
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
         self.built: set[type] = set()
+        # outcomes of element writes under an elementwise yoke: "OK", or
+        # the error word, "yoke-not-satisfied" when the element fails T
+        self.element_writes: set[str] = set()
 
     # The hooks wrap the compiled closure of every node, so they see each
     # result and state as the closures produce them.
@@ -111,6 +126,20 @@ class CheckingEvaluator(Evaluator):
                 return result
 
         return checked
+
+    def compile_assignment(self, ide, dae):
+        code = super().compile_assignment(ide, dae)
+        if not is_element_write(ide, dae):
+            return code
+
+        def counted(sta):
+            result = code(sta)
+            held = lookup_variable(sta, ide)
+            if not is_error(sta) and held is not None and held.typ.tra.elementwise:
+                self.element_writes.add(register_word(result))
+            return result
+
+        return counted
 
     def compile_instruction(self, ins):
         code = super().compile_instruction(ins)
@@ -169,8 +198,27 @@ def shaped(gen):
     ]
 
 
+def element_writes(gen):
+    """Programs that yoke `acc` or `z` elementwise and then add or change
+    one element of it; the new element sometimes fails the yoke."""
+    bound = gen.rng.randrange(5, 10)
+    yoke = f"(value < {bound}) ee"
+
+    def element():
+        return gen.rng.randrange(0, bound + 4)
+
+    writes = [
+        f"yoke acc := all-array {yoke} ; acc := add-to-arr acc new {element()} ee",
+        f"yoke acc := all-array {yoke} ; "
+        f"acc := change-arr acc at {gen.rng.randrange(1, 3)} by {element()} ee",
+        f"yoke z := all-list {yoke} ; z := push {element()} on z ee",
+    ]
+    return [parse_program(f"begin-program {text} end-program") for text in writes]
+
+
 def exercise(evaluator, gen, sta):
-    """Random data expressions, transfers applied to every variable, a program."""
+    """Random data expressions, transfers applied to every variable, a
+    program, and element writes under elementwise yokes."""
     for dae in [gen.data_exp(gen.rng.randrange(1, 5)) for _ in range(10)] + shaped(gen):
         evaluator.eval_data_exp(dae, sta)
     for _ in range(5):
@@ -180,6 +228,9 @@ def exercise(evaluator, gen, sta):
                 tra.apply(val.composite())
     evaluator.fuel.remaining = 300
     run_checked(evaluator, gen.program(3), sta)
+    for prg in element_writes(gen):
+        evaluator.fuel.remaining = 300
+        run_checked(evaluator, prg, sta)
 
 
 def test_acceptance_programs_stay_certified():
@@ -203,6 +254,9 @@ def test_random_corpus_reaches_every_unchecked_site():
         exercise(evaluator, AstGen(seed), sta)
     assert not DERIVED_DATA - evaluator.built
     assert not DERIVED_TRANSFER - evaluator.built
+    # element writes under `all-array T` or `all-list T`, both ones whose
+    # element satisfies T and ones whose element fails it
+    assert {"OK", "yoke-not-satisfied"} <= evaluator.element_writes
 
 
 def test_hand_built_value_is_still_checked():

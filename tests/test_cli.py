@@ -4,6 +4,8 @@ import io
 import re
 import sys
 
+import pytest
+
 from lingua.cli import RunConfig, main, repl
 
 
@@ -85,6 +87,36 @@ class TestRun:
         code = main(["run", path, "--fuel", "unlimited"])
         capsys.readouterr()
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "argv, env",
+        [
+            (["run", "--fuel", "abc"], None),
+            (["repl"], "1.5"),
+            (["run", "--max-digits", "0"], None),
+        ],
+        ids=["fuel-flag", "fuel-env-var", "max-digits"],
+    )
+    def test_bad_argument_is_a_usage_error(self, tmp_path, capsys, monkeypatch, argv, env):
+        path = write(tmp_path, "ok.lng", "begin-program skip end-program")
+        if env is not None:
+            monkeypatch.setenv("LINGUA_FUEL", env)
+        with pytest.raises(SystemExit) as exit_:
+            main(argv + ([path] if argv[0] == "run" else []))
+        _, err = capsys.readouterr()
+        assert exit_.value.code == 2
+        assert err.startswith("usage: lingua ")
+        assert "error: argument --" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["run", "check", "restore", "ast"])
+    def test_non_utf8_file_exits_four(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.lng"
+        path.write_bytes(b"begin-program x := 'caf\xe9' ; \xff end-program")
+        code = main([command, str(path)])
+        out, err = capsys.readouterr()
+        assert code == 4
+        assert out == ""
+        assert err.startswith(f"lingua: cannot read {path}: ")
 
     def test_max_digits_flag(self, tmp_path, capsys):
         path = write(
