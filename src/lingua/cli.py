@@ -1,8 +1,9 @@
 """Command-line front door: run, check, restore, ast and a line REPL.
 
 Exit codes: 0 clean run, 1 an abstract error is left in the register,
-2 parse diagnostics or a bad command line, 3 fuel exhausted, 4 unreadable
-input (an I/O failure or text that is not UTF-8).
+2 parse diagnostics or a bad command line, 3 fuel exhausted or a program
+too deep to evaluate or print, 4 unreadable input (an I/O failure or text
+that is not UTF-8).
 """
 
 from __future__ import annotations
@@ -200,7 +201,13 @@ def cmd_restore(path: str, out: TextIO, err: TextIO) -> int:
     parsed = _parse(parse_any, text, path, err)
     if parsed is None:
         return 2
-    print(print_concrete(parsed[1]), file=out)
+    try:
+        with _deep_recursion():
+            restored = print_concrete(parsed[1])
+    except RecursionError:
+        print("lingua: program too deep to print", file=err)
+        return 3
+    print(restored, file=out)
     return 0
 
 

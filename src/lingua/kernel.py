@@ -18,9 +18,9 @@ composites and number, list and array data are slotted.  `Number(coeff,
 exp)` checks the normal form, but `Number.make`, which normalizes, builds
 its result unchecked, as the evaluator does the data and composites it
 derives.  `Number.sum` and `Number.max` fold a sequence in one pass over
-its coefficients.  The size rule in `oversized` compares a coefficient
-with a cached power of ten and never writes it out, so once that power is
-cached a check costs the same whatever the limit.
+its coefficients.  The size rule in `oversized` never writes a number
+out: a coefficient's bit length decides it, and only a coefficient within
+a bit per digit of the bound is compared with a cached power of ten.
 There are exactly three simple bodies, `BOOLEAN`, `NUMBER` and `WORD`:
 `SimpleBody(name)`, `copy` and `pickle` all return the canonical instance,
 so the evaluator tests a body with `is`.
@@ -671,7 +671,14 @@ def oversized(dat: Data, lim: Limits) -> bool:
             coeff, exp, limit = value.coeff, value.exp, lim.max_significant_digits
             # The digit positions left for the coefficient; zero has exponent 0.
             room = limit - exp if exp > 0 else limit
-            return exp < -limit or room <= 0 or abs(coeff) >= _power_of_ten(room)
+            if exp < -limit or room <= 0:
+                return True
+            # 8**room < 10**room < 16**room, so the bit length decides unless
+            # the coefficient has between 3 and 4 bits per digit of room.
+            bits = coeff.bit_length()
+            if bits <= 3 * room:
+                return False
+            return bits > 4 * room or abs(coeff) >= _power_of_ten(room)
         case WordData(text):
             return len(text) > lim.max_word_length
         case ListData(items) | ArrayData(items):

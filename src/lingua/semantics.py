@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Optional, TypeVar, Union
 
 from .kernel import (
@@ -88,8 +89,7 @@ from . import nodes as n
 from .printer import print_concrete
 from .state import (
     Env,
-    FunctionalProc,
-    ImperativeProc,
+    Procedure,
     State,
     Store,
     bind_procedure,
@@ -729,8 +729,8 @@ def _bind_omega(sta: State, ide: str, typ: LangType) -> State:
     return bind_variable(sta, ide, Value(OMEGA, typ))
 
 
-def _declare_procedures(decs: tuple, make: Callable[[n.Node, Env], object]) -> StateCode:
-    """Procedures declared together; every name must be free and distinct."""
+def _declare_procedures(decs: tuple) -> StateCode:
+    """Procedures declared together, as one group; names must be free and distinct."""
     names = [dec.ide for dec in decs]
     repeated = len(set(names)) != len(names)
 
@@ -741,7 +741,7 @@ def _declare_procedures(decs: tuple, make: Callable[[n.Node, Env], object]) -> S
             return load_error(sta, IDENTIFIER_NOT_FREE)
         out = sta
         for dec in decs:
-            out = bind_procedure(out, dec.ide, make(dec, sta.env))
+            out = bind_procedure(out, dec.ide, Procedure(dec, decs, sta.env))
         return out
 
     return declare
@@ -1009,16 +1009,10 @@ class Evaluator:
                 return _declare(ide, self.compile_type_exp(tex), lookup_variable, _bind_omega)
             case n.TypDef(ide, tex):
                 return _declare(ide, self.compile_type_exp(tex), lookup_type, bind_type)
-            case n.ImpProcDec():
-                return _declare_procedures(
-                    (dec,), lambda d, env: ImperativeProc(d.ide, d, (dec,), env)
-                )
+            case n.ImpProcDec() | n.FunProcDec():
+                return _declare_procedures((dec,))
             case n.MultiProcDec(decs):
-                return _declare_procedures(
-                    decs, lambda d, env: ImperativeProc(d.ide, d, decs, env)
-                )
-            case n.FunProcDec():
-                return _declare_procedures((dec,), lambda d, env: FunctionalProc(d.ide, d, env))
+                return _declare_procedures(decs)
         raise TypeError(f"not a preamble item: {dec!r}")
 
     def compile_program(self, prg: n.Program) -> StateCode:
@@ -1032,27 +1026,34 @@ class Evaluator:
 
     # -- procedure calls ----------------------------------------------------
 
-    def _nest_group(self, pro: ImperativeProc) -> Env:
-        """Declaration-time environment with the whole group nested back in,
-        so every member (including the callee itself) resolves recursively."""
+    def _enter(
+        self, kind: type, ide: str, actuals: tuple[tuple[str, ...], ...], sta: State
+    ) -> Union[tuple[n.Node, State], AbstractError]:
+        """Stages 1 and 2 of a call from a clear state: the declaration, of
+        class `kind`, and the local state its body runs on, or an error word.
+        `actuals` has one list per formal list, the ref list before the val."""
+        pro = lookup_procedure(sta, ide)
+        if pro is None or not isinstance(pro.dec, kind):
+            return PROCEDURE_NOT_DECLARED
+        self.fuel.spend()
+        dec = pro.dec
+        formals = (dec.params,) if kind is n.FunProcDec else (dec.ref_params, dec.val_params)
+        if list(map(len, formals)) != list(map(len, actuals)):
+            return PARAMETER_LIST_MISMATCH
+        # The declaration-time environment with the whole group nested back
+        # in, so every member, the callee included, resolves recursively.
         procs = dict(pro.env.procs)
-        for dec in pro.group:
-            procs[dec.ide] = ImperativeProc(dec.ide, dec, pro.group, pro.env)
-        return Env(pro.env.types, procs)
-
-    def _bind_parameters(
-        self,
-        formals: tuple[n.FormalParam, ...],
-        actuals: tuple[str, ...],
-        sta: State,
-        type_state: State,
-        valuation: dict[str, Value],
-    ) -> Optional[AbstractError]:
-        for formal, actual in zip(formals, actuals):
+        for member in pro.group:
+            procs[member.ide] = pro if member is dec else Procedure(member, pro.group, pro.env)
+        valuation: dict[str, Value] = {}
+        local = State(Env(pro.env.types, procs), Store(valuation, None))
+        # The local valuation holds only the formals.  Formal types read
+        # only the environment, so they evaluate on `local` as it fills.
+        for formal, actual in zip(chain(*formals), chain(*actuals)):
             actual_value = lookup_variable(sta, actual)
             if actual_value is None:
                 return IDENTIFIER_NOT_DECLARED
-            formal_type = self._cached(self.compile_type_exp, formal.tex)(type_state)
+            formal_type = self._cached(self.compile_type_exp, formal.tex)(local)
             if isinstance(formal_type, AbstractError):
                 return formal_type
             if actual_value.content is OMEGA:
@@ -1062,7 +1063,7 @@ class Evaluator:
                 if not clan_ty_member(com, formal_type):
                     return PARAMETER_TYPE_MISMATCH
                 valuation[formal.ide] = Value(com.dat, formal_type, com)
-        return None
+        return dec, local
 
     def call_imperative_procedure(
         self,
@@ -1071,29 +1072,15 @@ class Evaluator:
         val_args: tuple[str, ...],
         sta: State,
     ) -> State:
-        # Stage 1: an error-carrying initial global state is the terminal one.
+        # An error-carrying initial global state is the terminal one.
         if is_error(sta):
             return sta
-        pro = lookup_procedure(sta, ide)
-        if not isinstance(pro, ImperativeProc):
-            return load_error(sta, PROCEDURE_NOT_DECLARED)
-        self.fuel.spend()
-        dec = pro.dec
-        if len(ref_args) != len(dec.ref_params) or len(val_args) != len(dec.val_params):
-            return load_error(sta, PARAMETER_LIST_MISMATCH)
-        # Stage 2: local environment from declaration time, local valuation
-        # holding only the formal parameters.
-        local_env = self._nest_group(pro)
-        type_state = State(local_env, Store({}, None))
-        valuation: dict[str, Value] = {}
-        failure = self._bind_parameters(dec.ref_params, ref_args, sta, type_state, valuation)
-        if failure is None:
-            failure = self._bind_parameters(dec.val_params, val_args, sta, type_state, valuation)
-        if failure is not None:
-            return load_error(sta, failure)
+        entered = self._enter(n.ImpProcDec, ide, (ref_args, val_args), sta)
+        if isinstance(entered, AbstractError):
+            return load_error(sta, entered)
+        dec, local = entered
         # Stage 3: run the body on the local state.
-        body = self._cached(self.compile_program, dec.prg)
-        terminal = body(State(local_env, Store(valuation, None)))
+        terminal = self._cached(self.compile_program, dec.prg)(local)
         if is_error(terminal):
             return load_error(sta, terminal.store.register)
         # Stage 4: local environment is abandoned; reference parameters are
@@ -1108,20 +1095,10 @@ class Evaluator:
     ) -> EvalResult:
         if is_error(sta):
             return sta.store.register
-        pro = lookup_procedure(sta, ide)
-        if not isinstance(pro, FunctionalProc):
-            return PROCEDURE_NOT_DECLARED
-        self.fuel.spend()
-        dec = pro.dec
-        if len(val_args) != len(dec.params):
-            return PARAMETER_LIST_MISMATCH
-        local_env = Env(pro.env.types, {**pro.env.procs, pro.name: pro})
-        type_state = State(local_env, Store({}, None))
-        valuation: dict[str, Value] = {}
-        failure = self._bind_parameters(dec.params, val_args, sta, type_state, valuation)
-        if failure is not None:
-            return failure
-        terminal = State(local_env, Store(valuation, None))
+        entered = self._enter(n.FunProcDec, ide, (val_args,), sta)
+        if isinstance(entered, AbstractError):
+            return entered
+        dec, terminal = entered
         if dec.prg is not None:
             terminal = self._cached(self.compile_program, dec.prg)(terminal)
             if is_error(terminal):

@@ -3,6 +3,10 @@
 States are persistent snapshots: every update returns a fresh State and
 leaves the original untouched, which is what lets procedure calls memorize
 the caller's state without an explicit stack.
+
+A `Procedure` is one value for both kinds of procedure: its declaration,
+the group declared with it (a function, or a lone `proc`, is a group of
+one) and the declaration-time environment, without the group.
 """
 
 from __future__ import annotations
@@ -15,25 +19,12 @@ from .nodes import FunProcDec, ImpProcDec
 
 
 @dataclass(frozen=True)
-class ImperativeProc:
-    """A declared procedure: its declaration, its multiprocedure group and
-    the environment it was declared in (without the group itself; members
-    are nested back in at call time, which is what makes recursion work)."""
+class Procedure:
+    """A call nests `group` back into `env`, which makes recursion work."""
 
-    name: str
-    dec: ImpProcDec
-    group: tuple[ImpProcDec, ...]
+    dec: Union[ImpProcDec, FunProcDec]
+    group: tuple[Union[ImpProcDec, FunProcDec], ...]
     env: "Env"
-
-
-@dataclass(frozen=True)
-class FunctionalProc:
-    name: str
-    dec: FunProcDec
-    env: "Env"
-
-
-Procedure = Union[ImperativeProc, FunctionalProc]
 
 
 @dataclass(frozen=True)

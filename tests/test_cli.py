@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
-from lingua.cli import RunConfig, main, repl
+from lingua.cli import RunConfig, _deep_recursion, main, repl
+from lingua.parser import parse_program
+from lingua.printer import print_concrete
 
 
 def write(tmp_path, name, text):
@@ -240,6 +242,33 @@ class TestCheckRestoreAst:
         main(["restore", again])
         second, _ = capsys.readouterr()
         assert first == second
+
+    @staticmethod
+    def _sum_program(terms):
+        chain = " + ".join(["1"] * terms)
+        return f"begin-program let x be number tel ; x := {chain} end-program"
+
+    def test_restore_long_operator_chain(self, tmp_path, capsys):
+        # the chain parses flat but prints one parenthesis level per term,
+        # deeper than the parser follows at the default limit, so the
+        # output is read back under the limit `restore` prints with
+        source = self._sum_program(2_000)
+        path = write(tmp_path, "chain.lng", source)
+        code = main(["restore", path])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        restored = out.strip()
+        with _deep_recursion():
+            assert parse_program(restored) == parse_program(source)
+            assert print_concrete(parse_program(restored)) == restored
+
+    def test_restore_too_deep_to_print_exits_three(self, tmp_path, capsys):
+        path = write(tmp_path, "chain.lng", self._sum_program(20_000))
+        code = main(["restore", path])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert err == "lingua: program too deep to print\n"
 
     def test_restore_parse_failure(self, tmp_path, capsys):
         path = write(tmp_path, "bad.lng", "x +")

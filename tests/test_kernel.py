@@ -31,6 +31,7 @@ from lingua.kernel import (
     SimpleBody,
     Transfer,
     Value,
+    _power_of_ten,
     apply_transfer,
     body_of,
     boo_composite,
@@ -398,6 +399,15 @@ class TestOversized:
     def test_big_number(self):
         lim = Limits(max_significant_digits=20)
         assert oversized(NumberData(Number.make(1, 30)), lim)
+
+    def test_far_from_a_large_limit_computes_no_power(self):
+        lim = Limits(max_significant_digits=1_000_000)
+        misses = _power_of_ten.cache_info().misses
+        for exp in range(-500, 500, 10):
+            for k in range(1, 21):
+                x = Number.make(-int("7" * k) if k % 2 else int("7" * k), exp)
+                assert not oversized(NumberData(x), lim)
+        assert _power_of_ten.cache_info().misses == misses
 
     def test_zero_never_oversized(self):
         assert not oversized(num(0), Limits(max_significant_digits=1))

@@ -4,7 +4,7 @@ import pytest
 
 from lingua.kernel import AbstractError, Composite, NUMBER, num, word
 from lingua.parser import parse_data_expression
-from lingua.semantics import Evaluator
+from lingua.semantics import Evaluator, OutOfFuel
 from lingua.state import lookup_variable, register_word
 
 from util import run_text
@@ -283,6 +283,69 @@ class TestFunctionalCalls:
             "begin-program let y be number tel ; y := nope(y) end-program"
         )
         assert register_word(sta) == "procedure-not-declared"
+
+
+class TestSharedCallProtocol:
+    """Stages 1 and 2 are one path for both kinds: lookup and kind check,
+    then fuel, then every list's length, then binding ref before val."""
+
+    def test_imperative_procedure_called_in_an_expression(self):
+        sta = run_text(
+            f"begin-program {SWAP} ; let x be number tel ; x := 1 ; "
+            "x := swap(x) end-program"
+        )
+        assert register_word(sta) == "procedure-not-declared"
+
+    @pytest.mark.parametrize(
+        "call",
+        ["call swap (ref x val empty-ap)", "call swap (ref x, x val x)", "y := inc(x, x)"],
+    )
+    def test_fuel_is_spent_before_the_arity_check(self, call):
+        with pytest.raises(OutOfFuel):
+            run_text(
+                f"begin-program {SWAP} ; {INC_FUN} ; "
+                "let x be number tel ; let y be number tel ; x := 1 ; "
+                f"{call} end-program",
+                fuel=0,
+            )
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "call nope (ref empty-ap val empty-ap)",
+            "y := nope(x)",
+            "call inc (ref empty-ap val x)",
+            "y := swap(x)",
+        ],
+    )
+    def test_no_fuel_is_spent_on_a_missing_procedure(self, call):
+        sta = run_text(
+            f"begin-program {SWAP} ; {INC_FUN} ; "
+            "let x be number tel ; let y be number tel ; x := 1 ; "
+            f"{call} end-program",
+            fuel=0,
+        )
+        assert register_word(sta) == "procedure-not-declared"
+
+    def test_ref_list_binds_before_the_val_list(self):
+        sta = run_text(
+            "begin-program "
+            "proc q (val v as number ref r as number) "
+            "begin-program skip end-program end proc ; "
+            "let w be word tel ; w := 'a' ; "
+            "call q (ref w val undeclared) end-program"
+        )
+        assert register_word(sta) == "parameter-type-mismatch"
+
+    def test_functional_formal_type_defined_after_the_procedure(self):
+        sta = run_text(
+            "begin-program "
+            "fun f (v as t) (v + 1) endfun ; "
+            "set t as number tes ; "
+            "let x be number tel ; let y be number tel ; x := 1 ; "
+            "y := f(x) end-program"
+        )
+        assert register_word(sta) == "type-not-defined"
 
 
 class TestFrameLaw:
