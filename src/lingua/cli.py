@@ -167,9 +167,17 @@ def cmd_run(path: str, config: RunConfig, out: TextIO, err: TextIO) -> int:
         return 2
     trace = None
     if config.trace:
-        trace = lambda ins: print(
-            f"trace: {print_concrete(ins)[:72]}", file=err
-        )
+        # One line per traced node, printed once for the run: a loop would
+        # otherwise print its whole body again on every entry.  `prg` keeps
+        # every node alive, so no identity is reused while the run lasts.
+        lines: dict[int, str] = {}
+
+        def trace(ins: n.Instruction) -> None:
+            line = lines.get(id(ins))
+            if line is None:
+                line = lines[id(ins)] = f"trace: {print_concrete(ins)[:72]}"
+            print(line, file=err)
+
     evaluator = Evaluator(limits=config.limits, fuel=config.fuel, trace=trace)
     try:
         with _deep_recursion():

@@ -571,7 +571,7 @@ def is_boo_composite(com: Union[Composite, AbstractError]) -> bool:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LangType:
     """A (body, transfer) pair; its clan holds the composites it admits."""
 
@@ -587,7 +587,7 @@ def clan_tr_member(com: Composite, tra: Transfer) -> bool:
 def clan_ty_member(com: Composite, typ: LangType) -> bool:
     """A composite is certified against its own body, so with an equal body
     it is in the type's clan exactly when the transfer accepts it."""
-    return com.bod == typ.bod and clan_tr_member(com, typ.tra)
+    return (com.bod is typ.bod or com.bod == typ.bod) and clan_tr_member(com, typ.tra)
 
 
 class _Omega:
@@ -607,7 +607,7 @@ class _Omega:
 OMEGA = _Omega()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Value:
     """What a variable is bound to: a datum (or Ω) together with its type.
 
@@ -628,13 +628,28 @@ class Value:
         return Composite(self.content, self.typ.bod)
 
 
+_set_content, _set_typ, _set_com = Value.content.__set__, Value.typ.__set__, Value.com.__set__
+
+
+def _unchecked_value(
+    content: Union[Data, _Omega], typ: LangType, com: Optional[Composite]
+) -> Value:
+    """`Value(content, typ, com)` without the frozen dataclass's per-field
+    `object.__setattr__`; `com`, if given, pairs `content` with `typ.bod`."""
+    val = _new(Value)
+    _set_content(val, content)
+    _set_typ(val, typ)
+    _set_com(val, com)
+    return val
+
+
 # ---------------------------------------------------------------------------
 # coherence and size limits
 
 
 def coherent(b1: Body, b2: Body) -> bool:
     """Equal bodies, or record bodies where one attribute map extends the other."""
-    if b1 == b2:
+    if b1 is b2 or b1 == b2:
         return True
     if isinstance(b1, RecordBody) and isinstance(b2, RecordBody):
         a1, a2 = b1.attributes(), b2.attributes()

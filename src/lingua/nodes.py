@@ -10,7 +10,7 @@ flattened into tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .kernel import Number
 
@@ -37,6 +37,21 @@ class Instruction(Node):
 
 class Declaration(Node):
     """Preamble items other than skip and sequencing."""
+
+
+class _Sequence:
+    """Equality and hashing of the four sequence forms over their spine in
+    preorder (`_preorder`), so a sequence of any length compares and hashes
+    without recursing along it; a sequence is equal to one of the same
+    shape, classes and items, as with the dataclass defaults."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return list(_preorder(self)) == list(_preorder(other))
+
+    def __hash__(self):
+        return hash(tuple(_preorder(self)))
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +446,8 @@ class VarDec(Declaration):
     tex: TypExp
 
 
-@dataclass(frozen=True)
-class VarDecSeq(Declaration):
+@dataclass(frozen=True, eq=False)
+class VarDecSeq(_Sequence, Declaration):
     vde1: "VarDec | VarDecSeq"
     vde2: "VarDec | VarDecSeq"
 
@@ -445,8 +460,8 @@ class TypDef(Declaration):
     tex: TypExp
 
 
-@dataclass(frozen=True)
-class TypDefSeq(Declaration):
+@dataclass(frozen=True, eq=False)
+class TypDefSeq(_Sequence, Declaration):
     tde1: "TypDef | TypDefSeq"
     tde2: "TypDef | TypDefSeq"
 
@@ -539,8 +554,8 @@ class WhileIns(Instruction):
     ins: Instruction
 
 
-@dataclass(frozen=True)
-class SeqIns(Instruction):
+@dataclass(frozen=True, eq=False)
+class SeqIns(_Sequence, Instruction):
     ins1: Instruction
     ins2: Instruction
 
@@ -551,8 +566,8 @@ class SeqIns(Instruction):
 Preamble = Union[Declaration, SkipIns, "PreSeq"]
 
 
-@dataclass(frozen=True)
-class PreSeq(Node):
+@dataclass(frozen=True, eq=False)
+class PreSeq(_Sequence, Node):
     pam1: Preamble
     pam2: Preamble
 
@@ -565,11 +580,12 @@ class Program(Node):
     ins: Instruction
 
 
-def sequence_items(node: Node) -> list[Node]:
-    """The items of a sequence of any sort, left to right; a non-sequence
-    is its own only item.  The spine is walked with an explicit stack, so a
-    sequence of any length is flattened without recursion."""
-    items, stack = [], [node]
+def _preorder(node: Node) -> Iterator[Union[Node, type]]:
+    """A sequence's spine in preorder: each sequence node on it as its
+    class, each item as itself.  A sequence node has exactly two parts, so
+    this determines the tree.  The spine is walked with an explicit stack,
+    so a sequence of any length is walked without recursion."""
+    stack = [node]
     while stack:
         match stack.pop():
             case (
@@ -577,8 +593,14 @@ def sequence_items(node: Node) -> list[Node]:
                 | PreSeq(first, second)
                 | VarDecSeq(first, second)
                 | TypDefSeq(first, second)
-            ):
+            ) as sequence:
+                yield sequence.__class__
                 stack += (second, first)
             case item:
-                items.append(item)
-    return items
+                yield item
+
+
+def sequence_items(node: Node) -> list[Node]:
+    """The items of a sequence of any sort, left to right; a non-sequence
+    is its own only item."""
+    return [item for item in _preorder(node) if not isinstance(item, type)]

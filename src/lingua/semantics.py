@@ -78,6 +78,7 @@ from .kernel import (
     _unchecked_array,
     _unchecked_composite,
     _unchecked_list,
+    _unchecked_value,
     apply_transfer,
     boo_composite,
     clan_ty_member,
@@ -94,7 +95,6 @@ from .state import (
     Store,
     bind_procedure,
     bind_type,
-    bind_variable,
     clear_error,
     empty_state,
     is_error,
@@ -102,7 +102,12 @@ from .state import (
     lookup_procedure,
     lookup_type,
     lookup_variable,
+    owned,
 )
+
+# Every variable write goes through this module-global name, which
+# perfbench/spans.py traces as `state.bind`.
+from .state import write_variable as bind_variable
 
 DEFAULT_SMALL_NUMBER_BOUND = Number.make(1, 6)
 
@@ -590,7 +595,10 @@ def _assign(ide: str, value: DataCode) -> StateCode:
             return load_error(sta, A_YOKE_EXPECTED)
         if not com.dat.value:
             return load_error(sta, YOKE_NOT_SATISFIED)
-        return bind_variable(sta, ide, Value(new.dat, LangType(new.bod, val.typ.tra), new))
+        typ = val.typ
+        if new.bod is not typ.bod:
+            typ = LangType(new.bod, typ.tra)
+        return bind_variable(sta, ide, _unchecked_value(new.dat, typ, new))
 
     return assign
 
@@ -629,7 +637,7 @@ def _element_write(ide: str, value: DataCode, single: Callable[[tuple], Data]) -
             return load_error(sta, A_YOKE_EXPECTED)
         if not com.dat.value:
             return load_error(sta, YOKE_NOT_SATISFIED)
-        return bind_variable(sta, ide, Value(new.dat, val.typ, new))
+        return bind_variable(sta, ide, _unchecked_value(new.dat, val.typ, new))
 
     return assign
 
@@ -653,7 +661,8 @@ def _yoke(ide: str, tra: Transfer) -> StateCode:
             return load_error(sta, A_YOKE_EXPECTED)
         if not com.dat.value:
             return load_error(sta, YOKE_NOT_SATISFIED)
-        return bind_variable(sta, ide, Value(val.content, LangType(val.typ.bod, tra), old))
+        typ = LangType(val.typ.bod, tra)
+        return bind_variable(sta, ide, _unchecked_value(val.content, typ, old))
 
     return yoke
 
@@ -726,7 +735,7 @@ def _declare(ide: str, type_code: TypeCode, lookup: Callable, bind: Callable) ->
 
 
 def _bind_omega(sta: State, ide: str, typ: LangType) -> State:
-    return bind_variable(sta, ide, Value(OMEGA, typ))
+    return bind_variable(sta, ide, _unchecked_value(OMEGA, typ, None))
 
 
 def _declare_procedures(decs: tuple) -> StateCode:
@@ -754,7 +763,10 @@ class Evaluator:
     """Compiles phrases on first use and runs the compiled closures.
 
     The public `eval_*`, `exec_*` and `run_program` methods compile (once
-    per node, cached by node identity) and then run.  The `compile_*`
+    per node, cached by node identity) and then run.  Compiled code writes
+    variables in place, so `exec_*` run it on a copy of the caller's
+    valuation (`owned`) and leave the caller's state as it was, even when
+    the run raises; expressions never write.  The `compile_*`
     methods build the closure of one node and its subtree; they read the
     limits, the fuel counter and the trace hook as they compile.  The trace
     hook is called before every executed instruction that is not a
@@ -805,12 +817,14 @@ class Evaluator:
         return self._cached(self.compile_type_exp, tex)(sta)
 
     def exec_instruction(self, ins: n.Instruction, sta: State) -> State:
-        return self._cached(self._step, ins)(sta)
+        return self._cached(self._step, ins)(owned(sta))
 
     def exec_preamble(self, pam, sta: State) -> State:
-        return self._cached(self.compile_preamble, pam)(sta)
+        return self._cached(self.compile_preamble, pam)(owned(sta))
 
     def run_program(self, prg: n.Program, sta: State) -> State:
+        """The preamble, then the instruction, each entered through its
+        public method, which copies the valuation."""
         if prg.pam is not None:
             sta = self.exec_preamble(prg.pam, sta)
         return self.exec_instruction(prg.ins, sta)
@@ -1026,6 +1040,16 @@ class Evaluator:
 
     # -- procedure calls ----------------------------------------------------
 
+    def _formals(self, dec: Union[n.ImpProcDec, n.FunProcDec]) -> tuple[list[int], tuple]:
+        """The lengths of a declaration's formal lists, the ref list before
+        the val, and each formal's name and type code, in that order."""
+        if isinstance(dec, n.FunProcDec):
+            lists = (dec.params,)
+        else:
+            lists = (dec.ref_params, dec.val_params)
+        codes = tuple((formal.ide, self.compile_type_exp(formal.tex)) for formal in chain(*lists))
+        return list(map(len, lists)), codes
+
     def _enter(
         self, kind: type, ide: str, actuals: tuple[tuple[str, ...], ...], sta: State
     ) -> Union[tuple[n.Node, State], AbstractError]:
@@ -1037,8 +1061,8 @@ class Evaluator:
             return PROCEDURE_NOT_DECLARED
         self.fuel.spend()
         dec = pro.dec
-        formals = (dec.params,) if kind is n.FunProcDec else (dec.ref_params, dec.val_params)
-        if list(map(len, formals)) != list(map(len, actuals)):
+        lengths, formals = self._cached(self._formals, dec)
+        if lengths != list(map(len, actuals)):
             return PARAMETER_LIST_MISMATCH
         # The declaration-time environment with the whole group nested back
         # in, so every member, the callee included, resolves recursively.
@@ -1049,20 +1073,20 @@ class Evaluator:
         local = State(Env(pro.env.types, procs), Store(valuation, None))
         # The local valuation holds only the formals.  Formal types read
         # only the environment, so they evaluate on `local` as it fills.
-        for formal, actual in zip(chain(*formals), chain(*actuals)):
+        for (formal, type_code), actual in zip(formals, chain(*actuals)):
             actual_value = lookup_variable(sta, actual)
             if actual_value is None:
                 return IDENTIFIER_NOT_DECLARED
-            formal_type = self._cached(self.compile_type_exp, formal.tex)(local)
+            formal_type = type_code(local)
             if isinstance(formal_type, AbstractError):
                 return formal_type
             if actual_value.content is OMEGA:
-                valuation[formal.ide] = Value(OMEGA, formal_type)
+                valuation[formal] = _unchecked_value(OMEGA, formal_type, None)
             else:
                 com = actual_value.composite()
                 if not clan_ty_member(com, formal_type):
                     return PARAMETER_TYPE_MISMATCH
-                valuation[formal.ide] = Value(com.dat, formal_type, com)
+                valuation[formal] = _unchecked_value(com.dat, formal_type, com)
         return dec, local
 
     def call_imperative_procedure(
@@ -1084,11 +1108,11 @@ class Evaluator:
         if is_error(terminal):
             return load_error(sta, terminal.store.register)
         # Stage 4: local environment is abandoned; reference parameters are
-        # copied back onto their actuals.
-        new_valuation = dict(sta.store.valuation)
+        # copied back onto their actuals, in the caller's valuation.
+        valuation, local = sta.store.valuation, terminal.store.valuation
         for formal, actual in zip(dec.ref_params, ref_args):
-            new_valuation[actual] = terminal.store.valuation[formal.ide]
-        return State(sta.env, Store(new_valuation, None))
+            valuation[actual] = local[formal.ide]
+        return sta
 
     def call_functional_procedure(
         self, ide: str, val_args: tuple[str, ...], sta: State

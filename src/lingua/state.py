@@ -1,8 +1,21 @@
 """Imperative-layer state: environments, valuations, the error register.
 
-States are persistent snapshots: every update returns a fresh State and
-leaves the original untouched, which is what lets procedure calls memorize
-the caller's state without an explicit stack.
+A state pairs an environment (types and procedures) with a store (the
+valuation and the error register).  Environments are persistent: binding
+a type or a procedure returns a fresh State and leaves the original
+untouched, which is what lets a `Procedure` keep its declaration-time
+environment.  The valuation is owned by one activation, a program run or
+one procedure call: compiled code writes variables in place
+(`write_variable`), since a callee runs on a valuation of its own and no
+code reads the valuation as it was before a write.  The load and clear of
+the register build a new State that shares the valuation.
+
+The entry-point copy rule: a state handed to the evaluator from outside
+is copied once where it enters (`owned`, in `Evaluator.run_program`,
+`exec_instruction` and `exec_preamble`), so the caller's valuation is
+never written, even when a run stops midway.  Expressions never write, so
+their entry copies nothing.  `bind_variable` is the persistent write, for
+building states by hand.
 
 A `Procedure` is one value for both kinds of procedure: its declaration,
 the group declared with it (a function, or a lone `proc`, is a group of
@@ -68,6 +81,17 @@ def register_word(sta: State) -> str:
 
 def bind_variable(sta: State, ide: str, val: Value) -> State:
     return State(sta.env, Store({**sta.store.valuation, ide: val}, sta.store.register))
+
+
+def write_variable(sta: State, ide: str, val: Value) -> State:
+    """Bind `ide` in the valuation `sta` owns, in place."""
+    sta.store.valuation[ide] = val
+    return sta
+
+
+def owned(sta: State) -> State:
+    """`sta` with a valuation of its own, for code that writes in place."""
+    return State(sta.env, Store(dict(sta.store.valuation), sta.store.register))
 
 
 def bind_type(sta: State, ide: str, typ: LangType) -> State:

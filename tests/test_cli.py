@@ -335,6 +335,23 @@ class TestRepl:
         assert "<repl>" in err
         assert "(3, number)" in out
 
+    def test_fuel_exhausted_midway_keeps_the_session_state(self, capsys):
+        # The loop writes x before the budget runs out; the session keeps
+        # the state it had before the line.
+        code, out, err = self.drive(
+            [
+                "let x be number tel",
+                "x := 1",
+                "while true do x := x + 1 od",
+                ":state",
+            ],
+            capsys,
+            fuel=5,
+        )
+        assert code == 0
+        assert "lingua: fuel exhausted" in err
+        assert "x = (1, number) with true" in out.splitlines()
+
     def test_quit_exits_zero(self, capsys):
         code, _, _ = self.drive([":quit"], capsys)
         assert code == 0

@@ -6,13 +6,15 @@ limit bounds how deeply a program nests, not how long it is.
 """
 
 import gc
+import sys
 
+from lingua import cli
 from lingua.cli import main
 from lingua.kernel import NUMBER, OMEGA, Composite, num
 from lingua.parser import parse_program
 from lingua.printer import print_concrete
-from lingua.semantics import run_source
-from lingua.state import register_word
+from lingua.semantics import Evaluator, run_source
+from lingua.state import empty_state, register_word
 from test_cli import write
 
 
@@ -80,6 +82,50 @@ def test_trace_follows_loop_iterations(tmp_path, capsys):
     _, err = capsys.readouterr()
     # i := 0, the loop, then two instructions per iteration
     assert len(err.splitlines()) == 2 + 3 * 2
+
+
+def test_trace_prints_each_instruction_once_per_node(tmp_path, capsys, monkeypatch):
+    text = (
+        "begin-program let i be number tel ; let j be number tel ; i := 0 ; "
+        "while (i < 3) do j := 0 ; "
+        "while (j < i) do j := (j + 1) ; skip od ; i := (i + 1) od end-program"
+    )
+    # Every executed instruction, printed afresh and cut to 72 characters.
+    traced = []
+    Evaluator(trace=traced.append).run_program(parse_program(text), empty_state())
+    expected = [f"trace: {print_concrete(ins)[:72]}" for ins in traced]
+    printed = []
+
+    def counted(node):
+        printed.append(node)
+        return print_concrete(node)
+
+    monkeypatch.setattr(cli, "print_concrete", counted)
+    path = write(tmp_path, "nested.lng", text)
+    assert main(["run", path, "--trace"]) == 0
+    _, err = capsys.readouterr()
+    assert err == "".join(line + "\n" for line in expected)
+    assert len(printed) == len({id(node) for node in printed}) == len({id(ins) for ins in traced})
+
+
+def sequence_program(k: int, last: int = 1):
+    items = ["x := 1"] * (k - 1) + [f"x := {last}"]
+    return parse_program(
+        "begin-program let x be number tel ; " + " ; ".join(items) + " end-program"
+    )
+
+
+def test_long_sequences_compare_and_hash_without_recursion():
+    previous = sys.getrecursionlimit()
+    sys.setrecursionlimit(1_000)
+    try:
+        first, second = sequence_program(2_000), sequence_program(2_000)
+        assert first is not second
+        assert first == second
+        assert hash(first) == hash(second)
+        assert first != sequence_program(2_000, last=2)
+    finally:
+        sys.setrecursionlimit(previous)
 
 
 def test_print_concrete_long_sequence():

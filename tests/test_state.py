@@ -1,3 +1,5 @@
+import pytest
+
 from lingua.kernel import (
     NUMBER,
     OMEGA,
@@ -9,7 +11,8 @@ from lingua.kernel import (
     Value,
     num,
 )
-from lingua.semantics import run_source
+from lingua.parser import parse_instruction, parse_program
+from lingua.semantics import Evaluator, OutOfFuel, run_source
 from lingua.state import (
     bind_type,
     bind_variable,
@@ -115,3 +118,69 @@ def test_run_source_leaves_the_callers_state_untouched():
     assert sta.store.valuation == valuation
     assert all(sta.store.valuation[ide] is val for ide, val in valuation.items())
     assert sta.store.register is None
+
+
+# Compiled code writes variables in place, in a valuation that its
+# activation owns; none of those writes may reach a valuation that a caller
+# handed in or that a calling activation holds.
+
+
+def _numbers(**values):
+    sta = empty_state()
+    for ide, value in values.items():
+        sta = bind_variable(sta, ide, Value(num(value), NUMBER_TYPE))
+    return sta
+
+
+def _assert_unchanged(sta, valuation):
+    assert sta.store.valuation == valuation
+    assert all(sta.store.valuation[ide] is val for ide, val in valuation.items())
+
+
+def test_run_program_out_of_fuel_midway_leaves_the_callers_state_untouched():
+    sta = _numbers(x=1, y=2)
+    valuation = dict(sta.store.valuation)
+    program = parse_program(
+        "begin-program let z be number tel ; x := 5 ; z := 1 ; "
+        "while true do x := (x + 1) ; y := x od end-program"
+    )
+    with pytest.raises(OutOfFuel):
+        Evaluator(fuel=3).run_program(program, sta)
+    _assert_unchanged(sta, valuation)
+
+
+def test_exec_instruction_out_of_fuel_midway_leaves_the_callers_state_untouched():
+    sta = _numbers(x=1, y=2)
+    valuation = dict(sta.store.valuation)
+    loop = parse_instruction("y := 7 ; while true do x := (x + 1) ; y := x od")
+    with pytest.raises(OutOfFuel):
+        Evaluator(fuel=3).exec_instruction(loop, sta)
+    _assert_unchanged(sta, valuation)
+
+
+def test_if_error_handler_writes_survive():
+    final = run_source(
+        "begin-program let x be number tel ; let y be number tel ; x := 1 ; "
+        "y := (x / 0) ; if-error 'division-by-zero' then x := 5 ; y := (x + 1) fi ; "
+        "x := (x + y) end-program"
+    )
+    assert register_word(final) == "OK"
+    assert lookup_variable(final, "x").content == num(11)
+    assert lookup_variable(final, "y").content == num(6)
+
+
+def test_writes_by_a_recursive_function_stay_local():
+    # Every activation of `down` writes its own `n` and `r`; the caller's
+    # variables of the same names keep their values.
+    final = run_source(
+        "begin-program "
+        "fun down (n as number) begin-program let r be number tel ; "
+        "if (n < 1) then r := 0 else n := (n - 1) ; r := (down(n) + 1) fi "
+        "end-program return r as number end fun ; "
+        "let n be number tel ; let r be number tel ; let k be number tel ; "
+        "n := 4 ; r := 9 ; k := down(n) end-program"
+    )
+    assert register_word(final) == "OK"
+    assert lookup_variable(final, "k").content == num(4)
+    assert lookup_variable(final, "n").content == num(4)
+    assert lookup_variable(final, "r").content == num(9)
