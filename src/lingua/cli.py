@@ -9,6 +9,8 @@ that is not UTF-8).
 from __future__ import annotations
 
 import argparse
+import functools
+import gc
 import os
 import sys
 from contextlib import contextmanager
@@ -296,14 +298,15 @@ def repl(
                 print(f"error: {register_word(sta)}", file=out)
 
 
+@functools.cache
 def _build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lingua")
     sub = parser.add_subparsers(dest="command", required=True)
-    # argparse checks a string default with `type` too, so a bad LINGUA_FUEL
-    # is a usage error like a bad --fuel
+    # No default: the parser is built once per process, and `_command_fuel`
+    # reads LINGUA_FUEL on every call.
     fuel = dict(
         type=_fuel,
-        default=os.environ.get("LINGUA_FUEL", str(DEFAULT_FUEL)),
+        default=argparse.SUPPRESS,
         help="step budget or 'unlimited'; LINGUA_FUEL sets the default",
     )
 
@@ -312,6 +315,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     run.add_argument("--fuel", **fuel)
     run.add_argument("--max-digits", type=_digits, default=None)
     run.add_argument("--trace", action="store_true")
+    run.set_defaults(parser=run)
 
     check = sub.add_parser("check", help="parse only")
     check.add_argument("file")
@@ -325,28 +329,50 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 
     repl_cmd = sub.add_parser("repl", help="interactive session")
     repl_cmd.add_argument("--fuel", **fuel)
+    repl_cmd.set_defaults(parser=repl_cmd)
     return parser
 
 
+def _command_fuel(args: argparse.Namespace) -> Optional[int]:
+    """--fuel if given, else LINGUA_FUEL as read now, else the default.  A
+    bad LINGUA_FUEL is the same usage error as a bad --fuel."""
+    if "fuel" in args:
+        return args.fuel
+    try:
+        return _fuel(os.environ.get("LINGUA_FUEL", str(DEFAULT_FUEL)))
+    except argparse.ArgumentTypeError as exc:
+        args.parser.error(f"argument --fuel: {exc}")
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _build_arg_parser().parse_args(argv)
-    out, err = sys.stdout, sys.stderr
-    if args.command == "run":
-        limits = Limits()
-        if args.max_digits is not None:
-            limits = Limits(max_significant_digits=args.max_digits)
-        config = RunConfig(fuel=args.fuel, limits=limits, trace=args.trace)
-        return cmd_run(args.file, config, out, err)
-    if args.command == "check":
-        return cmd_check(args.file, out, err)
-    if args.command == "restore":
-        return cmd_restore(args.file, out, err)
-    if args.command == "ast":
-        return cmd_ast(args.file, args.format, out, err)
-    if args.command == "repl":
-        config = RunConfig(fuel=args.fuel)
-        return repl(config, sys.stdin, out, err)
-    raise AssertionError(f"unhandled command {args.command}")
+    # A command frees everything it makes by reference counting (a test
+    # holds every command to that), so the cycle collector would only scan
+    # the live tree and compiled closures; pause it, and put back the state
+    # the caller had.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        args = _build_arg_parser().parse_args(argv)
+        out, err = sys.stdout, sys.stderr
+        if args.command == "run":
+            limits = Limits()
+            if args.max_digits is not None:
+                limits = Limits(max_significant_digits=args.max_digits)
+            config = RunConfig(fuel=_command_fuel(args), limits=limits, trace=args.trace)
+            return cmd_run(args.file, config, out, err)
+        if args.command == "check":
+            return cmd_check(args.file, out, err)
+        if args.command == "restore":
+            return cmd_restore(args.file, out, err)
+        if args.command == "ast":
+            return cmd_ast(args.file, args.format, out, err)
+        if args.command == "repl":
+            config = RunConfig(fuel=_command_fuel(args))
+            return repl(config, sys.stdin, out, err)
+        raise AssertionError(f"unhandled command {args.command}")
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

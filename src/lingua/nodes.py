@@ -40,10 +40,11 @@ class Declaration(Node):
 
 
 class _Sequence:
-    """Equality and hashing of the four sequence forms over their spine in
-    preorder (`_preorder`), so a sequence of any length compares and hashes
-    without recursing along it; a sequence is equal to one of the same
-    shape, classes and items, as with the dataclass defaults."""
+    """Equality, hashing and repr of the four sequence forms over their
+    spine in preorder (`_preorder`), so a sequence of any length compares,
+    hashes and prints without recursing along it; a sequence is equal to
+    one of the same shape, classes and items, and prints as it would with
+    the dataclass defaults."""
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -52,6 +53,28 @@ class _Sequence:
 
     def __hash__(self):
         return hash(tuple(_preorder(self)))
+
+    def __repr__(self):
+        parts = []
+        # per open sequence node: its second field's name while its first
+        # part is printing, then None while its second is
+        pending: list[Optional[str]] = []
+        for entry in _preorder(self):
+            if isinstance(entry, type):
+                first, second = entry.__dataclass_fields__
+                parts.append(f"{entry.__qualname__}({first}=")
+                pending.append(second)
+                continue
+            parts.append(repr(entry))
+            while pending:
+                second = pending.pop()
+                if second is None:
+                    parts.append(")")
+                else:
+                    parts.append(f", {second}=")
+                    pending.append(None)
+                    break
+        return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +469,7 @@ class VarDec(Declaration):
     tex: TypExp
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class VarDecSeq(_Sequence, Declaration):
     vde1: "VarDec | VarDecSeq"
     vde2: "VarDec | VarDecSeq"
@@ -460,7 +483,7 @@ class TypDef(Declaration):
     tex: TypExp
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class TypDefSeq(_Sequence, Declaration):
     tde1: "TypDef | TypDefSeq"
     tde2: "TypDef | TypDefSeq"
@@ -554,7 +577,7 @@ class WhileIns(Instruction):
     ins: Instruction
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class SeqIns(_Sequence, Instruction):
     ins1: Instruction
     ins2: Instruction
@@ -566,7 +589,7 @@ class SeqIns(_Sequence, Instruction):
 Preamble = Union[Declaration, SkipIns, "PreSeq"]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class PreSeq(_Sequence, Node):
     pam1: Preamble
     pam2: Preamble

@@ -874,7 +874,9 @@ def parse_any(text: str) -> tuple[str, n.Node]:
     tokens = tokenize(text)
     if tokens[0].is_keyword("begin-program"):
         return "program", _whole(Parser(text, tokens), Parser.program)
-    attempts: list[LinguaParseError] = []
+    # Diagnostics, not the exceptions: an exception's traceback holds this
+    # frame, which would hold the list, a reference cycle per attempt.
+    attempts: list[ParseDiagnostic] = []
     for kind, rule, *args in (
         ("data", Parser.expression, DATA),
         ("items", Parser.item_sequence),
@@ -886,9 +888,9 @@ def parse_any(text: str) -> tuple[str, n.Node]:
         except LinguaParseError as exc:
             if exc.diagnostic.kind == "too-deep":
                 raise  # as deep for every other sort
-            attempts.append(exc)
+            attempts.append(exc.diagnostic)
             continue
         if kind == "items":
             return result  # item_sequence already labels its result
         return kind, result
-    raise max(attempts, key=lambda exc: exc.diagnostic.span.begin)
+    raise LinguaParseError(max(attempts, key=lambda diag: diag.span.begin))

@@ -473,12 +473,15 @@ def test_criterion_8_frame_law():
             prelude_text, call_text, ref_actuals = _random_frame_program(rng)
             before = run_text(prelude_text)
             assert not is_error(before), f"case {case} prelude failed"
+            # a snapshot: `after` may share its valuation with `before`
+            valuation = dict(before.store.valuation)
             after = evaluator.exec_instruction(parse_instruction(call_text), before)
+            assert before.store.valuation == valuation, f"case {case} wrote the caller's state"
             assert after.env == before.env, f"case {case} environment changed"
             assert (
-                after.store.valuation.keys() == before.store.valuation.keys()
+                after.store.valuation.keys() == valuation.keys()
             ), f"case {case} introduced or dropped variables"
-            for name, value in before.store.valuation.items():
+            for name, value in valuation.items():
                 if name not in ref_actuals:
                     assert (
                         after.store.valuation[name] == value

@@ -1,11 +1,13 @@
 """Command-line interface: exit codes, reports, restore fixpoint, REPL."""
 
+import gc
 import io
 import re
 import sys
 
 import pytest
 
+from lingua import cli
 from lingua.cli import RunConfig, _deep_recursion, main, repl
 from lingua.parser import parse_program
 from lingua.printer import print_concrete
@@ -89,6 +91,23 @@ class TestRun:
         code = main(["run", path, "--fuel", "unlimited"])
         capsys.readouterr()
         assert code == 0
+
+    def test_env_var_fuel_read_on_each_call(self, tmp_path, capsys, monkeypatch):
+        path = write(
+            tmp_path,
+            "count.lng",
+            "begin-program let i be number tel ; i := 0 ; "
+            "while (i < 10) do i := (i + 1) od end-program",
+        )
+        codes = []
+        for fuel in ("5", "1000", "5", None):
+            if fuel is None:
+                monkeypatch.delenv("LINGUA_FUEL")
+            else:
+                monkeypatch.setenv("LINGUA_FUEL", fuel)
+            codes.append(main(["run", path]))
+        capsys.readouterr()
+        assert codes == [3, 0, 3, 0]
 
     @pytest.mark.parametrize(
         "argv, env",
@@ -366,3 +385,93 @@ class TestRepl:
             sys.setrecursionlimit(previous)
         assert code == 0
         assert "(3, number)" in out
+
+
+class TestCollector:
+    """`main` pauses the cycle collector for a command, which is safe only
+    while every command frees what it makes by reference counting."""
+
+    FILES = {
+        "ok.lng": (
+            "begin-program let x be number tel ; "
+            "fun double (k as number) (k * 2) endfun ; "
+            "proc inc (val empty-fp ref r as number) "
+            "begin-program r := (r + 1) end-program end proc ; "
+            "x := 1 ; while (x < 5) do x := double(x) ; call inc (ref x val empty-ap) od "
+            "end-program"
+        ),
+        "div.lng": "begin-program let x be number tel ; x := (1 / 0) end-program",
+        "bad.lng": "begin-program x := end-program",
+        "loop.lng": "begin-program while true do skip od end-program",
+        "recurse.lng": (
+            "begin-program proc p (val empty-fp ref empty-fp) "
+            "begin-program call p (ref empty-ap val empty-ap) end-program end proc ; "
+            "call p (ref empty-ap val empty-ap) end-program"
+        ),
+        "fragment.lng": "(1 + 2)",
+        "deep.lng": "x := " + "(" * 1_200 + "1" + ")" * 1_200,
+    }
+    REPL_SESSION = "1 + 2\nvalue < 3\nnumber\nx :=\nlet y be number tel\ny := 1\n:state\n"
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["run", "ok.lng", "--trace"], 0),
+            (["run", "div.lng"], 1),
+            (["run", "bad.lng"], 2),
+            (["run", "loop.lng", "--fuel", "100"], 3),
+            (["run", "recurse.lng"], 3),
+            (["run", "absent.lng"], 4),
+            (["check", "ok.lng"], 0),
+            (["check", "fragment.lng"], 0),
+            (["check", "deep.lng"], 2),
+            (["restore", "ok.lng"], 0),
+            (["ast", "ok.lng"], 0),
+            (["ast", "ok.lng", "--format", "json"], 0),
+            (["repl"], 0),
+        ],
+        ids=[
+            "run-0", "run-1", "run-2", "run-3-fuel", "run-3-too-deep", "run-4",
+            "check-program", "check-fragment", "check-too-deep",
+            "restore", "ast-sexpr", "ast-json", "repl",
+        ],
+    )
+    def test_command_leaves_no_cyclic_garbage(self, tmp_path, capsys, monkeypatch, argv, code):
+        for name, text in self.FILES.items():
+            write(tmp_path, name, text)
+        argv = [str(tmp_path / arg) if arg.endswith(".lng") else arg for arg in argv]
+        # once first: the parser is built once per process, not per command
+        for _ in range(2):
+            monkeypatch.setattr("sys.stdin", io.StringIO(self.REPL_SESSION))
+            gc.collect()
+            assert main(argv) == code
+            garbage = gc.collect()
+        capsys.readouterr()
+        assert garbage == 0
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_main_leaves_the_collector_as_it_found_it(self, tmp_path, capsys, monkeypatch, enabled):
+        path = write(tmp_path, "ok.lng", "begin-program skip end-program")
+        seen = []
+        run = cli.cmd_run
+
+        def recorded(*args):
+            seen.append(gc.isenabled())
+            return run(*args)
+
+        monkeypatch.setattr(cli, "cmd_run", recorded)
+        was_enabled = gc.isenabled()
+        gc.freeze()
+        try:
+            gc.enable() if enabled else gc.disable()
+            before = (gc.isenabled(), gc.get_freeze_count())
+            assert main(["run", path]) == 0
+            assert (gc.isenabled(), gc.get_freeze_count()) == before
+            with pytest.raises(SystemExit):
+                main(["run", path, "--fuel", "abc"])
+            assert (gc.isenabled(), gc.get_freeze_count()) == before
+        finally:
+            gc.unfreeze()
+            gc.enable() if was_enabled else gc.disable()
+        capsys.readouterr()
+        assert seen == [False]

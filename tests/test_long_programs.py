@@ -10,6 +10,7 @@ import sys
 
 from lingua import cli
 from lingua.cli import main
+from lingua import nodes as n
 from lingua.kernel import NUMBER, OMEGA, Composite, num
 from lingua.parser import parse_program
 from lingua.printer import print_concrete
@@ -126,6 +127,47 @@ def test_long_sequences_compare_and_hash_without_recursion():
         assert first != sequence_program(2_000, last=2)
     finally:
         sys.setrecursionlimit(previous)
+
+
+def test_short_sequences_repr_as_dataclasses():
+    # The texts the dataclass default repr gives, all four sequence forms
+    # and a left-nested spine among them.
+    prg = parse_program(
+        "begin-program let x be number tel ; let y be number tel ; "
+        "set t as number tes ; set u as number tes ; x := 1 ; skip end-program"
+    )
+    assert repr(prg) == (
+        "Program(pam=PreSeq(pam1=VarDecSeq(vde1=VarDec(ide='x', tex=NumberTyp()), "
+        "vde2=VarDec(ide='y', tex=NumberTyp())), pam2=TypDefSeq(tde1=TypDef(ide='t', "
+        "tex=NumberTyp()), tde2=TypDef(ide='u', tex=NumberTyp()))), "
+        "ins=SeqIns(ins1=AssignIns(ide='x', dae=NumLit(num=Number(coeff=1, exp=0))), "
+        "ins2=SkipIns()))"
+    )
+    left = n.SeqIns(
+        n.SeqIns(n.SkipIns(), n.WhileIns(n.BoolLit(True), n.SeqIns(n.SkipIns(), n.SkipIns()))),
+        n.SkipIns(),
+    )
+    assert repr(left) == (
+        "SeqIns(ins1=SeqIns(ins1=SkipIns(), ins2=WhileIns(dae=BoolLit(value=True), "
+        "ins=SeqIns(ins1=SkipIns(), ins2=SkipIns()))), ins2=SkipIns())"
+    )
+
+
+def test_long_sequence_repr_without_recursion():
+    k = 5_000
+    item = "AssignIns(ide='x', dae=NumLit(num=Number(coeff=1, exp=0)))"
+    try:
+        text = repr(sequence_program(k))
+    except RecursionError:
+        # failed outside the handler: pytest takes minutes to report a
+        # traceback thousands of frames deep
+        text = "RecursionError"
+    assert text == (
+        "Program(pam=VarDec(ide='x', tex=NumberTyp()), ins="
+        + f"SeqIns(ins1={item}, ins2=" * (k - 1)
+        + item
+        + ")" * k
+    )
 
 
 def test_print_concrete_long_sequence():

@@ -358,10 +358,13 @@ class TestFrameLaw:
         )
         from lingua.parser import parse_instruction
 
+        # a snapshot: the returned state may share its valuation with prelude
+        valuation = dict(prelude.store.valuation)
         after = evaluator.exec_instruction(
             parse_instruction("call swap (ref x, y val empty-ap)"), prelude
         )
+        assert prelude.store.valuation == valuation
         assert after.env == prelude.env
-        assert after.store.valuation["z"] == prelude.store.valuation["z"]
-        assert after.store.valuation.keys() == prelude.store.valuation.keys()
+        assert after.store.valuation["z"] == valuation["z"]
+        assert after.store.valuation.keys() == valuation.keys()
         assert after.store.valuation["x"].content == num(2)
