@@ -298,10 +298,28 @@ def repl(
                 print(f"error: {register_word(sta)}", file=out)
 
 
+class _AcyclicFormatter(argparse.HelpFormatter):
+    """argparse's formatter, which lets go of its sections once it has
+    formatted them.  A section refers back to its formatter, so otherwise
+    every usage error and help text leaves a reference cycle behind."""
+
+    def format_help(self) -> str:
+        try:
+            return super().format_help()
+        finally:
+            self._root_section = self._current_section = None
+
+
 @functools.cache
 def _build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="lingua")
-    sub = parser.add_subparsers(dest="command", required=True)
+    parser = argparse.ArgumentParser(prog="lingua", formatter_class=_AcyclicFormatter)
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        parser_class=functools.partial(
+            argparse.ArgumentParser, formatter_class=_AcyclicFormatter
+        ),
+    )
     # No default: the parser is built once per process, and `_command_fuel`
     # reads LINGUA_FUEL on every call.
     fuel = dict(
@@ -352,7 +370,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        args = _build_arg_parser().parse_args(argv)
+        try:
+            args = _build_arg_parser().parse_args(argv)
+        except SystemExit as exc:
+            # Python 3.10's argparse keeps the ArgumentError it reports in
+            # a frame of that error's own traceback, a reference cycle.
+            # (Imported here: `traceback` is not otherwise loaded at startup.)
+            import traceback
+
+            if exc.__context__ is not None:
+                traceback.clear_frames(exc.__context__.__traceback__)
+            raise
         out, err = sys.stdout, sys.stderr
         if args.command == "run":
             limits = Limits()

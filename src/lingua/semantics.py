@@ -20,14 +20,30 @@ expression, since the state cannot change inside it.
 Nontermination is bounded by a fuel budget, spent on loop iterations and
 procedure calls; running out raises OutOfFuel, which is an outcome of the
 run, not a language error, and never reaches an error register.
+
+Four rules keep a step's Python calls to those that decide something:
+
+- The register is tested inline (`sta.store.register is not None`), and a
+  variable is read straight from the valuation, whose bound `Value.com` is
+  the composite a read returns.
+- The verdict of `TT`, the transfer `true`, is `true` for every composite,
+  so a write under it never applies it: its yoke error, shape and
+  satisfaction steps are known to pass.
+- Identical bodies are coherent, so a write calls `coherent` only when the
+  new body is not the held one.
+- A call reads its formal lengths, formal type codes, body, result and
+  return type codes from one entry compiled once per declaration
+  (`_Call`); the entry holds code only, and the formal types are still
+  evaluated in the callee's environment on every call.
 """
 
 from __future__ import annotations
 
 import weakref
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Optional, TypeVar, Union
+from typing import Callable, NamedTuple, Optional, TypeVar, Union
 
 from .kernel import (
     A_YOKE_EXPECTED,
@@ -97,11 +113,8 @@ from .state import (
     bind_type,
     clear_error,
     empty_state,
-    is_error,
     load_error,
-    lookup_procedure,
     lookup_type,
-    lookup_variable,
     owned,
 )
 
@@ -270,7 +283,12 @@ def _sized(dat: Data, bod, limits: Limits) -> EvalResult:
 
 
 def _number(number: Number, limits: Limits) -> EvalResult:
-    return _sized(_number_data(number), NUMBER, limits)
+    """`_sized` written out for a number, since every arithmetic result
+    passes here."""
+    dat = _number_data(number)
+    if oversized(dat, limits):
+        return OVERFLOW
+    return _unchecked_composite(dat, NUMBER)
 
 
 def _add(left: Composite, right: Composite, limits: Limits) -> EvalResult:
@@ -578,26 +596,30 @@ def _assign(ide: str, value: DataCode) -> StateCode:
         # The nine-step ladder: error state, declaredness, expression
         # error, yoke error, coherence, yoke shape, yoke satisfaction,
         # then rebind with the new composite and the unchanged transfer.
-        if is_error(sta):
+        # Under TT the three yoke steps pass; an identical body is coherent.
+        if sta.store.register is not None:
             return sta
-        val = lookup_variable(sta, ide)
+        val = sta.store.valuation.get(ide)
         if val is None:
             return load_error(sta, IDENTIFIER_NOT_DECLARED)
         new = value(sta)
         if isinstance(new, AbstractError):
             return load_error(sta, new)
-        com = apply_transfer(val.typ.tra, new)
-        if isinstance(com, AbstractError):
-            return load_error(sta, com)
-        if not coherent(new.bod, val.typ.bod):
-            return load_error(sta, NO_COHERENCE)
-        if not is_boo_composite(com):
-            return load_error(sta, A_YOKE_EXPECTED)
-        if not com.dat.value:
-            return load_error(sta, YOKE_NOT_SATISFIED)
         typ = val.typ
+        tra = typ.tra
+        if tra is not TT:
+            com = apply_transfer(tra, new)
+            if isinstance(com, AbstractError):
+                return load_error(sta, com)
         if new.bod is not typ.bod:
-            typ = LangType(new.bod, typ.tra)
+            if not coherent(new.bod, typ.bod):
+                return load_error(sta, NO_COHERENCE)
+            typ = LangType(new.bod, tra)
+        if tra is not TT:
+            if not is_boo_composite(com):
+                return load_error(sta, A_YOKE_EXPECTED)
+            if not com.dat.value:
+                return load_error(sta, YOKE_NOT_SATISFIED)
         return bind_variable(sta, ide, _unchecked_value(new.dat, typ, new))
 
     return assign
@@ -611,14 +633,15 @@ def _element_write(ide: str, value: DataCode, single: Callable[[tuple], Data]) -
     Every binder checks a value against its own transfer, so under
     `all-list T` or `all-array T` every old element satisfies T, and the
     verdict on the new collection is the verdict on the one element alone.
-    Any other yoke checks the whole value.  The new collection keeps the
-    held body, so it is coherent and keeps the held type.
+    Any other yoke checks the whole value, and TT passes it unapplied.  The
+    new collection keeps the held body, so it is coherent and keeps the
+    held type.
     """
 
     def assign(sta):
-        if is_error(sta):
+        if sta.store.register is not None:
             return sta
-        val = lookup_variable(sta, ide)
+        val = sta.store.valuation.get(ide)
         if val is None:
             return load_error(sta, IDENTIFIER_NOT_DECLARED)
         out = value(sta)
@@ -626,17 +649,18 @@ def _element_write(ide: str, value: DataCode, single: Callable[[tuple], Data]) -
             return load_error(sta, out)
         new, element = out
         tra = val.typ.tra
-        if tra.elementwise:
-            new_only = _unchecked_composite(single((element.dat,)), new.bod)
-            com = apply_transfer(tra, new_only)
-        else:
-            com = apply_transfer(tra, new)
-        if isinstance(com, AbstractError):
-            return load_error(sta, com)
-        if not is_boo_composite(com):
-            return load_error(sta, A_YOKE_EXPECTED)
-        if not com.dat.value:
-            return load_error(sta, YOKE_NOT_SATISFIED)
+        if tra is not TT:
+            if tra.elementwise:
+                new_only = _unchecked_composite(single((element.dat,)), new.bod)
+                com = apply_transfer(tra, new_only)
+            else:
+                com = apply_transfer(tra, new)
+            if isinstance(com, AbstractError):
+                return load_error(sta, com)
+            if not is_boo_composite(com):
+                return load_error(sta, A_YOKE_EXPECTED)
+            if not com.dat.value:
+                return load_error(sta, YOKE_NOT_SATISFIED)
         return bind_variable(sta, ide, _unchecked_value(new.dat, val.typ, new))
 
     return assign
@@ -646,9 +670,9 @@ def _yoke(ide: str, tra: Transfer) -> StateCode:
     def yoke(sta):
         # Symmetric to assignment: the old composite is kept, the transfer
         # is replaced, and the new transfer must accept the old composite.
-        if is_error(sta):
+        if sta.store.register is not None:
             return sta
-        val = lookup_variable(sta, ide)
+        val = sta.store.valuation.get(ide)
         if val is None:
             return load_error(sta, IDENTIFIER_NOT_DECLARED)
         if val.content is OMEGA:
@@ -669,7 +693,7 @@ def _yoke(ide: str, tra: Transfer) -> StateCode:
 
 def _if(guard: DataCode, then_code: StateCode, else_code: StateCode) -> StateCode:
     def if_then_else(sta):
-        if is_error(sta):
+        if sta.store.register is not None:
             return sta
         com = guard(sta)
         if isinstance(com, AbstractError):
@@ -683,7 +707,8 @@ def _if(guard: DataCode, then_code: StateCode, else_code: StateCode) -> StateCod
 
 def _if_error(guard: DataCode, handler: StateCode) -> StateCode:
     def if_error(sta):
-        if not is_error(sta):
+        err = sta.store.register
+        if err is None:
             return sta
         # The handled word is evaluated with the register cleared;
         # otherwise transparency would poison the evaluation.
@@ -693,7 +718,7 @@ def _if_error(guard: DataCode, handler: StateCode) -> StateCode:
             return load_error(sta, com)
         if com.bod is not WORD:
             return load_error(sta, WORD_EXPECTED)
-        if com.dat.text != sta.store.register.word:
+        if com.dat.text != err.word:
             return sta
         return handler(cleared)
 
@@ -703,7 +728,7 @@ def _if_error(guard: DataCode, handler: StateCode) -> StateCode:
 def _while(guard: DataCode, body: StateCode, fuel: Fuel) -> StateCode:
     def loop(sta):
         while True:
-            if is_error(sta):
+            if sta.store.register is not None:
                 return sta
             com = guard(sta)
             if isinstance(com, AbstractError):
@@ -718,13 +743,15 @@ def _while(guard: DataCode, body: StateCode, fuel: Fuel) -> StateCode:
     return loop
 
 
-def _declare(ide: str, type_code: TypeCode, lookup: Callable, bind: Callable) -> StateCode:
-    """A variable declaration or a type definition: `ide` must be free."""
+def _declare(ide: str, type_code: TypeCode, variable: bool) -> StateCode:
+    """A variable declaration, or else a type definition: `ide` must be
+    free among the variables, or the types."""
+    bind = _bind_omega if variable else bind_type
 
     def declare(sta):
-        if is_error(sta):
+        if sta.store.register is not None:
             return sta
-        if lookup(sta, ide) is not None:
+        if ide in (sta.store.valuation if variable else sta.env.types):
             return load_error(sta, IDENTIFIER_NOT_FREE)
         typ = type_code(sta)
         if isinstance(typ, AbstractError):
@@ -744,9 +771,9 @@ def _declare_procedures(decs: tuple) -> StateCode:
     repeated = len(set(names)) != len(names)
 
     def declare(sta):
-        if is_error(sta):
+        if sta.store.register is not None:
             return sta
-        if repeated or any(lookup_procedure(sta, name) is not None for name in names):
+        if repeated or any(name in sta.env.procs for name in names):
             return load_error(sta, IDENTIFIER_NOT_FREE)
         out = sta
         for dec in decs:
@@ -757,6 +784,23 @@ def _declare_procedures(decs: tuple) -> StateCode:
 
 
 # ---------------------------------------------------------------------------
+
+
+class _Call(NamedTuple):
+    """What a call of one procedure declaration runs, compiled once per
+    evaluator: the lengths of the formal lists, the ref list before the
+    val; each formal's name and type code, in that order; the ref formals'
+    names; and the code of the body (a function's is optional), a
+    function's result and its optional return type.  It holds code only:
+    the environment is the callee's, and the formal types are evaluated in
+    it on every call."""
+
+    lengths: list[int]
+    formals: tuple[tuple[str, TypeCode], ...]
+    refs: tuple[str, ...]
+    body: Optional[StateCode]
+    result: Optional[DataCode]
+    return_type: Optional[TypeCode]
 
 
 class Evaluator:
@@ -784,7 +828,7 @@ class Evaluator:
         self.fuel = Fuel(fuel)
         self.small_number_bound = small_number_bound
         self.trace = trace
-        self._cache: dict[str, dict[int, tuple[n.Node, object]]] = {}
+        self._cache: dict[str, dict[int, tuple[n.Node, object]]] = defaultdict(dict)
         # Compiled code reaches the evaluator only weakly, so the evaluator
         # and its cache form no reference cycle and are freed as soon as
         # the run that made them is over.
@@ -793,7 +837,7 @@ class Evaluator:
     def _cached(self, compile: Callable[[n.Node], C], node: n.Node) -> C:
         """`compile(node)`, once per evaluator.  The entry keeps the node
         alive, so its identity cannot be reused while it is cached."""
-        table = self._cache.setdefault(compile.__name__, {})
+        table = self._cache[compile.__name__]
         entry = table.get(id(node))
         if entry is None:
             entry = table[id(node)] = (node, compile(node))
@@ -802,17 +846,17 @@ class Evaluator:
     # -- entry points: compile, then run -----------------------------------
 
     def eval_data_exp(self, dae: n.DatExp, sta: State) -> EvalResult:
-        if is_error(sta):
+        if sta.store.register is not None:
             return sta.store.register
         return self._cached(self.compile_expression, dae)(sta)
 
     def eval_transfer_exp(self, tre: n.TraExp, sta: State) -> Union[Transfer, AbstractError]:
-        if is_error(sta):
+        if sta.store.register is not None:
             return sta.store.register
         return self._cached(self._transfer, tre)
 
     def eval_type_exp(self, tex: n.TypExp, sta: State) -> TypeResult:
-        if is_error(sta):
+        if sta.store.register is not None:
             return sta.store.register
         return self._cached(self.compile_type_exp, tex)(sta)
 
@@ -845,9 +889,12 @@ class Evaluator:
             case n.IdeExp(ide):
 
                 def variable(sta):
-                    val = lookup_variable(sta, ide)
+                    val = sta.store.valuation.get(ide)
                     if val is None:
                         return IDENTIFIER_NOT_DECLARED
+                    com = val.com
+                    if com is not None:
+                        return com
                     if val.content is OMEGA:
                         return VARIABLE_NOT_INITIALIZED
                     return val.composite()
@@ -1020,9 +1067,9 @@ class Evaluator:
             case n.SkipIns():
                 return _skip
             case n.VarDec(ide, tex):
-                return _declare(ide, self.compile_type_exp(tex), lookup_variable, _bind_omega)
+                return _declare(ide, self.compile_type_exp(tex), variable=True)
             case n.TypDef(ide, tex):
-                return _declare(ide, self.compile_type_exp(tex), lookup_type, bind_type)
+                return _declare(ide, self.compile_type_exp(tex), variable=False)
             case n.ImpProcDec() | n.FunProcDec():
                 return _declare_procedures((dec,))
             case n.MultiProcDec(decs):
@@ -1040,29 +1087,33 @@ class Evaluator:
 
     # -- procedure calls ----------------------------------------------------
 
-    def _formals(self, dec: Union[n.ImpProcDec, n.FunProcDec]) -> tuple[list[int], tuple]:
-        """The lengths of a declaration's formal lists, the ref list before
-        the val, and each formal's name and type code, in that order."""
+    def _compile_call(self, dec: Union[n.ImpProcDec, n.FunProcDec]) -> _Call:
         if isinstance(dec, n.FunProcDec):
-            lists = (dec.params,)
+            lists, refs = (dec.params,), ()
+            body = None if dec.prg is None else self.compile_program(dec.prg)
+            result = self.compile_expression(dec.dae)
+            return_type = None if dec.tex is None else self.compile_type_exp(dec.tex)
         else:
             lists = (dec.ref_params, dec.val_params)
-        codes = tuple((formal.ide, self.compile_type_exp(formal.tex)) for formal in chain(*lists))
-        return list(map(len, lists)), codes
+            refs = tuple(formal.ide for formal in dec.ref_params)
+            body, result, return_type = self.compile_program(dec.prg), None, None
+        formals = tuple((formal.ide, self.compile_type_exp(formal.tex)) for formal in chain(*lists))
+        return _Call(list(map(len, lists)), formals, refs, body, result, return_type)
 
     def _enter(
         self, kind: type, ide: str, actuals: tuple[tuple[str, ...], ...], sta: State
-    ) -> Union[tuple[n.Node, State], AbstractError]:
-        """Stages 1 and 2 of a call from a clear state: the declaration, of
-        class `kind`, and the local state its body runs on, or an error word.
-        `actuals` has one list per formal list, the ref list before the val."""
-        pro = lookup_procedure(sta, ide)
+    ) -> Union[tuple[_Call, State], AbstractError]:
+        """Stages 1 and 2 of a call from a clear state: the compiled entry
+        of the declaration, of class `kind`, and the local state its body
+        runs on, or an error word.  `actuals` has one list per formal list,
+        the ref list before the val."""
+        pro = sta.env.procs.get(ide)
         if pro is None or not isinstance(pro.dec, kind):
             return PROCEDURE_NOT_DECLARED
         self.fuel.spend()
         dec = pro.dec
-        lengths, formals = self._cached(self._formals, dec)
-        if lengths != list(map(len, actuals)):
+        call = self._cached(self._compile_call, dec)
+        if call.lengths != list(map(len, actuals)):
             return PARAMETER_LIST_MISMATCH
         # The declaration-time environment with the whole group nested back
         # in, so every member, the callee included, resolves recursively.
@@ -1073,8 +1124,9 @@ class Evaluator:
         local = State(Env(pro.env.types, procs), Store(valuation, None))
         # The local valuation holds only the formals.  Formal types read
         # only the environment, so they evaluate on `local` as it fills.
-        for (formal, type_code), actual in zip(formals, chain(*actuals)):
-            actual_value = lookup_variable(sta, actual)
+        caller = sta.store.valuation
+        for (formal, type_code), actual in zip(call.formals, chain(*actuals)):
+            actual_value = caller.get(actual)
             if actual_value is None:
                 return IDENTIFIER_NOT_DECLARED
             formal_type = type_code(local)
@@ -1087,7 +1139,7 @@ class Evaluator:
                 if not clan_ty_member(com, formal_type):
                     return PARAMETER_TYPE_MISMATCH
                 valuation[formal] = _unchecked_value(com.dat, formal_type, com)
-        return dec, local
+        return call, local
 
     def call_imperative_procedure(
         self,
@@ -1097,41 +1149,41 @@ class Evaluator:
         sta: State,
     ) -> State:
         # An error-carrying initial global state is the terminal one.
-        if is_error(sta):
+        if sta.store.register is not None:
             return sta
         entered = self._enter(n.ImpProcDec, ide, (ref_args, val_args), sta)
         if isinstance(entered, AbstractError):
             return load_error(sta, entered)
-        dec, local = entered
+        call, local = entered
         # Stage 3: run the body on the local state.
-        terminal = self._cached(self.compile_program, dec.prg)(local)
-        if is_error(terminal):
+        terminal = call.body(local)
+        if terminal.store.register is not None:
             return load_error(sta, terminal.store.register)
         # Stage 4: local environment is abandoned; reference parameters are
         # copied back onto their actuals, in the caller's valuation.
         valuation, local = sta.store.valuation, terminal.store.valuation
-        for formal, actual in zip(dec.ref_params, ref_args):
-            valuation[actual] = local[formal.ide]
+        for formal, actual in zip(call.refs, ref_args):
+            valuation[actual] = local[formal]
         return sta
 
     def call_functional_procedure(
         self, ide: str, val_args: tuple[str, ...], sta: State
     ) -> EvalResult:
-        if is_error(sta):
+        if sta.store.register is not None:
             return sta.store.register
         entered = self._enter(n.FunProcDec, ide, (val_args,), sta)
         if isinstance(entered, AbstractError):
             return entered
-        dec, terminal = entered
-        if dec.prg is not None:
-            terminal = self._cached(self.compile_program, dec.prg)(terminal)
-            if is_error(terminal):
+        call, terminal = entered
+        if call.body is not None:
+            terminal = call.body(terminal)
+            if terminal.store.register is not None:
                 return terminal.store.register
-        result = self._cached(self.compile_expression, dec.dae)(terminal)
+        result = call.result(terminal)
         if isinstance(result, AbstractError):
             return result
-        if dec.tex is not None:
-            return_type = self._cached(self.compile_type_exp, dec.tex)(terminal)
+        if call.return_type is not None:
+            return_type = call.return_type(terminal)
             if isinstance(return_type, AbstractError):
                 return return_type
             if not clan_ty_member(result, return_type):

@@ -449,6 +449,35 @@ class TestCollector:
         capsys.readouterr()
         assert garbage == 0
 
+    @pytest.mark.parametrize(
+        "argv, env_fuel",
+        [
+            (["run", "ok.lng", "--fuel", "abc"], None),
+            (["run"], None),
+            (["run", "ok.lng"], "1.5"),
+        ],
+        ids=["bad-fuel", "run-without-file", "bad-env-fuel"],
+    )
+    def test_usage_error_leaves_no_cyclic_garbage(
+        self, tmp_path, capsys, monkeypatch, argv, env_fuel
+    ):
+        write(tmp_path, "ok.lng", self.FILES["ok.lng"])
+        argv = [str(tmp_path / arg) if arg.endswith(".lng") else arg for arg in argv]
+        if env_fuel is not None:
+            monkeypatch.setenv("LINGUA_FUEL", env_fuel)
+        for _ in range(2):
+            gc.collect()
+            # not pytest.raises: its ExceptionInfo, held in this frame, would
+            # hold the traceback that holds this frame
+            try:
+                main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            garbage = gc.collect()
+            assert code == 2
+        capsys.readouterr()
+        assert garbage == 0
+
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
     def test_main_leaves_the_collector_as_it_found_it(self, tmp_path, capsys, monkeypatch, enabled):
         path = write(tmp_path, "ok.lng", "begin-program skip end-program")

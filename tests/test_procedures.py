@@ -2,10 +2,10 @@
 
 import pytest
 
-from lingua.kernel import AbstractError, Composite, NUMBER, num, word
-from lingua.parser import parse_data_expression
+from lingua.kernel import TT, WORD, AbstractError, Composite, LangType, NUMBER, Value, num, word
+from lingua.parser import parse_data_expression, parse_instruction, parse_program
 from lingua.semantics import Evaluator, OutOfFuel
-from lingua.state import lookup_variable, register_word
+from lingua.state import bind_type, bind_variable, empty_state, lookup_variable, register_word
 
 from util import run_text
 
@@ -346,6 +346,24 @@ class TestSharedCallProtocol:
             "y := f(x) end-program"
         )
         assert register_word(sta) == "type-not-defined"
+
+    def test_formal_types_are_read_in_each_declarations_environment(self):
+        # One evaluator compiles `q` once; each declaration of it captures
+        # its own `t`, which its formal types must read on every call.
+        evaluator = Evaluator()
+        pam = parse_program(
+            "begin-program proc q (val v as t ref out as t) "
+            "begin-program out := v end-program end proc ; skip end-program"
+        ).pam
+        call = parse_instruction("call q (ref y val x)")
+        outcomes = []
+        for body in (NUMBER, WORD):
+            sta = bind_type(empty_state(), "t", LangType(body, TT))
+            sta = bind_variable(sta, "x", Value(num(1), LangType(NUMBER, TT)))
+            sta = bind_variable(sta, "y", Value(num(0), LangType(NUMBER, TT)))
+            sta = evaluator.exec_preamble(pam, sta)
+            outcomes.append(register_word(evaluator.exec_instruction(call, sta)))
+        assert outcomes == ["OK", "parameter-type-mismatch"]
 
 
 class TestFrameLaw:
