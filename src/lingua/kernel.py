@@ -580,6 +580,8 @@ class LangType:
 
 
 def clan_tr_member(com: Composite, tra: Transfer) -> bool:
+    if tra is TT:  # its verdict is true for every composite
+        return True
     verdict = apply_transfer(tra, com)
     return is_boo_composite(verdict) and verdict.dat.value
 

@@ -3,14 +3,15 @@
 One frozen dataclass per grammar clause.  Field names follow the clause
 metavariables: ide for identifiers, dae for data expressions, tre for
 transfer expressions, tex for type expressions, ins for instructions, pam
-for preambles.  Sequence forms are kept right-nested; parameter lists are
-flattened into tuples.
+for preambles.  A sequence form holds its items, two or more, left to
+right in one flat `items` tuple (a run of one is the item itself), and
+parameter lists are tuples too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from .kernel import Number
 
@@ -37,44 +38,6 @@ class Instruction(Node):
 
 class Declaration(Node):
     """Preamble items other than skip and sequencing."""
-
-
-class _Sequence:
-    """Equality, hashing and repr of the four sequence forms over their
-    spine in preorder (`_preorder`), so a sequence of any length compares,
-    hashes and prints without recursing along it; a sequence is equal to
-    one of the same shape, classes and items, and prints as it would with
-    the dataclass defaults."""
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return list(_preorder(self)) == list(_preorder(other))
-
-    def __hash__(self):
-        return hash(tuple(_preorder(self)))
-
-    def __repr__(self):
-        parts = []
-        # per open sequence node: its second field's name while its first
-        # part is printing, then None while its second is
-        pending: list[Optional[str]] = []
-        for entry in _preorder(self):
-            if isinstance(entry, type):
-                first, second = entry.__dataclass_fields__
-                parts.append(f"{entry.__qualname__}({first}=")
-                pending.append(second)
-                continue
-            parts.append(repr(entry))
-            while pending:
-                second = pending.pop()
-                if second is None:
-                    parts.append(")")
-                else:
-                    parts.append(f", {second}=")
-                    pending.append(None)
-                    break
-        return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -469,10 +432,9 @@ class VarDec(Declaration):
     tex: TypExp
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class VarDecSeq(_Sequence, Declaration):
-    vde1: "VarDec | VarDecSeq"
-    vde2: "VarDec | VarDecSeq"
+@dataclass(frozen=True)
+class VarDecSeq(Declaration):
+    items: tuple[VarDec, ...]
 
 
 @dataclass(frozen=True)
@@ -483,10 +445,9 @@ class TypDef(Declaration):
     tex: TypExp
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class TypDefSeq(_Sequence, Declaration):
-    tde1: "TypDef | TypDefSeq"
-    tde2: "TypDef | TypDefSeq"
+@dataclass(frozen=True)
+class TypDefSeq(Declaration):
+    items: tuple[TypDef, ...]
 
 
 @dataclass(frozen=True)
@@ -577,10 +538,9 @@ class WhileIns(Instruction):
     ins: Instruction
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class SeqIns(_Sequence, Instruction):
-    ins1: Instruction
-    ins2: Instruction
+@dataclass(frozen=True)
+class SeqIns(Instruction):
+    items: tuple[Instruction, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -589,10 +549,9 @@ class SeqIns(_Sequence, Instruction):
 Preamble = Union[Declaration, SkipIns, "PreSeq"]
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class PreSeq(_Sequence, Node):
-    pam1: Preamble
-    pam2: Preamble
+@dataclass(frozen=True)
+class PreSeq(Node):
+    items: tuple[Union[Declaration, SkipIns], ...]
 
 
 @dataclass(frozen=True)
@@ -602,28 +561,3 @@ class Program(Node):
     pam: Optional[Preamble]
     ins: Instruction
 
-
-def _preorder(node: Node) -> Iterator[Union[Node, type]]:
-    """A sequence's spine in preorder: each sequence node on it as its
-    class, each item as itself.  A sequence node has exactly two parts, so
-    this determines the tree.  The spine is walked with an explicit stack,
-    so a sequence of any length is walked without recursion."""
-    stack = [node]
-    while stack:
-        match stack.pop():
-            case (
-                SeqIns(first, second)
-                | PreSeq(first, second)
-                | VarDecSeq(first, second)
-                | TypDefSeq(first, second)
-            ) as sequence:
-                yield sequence.__class__
-                stack += (second, first)
-            case item:
-                yield item
-
-
-def sequence_items(node: Node) -> list[Node]:
-    """The items of a sequence of any sort, left to right; a non-sequence
-    is its own only item."""
-    return [item for item in _preorder(node) if not isinstance(item, type)]

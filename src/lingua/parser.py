@@ -19,6 +19,7 @@ set, which is how the test corpus measures production coverage.
 from __future__ import annotations
 
 import dataclasses
+from itertools import groupby
 from typing import Callable, Optional, TypeVar, Union
 
 from .diagnostics import LinguaParseError, ParseDiagnostic
@@ -198,12 +199,8 @@ _DECL_KEYWORDS = ("let", "set", "proc", "fun")
 
 T = TypeVar("T")
 
-
-def _fold_right(items: list, ctor: Callable):
-    out = items[-1]
-    for item in reversed(items[:-1]):
-        out = ctor(item, out)
-    return out
+# adjacent preamble items of these classes group into one sequence node
+_RUNS = {n.VarDec: (n.VarDecSeq, "VarDec:seq"), n.TypDef: (n.TypDefSeq, "TypDef:seq")}
 
 
 def _rebase_value(tre: n.TraExp, attr: str) -> n.TraExp:
@@ -613,9 +610,7 @@ class Parser:
         items = [self.phrase(INSTRUCTION)]
         while self.accept(";"):
             items.append(self.phrase(INSTRUCTION))
-        if len(items) > 1:
-            self.fire("Instruction:seq")
-        return _fold_right(items, n.SeqIns)
+        return self.sequence(items)
 
     def simple_instruction(self) -> n.Instruction:
         """An instruction that is not a table phrase."""
@@ -725,7 +720,7 @@ class Parser:
             i for i, (node, _) in enumerate(items) if isinstance(node, n.Declaration)
         ]
         if not decl_indices:
-            instruction = self._fold_instructions([node for node, _ in items])
+            instruction = self.sequence([node for node, _ in items])
             self.fire("Program:plain")
             return n.Program(None, instruction)
         boundary = decl_indices[-1]
@@ -738,16 +733,16 @@ class Parser:
         if boundary + 1 >= len(items):
             self.error("a program needs an instruction after its declarations")
         preamble = self._group_preamble([node for node, _ in items[: boundary + 1]])
-        instruction = self._fold_instructions(
-            [node for node, _ in items[boundary + 1 :]]
-        )
+        instruction = self.sequence([node for node, _ in items[boundary + 1 :]])
         self.fire("Program:with-preamble")
         return n.Program(preamble, instruction)
 
-    def _fold_instructions(self, items: list[n.Node]) -> n.Instruction:
-        if len(items) > 1:
-            self.fire("Instruction:seq")
-        return _fold_right(items, n.SeqIns)
+    def sequence(self, items: list, node: Callable = n.SeqIns, tag: str = "Instruction:seq"):
+        """One `node` holding the items of a run, or its only item."""
+        if len(items) == 1:
+            return items[0]
+        self.fire(tag)
+        return node(tuple(items))
 
     def _group_preamble(self, items: list[n.Node]):
         for node in items:
@@ -764,31 +759,12 @@ class Parser:
             elif isinstance(node, n.SkipIns):
                 self.fire("Preamble:skip")
         blocks: list[n.Node] = []
-        i = 0
-        while i < len(items):
-            node = items[i]
-            if isinstance(node, n.VarDec):
-                run: list[n.Node] = [node]
-                while i + 1 < len(items) and isinstance(items[i + 1], n.VarDec):
-                    run.append(items[i + 1])
-                    i += 1
-                if len(run) > 1:
-                    self.fire("VarDec:seq")
-                blocks.append(_fold_right(run, n.VarDecSeq))
-            elif isinstance(node, n.TypDef):
-                run = [node]
-                while i + 1 < len(items) and isinstance(items[i + 1], n.TypDef):
-                    run.append(items[i + 1])
-                    i += 1
-                if len(run) > 1:
-                    self.fire("TypDef:seq")
-                blocks.append(_fold_right(run, n.TypDefSeq))
+        for kind, run in groupby(items, key=type):
+            if kind in _RUNS:
+                blocks.append(self.sequence(list(run), *_RUNS[kind]))
             else:
-                blocks.append(node)
-            i += 1
-        if len(blocks) > 1:
-            self.fire("Preamble:seq")
-        return _fold_right(blocks, n.PreSeq)
+                blocks += run
+        return self.sequence(blocks, n.PreSeq, "Preamble:seq")
 
     # -- fragments ----------------------------------------------------------
 
@@ -809,7 +785,7 @@ class Parser:
                 "begin-program ... end-program",
                 token=items[0][1],
             )
-        return "instruction", self._fold_instructions([node for node, _ in items])
+        return "instruction", self.sequence([node for node, _ in items])
 
 
 # ---------------------------------------------------------------------------

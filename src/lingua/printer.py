@@ -104,10 +104,9 @@ def print_concrete(ast: n.Node) -> str:
             return f"{ide} := {p(dae)}"
         case n.CallIns(ide, ref_args, val_args):
             return f"call {ide} (ref {_actuals(ref_args)} val {_actuals(val_args)})"
-        # sequences of every sort, joined along an explicit stack so that
-        # long straight-line programs print without deep recursion
-        case n.SeqIns() | n.PreSeq() | n.VarDecSeq() | n.TypDefSeq():
-            return " ; ".join(p(item) for item in n.sequence_items(ast))
+        # sequences of every sort
+        case n.SeqIns(items) | n.PreSeq(items) | n.VarDecSeq(items) | n.TypDefSeq(items):
+            return " ; ".join(p(item) for item in items)
         # programs
         case n.Program(None, ins):
             return f"begin-program {p(ins)} end-program"

@@ -1020,8 +1020,8 @@ class Evaluator:
         match ins:
             case n.SkipIns():
                 return _skip
-            case n.SeqIns():
-                return _block([step(item) for item in n.sequence_items(ins)])
+            case n.SeqIns(items):
+                return _block([step(item) for item in items])
             case n.AssignIns(ide, dae):
                 return self.compile_assignment(ide, dae)
             case n.YokeIns(ide, tre):
@@ -1059,11 +1059,10 @@ class Evaluator:
         return _assign(ide, sub(dae))
 
     def compile_preamble(self, pam) -> StateCode:
-        return _block([self.compile_declaration(item) for item in n.sequence_items(pam)])
-
-    def compile_declaration(self, dec) -> StateCode:
-        """One preamble item: a declaration, a definition or skip."""
-        match dec:
+        """A declaration, a definition, skip or a sequence of them."""
+        match pam:
+            case n.PreSeq(items) | n.VarDecSeq(items) | n.TypDefSeq(items):
+                return _block([self.compile_preamble(item) for item in items])
             case n.SkipIns():
                 return _skip
             case n.VarDec(ide, tex):
@@ -1071,10 +1070,10 @@ class Evaluator:
             case n.TypDef(ide, tex):
                 return _declare(ide, self.compile_type_exp(tex), variable=False)
             case n.ImpProcDec() | n.FunProcDec():
-                return _declare_procedures((dec,))
+                return _declare_procedures((pam,))
             case n.MultiProcDec(decs):
                 return _declare_procedures(decs)
-        raise TypeError(f"not a preamble item: {dec!r}")
+        raise TypeError(f"not a preamble: {pam!r}")
 
     def compile_program(self, prg: n.Program) -> StateCode:
         """A procedure body: its preamble, then its instruction.  A whole

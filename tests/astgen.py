@@ -1,9 +1,10 @@
 """Seeded random generator of canonical syntax trees.
 
-Canonical means: shapes the parser itself produces.  Sequences are
-right-nested, adjacent variable declarations (and type definitions) sit in
-their own grouped runs, preambles contain at least one declaration and end
-with one, and each sort only contains clauses from the concrete grammar.
+Canonical means: shapes the parser itself produces.  A sequence holds its
+two or more items in one flat tuple, adjacent variable declarations (and
+type definitions) sit in their own grouped runs, preambles contain at
+least one declaration and end with one, and each sort only contains
+clauses from the concrete grammar.
 """
 
 from __future__ import annotations
@@ -17,6 +18,11 @@ IDENTS = ("x", "y", "z", "acc", "price", "vat", "measurement-data", "ch-name", "
 ATTRS = ("a", "b", "price", "vat", "fa-name")
 WORDS = ("", "John", "Smith", "abc", "a b")
 TYPE_NAMES = ("money", "person", "tab")
+
+
+def sequence(items: list, node: type) -> n.Node:
+    """One `node` holding the items, as the parser builds it, or the only item."""
+    return items[0] if len(items) == 1 else node(tuple(items))
 
 
 class AstGen:
@@ -201,10 +207,7 @@ class AstGen:
             self.simple_instruction(depth)
             for _ in range(self.rng.randrange(1, 4))
         ]
-        out = items[-1]
-        for item in reversed(items[:-1]):
-            out = n.SeqIns(item, out)
-        return out
+        return sequence(items, n.SeqIns)
 
     # -- declarations ---------------------------------------------------------
 
@@ -243,20 +246,14 @@ class AstGen:
             n.VarDec(self.ident(), self.typ_exp(1))
             for _ in range(self.rng.randrange(1, 4))
         ]
-        out = decs[-1]
-        for dec in reversed(decs[:-1]):
-            out = n.VarDecSeq(dec, out)
-        return out
+        return sequence(decs, n.VarDecSeq)
 
     def typ_def_run(self) -> n.Declaration:
         defs = [
             n.TypDef(self.ident(), self.typ_exp(1))
             for _ in range(self.rng.randrange(1, 4))
         ]
-        out = defs[-1]
-        for tde in reversed(defs[:-1]):
-            out = n.TypDefSeq(tde, out)
-        return out
+        return sequence(defs, n.TypDefSeq)
 
     def _block_kind(self, block) -> str:
         if isinstance(block, (n.VarDec, n.VarDecSeq)):
@@ -279,10 +276,7 @@ class AstGen:
             ) == self._block_kind(blocks[-1]):
                 candidate = self.declaration(depth)
             blocks.append(candidate)
-        out = blocks[-1]
-        for block in reversed(blocks[:-1]):
-            out = n.PreSeq(block, out)
-        return out
+        return sequence(blocks, n.PreSeq)
 
     # -- programs ------------------------------------------------------------
 

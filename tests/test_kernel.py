@@ -7,6 +7,7 @@ from functools import reduce
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from lingua import kernel
 from lingua.kernel import (
     ARRAY_EXPECTED,
     BOOLEAN,
@@ -320,6 +321,17 @@ class TestClanTy:
     def test_tt_imposes_no_constraint(self):
         typ = LangType(NUMBER, TT)
         assert clan_ty_member(Composite(num(7), NUMBER), typ)
+
+    def test_tt_is_not_applied(self, monkeypatch):
+        # Its verdict is known, so binding a parameter or checking a return
+        # type under a type without `with` applies no transfer.
+        applied = []
+        monkeypatch.setattr(kernel, "apply_transfer", lambda tra, com: applied.append(tra))
+        assert clan_ty_member(Composite(num(7), NUMBER), LangType(NUMBER, TT))
+        assert applied == []
+        accepts = Transfer("accepts", lambda com: TRUE_COMPOSITE)
+        clan_ty_member(Composite(num(7), NUMBER), LangType(NUMBER, accepts))
+        assert applied == [accepts]
 
     def test_body_mismatch(self):
         typ = LangType(NUMBER, TT)

@@ -1,11 +1,13 @@
 """Resources of long programs: stack depth, trace length, leftover memory.
 
-Sequences compile to flat blocks, print by walking their spine with an
-explicit stack and dump along an explicit stack, so the host recursion
-limit bounds how deeply a program nests, not how long it is.
+A sequence is one node holding its items in a flat tuple, so it compiles
+to one block, prints and dumps item by item and compares, hashes and
+reprs along a tuple: the host recursion limit bounds how deeply a
+program nests, not how long it is.
 """
 
 import gc
+import json
 import sys
 
 from lingua import cli
@@ -131,25 +133,29 @@ def test_long_sequences_compare_and_hash_without_recursion():
 
 def test_short_sequences_repr_as_dataclasses():
     # The texts the dataclass default repr gives, all four sequence forms
-    # and a left-nested spine among them.
+    # and a hand-built sequence nested in a sequence among them.
     prg = parse_program(
         "begin-program let x be number tel ; let y be number tel ; "
         "set t as number tes ; set u as number tes ; x := 1 ; skip end-program"
     )
     assert repr(prg) == (
-        "Program(pam=PreSeq(pam1=VarDecSeq(vde1=VarDec(ide='x', tex=NumberTyp()), "
-        "vde2=VarDec(ide='y', tex=NumberTyp())), pam2=TypDefSeq(tde1=TypDef(ide='t', "
-        "tex=NumberTyp()), tde2=TypDef(ide='u', tex=NumberTyp()))), "
-        "ins=SeqIns(ins1=AssignIns(ide='x', dae=NumLit(num=Number(coeff=1, exp=0))), "
-        "ins2=SkipIns()))"
+        "Program(pam=PreSeq(items=(VarDecSeq(items=(VarDec(ide='x', tex=NumberTyp()), "
+        "VarDec(ide='y', tex=NumberTyp()))), TypDefSeq(items=(TypDef(ide='t', "
+        "tex=NumberTyp()), TypDef(ide='u', tex=NumberTyp()))))), "
+        "ins=SeqIns(items=(AssignIns(ide='x', dae=NumLit(num=Number(coeff=1, exp=0))), "
+        "SkipIns())))"
     )
-    left = n.SeqIns(
-        n.SeqIns(n.SkipIns(), n.WhileIns(n.BoolLit(True), n.SeqIns(n.SkipIns(), n.SkipIns()))),
-        n.SkipIns(),
+    nested = n.SeqIns(
+        (
+            n.SeqIns(
+                (n.SkipIns(), n.WhileIns(n.BoolLit(True), n.SeqIns((n.SkipIns(), n.SkipIns()))))
+            ),
+            n.SkipIns(),
+        )
     )
-    assert repr(left) == (
-        "SeqIns(ins1=SeqIns(ins1=SkipIns(), ins2=WhileIns(dae=BoolLit(value=True), "
-        "ins=SeqIns(ins1=SkipIns(), ins2=SkipIns()))), ins2=SkipIns())"
+    assert repr(nested) == (
+        "SeqIns(items=(SeqIns(items=(SkipIns(), WhileIns(dae=BoolLit(value=True), "
+        "ins=SeqIns(items=(SkipIns(), SkipIns()))))), SkipIns()))"
     )
 
 
@@ -163,10 +169,9 @@ def test_long_sequence_repr_without_recursion():
         # traceback thousands of frames deep
         text = "RecursionError"
     assert text == (
-        "Program(pam=VarDec(ide='x', tex=NumberTyp()), ins="
-        + f"SeqIns(ins1={item}, ins2=" * (k - 1)
-        + item
-        + ")" * k
+        "Program(pam=VarDec(ide='x', tex=NumberTyp()), ins=SeqIns(items=("
+        + ", ".join([item] * k)
+        + ")))"
     )
 
 
@@ -190,26 +195,34 @@ def test_ast_dumps_long_program(tmp_path, capsys):
     k = 1_300
     step = "(assign x (add-exp (ide-exp x) (num-lit 1)))"
     expected = (
-        "(program (var-dec x (number-typ)) (seq (assign x (num-lit 0)) "
-        + f"(seq {step} " * (k - 2)
-        + step
-        + ")" * (k - 1)
-        + ")\n"
+        "(program (var-dec x (number-typ)) (seq ((assign x (num-lit 0)) "
+        + " ".join([step] * (k - 1))
+        + ")))\n"
     )
     path = write(tmp_path, "long.lng", assignments(k))
     assert main(["ast", path]) == 0
     out, err = capsys.readouterr()
     assert (out, err) == (expected, "")
-    # The JSON dump indents each nested sequence further, so its size grows
-    # with the square of the length; 600 lines already nest past the
-    # recursion limit of a recursive dumper.
-    k = 600
+    # A sequence's items are one JSON array, so the JSON dump nests no
+    # deeper for a longer program: it loads at a recursion limit below
+    # the number of items, and its size grows with the length alone.
+    k = 2_000
     path = write(tmp_path, "json.lng", assignments(k))
     assert main(["ast", path, "--format", "json"]) == 0
     out, err = capsys.readouterr()
     assert err == ""
-    assert out.count('"node": "assign"') == k
-    assert out.endswith("\n}\n")
+    previous = sys.getrecursionlimit()
+    sys.setrecursionlimit(1_000)
+    try:
+        tree = json.loads(out)
+    finally:
+        sys.setrecursionlimit(previous)
+    assert [item["node"] for item in tree["ins"]["items"]] == ["assign"] * k
+    assert out == json.dumps(tree, indent=2) + "\n"
+    path = write(tmp_path, "size.lng", assignments(1_302))
+    assert main(["ast", path, "--format", "json"]) == 0
+    out, _ = capsys.readouterr()
+    assert len(out.encode()) < 1_000_000
 
 
 def test_run_leaves_no_cyclic_garbage():

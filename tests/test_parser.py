@@ -362,11 +362,10 @@ class TestPrograms:
             n.VarDec("x", n.NumberTyp()), n.AssignIns("x", lit(1))
         )
 
-    def test_sequences_are_right_nested(self):
+    def test_sequences_are_flat(self):
         prg = parse_program("begin-program x := 1 ; y := 2 ; z := 3 end-program")
         assert prg.ins == n.SeqIns(
-            n.AssignIns("x", lit(1)),
-            n.SeqIns(n.AssignIns("y", lit(2)), n.AssignIns("z", lit(3))),
+            (n.AssignIns("x", lit(1)), n.AssignIns("y", lit(2)), n.AssignIns("z", lit(3)))
         )
 
     def test_adjacent_var_decs_group(self):
@@ -374,7 +373,7 @@ class TestPrograms:
             "begin-program let x be number tel ; let y be word tel ; skip end-program"
         )
         assert prg.pam == n.VarDecSeq(
-            n.VarDec("x", n.NumberTyp()), n.VarDec("y", n.WordTyp())
+            (n.VarDec("x", n.NumberTyp()), n.VarDec("y", n.WordTyp()))
         )
 
     def test_mixed_preamble_blocks(self):
@@ -382,19 +381,19 @@ class TestPrograms:
             "begin-program set t as number tes ; let x be t tel ; skip end-program"
         )
         assert prg.pam == n.PreSeq(
-            n.TypDef("t", n.NumberTyp()), n.VarDec("x", n.IdeTyp("t"))
+            (n.TypDef("t", n.NumberTyp()), n.VarDec("x", n.IdeTyp("t")))
         )
 
     def test_preamble_skip_stays_in_preamble(self):
         prg = parse_program(
             "begin-program skip ; let x be number tel ; x := 1 end-program"
         )
-        assert prg.pam == n.PreSeq(n.SkipIns(), n.VarDec("x", n.NumberTyp()))
+        assert prg.pam == n.PreSeq((n.SkipIns(), n.VarDec("x", n.NumberTyp())))
         assert prg.ins == n.AssignIns("x", lit(1))
 
     def test_skip_only_items_are_the_instruction(self):
         prg = parse_program("begin-program skip ; skip end-program")
-        assert prg == n.Program(None, n.SeqIns(n.SkipIns(), n.SkipIns()))
+        assert prg == n.Program(None, n.SeqIns((n.SkipIns(), n.SkipIns())))
 
     def test_instructions(self):
         assert parse_instruction("skip") == n.SkipIns()
@@ -418,7 +417,7 @@ class TestPrograms:
 
     def test_branch_bodies_may_be_sequences(self):
         ins = parse_instruction("if true then x := 1 ; y := 2 else skip fi")
-        assert ins.ins1 == n.SeqIns(n.AssignIns("x", lit(1)), n.AssignIns("y", lit(2)))
+        assert ins.ins1 == n.SeqIns((n.AssignIns("x", lit(1)), n.AssignIns("y", lit(2))))
 
     def test_imp_proc_dec(self):
         prg = parse_program(
