@@ -2,8 +2,9 @@
 
 Exit codes: 0 clean run, 1 an abstract error is left in the register,
 2 parse diagnostics or a bad command line, 3 fuel exhausted or a program
-too deep to evaluate or print, 4 unreadable input (an I/O failure or text
-that is not UTF-8).
+too deep to evaluate or print, 4 an I/O failure: unreadable input, text
+that is not UTF-8, or a standard output closed before the command's
+output is written (as when piped into `head`; nothing is printed then).
 """
 
 from __future__ import annotations
@@ -362,6 +363,39 @@ def _command_fuel(args: argparse.Namespace) -> Optional[int]:
         args.parser.error(f"argument --fuel: {exc}")
 
 
+def _command(args: argparse.Namespace) -> int:
+    out, err = sys.stdout, sys.stderr
+    if args.command == "run":
+        limits = Limits()
+        if args.max_digits is not None:
+            limits = Limits(max_significant_digits=args.max_digits)
+        config = RunConfig(fuel=_command_fuel(args), limits=limits, trace=args.trace)
+        return cmd_run(args.file, config, out, err)
+    if args.command == "check":
+        return cmd_check(args.file, out, err)
+    if args.command == "restore":
+        return cmd_restore(args.file, out, err)
+    if args.command == "ast":
+        return cmd_ast(args.file, args.format, out, err)
+    if args.command == "repl":
+        config = RunConfig(fuel=_command_fuel(args))
+        return repl(config, sys.stdin, out, err)
+    raise AssertionError(f"unhandled command {args.command}")
+
+
+def _discard_stdout() -> None:
+    """Point standard output's file descriptor at the null device, so the
+    output still buffered for a closed pipe is dropped when the interpreter
+    flushes it at exit, rather than reported there as an ignored error."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):  # no descriptor: nothing is flushed at exit
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     # A command frees everything it makes by reference counting (a test
     # holds every command to that), so the cycle collector would only scan
@@ -381,23 +415,13 @@ def main(argv: Optional[list[str]] = None) -> int:
             if exc.__context__ is not None:
                 traceback.clear_frames(exc.__context__.__traceback__)
             raise
-        out, err = sys.stdout, sys.stderr
-        if args.command == "run":
-            limits = Limits()
-            if args.max_digits is not None:
-                limits = Limits(max_significant_digits=args.max_digits)
-            config = RunConfig(fuel=_command_fuel(args), limits=limits, trace=args.trace)
-            return cmd_run(args.file, config, out, err)
-        if args.command == "check":
-            return cmd_check(args.file, out, err)
-        if args.command == "restore":
-            return cmd_restore(args.file, out, err)
-        if args.command == "ast":
-            return cmd_ast(args.file, args.format, out, err)
-        if args.command == "repl":
-            config = RunConfig(fuel=_command_fuel(args))
-            return repl(config, sys.stdin, out, err)
-        raise AssertionError(f"unhandled command {args.command}")
+        try:
+            code = _command(args)
+            sys.stdout.flush()  # a closed output shows here, not at exit
+        except BrokenPipeError:  # unbound: the error's traceback holds this frame
+            _discard_stdout()
+            return 4
+        return code
     finally:
         if enabled:
             gc.enable()

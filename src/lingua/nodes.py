@@ -1,23 +1,78 @@
 """Abstract syntax trees.
 
-One frozen dataclass per grammar clause.  Field names follow the clause
-metavariables: ide for identifiers, dae for data expressions, tre for
-transfer expressions, tex for type expressions, ins for instructions, pam
-for preambles.  A sequence form holds its items, two or more, left to
-right in one flat `items` tuple (a run of one is the item itself), and
-parameter lists are tuples too.
+One class per grammar clause, each a frozen record of the fields it
+annotates: `Node` defines that record once for all of them.  Field names
+follow the clause metavariables: ide for identifiers, dae for data
+expressions, tre for transfer expressions, tex for type expressions, ins
+for instructions, pam for preambles.  A sequence form holds its items,
+two or more, left to right in one flat `items` tuple (a run of one is the
+item itself), and parameter lists are tuples too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
+from types import CodeType, FunctionType
 from typing import Optional, Union
 
 from .kernel import Number
 
+# one compiled `__init__` body per distinct tuple of field names
+_INIT_CODES: dict[tuple[str, ...], CodeType] = {}
+
+
+def _init(cls: type, names: tuple[str, ...]) -> FunctionType:
+    """`cls.__init__`, taking `names` positionally or by keyword and
+    storing each straight into the instance `__dict__`."""
+    code = _INIT_CODES.get(names)
+    if code is None:
+        source = f"def __init__(self{''.join(', ' + name for name in names)}):\n"
+        source += "    d = self.__dict__\n"
+        source += "".join(f"    d[{name!r}] = {name}\n" for name in names)
+        namespace: dict = {}
+        exec(source, namespace)
+        code = _INIT_CODES[names] = namespace["__init__"].__code__
+    init = FunctionType(code, {}, "__init__")
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
+
 
 class Node:
-    pass
+    """A frozen record of the fields its class annotates.
+
+    Each subclass gets `__match_args__` from its own annotations, an
+    `__init__` for them and dataclass field metadata (`dataclasses.fields`
+    reads it).  Equality and hashing go by class and fields, the repr is
+    the dataclass text, and assigning or deleting an attribute raises
+    `FrozenInstanceError`, as for a frozen dataclass.
+    """
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        names = cls.__match_args__ = tuple(cls.__dict__.get("__annotations__", ()))
+        cls.__init__ = _init(cls, names)
+        if cls.__doc__ is None:  # else `dataclass` builds one from a signature
+            cls.__doc__ = f"{cls.__name__}({', '.join(names)})"
+        dataclass(init=False, repr=False, eq=False)(cls)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.__class__, *self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        # `%` calls each field's repr without a Python frame of its own
+        fields = ", ".join(map("%s=%r".__mod__, self.__dict__.items()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 class DatExp(Node):
@@ -44,62 +99,51 @@ class Declaration(Node):
 # data expressions
 
 
-@dataclass(frozen=True)
 class BoolLit(DatExp):
     value: bool
 
 
-@dataclass(frozen=True)
 class NumLit(DatExp):
     num: Number
 
 
-@dataclass(frozen=True)
 class WordLit(DatExp):
     wor: str
 
 
-@dataclass(frozen=True)
 class IdeExp(DatExp):
     ide: str
 
 
-@dataclass(frozen=True)
 class AndExp(DatExp):
     dae1: DatExp
     dae2: DatExp
 
 
-@dataclass(frozen=True)
 class OrExp(DatExp):
     dae1: DatExp
     dae2: DatExp
 
 
-@dataclass(frozen=True)
 class NotExp(DatExp):
     dae: DatExp
 
 
-@dataclass(frozen=True)
 class LessExp(DatExp):
     dae1: DatExp
     dae2: DatExp
 
 
-@dataclass(frozen=True)
 class AddExp(DatExp):
     dae1: DatExp
     dae2: DatExp
 
 
-@dataclass(frozen=True)
 class DivExp(DatExp):
     dae1: DatExp
     dae2: DatExp
 
 
-@dataclass(frozen=True)
 class MulExp(DatExp):
     """Extension: (dae * dae)."""
 
@@ -107,7 +151,6 @@ class MulExp(DatExp):
     dae2: DatExp
 
 
-@dataclass(frozen=True)
 class SubExp(DatExp):
     """Extension: (dae - dae)."""
 
@@ -115,7 +158,6 @@ class SubExp(DatExp):
     dae2: DatExp
 
 
-@dataclass(frozen=True)
 class EqExp(DatExp):
     """Extension: (dae = dae)."""
 
@@ -123,18 +165,15 @@ class EqExp(DatExp):
     dae2: DatExp
 
 
-@dataclass(frozen=True)
 class GlueExp(DatExp):
     dae1: DatExp
     dae2: DatExp
 
 
-@dataclass(frozen=True)
 class ListExp(DatExp):
     dae: DatExp
 
 
-@dataclass(frozen=True)
 class PushExp(DatExp):
     """push dae1 on dae2 ee"""
 
@@ -142,22 +181,18 @@ class PushExp(DatExp):
     dae2: DatExp
 
 
-@dataclass(frozen=True)
 class TopExp(DatExp):
     dae: DatExp
 
 
-@dataclass(frozen=True)
 class PopExp(DatExp):
     dae: DatExp
 
 
-@dataclass(frozen=True)
 class ArrayExp(DatExp):
     dae: DatExp
 
 
-@dataclass(frozen=True)
 class AddToArrExp(DatExp):
     """add-to-arr dae1 new dae2 ee"""
 
@@ -165,7 +200,6 @@ class AddToArrExp(DatExp):
     dae2: DatExp
 
 
-@dataclass(frozen=True)
 class ChangeArrExp(DatExp):
     """change-arr dae1 at dae2 by dae3 ee"""
 
@@ -174,7 +208,6 @@ class ChangeArrExp(DatExp):
     dae3: DatExp
 
 
-@dataclass(frozen=True)
 class ArrAtExp(DatExp):
     """arr dae1 at dae2 ee"""
 
@@ -182,7 +215,6 @@ class ArrAtExp(DatExp):
     dae2: DatExp
 
 
-@dataclass(frozen=True)
 class RecordExp(DatExp):
     """record ide of-value dae ee"""
 
@@ -190,7 +222,6 @@ class RecordExp(DatExp):
     dae: DatExp
 
 
-@dataclass(frozen=True)
 class AddAttrExp(DatExp):
     """add-attr ide of-value dae1 to dae2 ee"""
 
@@ -199,7 +230,6 @@ class AddAttrExp(DatExp):
     dae2: DatExp
 
 
-@dataclass(frozen=True)
 class RecAtExp(DatExp):
     """rec dae at ide ee"""
 
@@ -207,7 +237,6 @@ class RecAtExp(DatExp):
     ide: str
 
 
-@dataclass(frozen=True)
 class RemoveAttrExp(DatExp):
     """remove-attr ide from dae ee"""
 
@@ -215,7 +244,6 @@ class RemoveAttrExp(DatExp):
     dae: DatExp
 
 
-@dataclass(frozen=True)
 class ChangeRecExp(DatExp):
     """change-rec dae1 at ide by dae2 ee"""
 
@@ -224,7 +252,6 @@ class ChangeRecExp(DatExp):
     dae2: DatExp
 
 
-@dataclass(frozen=True)
 class CondExp(DatExp):
     """if dae1 then dae2 else dae3 fi"""
 
@@ -233,7 +260,6 @@ class CondExp(DatExp):
     dae3: DatExp
 
 
-@dataclass(frozen=True)
 class FunCallExp(DatExp):
     """ide (actual parameters); actuals are plain identifiers."""
 
@@ -245,118 +271,97 @@ class FunCallExp(DatExp):
 # transfer expressions
 
 
-@dataclass(frozen=True)
 class TraNumLit(TraExp):
     num: Number
 
 
-@dataclass(frozen=True)
 class TraWordLit(TraExp):
     wor: str
 
 
-@dataclass(frozen=True)
 class TraBoolLit(TraExp):
     value: bool
 
 
-@dataclass(frozen=True)
 class TraAddExp(TraExp):
     tre1: TraExp
     tre2: TraExp
 
 
-@dataclass(frozen=True)
 class TraDivExp(TraExp):
     tre1: TraExp
     tre2: TraExp
 
 
-@dataclass(frozen=True)
 class SumExp(TraExp):
     tre: TraExp
 
 
-@dataclass(frozen=True)
 class MaxExp(TraExp):
     tre: TraExp
 
 
-@dataclass(frozen=True)
 class TraGlueExp(TraExp):
     tre1: TraExp
     tre2: TraExp
 
 
-@dataclass(frozen=True)
 class TraEqExp(TraExp):
     tre1: TraExp
     tre2: TraExp
 
 
-@dataclass(frozen=True)
 class TraLessExp(TraExp):
     tre1: TraExp
     tre2: TraExp
 
 
-@dataclass(frozen=True)
 class SmallNumberExp(TraExp):
     tre: TraExp
 
 
-@dataclass(frozen=True)
 class IncreasingExp(TraExp):
     tre: TraExp
 
 
-@dataclass(frozen=True)
 class TraAndExp(TraExp):
     tre1: TraExp
     tre2: TraExp
 
 
-@dataclass(frozen=True)
 class TraOrExp(TraExp):
     tre1: TraExp
     tre2: TraExp
 
 
-@dataclass(frozen=True)
 class TraNotExp(TraExp):
     tre: TraExp
 
 
-@dataclass(frozen=True)
 class AllListExp(TraExp):
     tre: TraExp
 
 
-@dataclass(frozen=True)
 class AllArrayExp(TraExp):
     tre: TraExp
 
 
-@dataclass(frozen=True)
 class TopTra(TraExp):
     pass
 
 
-@dataclass(frozen=True)
 class ArrayAtTra(TraExp):
     """array[tre] - select from the current array composite."""
 
     tre: TraExp
 
 
-@dataclass(frozen=True)
 class RecordAtTra(TraExp):
     """record.ide - select from the current record composite."""
 
     ide: str
 
 
-@dataclass(frozen=True)
 class ValueTra(TraExp):
     """The identity transfer."""
 
@@ -365,37 +370,30 @@ class ValueTra(TraExp):
 # type expressions
 
 
-@dataclass(frozen=True)
 class BooleanTyp(TypExp):
     pass
 
 
-@dataclass(frozen=True)
 class NumberTyp(TypExp):
     pass
 
 
-@dataclass(frozen=True)
 class WordTyp(TypExp):
     pass
 
 
-@dataclass(frozen=True)
 class IdeTyp(TypExp):
     ide: str
 
 
-@dataclass(frozen=True)
 class ListTyp(TypExp):
     tex: TypExp
 
 
-@dataclass(frozen=True)
 class ArrayTyp(TypExp):
     tex: TypExp
 
 
-@dataclass(frozen=True)
 class RecordTyp(TypExp):
     """record-type ide as tex ee"""
 
@@ -403,7 +401,6 @@ class RecordTyp(TypExp):
     tex: TypExp
 
 
-@dataclass(frozen=True)
 class ExpandRecordTyp(TypExp):
     """expand-record-type tex1 at ide by tex2 ee"""
 
@@ -412,7 +409,6 @@ class ExpandRecordTyp(TypExp):
     tex2: TypExp
 
 
-@dataclass(frozen=True)
 class ReplaceTransferTyp(TypExp):
     """replace-transfer-in tex by tre ee"""
 
@@ -424,7 +420,6 @@ class ReplaceTransferTyp(TypExp):
 # declarations, definitions, parameters
 
 
-@dataclass(frozen=True)
 class VarDec(Declaration):
     """let ide be tex tel"""
 
@@ -432,12 +427,10 @@ class VarDec(Declaration):
     tex: TypExp
 
 
-@dataclass(frozen=True)
 class VarDecSeq(Declaration):
     items: tuple[VarDec, ...]
 
 
-@dataclass(frozen=True)
 class TypDef(Declaration):
     """set ide as tex tes"""
 
@@ -445,18 +438,15 @@ class TypDef(Declaration):
     tex: TypExp
 
 
-@dataclass(frozen=True)
 class TypDefSeq(Declaration):
     items: tuple[TypDef, ...]
 
 
-@dataclass(frozen=True)
 class FormalParam(Node):
     ide: str
     tex: TypExp
 
 
-@dataclass(frozen=True)
 class ImpProcDec(Declaration):
     """proc ide (val ... ref ...) program end proc"""
 
@@ -466,14 +456,12 @@ class ImpProcDec(Declaration):
     prg: "Program"
 
 
-@dataclass(frozen=True)
 class MultiProcDec(Declaration):
     """begin multiproc ipd+ end multiproc"""
 
     decs: tuple[ImpProcDec, ...]
 
 
-@dataclass(frozen=True)
 class FunProcDec(Declaration):
     """Either `fun ide (fpar) dae endfun` (prg and tex are None) or
     `fun ide (fpar) program return dae as tex end fun`."""
@@ -489,13 +477,11 @@ class FunProcDec(Declaration):
 # instructions
 
 
-@dataclass(frozen=True)
 class AssignIns(Instruction):
     ide: str
     dae: DatExp
 
 
-@dataclass(frozen=True)
 class YokeIns(Instruction):
     """yoke ide := tre"""
 
@@ -503,12 +489,10 @@ class YokeIns(Instruction):
     tre: TraExp
 
 
-@dataclass(frozen=True)
 class SkipIns(Instruction):
     pass
 
 
-@dataclass(frozen=True)
 class CallIns(Instruction):
     """call ide (ref ... val ...)"""
 
@@ -517,14 +501,12 @@ class CallIns(Instruction):
     val_args: tuple[str, ...]
 
 
-@dataclass(frozen=True)
 class IfIns(Instruction):
     dae: DatExp
     ins1: Instruction
     ins2: Instruction
 
 
-@dataclass(frozen=True)
 class IfErrorIns(Instruction):
     """if-error dae then ins fi"""
 
@@ -532,13 +514,11 @@ class IfErrorIns(Instruction):
     ins: Instruction
 
 
-@dataclass(frozen=True)
 class WhileIns(Instruction):
     dae: DatExp
     ins: Instruction
 
 
-@dataclass(frozen=True)
 class SeqIns(Instruction):
     items: tuple[Instruction, ...]
 
@@ -549,12 +529,10 @@ class SeqIns(Instruction):
 Preamble = Union[Declaration, SkipIns, "PreSeq"]
 
 
-@dataclass(frozen=True)
 class PreSeq(Node):
     items: tuple[Union[Declaration, SkipIns], ...]
 
 
-@dataclass(frozen=True)
 class Program(Node):
     """begin-program [pam ;] ins end-program"""
 

@@ -18,7 +18,6 @@ set, which is how the test corpus measures production coverage.
 
 from __future__ import annotations
 
-import dataclasses
 from itertools import groupby
 from typing import Callable, Optional, TypeVar, Union
 
@@ -207,11 +206,8 @@ def _rebase_value(tre: n.TraExp, attr: str) -> n.TraExp:
     """Rewrite `value` leaves to `record.attr` when folding inline yokes."""
     if isinstance(tre, n.ValueTra):
         return n.RecordAtTra(attr)
-    kwargs = {}
-    for f in dataclasses.fields(tre):
-        v = getattr(tre, f.name)
-        kwargs[f.name] = _rebase_value(v, attr) if isinstance(v, n.TraExp) else v
-    return type(tre)(**kwargs)
+    values = [getattr(tre, name) for name in tre.__match_args__]
+    return type(tre)(*[_rebase_value(v, attr) if isinstance(v, n.TraExp) else v for v in values])
 
 
 class Parser:

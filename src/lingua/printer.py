@@ -11,7 +11,6 @@ equal tree.  The parser accepts the added parentheses as plain grouping.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import re
 from functools import cache
@@ -32,7 +31,7 @@ def _form(cls: type, template: tuple) -> tuple[str, tuple[str, ...]]:
         if text and text[-1] not in "([." and word not in (")", "]", "[", "."):
             text += " "
         text += word
-    return text, tuple(f.name for f in dataclasses.fields(cls))
+    return text, cls.__match_args__
 
 
 def _forms() -> dict[type, tuple[str, tuple[str, ...]]]:
@@ -131,7 +130,7 @@ def _fields(value: Any) -> list[tuple[Any, Any]]:
     (None, item) pairs."""
     if isinstance(value, tuple):
         return [(None, item) for item in value]
-    fields = [(f.name, getattr(value, f.name)) for f in dataclasses.fields(value)]
+    fields = [(name, getattr(value, name)) for name in value.__match_args__]
     return [("node", _kebab(type(value).__name__))] + fields
 
 

@@ -2,8 +2,11 @@
 
 import gc
 import io
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -504,3 +507,47 @@ class TestCollector:
             gc.enable() if was_enabled else gc.disable()
         capsys.readouterr()
         assert seen == [False]
+
+
+class TestClosedOutput:
+    """A standard output closed before the command writes is exit 4, an I/O
+    failure, with nothing on standard error: no traceback, and no error
+    ignored when the interpreter flushes its streams at exit."""
+
+    FILE = (
+        "begin-program let x be number tel ; x := 1 ; "
+        "while (x < 9) do x := (x + x) od end-program"
+    )
+    COMMANDS = [["run"], ["restore"], ["ast"], ["ast", "--format", "json"], ["repl"]]
+
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+    def test_in_process(self, tmp_path, capsys, monkeypatch, command):
+        path = write(tmp_path, "ok.lng", self.FILE)
+        argv = [command[0], *([] if command == ["repl"] else [path]), *command[1:]]
+        for _ in range(2):  # once first: the parser is built once per process
+            monkeypatch.setattr("sys.stdin", io.StringIO(":state\n"))
+            monkeypatch.setattr("sys.stdout", self.ClosedPipe())
+            gc.collect()
+            assert main(argv) == 4
+            garbage = gc.collect()
+        assert capsys.readouterr().err == ""
+        assert garbage == 0
+
+    @pytest.mark.parametrize("command", COMMANDS[:2] + COMMANDS[3:4], ids=" ".join)
+    def test_subprocess(self, tmp_path, command):
+        path = write(tmp_path, "ok.lng", self.FILE)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "lingua.cli", command[0], path, *command[1:]],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()  # before the interpreter has started to write
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (4, b"")
