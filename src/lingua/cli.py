@@ -144,11 +144,12 @@ def _fuel(text: str) -> Optional[int]:
     if text == "unlimited":
         return None
     try:
-        return int(text)
+        fuel = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"not a whole number or 'unlimited': {text!r}"
-        ) from None
+        fuel = -1
+    if fuel < 0:
+        raise argparse.ArgumentTypeError(f"not a whole number or 'unlimited': {text!r}")
+    return fuel
 
 
 def _digits(text: str) -> int:

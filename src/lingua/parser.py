@@ -11,9 +11,6 @@ keywords, punctuation and operand kinds.  The parser reads a template from
 its lead keyword and the printer writes it from the same row.  Only
 colloquial forms that branch after a prefix they share with another form
 are read by hand.
-
-Each grammar clause the parser goes through is recorded in a `fired` tag
-set, which is how the test corpus measures production coverage.
 """
 
 from __future__ import annotations
@@ -25,135 +22,78 @@ from .diagnostics import LinguaParseError, ParseDiagnostic
 from .lexer import Token, tokenize
 from . import nodes as n
 
-# Tags for every concrete grammar production, grouped by sort.  Documented
-# extensions (mul, sub, eq, negative literals) are tagged separately and are
-# not part of the core set.
-ALL_PRODUCTIONS: dict[str, tuple[str, ...]] = {
-    "DatExp": (
-        "true", "false", "num", "wor", "ide",
-        "and", "or", "not", "less", "add", "div", "glue",
-        "list", "push", "top", "pop",
-        "array", "add-to-arr", "change-arr", "arr-at",
-        "record", "add-attr", "rec-at", "remove-attr", "change-rec",
-        "cond", "call",
-    ),
-    "TraExp": (
-        "num", "wor", "add", "div", "sum", "max", "glue",
-        "true", "false", "eq", "less", "small-number", "increasing",
-        "and", "or", "not",
-        "all-list", "all-array",
-        "top", "array-at", "record-attr",
-        "value",
-    ),
-    "TypExp": (
-        "boolean", "number", "word", "ide",
-        "list-type", "array-type", "record-type",
-        "expand-record-type", "replace-transfer-in",
-    ),
-    "VarDec": ("dec", "seq"),
-    "TypDef": ("def", "seq"),
-    "ActParameters": ("empty", "single", "seq"),
-    "ForParameters": ("empty", "single", "seq"),
-    "ImpProcDec": ("dec",),
-    "MultiProcDec": ("dec",),
-    "FunProcDec": ("expression", "program"),
-    "Instruction": ("assign", "yoke", "skip", "call", "if", "if-error", "while", "seq"),
-    "Preamble": ("imp-proc", "multi-proc", "fun-proc", "typ-def", "var-dec", "skip", "seq"),
-    "Program": ("plain", "with-preamble"),
-}
-
-ALL_PRODUCTION_TAGS = frozenset(
-    f"{sort}:{name}" for sort, names in ALL_PRODUCTIONS.items() for name in names
-)
-
 # The sorts of phrases, which are also operand kinds in a template.  DATA
 # and TRANSFER are the columns of OPERATORS.  IDENT is an identifier, and
 # YOKE an optional `with` transfer that is `true` when absent.
 DATA, TRANSFER, TYPE, INSTRUCTION, DECLARATION, IDENT, YOKE = range(1, 8)
 
 # The operators data and transfer expressions share, written once:
-# token -> (priority, (data node, tag), (transfer node, tag)).  `-` and `*`
-# have no transfer form.  An expression's sort is its column.
+# token -> (priority, data node, transfer node).  `-` and `*` have no
+# transfer form.  An expression's sort is its column.
 OPERATORS: dict[str, tuple] = {
-    "or": (1, (n.OrExp, "DatExp:or"), (n.TraOrExp, "TraExp:or")),
-    "and": (2, (n.AndExp, "DatExp:and"), (n.TraAndExp, "TraExp:and")),
-    "<": (3, (n.LessExp, "DatExp:less"), (n.TraLessExp, "TraExp:less")),
-    "=": (3, (n.EqExp, "DatExp:eq"), (n.TraEqExp, "TraExp:eq")),
-    "glue": (4, (n.GlueExp, "DatExp:glue"), (n.TraGlueExp, "TraExp:glue")),
-    "+": (5, (n.AddExp, "DatExp:add"), (n.TraAddExp, "TraExp:add")),
-    "-": (5, (n.SubExp, "DatExp:sub"), None),
-    "*": (6, (n.MulExp, "DatExp:mul"), None),
-    "/": (6, (n.DivExp, "DatExp:div"), (n.TraDivExp, "TraExp:div")),
+    "or": (1, n.OrExp, n.TraOrExp),
+    "and": (2, n.AndExp, n.TraAndExp),
+    "<": (3, n.LessExp, n.TraLessExp),
+    "=": (3, n.EqExp, n.TraEqExp),
+    "glue": (4, n.GlueExp, n.TraGlueExp),
+    "+": (5, n.AddExp, n.TraAddExp),
+    "-": (5, n.SubExp, None),
+    "*": (6, n.MulExp, None),
+    "/": (6, n.DivExp, n.TraDivExp),
 }
 
 # `not`, by the same columns
-NEGATION = (None, (n.NotExp, "DatExp:not"), (n.TraNotExp, "TraExp:not"))
+NEGATION = (None, n.NotExp, n.TraNotExp)
 
-# Every phrase with a fixed form, written once: node class -> (coverage
-# tag, template, colloquial templates...).  A template is the phrase's
-# keywords and punctuation, and the operand kind of each field in field
-# order.  The first template is the canonical form, which the printer
-# writes.  The parser reads each template from its lead keyword, except
-# the canonical forms of _BY_HAND.
+# Every phrase with a fixed form, written once: node class -> (template,
+# colloquial templates...).  A template is the phrase's keywords and
+# punctuation, and the operand kind of each field in field order.  The
+# first template is the canonical form, which the printer writes.  The
+# parser reads each template from its lead keyword, except the canonical
+# forms of _BY_HAND.
 PHRASES: dict[type, tuple] = {
-    n.ListExp: ("DatExp:list", ("list", DATA, "ee")),
-    n.PushExp: ("DatExp:push", ("push", DATA, "on", DATA, "ee")),
-    n.TopExp: ("DatExp:top", ("top", "(", DATA, ")")),
-    n.PopExp: ("DatExp:pop", ("pop", "(", DATA, ")")),
-    n.ArrayExp: ("DatExp:array", ("array", DATA, "ee")),
-    n.AddToArrExp: ("DatExp:add-to-arr", ("add-to-arr", DATA, "new", DATA, "ee")),
-    n.ChangeArrExp: (
-        "DatExp:change-arr", ("change-arr", DATA, "at", DATA, "by", DATA, "ee")
-    ),
-    n.ArrAtExp: ("DatExp:arr-at", ("arr", DATA, "at", DATA, "ee")),
-    n.RecordExp: ("DatExp:record", ("record", IDENT, "of-value", DATA, "ee")),
-    n.AddAttrExp: (
-        "DatExp:add-attr", ("add-attr", IDENT, "of-value", DATA, "to", DATA, "ee")
-    ),
-    n.RecAtExp: ("DatExp:rec-at", ("rec", DATA, "at", IDENT, "ee")),
-    n.RemoveAttrExp: ("DatExp:remove-attr", ("remove-attr", IDENT, "from", DATA, "ee")),
-    n.ChangeRecExp: (
-        "DatExp:change-rec", ("change-rec", DATA, "at", IDENT, "by", DATA, "ee")
-    ),
-    n.CondExp: ("DatExp:cond", ("if", DATA, "then", DATA, "else", DATA, "fi")),
-    n.SumExp: ("TraExp:sum", ("sum", "(", TRANSFER, ")")),
-    n.MaxExp: ("TraExp:max", ("max", "(", TRANSFER, ")")),
-    n.SmallNumberExp: ("TraExp:small-number", ("small-number", "(", TRANSFER, ")")),
-    n.IncreasingExp: ("TraExp:increasing", ("increasing", "(", TRANSFER, ")")),
-    n.AllListExp: ("TraExp:all-list", ("all-list", TRANSFER, "ee")),
-    n.AllArrayExp: ("TraExp:all-array", ("all-array", TRANSFER, "ee")),
-    n.TopTra: ("TraExp:top", ("top",)),
-    n.ArrayAtTra: (
-        "TraExp:array-at", ("array", "[", TRANSFER, "]"), ("get-from-array", TRANSFER, "ee")
-    ),
-    n.RecordAtTra: (
-        "TraExp:record-attr", ("record", ".", IDENT), ("get-from-record", IDENT, "ee")
-    ),
-    n.ValueTra: ("TraExp:value", ("value",)),
-    n.BooleanTyp: ("TypExp:boolean", ("boolean",)),
-    n.NumberTyp: ("TypExp:number", ("number",)),
-    n.WordTyp: ("TypExp:word", ("word",)),
-    n.ListTyp: ("TypExp:list-type", ("list-type", TYPE, "ee")),
-    n.ArrayTyp: ("TypExp:array-type", ("array-type", TYPE, "ee")),
-    n.RecordTyp: ("TypExp:record-type", ("record-type", IDENT, "as", TYPE, "ee")),
-    n.ExpandRecordTyp: (
-        "TypExp:expand-record-type",
-        ("expand-record-type", TYPE, "at", IDENT, "by", TYPE, "ee"),
-    ),
+    n.ListExp: (("list", DATA, "ee"),),
+    n.PushExp: (("push", DATA, "on", DATA, "ee"),),
+    n.TopExp: (("top", "(", DATA, ")"),),
+    n.PopExp: (("pop", "(", DATA, ")"),),
+    n.ArrayExp: (("array", DATA, "ee"),),
+    n.AddToArrExp: (("add-to-arr", DATA, "new", DATA, "ee"),),
+    n.ChangeArrExp: (("change-arr", DATA, "at", DATA, "by", DATA, "ee"),),
+    n.ArrAtExp: (("arr", DATA, "at", DATA, "ee"),),
+    n.RecordExp: (("record", IDENT, "of-value", DATA, "ee"),),
+    n.AddAttrExp: (("add-attr", IDENT, "of-value", DATA, "to", DATA, "ee"),),
+    n.RecAtExp: (("rec", DATA, "at", IDENT, "ee"),),
+    n.RemoveAttrExp: (("remove-attr", IDENT, "from", DATA, "ee"),),
+    n.ChangeRecExp: (("change-rec", DATA, "at", IDENT, "by", DATA, "ee"),),
+    n.CondExp: (("if", DATA, "then", DATA, "else", DATA, "fi"),),
+    n.SumExp: (("sum", "(", TRANSFER, ")"),),
+    n.MaxExp: (("max", "(", TRANSFER, ")"),),
+    n.SmallNumberExp: (("small-number", "(", TRANSFER, ")"),),
+    n.IncreasingExp: (("increasing", "(", TRANSFER, ")"),),
+    n.AllListExp: (("all-list", TRANSFER, "ee"),),
+    n.AllArrayExp: (("all-array", TRANSFER, "ee"),),
+    n.TopTra: (("top",),),
+    n.ArrayAtTra: (("array", "[", TRANSFER, "]"), ("get-from-array", TRANSFER, "ee")),
+    n.RecordAtTra: (("record", ".", IDENT), ("get-from-record", IDENT, "ee")),
+    n.ValueTra: (("value",),),
+    n.BooleanTyp: (("boolean",),),
+    n.NumberTyp: (("number",),),
+    n.WordTyp: (("word",),),
+    n.ListTyp: (("list-type", TYPE, "ee"),),
+    n.ArrayTyp: (("array-type", TYPE, "ee"),),
+    n.RecordTyp: (("record-type", IDENT, "as", TYPE, "ee"),),
+    n.ExpandRecordTyp: (("expand-record-type", TYPE, "at", IDENT, "by", TYPE, "ee"),),
     n.ReplaceTransferTyp: (
-        "TypExp:replace-transfer-in",
         ("replace-transfer-in", TYPE, "by", TRANSFER, "ee"),
         ("set-type", TYPE, YOKE, "ee"),
     ),
-    n.VarDec: ("VarDec:dec", ("let", IDENT, "be", TYPE, "tel")),
-    n.TypDef: ("TypDef:def", ("set", IDENT, "as", TYPE, "tes")),
-    n.YokeIns: ("Instruction:yoke", ("yoke", IDENT, ":=", TRANSFER)),
-    n.SkipIns: ("Instruction:skip", ("skip",)),
-    n.IfIns: (
-        "Instruction:if", ("if", DATA, "then", INSTRUCTION, "else", INSTRUCTION, "fi")
-    ),
-    n.IfErrorIns: ("Instruction:if-error", ("if-error", DATA, "then", INSTRUCTION, "fi")),
-    n.WhileIns: ("Instruction:while", ("while", DATA, "do", INSTRUCTION, "od")),
+    n.VarDec: (("let", IDENT, "be", TYPE, "tel"),),
+    n.TypDef: (("set", IDENT, "as", TYPE, "tes"),),
+    n.YokeIns: (("yoke", IDENT, ":=", TRANSFER),),
+    n.SkipIns: (("skip",),),
+    n.IfIns: (("if", DATA, "then", INSTRUCTION, "else", INSTRUCTION, "fi"),),
+    n.IfErrorIns: (("if-error", DATA, "then", INSTRUCTION, "fi"),),
+    n.WhileIns: (("while", DATA, "do", INSTRUCTION, "od"),),
 }
 
 # Leads that name another lead's phrase
@@ -179,12 +119,12 @@ _SORTS = (
 
 
 def _index() -> dict[int, dict[str, tuple]]:
-    """Per sort: lead keyword -> (node class, tag, rest of the template)."""
+    """Per sort: lead keyword -> (node class, rest of the template)."""
     leads: dict[int, dict[str, tuple]] = {sort: {} for _, sort in _SORTS}
-    for cls, (tag, *templates) in PHRASES.items():
+    for cls, templates in PHRASES.items():
         index = next(leads[sort] for base, sort in _SORTS if issubclass(cls, base))
         for lead, *rest in templates[cls in _BY_HAND :]:
-            index[lead] = (cls, tag, tuple(rest))
+            index[lead] = (cls, tuple(rest))
     for synonym, lead in _SYNONYMS.items():
         for index in leads.values():
             if lead in index:
@@ -199,7 +139,7 @@ _DECL_KEYWORDS = ("let", "set", "proc", "fun")
 T = TypeVar("T")
 
 # adjacent preamble items of these classes group into one sequence node
-_RUNS = {n.VarDec: (n.VarDecSeq, "VarDec:seq"), n.TypDef: (n.TypDefSeq, "TypDef:seq")}
+_RUNS = {n.VarDec: n.VarDecSeq, n.TypDef: n.TypDefSeq}
 
 
 def _rebase_value(tre: n.TraExp, attr: str) -> n.TraExp:
@@ -210,6 +150,23 @@ def _rebase_value(tre: n.TraExp, attr: str) -> n.TraExp:
     return type(tre)(*[_rebase_value(v, attr) if isinstance(v, n.TraExp) else v for v in values])
 
 
+def _sequence(items: list, node: Callable = n.SeqIns):
+    """One `node` holding the items of a run, or its only item."""
+    if len(items) == 1:
+        return items[0]
+    return node(tuple(items))
+
+
+def _group_preamble(items: list[n.Node]):
+    blocks: list[n.Node] = []
+    for kind, run in groupby(items, key=type):
+        if kind in _RUNS:
+            blocks.append(_sequence(list(run), _RUNS[kind]))
+        else:
+            blocks += run
+    return _sequence(blocks, n.PreSeq)
+
+
 class Parser:
     """Parses `text`, from `tokens` when they are given: parsers that try
     several sorts on one text share a single tokenization."""
@@ -218,7 +175,6 @@ class Parser:
         self.text = text
         self.tokens = tokenize(text) if tokens is None else tokens
         self.pos = 0
-        self.fired: set[str] = set()
 
     # -- token plumbing ----------------------------------------------------
 
@@ -233,9 +189,6 @@ class Parser:
         if tok.kind != "eof":
             self.pos += 1
         return tok
-
-    def fire(self, tag: str) -> None:
-        self.fired.add(tag)
 
     def error(self, message: str, kind: str = "syntactic", token: Optional[Token] = None):
         tok = token or self.peek()
@@ -296,7 +249,7 @@ class Parser:
         if row is None:
             return self.typ_atom() if sort == TYPE else self.simple_instruction()
         self.take()
-        ctor, tag, template = row
+        ctor, template = row
         args = []
         for part in template:
             if part.__class__ is str:
@@ -313,8 +266,6 @@ class Parser:
                 args.append(self.expression(TRANSFER))
             else:
                 args.append(n.TraBoolLit(True))
-                self.fire("TraExp:true")
-        self.fire(tag)
         return ctor(*args)
 
     # -- data and transfer expressions --------------------------------------
@@ -330,19 +281,14 @@ class Parser:
                 break
             self.take()
             right = self.expression(sort, op[0] + 1)
-            ctor, tag = op[sort]
-            left = ctor(left, right)
-            self.fire(tag)
+            left = op[sort](left, right)
         return left
 
     def unary(self, sort: int) -> n.Node:
         tok = self.peek()
         if tok.is_keyword("not"):
             self.take()
-            operand = self.unary(sort)
-            ctor, tag = NEGATION[sort]
-            self.fire(tag)
-            return ctor(operand)
+            return NEGATION[sort](self.unary(sort))
         if tok.kind == "keyword" and tok.text in _LEADS[sort]:
             node = self.phrase(sort)
         elif sort == DATA:
@@ -360,14 +306,12 @@ class Parser:
                 index = self.expression(DATA)
                 self.expect("]")
                 node = n.ArrAtExp(node, index)
-                self.fire("DatExp:arr-at")
             elif nxt.is_punct("("):
                 self.take()
                 self.take()
                 ide = self.expect_ident()
                 self.expect(")")
                 node = n.RecAtExp(node, ide)
-                self.fire("DatExp:rec-at")
             else:
                 self.error("expected '[' or '(' after '.'")
         return node
@@ -376,17 +320,13 @@ class Parser:
         tok = self.peek()
         if tok.kind == "num":
             self.take()
-            self.fire("DatExp:num")
             return n.NumLit(tok.num)
         if tok.is_punct("-") and self.peek(1).kind == "num":
             self.take()
             lit = self.take()
-            self.fire("DatExp:num")
-            self.fire("DatExp:neg")
             return n.NumLit(lit.num.neg())
         if tok.kind == "word":
             self.take()
-            self.fire("DatExp:wor")
             return n.WordLit(tok.text)
         if tok.kind == "ident":
             self.take()
@@ -394,9 +334,7 @@ class Parser:
                 self.take()
                 apar = self.actual_params()
                 self.expect(")")
-                self.fire("DatExp:call")
                 return n.FunCallExp(tok.text, apar)
-            self.fire("DatExp:ide")
             return n.IdeExp(tok.text)
         if tok.is_punct("("):
             self.take()
@@ -405,7 +343,6 @@ class Parser:
             return inner
         if tok.is_keyword("true", "false"):
             self.take()
-            self.fire(f"DatExp:{tok.text}")
             return n.BoolLit(tok.text == "true")
         if tok.is_keyword("array"):
             self.take()
@@ -414,15 +351,12 @@ class Parser:
                 while self.accept(","):
                     elements.append(self.expression(DATA))
                 self.expect("]")
-                self.fire("DatExp:array")
                 node: n.DatExp = n.ArrayExp(elements[0])
                 for element in elements[1:]:
                     node = n.AddToArrExp(node, element)
-                    self.fire("DatExp:add-to-arr")
                 return node
             element = self.expression(DATA)
             self.expect("ee")
-            self.fire("DatExp:array")
             return n.ArrayExp(element)
         if tok.is_keyword("change-arr"):
             self.take()
@@ -440,14 +374,12 @@ class Parser:
                 node = target
                 for index, element in pairs:
                     node = n.ChangeArrExp(node, index, element)
-                    self.fire("DatExp:change-arr")
                 return node
             self.expect("at")
             index = self.expression(DATA)
             self.expect("by")
             element = self.expression(DATA)
             self.expect("ee")
-            self.fire("DatExp:change-arr")
             return n.ChangeArrExp(target, index, element)
         if tok.is_keyword("record", "set-record"):
             self.take()
@@ -455,7 +387,6 @@ class Parser:
             if self.accept("of-value"):
                 expr = self.expression(DATA)
                 self.expect("ee")
-                self.fire("DatExp:record")
                 return n.RecordExp(ide, expr)
             self.expect("<=")
             first = self.expression(DATA)
@@ -465,11 +396,9 @@ class Parser:
                 self.expect("<=")
                 fields.append((attr, self.expression(DATA)))
             self.expect("ee")
-            self.fire("DatExp:record")
             node = n.RecordExp(ide, first)
             for attr, expr in fields:
                 node = n.AddAttrExp(attr, expr, node)
-                self.fire("DatExp:add-attr")
             return node
         self.error(f"expected a data expression, found {self._describe(tok)}")
 
@@ -477,11 +406,9 @@ class Parser:
         tok = self.peek()
         if tok.kind == "num":
             self.take()
-            self.fire("TraExp:num")
             return n.TraNumLit(tok.num)
         if tok.kind == "word":
             self.take()
-            self.fire("TraExp:wor")
             return n.TraWordLit(tok.text)
         if tok.is_punct("("):
             self.take()
@@ -490,7 +417,6 @@ class Parser:
             return inner
         if tok.is_keyword("true", "false"):
             self.take()
-            self.fire(f"TraExp:{tok.text}")
             return n.TraBoolLit(tok.text == "true")
         if tok.is_keyword("array"):
             self.take()
@@ -500,7 +426,6 @@ class Parser:
                 self.error("expected '[' after 'array' in a transfer expression")
             index = self.expression(TRANSFER)
             self.expect("]")
-            self.fire("TraExp:array-at")
             return n.ArrayAtTra(index)
         self.error(f"expected a transfer expression, found {self._describe(tok)}")
 
@@ -510,12 +435,9 @@ class Parser:
         # applied to the attribute value.
         tok = self.peek()
         row = _LEADS[TRANSFER].get(tok.text) if tok.kind == "keyword" else None
-        if row is not None and row[2][:1] == ("(",) and not self.peek(1).is_punct("("):
+        if row is not None and row[1][:1] == ("(",) and not self.peek(1).is_punct("("):
             self.take()
-            ctor, tag, _ = row
-            self.fire(tag)
-            self.fire("TraExp:value")
-            return ctor(n.ValueTra())
+            return row[0](n.ValueTra())
         return self.expression(TRANSFER)
 
     # -- type expressions --------------------------------------------------
@@ -524,7 +446,6 @@ class Parser:
         tok = self.peek()
         if tok.kind == "ident":
             self.take()
-            self.fire("TypExp:ide")
             return n.IdeTyp(tok.text)
         if not tok.is_keyword("record-type", "record-of"):
             self.error(f"expected a type expression, found {self._describe(tok)}")
@@ -541,11 +462,9 @@ class Parser:
             if not self.accept(","):
                 break
         self.expect("ee")
-        self.fire("TypExp:record-type")
         node: n.TypExp = n.RecordTyp(fields[0][0], fields[0][1])
         for ide, tex, _ in fields[1:]:
             node = n.ExpandRecordTyp(node, ide, tex)
-            self.fire("TypExp:expand-record-type")
         yokes = [
             _rebase_value(w, ide) for ide, _, w in fields if w is not None
         ]
@@ -553,34 +472,21 @@ class Parser:
             combined = yokes[0]
             for w in yokes[1:]:
                 combined = n.TraAndExp(combined, w)
-                self.fire("TraExp:and")
             node = n.ReplaceTransferTyp(node, combined)
-            self.fire("TypExp:replace-transfer-in")
         return node
 
     # -- parameters ----------------------------------------------------------
 
     def actual_params(self, stop: tuple[str, ...] = ()) -> tuple[str, ...]:
-        if self.accept("empty-ap"):
-            self.fire("ActParameters:empty")
-            return ()
-        if self.peek().is_punct(")") or self.peek().is_keyword(*stop):
-            self.fire("ActParameters:empty")
+        if self.accept("empty-ap") or self.peek().is_punct(")") or self.peek().is_keyword(*stop):
             return ()
         names = [self.expect_ident()]
         while self.accept(","):
             names.append(self.expect_ident())
-        self.fire("ActParameters:single")
-        if len(names) > 1:
-            self.fire("ActParameters:seq")
         return tuple(names)
 
     def formal_params(self, stop: tuple[str, ...] = ()) -> tuple[n.FormalParam, ...]:
-        if self.accept("empty-fp"):
-            self.fire("ForParameters:empty")
-            return ()
-        if self.peek().is_punct(")") or self.peek().is_keyword(*stop):
-            self.fire("ForParameters:empty")
+        if self.accept("empty-fp") or self.peek().is_punct(")") or self.peek().is_keyword(*stop):
             return ()
         params: list[n.FormalParam] = []
         pending: list[str] = []
@@ -595,9 +501,6 @@ class Parser:
                     break
             elif not self.accept(","):
                 self.error("expected 'as' with a type in the formal parameter list")
-        self.fire("ForParameters:single")
-        if len(params) > 1:
-            self.fire("ForParameters:seq")
         return tuple(params)
 
     # -- instructions ----------------------------------------------------------
@@ -606,7 +509,7 @@ class Parser:
         items = [self.phrase(INSTRUCTION)]
         while self.accept(";"):
             items.append(self.phrase(INSTRUCTION))
-        return self.sequence(items)
+        return _sequence(items)
 
     def simple_instruction(self) -> n.Instruction:
         """An instruction that is not a table phrase."""
@@ -620,7 +523,6 @@ class Parser:
             self.expect("val")
             val_args = self.actual_params()
             self.expect(")")
-            self.fire("Instruction:call")
             return n.CallIns(ide, ref_args, val_args)
         if tok.is_keyword(*_DECL_KEYWORDS) or (
             tok.is_keyword("begin") and self.peek(1).is_keyword("multiproc")
@@ -630,7 +532,6 @@ class Parser:
             ide = self.expect_ident()
             self.expect(":=")
             expr = self.expression(DATA)
-            self.fire("Instruction:assign")
             return n.AssignIns(ide, expr)
         self.error(f"expected an instruction, found {self._describe(tok)}")
 
@@ -648,7 +549,6 @@ class Parser:
         prg = self.program()
         self.expect("end")
         self.expect("proc")
-        self.fire("ImpProcDec:dec")
         return n.ImpProcDec(ide, val_params, ref_params, prg)
 
     def multi_proc_dec(self) -> n.MultiProcDec:
@@ -661,7 +561,6 @@ class Parser:
             self.accept(";")
         self.expect("end")
         self.expect("multiproc")
-        self.fire("MultiProcDec:dec")
         return n.MultiProcDec(tuple(decs))
 
     def fun_proc_dec(self) -> n.FunProcDec:
@@ -679,11 +578,9 @@ class Parser:
             if not self.accept("end", "and"):
                 self.error("expected 'end fun' to close the function declaration")
             self.expect("fun")
-            self.fire("FunProcDec:program")
             return n.FunProcDec(ide, params, prg, dae, tex)
         dae = self.expression(DATA)
         self.expect("endfun")
-        self.fire("FunProcDec:expression")
         return n.FunProcDec(ide, params, None, dae, None)
 
     def program_item(self) -> n.Node:
@@ -716,8 +613,7 @@ class Parser:
             i for i, (node, _) in enumerate(items) if isinstance(node, n.Declaration)
         ]
         if not decl_indices:
-            instruction = self.sequence([node for node, _ in items])
-            self.fire("Program:plain")
+            instruction = _sequence([node for node, _ in items])
             return n.Program(None, instruction)
         boundary = decl_indices[-1]
         for node, start in items[:boundary]:
@@ -728,39 +624,9 @@ class Parser:
                 )
         if boundary + 1 >= len(items):
             self.error("a program needs an instruction after its declarations")
-        preamble = self._group_preamble([node for node, _ in items[: boundary + 1]])
-        instruction = self.sequence([node for node, _ in items[boundary + 1 :]])
-        self.fire("Program:with-preamble")
+        preamble = _group_preamble([node for node, _ in items[: boundary + 1]])
+        instruction = _sequence([node for node, _ in items[boundary + 1 :]])
         return n.Program(preamble, instruction)
-
-    def sequence(self, items: list, node: Callable = n.SeqIns, tag: str = "Instruction:seq"):
-        """One `node` holding the items of a run, or its only item."""
-        if len(items) == 1:
-            return items[0]
-        self.fire(tag)
-        return node(tuple(items))
-
-    def _group_preamble(self, items: list[n.Node]):
-        for node in items:
-            if isinstance(node, n.ImpProcDec):
-                self.fire("Preamble:imp-proc")
-            elif isinstance(node, n.MultiProcDec):
-                self.fire("Preamble:multi-proc")
-            elif isinstance(node, n.FunProcDec):
-                self.fire("Preamble:fun-proc")
-            elif isinstance(node, n.TypDef):
-                self.fire("Preamble:typ-def")
-            elif isinstance(node, n.VarDec):
-                self.fire("Preamble:var-dec")
-            elif isinstance(node, n.SkipIns):
-                self.fire("Preamble:skip")
-        blocks: list[n.Node] = []
-        for kind, run in groupby(items, key=type):
-            if kind in _RUNS:
-                blocks.append(self.sequence(list(run), *_RUNS[kind]))
-            else:
-                blocks += run
-        return self.sequence(blocks, n.PreSeq, "Preamble:seq")
 
     # -- fragments ----------------------------------------------------------
 
@@ -774,14 +640,14 @@ class Parser:
                 break
         decls = [isinstance(node, n.Declaration) for node, _ in items]
         if all(decls):
-            return "preamble", self._group_preamble([node for node, _ in items])
+            return "preamble", _group_preamble([node for node, _ in items])
         if any(decls):
             self.error(
                 "fragment mixes declarations and instructions; wrap it in "
                 "begin-program ... end-program",
                 token=items[0][1],
             )
-        return "instruction", self.sequence([node for node, _ in items])
+        return "instruction", _sequence([node for node, _ in items])
 
 
 # ---------------------------------------------------------------------------

@@ -35,14 +35,14 @@ def _form(cls: type, template: tuple) -> tuple[str, tuple[str, ...]]:
 
 
 def _forms() -> dict[type, tuple[str, tuple[str, ...]]]:
-    forms = {cls: _form(cls, templates[0]) for cls, (_, *templates) in PHRASES.items()}
+    forms = {cls: _form(cls, templates[0]) for cls, templates in PHRASES.items()}
     for token, (priority, *columns) in (*OPERATORS.items(), ("not", NEGATION)):
         if priority is None:
             template: tuple = ("(", token, DATA, ")")
         else:
             template = ("(", DATA, token, DATA, ")")
         for column in filter(None, columns):
-            forms[column[0]] = _form(column[0], template)
+            forms[column] = _form(column, template)
     return forms
 
 

@@ -122,7 +122,8 @@ from .state import (
 # perfbench/spans.py traces as `state.bind`.
 from .state import write_variable as bind_variable
 
-DEFAULT_SMALL_NUMBER_BOUND = Number.make(1, 6)
+# `small-number` holds for a number whose magnitude is below this
+SMALL_NUMBER_BOUND = Number.make(1, 6)
 
 
 class OutOfFuel(Exception):
@@ -519,10 +520,10 @@ def _max(com: Composite, limits: Limits) -> EvalResult:
     return _number(Number.max(numbers), limits)
 
 
-def _small_number(com: Composite, bound: Number) -> EvalResult:
+def _small_number(com: Composite, _) -> EvalResult:
     if com.bod is not NUMBER:
         return NUMBER_EXPECTED
-    return boo_composite(com.dat.value.abs().lt(bound))
+    return boo_composite(com.dat.value.abs().lt(SMALL_NUMBER_BOUND))
 
 
 def _increasing(com: Composite, _) -> EvalResult:
@@ -821,12 +822,10 @@ class Evaluator:
         self,
         limits: Limits = Limits(),
         fuel: Optional[int] = None,
-        small_number_bound: Number = DEFAULT_SMALL_NUMBER_BOUND,
         trace: Optional[Callable[[n.Instruction], None]] = None,
     ):
         self.limits = limits
         self.fuel = Fuel(fuel)
-        self.small_number_bound = small_number_bound
         self.trace = trace
         self._cache: dict[str, dict[int, tuple[n.Node, object]]] = defaultdict(dict)
         # Compiled code reaches the evaluator only weakly, so the evaluator
@@ -965,7 +964,7 @@ class Evaluator:
             case n.MaxExp(a):
                 return _unary(sub(a), _max, limits)
             case n.SmallNumberExp(a):
-                return _unary(sub(a), _small_number, self.small_number_bound)
+                return _unary(sub(a), _small_number, None)
             case n.IncreasingExp(a):
                 return _unary(sub(a), _increasing, None)
             case n.AllListExp(a):

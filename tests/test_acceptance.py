@@ -27,8 +27,6 @@ from lingua.kernel import (
 )
 from mccarthy import EE, FF, TT as M_TT, and_m, not_m, or_m
 from lingua.parser import (
-    ALL_PRODUCTION_TAGS,
-    Parser,
     parse_data_expression,
     parse_instruction,
     parse_program,
@@ -278,6 +276,7 @@ COVERAGE_CORPUS = [
     fun f (m as number) (m + 1) endfun ;
     fun g (m as number) begin-program skip end-program
       return (m / 2) as number end fun ;
+    fun h (empty-fp) (((1 - 2) * 3) = 4) endfun ; fun k (a as number, b as number) a endfun ;
     let r be person tel ;
     x := 3 ;
     x := f(x) ;
@@ -310,16 +309,84 @@ COVERAGE_CORPUS = [
 ]
 
 
+# Every clause is a concrete class of `lingua.nodes`.
+CLAUSES = frozenset(
+    cls
+    for cls in vars(n).values()
+    if isinstance(cls, type) and issubclass(cls, n.Node) and not cls.__subclasses__()
+)
+
+# The shapes of a clause that its class alone does not show
+SHAPES = frozenset(
+    {
+        *(f"{cls} {value}" for cls in ("BoolLit", "TraBoolLit") for value in (True, False)),
+        *(
+            f"{cls} with {length} parameters"
+            for cls in ("FunCallExp", "CallIns", "ImpProcDec", "FunProcDec")
+            for length in ("0", "1", "2+")
+        ),
+        "FunProcDec with expression",
+        "FunProcDec with program",
+        "Program without preamble",
+        "Program with preamble",
+        *(
+            f"preamble item {cls}"
+            for cls in ("ImpProcDec", "MultiProcDec", "FunProcDec", "TypDef", "VarDec", "SkipIns")
+        ),
+    }
+)
+
+
+def _parameters(cls, *lists):
+    return {f"{cls.__name__} with {('0', '1', '2+')[min(len(l), 2)]} parameters" for l in lists}
+
+
+def _preamble_items(pam):
+    for item in pam.items if isinstance(pam, n.PreSeq) else (pam,):
+        yield from item.items if isinstance(item, (n.VarDecSeq, n.TypDefSeq)) else (item,)
+
+
+def coverage(tree):
+    """The class of every node in `tree`, and the shapes it shows of them."""
+    found = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, tuple):
+            stack += node
+            continue
+        if not isinstance(node, n.Node):
+            continue
+        cls = type(node)
+        found.add(cls)
+        match node:
+            case n.BoolLit(value) | n.TraBoolLit(value):
+                found.add(f"{cls.__name__} {value}")
+            case n.FunCallExp(_, apar):
+                found |= _parameters(cls, apar)
+            case n.CallIns(_, ref_args, val_args):
+                found |= _parameters(cls, ref_args, val_args)
+            case n.ImpProcDec(_, val_params, ref_params, _):
+                found |= _parameters(cls, val_params, ref_params)
+            case n.FunProcDec(_, params, prg, _, _):
+                found |= _parameters(cls, params)
+                found.add(f"FunProcDec with {'expression' if prg is None else 'program'}")
+            case n.Program(None, _):
+                found.add("Program without preamble")
+            case n.Program(pam, _):
+                found.add("Program with preamble")
+                found |= {f"preamble item {type(item).__name__}" for item in _preamble_items(pam)}
+        stack += [getattr(node, name) for name in cls.__match_args__]
+    return found
+
+
 def test_criterion_5_grammar_coverage():
     with report(5, "grammar coverage"):
-        fired = set()
+        found = set()
         for text in COVERAGE_CORPUS:
-            parser = Parser(text)
-            parser.program()
-            parser.expect_eof()
-            fired |= parser.fired
-        missing = ALL_PRODUCTION_TAGS - fired
-        assert not missing, f"unfired productions: {sorted(missing)}"
+            found |= coverage(parse_program(text))
+        missing = [cls.__name__ for cls in CLAUSES - found] + list(SHAPES - found)
+        assert not missing, f"not covered: {sorted(missing)}"
 
 
 # ---------------------------------------------------------------------------

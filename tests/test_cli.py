@@ -118,8 +118,16 @@ class TestRun:
             (["run", "--fuel", "abc"], None),
             (["repl"], "1.5"),
             (["run", "--max-digits", "0"], None),
+            (["run", "--fuel", "-1"], None),
+            (["run"], "-1"),
         ],
-        ids=["fuel-flag", "fuel-env-var", "max-digits"],
+        ids=[
+            "fuel-flag",
+            "fuel-env-var",
+            "max-digits",
+            "negative-fuel-flag",
+            "negative-fuel-env-var",
+        ],
     )
     def test_bad_argument_is_a_usage_error(self, tmp_path, capsys, monkeypatch, argv, env):
         path = write(tmp_path, "ok.lng", "begin-program skip end-program")
