@@ -29,6 +29,7 @@ so the evaluator tests a body with `is`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Callable, Mapping, Optional, Sequence, Union
@@ -115,39 +116,34 @@ class Number:
     def parse(text: str) -> "Number":
         negative = text.startswith("-")
         body = text[1:] if negative else text
-        if "." in body:
-            whole, frac = body.split(".", 1)
-        else:
-            whole, frac = body, ""
-        if not (whole + frac).isdigit():
+        whole, _, frac = body.partition(".")
+        digits = whole + frac
+        if not digits.isdecimal():
             raise ValueError(f"not a decimal literal: {text!r}")
-        coeff = int(whole + frac) if whole + frac else 0
+        try:
+            coeff = int(digits)
+        except ValueError:  # more digits than Python converts from str
+            coeff = int(Decimal(digits))
         return Number.make(-coeff if negative else coeff, -len(frac))
 
     @staticmethod
     def from_int(value: int) -> "Number":
         return Number.make(value, 0)
 
-    def as_fraction(self) -> Fraction:
-        if self.exp >= 0:
-            return Fraction(self.coeff * 10**self.exp)
-        return Fraction(self.coeff, 10 ** -self.exp)
-
     def digits(self) -> int:
         """Decimal digit positions needed to write the number out in full."""
         if self.coeff == 0:
             return 1
-        n = len(str(abs(self.coeff)))
+        n = len(_digit_string(abs(self.coeff)))
         if self.exp >= 0:
             return n + self.exp
         return max(n, -self.exp)
 
     def text(self) -> str:
         sign = "-" if self.coeff < 0 else ""
-        magnitude = abs(self.coeff)
+        s = _digit_string(abs(self.coeff))
         if self.exp >= 0:
-            return sign + str(magnitude) + "0" * self.exp
-        s = str(magnitude)
+            return sign + s + "0" * self.exp
         point = len(s) + self.exp
         if point <= 0:
             return sign + "0." + "0" * (-point) + s
@@ -248,6 +244,14 @@ class Number:
 
     def __str__(self) -> str:
         return self.text()
+
+
+def _digit_string(magnitude: int) -> str:
+    """`str(magnitude)`, also past Python's limit on int-to-str digits."""
+    try:
+        return str(magnitude)
+    except ValueError:
+        return str(Decimal(magnitude))
 
 
 _new = object.__new__

@@ -597,14 +597,18 @@ class Parser:
 
     # -- preambles and programs ------------------------------------------
 
-    def program(self) -> n.Program:
-        self.expect("begin-program")
-        items: list[tuple[n.Node, Token]] = []
+    def program_items(self) -> list[tuple[n.Node, Token]]:
+        """A `;`-separated run of program items, each with its first token."""
+        items = []
         while True:
             start = self.peek()
             items.append((self.program_item(), start))
             if not self.accept(";"):
-                break
+                return items
+
+    def program(self) -> n.Program:
+        self.expect("begin-program")
+        items = self.program_items()
         self.expect("end-program")
         return self._assemble_program(items)
 
@@ -632,12 +636,7 @@ class Parser:
 
     def item_sequence(self) -> tuple[str, n.Node]:
         """A `;`-separated run of declarations or of instructions."""
-        items: list[tuple[n.Node, Token]] = []
-        while True:
-            start = self.peek()
-            items.append((self.program_item(), start))
-            if not self.accept(";"):
-                break
+        items = self.program_items()
         decls = [isinstance(node, n.Declaration) for node, _ in items]
         if all(decls):
             return "preamble", _group_preamble([node for node, _ in items])

@@ -7,15 +7,16 @@ passes error-carrying states through untouched.  Operands evaluate left to
 right and the first error wins, except that the Boolean connectives are
 lazy: a deciding left operand suppresses the right one entirely.
 
-Each clause is compiled once per evaluator into a Python closure, its
-denotation: a function from states to states, composites or types, or,
-for a transfer, from composites to composites.  Each operator is one
-function over operand composites, shared by data and transfer expressions;
-`_unary`, `_binary` and `_ternary` turn it into code over operand closures.
-Literals are built, and size-checked, when they compile; sequences compile
-to flat blocks.  An expression's code runs on a state whose register is
-clear: the register is tested once, where evaluation enters the
-expression, since the state cannot change inside it.
+Each clause is compiled once, top-down from the node an entry point is
+given, into a Python closure, its denotation: a function from states to
+states, composites or types, or, for a transfer, from composites to
+composites.  Each operator is one function over operand composites,
+shared by data and transfer expressions; `_unary`, `_binary` and
+`_ternary` turn it into code over operand closures.  Literals are built,
+and size-checked, when they compile; sequences compile to flat blocks.
+An expression's code runs on a state whose register is clear: the
+register is tested once, where evaluation enters the expression, since
+the state cannot change inside it.
 
 Nontermination is bounded by a fuel budget, spent on loop iterations and
 procedure calls; running out raises OutOfFuel, which is an outcome of the
@@ -32,15 +33,14 @@ Four rules keep a step's Python calls to those that decide something:
 - Identical bodies are coherent, so a write calls `coherent` only when the
   new body is not the held one.
 - A call reads its formal lengths, formal type codes, body, result and
-  return type codes from one entry compiled once per declaration
-  (`_Call`); the entry holds code only, and the formal types are still
-  evaluated in the callee's environment on every call.
+  return type codes from one entry compiled with the declaration and
+  kept in its `Procedure` value (`_Call`); the entry holds code only, and
+  the formal types are still evaluated in the callee's environment on
+  every call.
 """
 
 from __future__ import annotations
 
-import weakref
-from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, NamedTuple, Optional, TypeVar, Union
@@ -766,8 +766,10 @@ def _bind_omega(sta: State, ide: str, typ: LangType) -> State:
     return bind_variable(sta, ide, _unchecked_value(OMEGA, typ, None))
 
 
-def _declare_procedures(decs: tuple) -> StateCode:
-    """Procedures declared together, as one group; names must be free and distinct."""
+def _declare_procedures(decs: tuple, compile_call: Callable[[n.Node], _Call]) -> StateCode:
+    """Procedures declared together, as one group, each member's calls
+    compiled here, once; names must be free and distinct."""
+    calls = tuple(map(compile_call, decs))
     names = [dec.ide for dec in decs]
     repeated = len(set(names)) != len(names)
 
@@ -778,7 +780,7 @@ def _declare_procedures(decs: tuple) -> StateCode:
             return load_error(sta, IDENTIFIER_NOT_FREE)
         out = sta
         for dec in decs:
-            out = bind_procedure(out, dec.ide, Procedure(dec, decs, sta.env))
+            out = bind_procedure(out, dec.ide, Procedure(dec, decs, sta.env, calls))
         return out
 
     return declare
@@ -788,13 +790,13 @@ def _declare_procedures(decs: tuple) -> StateCode:
 
 
 class _Call(NamedTuple):
-    """What a call of one procedure declaration runs, compiled once per
-    evaluator: the lengths of the formal lists, the ref list before the
-    val; each formal's name and type code, in that order; the ref formals'
-    names; and the code of the body (a function's is optional), a
-    function's result and its optional return type.  It holds code only:
-    the environment is the callee's, and the formal types are evaluated in
-    it on every call."""
+    """What a call of one procedure declaration runs, compiled with the
+    declaration and kept in its `Procedure` value: the lengths of the
+    formal lists, the ref list before the val; each formal's name and type
+    code, in that order; the ref formals' names; and the code of the body
+    (a function's is optional), a function's result and its optional return
+    type.  It holds code only: the environment is the callee's, and the
+    formal types are evaluated in it on every call."""
 
     lengths: list[int]
     formals: tuple[tuple[str, TypeCode], ...]
@@ -805,10 +807,12 @@ class _Call(NamedTuple):
 
 
 class Evaluator:
-    """Compiles phrases on first use and runs the compiled closures.
+    """Compiles phrases and runs the compiled closures.
 
-    The public `eval_*`, `exec_*` and `run_program` methods compile (once
-    per node, cached by node identity) and then run.  Compiled code writes
+    The public `eval_*`, `exec_*` and `run_program` methods compile the
+    node they are given, top-down and once, and then run it; a procedure
+    declaration's calls compile with it (`_Call`), and call sites find them
+    in the `Procedure` value at run time.  Compiled code writes
     variables in place, so `exec_*` run it on a copy of the caller's
     valuation (`owned`) and leave the caller's state as it was, even when
     the run raises; expressions never write.  The `compile_*`
@@ -827,43 +831,29 @@ class Evaluator:
         self.limits = limits
         self.fuel = Fuel(fuel)
         self.trace = trace
-        self._cache: dict[str, dict[int, tuple[n.Node, object]]] = defaultdict(dict)
-        # Compiled code reaches the evaluator only weakly, so the evaluator
-        # and its cache form no reference cycle and are freed as soon as
-        # the run that made them is over.
-        self._weak = weakref.proxy(self)
-
-    def _cached(self, compile: Callable[[n.Node], C], node: n.Node) -> C:
-        """`compile(node)`, once per evaluator.  The entry keeps the node
-        alive, so its identity cannot be reused while it is cached."""
-        table = self._cache[compile.__name__]
-        entry = table.get(id(node))
-        if entry is None:
-            entry = table[id(node)] = (node, compile(node))
-        return entry[1]
 
     # -- entry points: compile, then run -----------------------------------
 
     def eval_data_exp(self, dae: n.DatExp, sta: State) -> EvalResult:
         if sta.store.register is not None:
             return sta.store.register
-        return self._cached(self.compile_expression, dae)(sta)
+        return self.compile_expression(dae)(sta)
 
     def eval_transfer_exp(self, tre: n.TraExp, sta: State) -> Union[Transfer, AbstractError]:
         if sta.store.register is not None:
             return sta.store.register
-        return self._cached(self._transfer, tre)
+        return self._transfer(tre)
 
     def eval_type_exp(self, tex: n.TypExp, sta: State) -> TypeResult:
         if sta.store.register is not None:
             return sta.store.register
-        return self._cached(self.compile_type_exp, tex)(sta)
+        return self.compile_type_exp(tex)(sta)
 
     def exec_instruction(self, ins: n.Instruction, sta: State) -> State:
-        return self._cached(self._step, ins)(owned(sta))
+        return self._step(ins)(owned(sta))
 
     def exec_preamble(self, pam, sta: State) -> State:
-        return self._cached(self.compile_preamble, pam)(owned(sta))
+        return self.compile_preamble(pam)(owned(sta))
 
     def run_program(self, prg: n.Program, sta: State) -> State:
         """The preamble, then the instruction, each entered through its
@@ -948,8 +938,7 @@ class Evaluator:
             case n.CondExp(guard, then_branch, else_branch):
                 return _conditional(sub(guard), sub(then_branch), sub(else_branch))
             case n.FunCallExp(ide, apar):
-                evaluator = self._weak
-                return lambda sta: evaluator.call_functional_procedure(ide, apar, sta)
+                return lambda sta: self.call_functional_procedure(ide, apar, sta)
             # transfer expressions only
             case n.ValueTra():
                 return _value
@@ -1026,10 +1015,7 @@ class Evaluator:
             case n.YokeIns(ide, tre):
                 return _yoke(ide, self._transfer(tre))
             case n.CallIns(ide, ref_args, val_args):
-                evaluator = self._weak
-                return lambda sta: evaluator.call_imperative_procedure(
-                    ide, ref_args, val_args, sta
-                )
+                return lambda sta: self.call_imperative_procedure(ide, ref_args, val_args, sta)
             case n.IfIns(guard, then_branch, else_branch):
                 return _if(data(guard), step(then_branch), step(else_branch))
             case n.IfErrorIns(guard, handler):
@@ -1069,9 +1055,9 @@ class Evaluator:
             case n.TypDef(ide, tex):
                 return _declare(ide, self.compile_type_exp(tex), variable=False)
             case n.ImpProcDec() | n.FunProcDec():
-                return _declare_procedures((pam,))
+                return _declare_procedures((pam,), self._compile_call)
             case n.MultiProcDec(decs):
-                return _declare_procedures(decs)
+                return _declare_procedures(decs, self._compile_call)
         raise TypeError(f"not a preamble: {pam!r}")
 
     def compile_program(self, prg: n.Program) -> StateCode:
@@ -1109,17 +1095,19 @@ class Evaluator:
         if pro is None or not isinstance(pro.dec, kind):
             return PROCEDURE_NOT_DECLARED
         self.fuel.spend()
-        dec = pro.dec
-        call = self._cached(self._compile_call, dec)
-        if call.lengths != list(map(len, actuals)):
-            return PARAMETER_LIST_MISMATCH
         # The declaration-time environment with the whole group nested back
         # in, so every member, the callee included, resolves recursively.
-        procs = dict(pro.env.procs)
-        for member in pro.group:
-            procs[member.ide] = pro if member is dec else Procedure(member, pro.group, pro.env)
+        dec, group, env, calls = pro.dec, pro.group, pro.env, pro.calls
+        procs = dict(env.procs)
+        for member, member_call in zip(group, calls):
+            if member is dec:
+                procs[member.ide], call = pro, member_call
+            else:
+                procs[member.ide] = Procedure(member, group, env, calls)
+        if call.lengths != list(map(len, actuals)):
+            return PARAMETER_LIST_MISMATCH
         valuation: dict[str, Value] = {}
-        local = State(Env(pro.env.types, procs), Store(valuation, None))
+        local = State(Env(env.types, procs), Store(valuation, None))
         # The local valuation holds only the formals.  Formal types read
         # only the environment, so they evaluate on `local` as it fills.
         caller = sta.store.valuation

@@ -24,7 +24,7 @@ one) and the declaration-time environment, without the group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .kernel import AbstractError, LangType, Value
@@ -33,11 +33,15 @@ from .nodes import FunProcDec, ImpProcDec
 
 @dataclass(frozen=True)
 class Procedure:
-    """A call nests `group` back into `env`, which makes recursion work."""
+    """A call nests `group` back into `env`, which makes recursion work,
+    and runs the callee's entry of `calls`: each member's compiled code
+    (`semantics._Call`) in the order of `group`, which takes no part in
+    equality or repr."""
 
     dec: Union[ImpProcDec, FunProcDec]
     group: tuple[Union[ImpProcDec, FunProcDec], ...]
     env: "Env"
+    calls: tuple = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -323,6 +324,33 @@ class TestCheckRestoreAst:
         assert '"node"' in first
 
 
+class TestNumeralsPastTheDigitLimit:
+    """Python converts between int and str only up to a digit limit, 4,300
+    digits by default; numerals and results of any length are numbers."""
+
+    PROGRAM = f"begin-program let x be number tel ; x := {'1' * 5_000} end-program"
+
+    def test_run_loads_overflow(self, tmp_path, capsys):
+        path = write(tmp_path, "long.lng", self.PROGRAM)
+        code, out, err = run_main(["run", path], capsys=capsys)
+        assert (code, err) == (1, "")
+        assert "register = overflow" in out
+
+    def test_check_and_restore(self, tmp_path, capsys):
+        path = write(tmp_path, "long.lng", self.PROGRAM)
+        assert run_main(["check", path], capsys=capsys) == (0, "", "")
+        assert run_main(["restore", path], capsys=capsys) == (0, self.PROGRAM + "\n", "")
+
+    def test_long_result_is_reported_in_full(self, tmp_path, capsys):
+        steps = " ; ".join(["x := (x * 7)"] * 5_200)
+        path = write(
+            tmp_path, "power.lng", f"begin-program let x be number tel ; x := 1 ; {steps} end-program"
+        )
+        code, out, err = run_main(["run", path, "--max-digits", "10000"], capsys=capsys)
+        assert (code, err) == (0, "")
+        assert f"x = ({Decimal(7**5_200)}, number) with true" in out
+
+
 class TestRepl:
     def drive(self, lines, capsys, fuel=None):
         stdin = io.StringIO("".join(line + "\n" for line in lines))
@@ -422,7 +450,13 @@ class TestCollector:
         "fragment.lng": "(1 + 2)",
         "deep.lng": "x := " + "(" * 1_200 + "1" + ")" * 1_200,
     }
-    REPL_SESSION = "1 + 2\nvalue < 3\nnumber\nx :=\nlet y be number tel\ny := 1\n:state\n"
+    # The declared procedures keep their compiled code in the session's state.
+    REPL_SESSION = (
+        "1 + 2\nvalue < 3\nnumber\nx :=\nlet y be number tel\ny := 1\n"
+        "fun double (k as number) (k * 2) endfun\ny := double(y)\n"
+        "proc inc (val empty-fp ref r as number) begin-program r := (r + 1) end-program end proc\n"
+        "call inc (ref y val empty-ap)\n:state\n"
+    )
 
     @pytest.mark.parametrize(
         "argv, code",

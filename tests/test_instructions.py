@@ -1,5 +1,7 @@
 """Instruction, declaration and program semantics."""
 
+import weakref
+
 import pytest
 
 from lingua.kernel import (
@@ -8,12 +10,13 @@ from lingua.kernel import (
     TT,
     WORD,
     AbstractError,
+    Composite,
     LangType,
     RecordBody,
     Value,
     num,
 )
-from lingua.parser import parse_instruction, parse_program
+from lingua.parser import parse_data_expression, parse_instruction, parse_program
 from lingua.semantics import Evaluator, OutOfFuel
 from lingua.state import (
     empty_state,
@@ -349,3 +352,15 @@ class TestPrograms:
     def test_program_without_preamble_errors_on_variables(self):
         sta = run_text("begin-program x := 1 end-program")
         assert is_error(sta)
+
+    def test_entry_points_keep_no_tree_alive(self):
+        """The evaluator compiles the tree it is given, runs it and keeps
+        nothing of it: the caller's tree is freed when the caller drops it."""
+        evaluator = Evaluator()
+        sta = number_var(empty_state(), "x", num(1))
+        ins, dae = parse_instruction("x := (x + 1)"), parse_data_expression("(x * 2)")
+        refs = weakref.ref(ins), weakref.ref(dae)
+        sta = evaluator.exec_instruction(ins, sta)
+        assert evaluator.eval_data_exp(dae, sta) == Composite(num(4), NUMBER)
+        del ins, dae  # `evaluator` is still alive
+        assert [ref() for ref in refs] == [None, None]

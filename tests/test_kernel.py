@@ -44,11 +44,20 @@ from lingua.kernel import (
     oversized,
     word,
 )
+from lingua.parser import parse_data_expression
+from lingua.printer import print_concrete
 from lingua.semantics import OVERFLOW, _max, _sum
 
 
 # ---------------------------------------------------------------------------
 # numbers
+
+
+def as_fraction(x: Number) -> Fraction:
+    """The exact value of `x`."""
+    if x.exp >= 0:
+        return Fraction(x.coeff * 10**x.exp)
+    return Fraction(x.coeff, 10**-x.exp)
 
 
 class TestNumber:
@@ -103,8 +112,45 @@ class TestNumber:
     @example((7, 40), (7000, 37))
     def test_lt_orders_like_fractions(self, a, b):
         x, y = Number.make(*a), Number.make(*b)
-        assert x.lt(y) == (x.as_fraction() < y.as_fraction())
-        assert y.lt(x) == (y.as_fraction() < x.as_fraction())
+        assert x.lt(y) == (as_fraction(x) < as_fraction(y))
+        assert y.lt(x) == (as_fraction(y) < as_fraction(x))
+
+
+class TestPastTheDigitLimit:
+    """Python converts between int and str only up to a digit limit, 4,300
+    digits by default; a number of any length parses and prints."""
+
+    WIDTH = 5_000
+
+    @pytest.mark.parametrize(
+        "text, digits",
+        [
+            ("1" * WIDTH, WIDTH),
+            ("-" + "9" * WIDTH + ".25", WIDTH + 2),
+            ("0.00" + "7" * WIDTH, WIDTH + 2),
+            ("4" + "0" * WIDTH, WIDTH + 1),
+        ],
+        ids=["integer", "negative", "fraction", "trailing-zeros"],
+    )
+    def test_parse_text_and_digits(self, text, digits):
+        x = Number.parse(text)
+        assert x.text() == text
+        assert x.digits() == digits
+
+    def test_results_print_in_full(self):
+        nines = Number.make(10**self.WIDTH - 1)
+        assert nines.text() == "9" * self.WIDTH and nines.digits() == self.WIDTH
+        small = Number.make(-(10**self.WIDTH - 1), -self.WIDTH - 3)
+        assert small.text() == "-0.000" + "9" * self.WIDTH
+        assert small.digits() == self.WIDTH + 3
+
+    def test_data_expression_parses(self):
+        text = "1" * self.WIDTH
+        assert print_concrete(parse_data_expression(text)) == text
+
+    def test_long_non_decimal_text_is_still_rejected(self):
+        with pytest.raises(ValueError):
+            Number.parse("\u00b2" * self.WIDTH)
 
 
 # ---------------------------------------------------------------------------
@@ -138,17 +184,17 @@ class TestLeanNumbers:
     @example(Number.make(-3, 2), Number.make(3, 2))  # cancels to zero
     @example(Number.make(7, 40), Number.make(-7, -40))
     def test_arithmetic_matches_fractions(self, x, y):
-        fx, fy = x.as_fraction(), y.as_fraction()
+        fx, fy = as_fraction(x), as_fraction(y)
         for result, exact in ((x.add(y), fx + fy), (x.sub(y), fx - fy), (x.mul(y), fx * fy)):
             assert checked(result) == result
-            assert result.as_fraction() == exact
+            assert as_fraction(result) == exact
         assert x.lt(y) == (fx < fy)
-        assert x.neg().as_fraction() == -fx and checked(x.neg()) == x.neg()
-        assert x.abs().as_fraction() == abs(fx) and checked(x.abs()) == x.abs()
+        assert as_fraction(x.neg()) == -fx and checked(x.neg()) == x.neg()
+        assert as_fraction(x.abs()) == abs(fx) and checked(x.abs()) == x.abs()
         if not y.is_zero():
             quotient = x.divide(y)
             if finite_decimal(fx / fy):
-                assert checked(quotient).as_fraction() == fx / fy
+                assert as_fraction(checked(quotient)) == fx / fy
             else:
                 assert quotient is None
 
@@ -197,7 +243,7 @@ class TestLeanNumbers:
     def test_make_is_the_checked_number(self, coeff, exp):
         x = Number.make(coeff, exp)
         assert x == checked(x) and hash(x) == hash(checked(x))
-        assert x.as_fraction() == coeff * Fraction(10) ** exp
+        assert as_fraction(x) == coeff * Fraction(10) ** exp
         with pytest.raises(FrozenInstanceError):
             x.coeff = 1
 
