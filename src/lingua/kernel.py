@@ -108,8 +108,13 @@ class Number:
         if coeff == 0:
             return ZERO
         while coeff % 10 == 0:
-            coeff //= 10
-            exp += 1
+            # Strip the largest chunk of 10**(2**j) that divides: a run of
+            # k zeros goes in O(log k) chunks, not in k divisions by 10.
+            step = 1
+            while coeff % 10 ** (2 * step) == 0:
+                step *= 2
+            coeff //= 10**step
+            exp += step
         return _unchecked_number(coeff, exp)
 
     @staticmethod
@@ -120,11 +125,15 @@ class Number:
         digits = whole + frac
         if not digits.isdecimal():
             raise ValueError(f"not a decimal literal: {text!r}")
+        significant = digits.rstrip("0")  # the normal form, read off the text
+        if not significant:
+            return ZERO
         try:
-            coeff = int(digits)
+            coeff = int(significant)
         except ValueError:  # more digits than Python converts from str
-            coeff = int(Decimal(digits))
-        return Number.make(-coeff if negative else coeff, -len(frac))
+            coeff = int(Decimal(significant))
+        exp = len(digits) - len(significant) - len(frac)
+        return _unchecked_number(-coeff if negative else coeff, exp)
 
     @staticmethod
     def from_int(value: int) -> "Number":

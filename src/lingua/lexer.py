@@ -10,9 +10,10 @@ Word literals sit between apostrophes and may span lines.  Keywords are
 classified here; using one where an identifier is required is reported by
 the parser as keyword-misuse.
 
-Positions are offsets, lines and columns counted in code points; only
-`\n` ends a line.  A token keeps its position as plain fields and builds
-its `SourceSpan` only when a diagnostic asks for one.
+A token is the tuple (kind, text, begin, end, num): its offsets in code
+points and, for a numeral, its `Number`.  Line and column are not kept;
+`span` computes them from the text when a diagnostic needs them.  Only
+`\n` ends a line.
 """
 
 from __future__ import annotations
@@ -71,13 +72,7 @@ class Token(NamedTuple):
     text: str
     begin: int  # offset of the lexeme's first code point
     end: int  # offset just past its last
-    line: int
-    column: int
-    num: Optional[Number] = None
-
-    @property
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.begin, self.end, self.line, self.column)
+    num: Optional[Number]
 
     def is_keyword(self, *names: str) -> bool:
         return self.kind == "keyword" and self.text in names
@@ -86,39 +81,42 @@ class Token(NamedTuple):
         return self.kind == "punct" and self.text in names
 
 
-def _fail(message: str, begin: int, end: int, line: int, column: int) -> NoReturn:
-    raise LinguaParseError(
-        ParseDiagnostic(SourceSpan(begin, end, line, column), message, "lexical")
-    )
+def span(text: str, begin: int, end: int) -> SourceSpan:
+    """The span of `text[begin:end]`, with the line and column of `begin`."""
+    line_start = text.rfind("\n", 0, begin) + 1
+    return SourceSpan(begin, end, text.count("\n", 0, begin) + 1, begin - line_start + 1)
+
+
+def _fail(message: str, text: str, begin: int, end: int) -> NoReturn:
+    raise LinguaParseError(ParseDiagnostic(span(text, begin, end), message, "lexical"))
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, line_start, pos = 1, 0, 0
+    append, new, kinds = tokens.append, tuple.__new__, _KIND
+    numbers: dict[str, Number] = {}  # numerals repeat; `Number` is frozen
+    pos = 0
     for space, lexeme in _TOKEN.findall(text):
-        if "\n" in space:
-            line += space.count("\n")
-            line_start = pos + space.rindex("\n") + 1
         begin = pos + len(space)
         pos = begin + len(lexeme)
-        column = begin - line_start + 1
-        kind, value, num = _KIND.get(lexeme[:1]), lexeme, None
-        if kind == "num":
-            num = Number.parse(lexeme)
-        elif kind == "ident" and lexeme in KEYWORDS:
-            kind = "keyword"
+        kind = kinds.get(lexeme[:1])
+        if kind == "ident":
+            kind = "keyword" if lexeme in KEYWORDS else "ident"
+            append(new(Token, (kind, lexeme, begin, pos, None)))
+        elif kind == "punct" or lexeme == ":=":
+            append(new(Token, ("punct", lexeme, begin, pos, None)))
+        elif kind == "num":
+            num = numbers.get(lexeme)
+            if num is None:
+                num = numbers[lexeme] = Number.parse(lexeme)
+            append(new(Token, ("num", lexeme, begin, pos, num)))
         elif kind == "word":
             if len(lexeme) == 1:
-                _fail("unterminated word literal", begin, len(text), line, column)
-            value = lexeme[1:-1]
-        elif lexeme == ":=":
-            kind = "punct"
-        elif kind is None:
-            _fail(f"illegal character {lexeme!r}", begin, pos, line, column)
-        tokens.append(Token(kind, value, begin, pos, line, column, num))
-        if kind == "eof":  # trailing whitespace can leave an empty match after it
-            break
-        if kind == "word" and "\n" in lexeme:
-            line += lexeme.count("\n")
-            line_start = begin + lexeme.rindex("\n") + 1
+                _fail("unterminated word literal", text, begin, len(text))
+            append(new(Token, ("word", lexeme[1:-1], begin, pos, None)))
+        elif kind == "eof":
+            append(new(Token, ("eof", "", begin, pos, None)))
+            break  # trailing whitespace can leave an empty match after it
+        else:
+            _fail(f"illegal character {lexeme!r}", text, begin, pos)
     return tokens

@@ -19,7 +19,7 @@ from itertools import groupby
 from typing import Callable, Optional, TypeVar, Union
 
 from .diagnostics import LinguaParseError, ParseDiagnostic
-from .lexer import Token, tokenize
+from .lexer import Token, span, tokenize
 from . import nodes as n
 
 # The sorts of phrases, which are also operand kinds in a template.  DATA
@@ -192,7 +192,8 @@ class Parser:
 
     def error(self, message: str, kind: str = "syntactic", token: Optional[Token] = None):
         tok = token or self.peek()
-        raise LinguaParseError(ParseDiagnostic(tok.span, message, kind))
+        where = span(self.text, tok.begin, tok.end)
+        raise LinguaParseError(ParseDiagnostic(where, message, kind))
 
     # A keyword or punctuation token is matched by its text; a word literal
     # never is, whatever its text.
@@ -663,7 +664,9 @@ def _whole(parser: Parser, rule: Callable[..., T], *args) -> T:
         result = rule(parser, *args)
     except RecursionError:
         # The parser never moves back, so it still stands where it ran out.
-        diag = ParseDiagnostic(parser.peek().span, "nesting too deep to parse", "too-deep")
+        tok = parser.peek()
+        where = span(parser.text, tok.begin, tok.end)
+        diag = ParseDiagnostic(where, "nesting too deep to parse", "too-deep")
         raise LinguaParseError(diag) from None
     parser.expect_eof()
     return result

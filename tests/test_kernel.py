@@ -152,6 +152,12 @@ class TestPastTheDigitLimit:
         with pytest.raises(ValueError):
             Number.parse("\u00b2" * self.WIDTH)
 
+    def test_long_runs_of_trailing_zeros_normalize(self):
+        # One zero at a time, each of these took seconds.
+        zeros = 10 * self.WIDTH
+        assert Number.parse("1" + "0" * zeros) == Number(1, zeros)
+        assert Number.make(10**zeros) == Number(1, zeros)
+
 
 # ---------------------------------------------------------------------------
 # lean numbers: the unchecked and fast paths against exact fractions
@@ -246,6 +252,18 @@ class TestLeanNumbers:
         assert as_fraction(x) == coeff * Fraction(10) ** exp
         with pytest.raises(FrozenInstanceError):
             x.coeff = 1
+
+    @EXACT
+    @given(st.integers(-(10**30), 10**30), st.integers(0, 300), st.integers(-60, 60))
+    @example(1, 0, 0)
+    @example(-7, 255, -3)  # every chunk of 128, 64, ..., 1 zeros strips
+    @example(25, 256, 0)
+    def test_runs_of_trailing_zeros_strip_exactly(self, coeff, zeros, exp):
+        x = Number.make(coeff * 10**zeros, exp)
+        assert x == checked(x)
+        assert as_fraction(x) == coeff * 10**zeros * Fraction(10) ** exp
+        text = f"{coeff * 10**zeros}." + "0" * (zeros % 7)
+        assert Number.parse(text) == Number.make(coeff * 10**zeros)
 
     def test_checked_constructor_still_rejects(self):
         for coeff, exp in ((10, 0), (-20, 3), (0, 1)):

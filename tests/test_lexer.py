@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 import lexer_oracle
 from lingua.diagnostics import LinguaParseError
 from lingua.kernel import Number
-from lingua.lexer import KEYWORDS, tokenize
+from lingua.lexer import KEYWORDS, span, tokenize
 
 
 def kinds_and_texts(text):
@@ -114,9 +114,10 @@ def test_selector_punctuation():
 
 
 def test_spans_track_lines():
-    toks = tokenize("x :=\n 1")
-    assert toks[0].span.line == 1 and toks[0].span.column == 1
-    assert toks[2].span.line == 2 and toks[2].span.column == 2
+    text = "x :=\n 1"
+    first, _, last, _ = (span(text, t.begin, t.end) for t in tokenize(text))
+    assert first.line == 1 and first.column == 1
+    assert last.line == 2 and last.column == 2
 
 
 def test_lone_colon_is_lexical_error():
@@ -140,8 +141,9 @@ def test_non_ascii_digit_is_illegal(text, char, column):
 
 
 def test_positions_count_code_points_and_only_newline_ends_a_line():
-    toks = tokenize("'a\nb' x\r\n\u2028 y")
-    assert [(t.text, t.span.line, t.span.column) for t in toks] == [
+    text = "'a\nb' x\r\n\u2028 y"
+    spans = [(t.text, span(text, t.begin, t.end)) for t in tokenize(text)]
+    assert [(word, s.line, s.column) for word, s in spans] == [
         ("a\nb", 1, 1),
         ("x", 2, 4),
         ("y", 3, 3),
@@ -164,9 +166,17 @@ _PIECES = st.one_of(
 )
 
 
-def _outcome(tokenize_text, text):
+def _lexer_tokens(text):
+    return [(t.kind, t.text, t.num, span(text, t.begin, t.end)) for t in tokenize(text)]
+
+
+def _oracle_tokens(text):
+    return [(t.kind, t.text, t.num, t.span) for t in lexer_oracle.tokenize(text)]
+
+
+def _outcome(tokens, text):
     try:
-        return [(t.kind, t.text, t.num, t.span) for t in tokenize_text(text)]
+        return tokens(text)
     except LinguaParseError as exc:
         diag = exc.diagnostic
         return diag.kind, diag.message, diag.span
@@ -180,4 +190,4 @@ def _outcome(tokenize_text, text):
 @example("x := 'unterminated\nline")
 @example("\u2028x\r\ny\n\n")
 def test_tokenize_matches_the_oracle(text):
-    assert _outcome(tokenize, text) == _outcome(lexer_oracle.tokenize, text)
+    assert _outcome(_lexer_tokens, text) == _outcome(_oracle_tokens, text)

@@ -1,12 +1,15 @@
 """Random input for `parse_any`: token soup, and printed trees with a few
 token edits.
 
-Whatever the text, parsing ends in a tree or a `LinguaParseError`; and a
-text that parses restores to a fixpoint that parses back to the same tree.
+Whatever the text, parsing ends in a tree or a `LinguaParseError`; a
+diagnostic the parser raises points at a token, with its line and column;
+and a text that parses restores to a fixpoint that parses back to the
+same tree.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import lexer_oracle
 from astgen import AstGen
 from lingua.diagnostics import LinguaParseError
 from lingua.lexer import KEYWORDS, tokenize
@@ -43,6 +46,29 @@ def parsed_or_none(text: str):
 @given(st.lists(st.sampled_from(VOCABULARY), max_size=40))
 def test_token_streams_raise_only_parse_errors(words):
     parsed_or_none(" ".join(words))
+
+
+# Line breaks, and a word literal that spans lines, move later tokens' lines.
+LAYOUT = VOCABULARY + ["\n", "\r\n", " ", "'two\nlines'"]
+
+
+@RANDOM
+@given(st.lists(st.sampled_from(LAYOUT), max_size=40))
+@example(
+    ["begin-program", "x", ":=", "'two\nlines'"]
+    + ["\n", ";", "x", ":=", "1"] * 5_000
+    + ["\r\n", ")", "end-program"]
+)
+def test_diagnostics_carry_their_tokens_line_and_column(words):
+    text = " ".join(words)
+    try:
+        parse_any(text)
+    except LinguaParseError as exc:
+        diag = exc.diagnostic
+        if diag.kind != "lexical":
+            tokens = lexer_oracle.tokenize(text)
+            [token] = [t for t in tokens if t.span.begin == diag.span.begin]
+            assert token.span == diag.span
 
 
 @RANDOM
