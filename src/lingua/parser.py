@@ -7,10 +7,13 @@ Operator priorities, tightest first: not, then * /, then + -, then glue,
 then < =, then and, then or; equal priorities associate to the left.
 
 Each keyword phrase is written once, in `PHRASES`: its template of
-keywords, punctuation and operand kinds.  The parser reads a template from
-its lead keyword and the printer writes it from the same row.  Only
-colloquial forms that branch after a prefix they share with another form
-are read by hand.
+keywords, punctuation and operand kinds, procedure declarations and calls
+included.  The parser reads a template from its lead keyword and the
+printer writes it from the same row.  The operators, `not` and the
+literals have a node class per sort column.  Read by hand are the
+colloquial forms that branch after a prefix they share with another form,
+`fun` (two forms after one header), `begin multiproc`, assignments and
+programs.
 """
 
 from __future__ import annotations
@@ -23,9 +26,12 @@ from .lexer import Token, span, tokenize
 from . import nodes as n
 
 # The sorts of phrases, which are also operand kinds in a template.  DATA
-# and TRANSFER are the columns of OPERATORS.  IDENT is an identifier, and
-# YOKE an optional `with` transfer that is `true` when absent.
-DATA, TRANSFER, TYPE, INSTRUCTION, DECLARATION, IDENT, YOKE = range(1, 8)
+# and TRANSFER are the columns of OPERATORS.  IDENT is an identifier, YOKE
+# an optional `with` transfer that is `true` when absent, FORMALS and
+# ACTUALS a parameter list that ends at the template's next keyword, and
+# PROGRAM a `begin-program … end-program`.
+DATA, TRANSFER, TYPE, INSTRUCTION, DECLARATION = range(1, 6)
+IDENT, YOKE, FORMALS, ACTUALS, PROGRAM = range(6, 11)
 
 # The operators data and transfer expressions share, written once:
 # token -> (priority, data node, transfer node).  `-` and `*` have no
@@ -42,8 +48,11 @@ OPERATORS: dict[str, tuple] = {
     "/": (6, n.DivExp, n.TraDivExp),
 }
 
-# `not`, by the same columns
+# `not` and the literals, by the same columns
 NEGATION = (None, n.NotExp, n.TraNotExp)
+NUMERAL = (None, n.NumLit, n.TraNumLit)
+WORD = (None, n.WordLit, n.TraWordLit)
+TRUTH = (None, n.BoolLit, n.TraBoolLit)
 
 # Every phrase with a fixed form, written once: node class -> (template,
 # colloquial templates...).  A template is the phrase's keywords and
@@ -89,6 +98,10 @@ PHRASES: dict[type, tuple] = {
     ),
     n.VarDec: (("let", IDENT, "be", TYPE, "tel"),),
     n.TypDef: (("set", IDENT, "as", TYPE, "tes"),),
+    n.ImpProcDec: (
+        ("proc", IDENT, "(", "val", FORMALS, "ref", FORMALS, ")", PROGRAM, "end", "proc"),
+    ),
+    n.CallIns: (("call", IDENT, "(", "ref", ACTUALS, "val", ACTUALS, ")"),),
     n.YokeIns: (("yoke", IDENT, ":=", TRANSFER),),
     n.SkipIns: (("skip",),),
     n.IfIns: (("if", DATA, "then", INSTRUCTION, "else", INSTRUCTION, "fi"),),
@@ -134,7 +147,7 @@ def _index() -> dict[int, dict[str, tuple]]:
 
 _LEADS = _index()
 
-_DECL_KEYWORDS = ("let", "set", "proc", "fun")
+_DECL_KEYWORDS = (*_LEADS[DECLARATION], "fun")
 
 T = TypeVar("T")
 
@@ -242,8 +255,10 @@ class Parser:
 
         A table phrase is read here, in the frame that dispatched on its
         lead keyword, so an operand of its own sort costs one frame a level.
-        Data and transfer expressions come here only for a table lead
-        (`unary`); types and instructions read anything else by hand.
+        A parameter list ends at `)` or at the keyword that follows it in
+        the template.  Data and transfer expressions come here only for a
+        table lead (`unary`), and declarations only for a table lead
+        (`program_item`); types and instructions read anything else by hand.
         """
         tok = self.peek()
         row = _LEADS[sort].get(tok.text) if tok.kind == "keyword" else None
@@ -252,7 +267,7 @@ class Parser:
         self.take()
         ctor, template = row
         args = []
-        for part in template:
+        for i, part in enumerate(template):
             if part.__class__ is str:
                 self.expect(part)
             elif part <= TRANSFER:
@@ -263,6 +278,12 @@ class Parser:
                 args.append(self.instruction_seq())
             elif part == IDENT:
                 args.append(self.expect_ident())
+            elif part == FORMALS:
+                args.append(self.formal_params(template[i + 1]))
+            elif part == ACTUALS:
+                args.append(self.actual_params(template[i + 1]))
+            elif part == PROGRAM:
+                args.append(self.program())
             elif self.accept("with"):  # YOKE
                 args.append(self.expression(TRANSFER))
             else:
@@ -292,10 +313,8 @@ class Parser:
             return NEGATION[sort](self.unary(sort))
         if tok.kind == "keyword" and tok.text in _LEADS[sort]:
             node = self.phrase(sort)
-        elif sort == DATA:
-            node = self.data_atom()
         else:
-            return self.tra_atom()
+            node = self.atom(sort)
         return self.data_postfix(node) if sort == DATA else node
 
     def data_postfix(self, node: n.DatExp) -> n.DatExp:
@@ -317,19 +336,17 @@ class Parser:
                 self.error("expected '[' or '(' after '.'")
         return node
 
-    def data_atom(self) -> n.DatExp:
+    def atom(self, sort: int) -> n.Node:
+        """A literal, a parenthesized expression or, by sort, a data name,
+        call or colloquial collection, or the transfer selector `array[..]`."""
         tok = self.peek()
         if tok.kind == "num":
             self.take()
-            return n.NumLit(tok.num)
-        if tok.is_punct("-") and self.peek(1).kind == "num":
-            self.take()
-            lit = self.take()
-            return n.NumLit(lit.num.neg())
+            return NUMERAL[sort](tok.num)
         if tok.kind == "word":
             self.take()
-            return n.WordLit(tok.text)
-        if tok.kind == "ident":
+            return WORD[sort](tok.text)
+        if tok.kind == "ident" and sort == DATA:
             self.take()
             if self.peek().is_punct("("):
                 self.take()
@@ -337,14 +354,29 @@ class Parser:
                 self.expect(")")
                 return n.FunCallExp(tok.text, apar)
             return n.IdeExp(tok.text)
-        if tok.is_punct("("):
-            self.take()
-            inner = self.expression(DATA)
-            self.expect(")")
-            return inner
         if tok.is_keyword("true", "false"):
             self.take()
-            return n.BoolLit(tok.text == "true")
+            return TRUTH[sort](tok.text == "true")
+        if tok.is_punct("("):
+            self.take()
+            inner = self.expression(sort)
+            self.expect(")")
+            return inner
+        if sort == TRANSFER:
+            if not tok.is_keyword("array"):
+                self.error(f"expected a transfer expression, found {self._describe(tok)}")
+            self.take()
+            if self.accept("."):
+                self.expect("[")
+            elif not self.accept("["):
+                self.error("expected '[' after 'array' in a transfer expression")
+            index = self.expression(TRANSFER)
+            self.expect("]")
+            return n.ArrayAtTra(index)
+        if tok.is_punct("-") and self.peek(1).kind == "num":
+            self.take()
+            lit = self.take()
+            return n.NumLit(lit.num.neg())
         if tok.is_keyword("array"):
             self.take()
             if self.accept("["):
@@ -403,33 +435,6 @@ class Parser:
             return node
         self.error(f"expected a data expression, found {self._describe(tok)}")
 
-    def tra_atom(self) -> n.TraExp:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.take()
-            return n.TraNumLit(tok.num)
-        if tok.kind == "word":
-            self.take()
-            return n.TraWordLit(tok.text)
-        if tok.is_punct("("):
-            self.take()
-            inner = self.expression(TRANSFER)
-            self.expect(")")
-            return inner
-        if tok.is_keyword("true", "false"):
-            self.take()
-            return n.TraBoolLit(tok.text == "true")
-        if tok.is_keyword("array"):
-            self.take()
-            if self.accept("."):
-                self.expect("[")
-            elif not self.accept("["):
-                self.error("expected '[' after 'array' in a transfer expression")
-            index = self.expression(TRANSFER)
-            self.expect("]")
-            return n.ArrayAtTra(index)
-        self.error(f"expected a transfer expression, found {self._describe(tok)}")
-
     def _with_transfer(self) -> n.TraExp:
         # A bare combinator name (`with small-number`), which is a transfer
         # phrase whose operand is parenthesized, means the combinator
@@ -478,16 +483,18 @@ class Parser:
 
     # -- parameters ----------------------------------------------------------
 
-    def actual_params(self, stop: tuple[str, ...] = ()) -> tuple[str, ...]:
-        if self.accept("empty-ap") or self.peek().is_punct(")") or self.peek().is_keyword(*stop):
+    # A parameter list ends at `)` or at the keyword `stop`.
+
+    def actual_params(self, stop: str = ")") -> tuple[str, ...]:
+        if self.accept("empty-ap") or self.peek().is_punct(")") or self.peek().is_keyword(stop):
             return ()
         names = [self.expect_ident()]
         while self.accept(","):
             names.append(self.expect_ident())
         return tuple(names)
 
-    def formal_params(self, stop: tuple[str, ...] = ()) -> tuple[n.FormalParam, ...]:
-        if self.accept("empty-fp") or self.peek().is_punct(")") or self.peek().is_keyword(*stop):
+    def formal_params(self, stop: str = ")") -> tuple[n.FormalParam, ...]:
+        if self.accept("empty-fp") or self.peek().is_punct(")") or self.peek().is_keyword(stop):
             return ()
         params: list[n.FormalParam] = []
         pending: list[str] = []
@@ -515,16 +522,6 @@ class Parser:
     def simple_instruction(self) -> n.Instruction:
         """An instruction that is not a table phrase."""
         tok = self.peek()
-        if tok.is_keyword("call"):
-            self.take()
-            ide = self.expect_ident()
-            self.expect("(")
-            self.expect("ref")
-            ref_args = self.actual_params(stop=("val",))
-            self.expect("val")
-            val_args = self.actual_params()
-            self.expect(")")
-            return n.CallIns(ide, ref_args, val_args)
         if tok.is_keyword(*_DECL_KEYWORDS) or (
             tok.is_keyword("begin") and self.peek(1).is_keyword("multiproc")
         ):
@@ -538,27 +535,14 @@ class Parser:
 
     # -- declarations ----------------------------------------------------
 
-    def imp_proc_dec(self) -> n.ImpProcDec:
-        self.expect("proc")
-        ide = self.expect_ident()
-        self.expect("(")
-        self.expect("val")
-        val_params = self.formal_params(stop=("ref",))
-        self.expect("ref")
-        ref_params = self.formal_params()
-        self.expect(")")
-        prg = self.program()
-        self.expect("end")
-        self.expect("proc")
-        return n.ImpProcDec(ide, val_params, ref_params, prg)
-
     def multi_proc_dec(self) -> n.MultiProcDec:
         self.expect("begin")
         self.expect("multiproc")
-        decs = [self.imp_proc_dec()]
-        self.accept(";")
+        if not self.peek().is_keyword("proc"):
+            self.expect("proc")  # a group has at least one member
+        decs = []
         while self.peek().is_keyword("proc"):
-            decs.append(self.imp_proc_dec())
+            decs.append(self.phrase(DECLARATION))
             self.accept(";")
         self.expect("end")
         self.expect("multiproc")
@@ -588,8 +572,6 @@ class Parser:
         tok = self.peek()
         if tok.kind == "keyword" and tok.text in _LEADS[DECLARATION]:
             return self.phrase(DECLARATION)
-        if tok.is_keyword("proc"):
-            return self.imp_proc_dec()
         if tok.is_keyword("begin") and self.peek(1).is_keyword("multiproc"):
             return self.multi_proc_dec()
         if tok.is_keyword("fun"):

@@ -1,12 +1,14 @@
 """Canonical concrete-syntax printing and AST dumps.
 
 print_concrete writes every phrase of the parser's tables from its row:
-a keyword phrase from its canonical template in `PHRASES`, an operator
-from `OPERATORS`.  It fully parenthesizes binary operators, glue included:
-the grammar writes glue without parentheses of its own, but under the
-priority ladder a bare glue nested inside another operator would re-parse
-differently, and the printing contract is that output re-parses to an
-equal tree.  The parser accepts the added parentheses as plain grouping.
+a keyword phrase, procedure declarations and calls included, from its
+canonical template in `PHRASES`, and an operator from `OPERATORS`, each
+operand by the writer of its kind.  It fully parenthesizes binary
+operators, glue included: the grammar writes glue without parentheses of
+its own, but under the priority ladder a bare glue nested inside another
+operator would re-parse differently, and the printing contract is that
+output re-parses to an equal tree.  The parser accepts the added
+parentheses as plain grouping.
 """
 
 from __future__ import annotations
@@ -17,24 +19,27 @@ from functools import cache
 from typing import Any
 
 from .kernel import Number
-from .parser import DATA, NEGATION, OPERATORS, PHRASES
+from .parser import ACTUALS, DATA, FORMALS, IDENT, NEGATION, OPERATORS, PHRASES
 from . import nodes as n
 
 
-def _form(cls: type, template: tuple) -> tuple[str, tuple[str, ...]]:
+def _form(cls: type, template: tuple) -> tuple[str, tuple]:
     """`cls`'s template as %-format text, each operand a `%s`, with the
-    names of the fields that fill them.  Words are spaced; brackets and
-    parentheses hug what they enclose, and `.` and `[` what they follow."""
+    (name, writer) of the field that fills each.  Words are spaced; brackets
+    and parentheses hug what they enclose, and `.` and `[` what they follow."""
     text = ""
     for part in template:
         word = part if part.__class__ is str else "%s"
         if text and text[-1] not in "([." and word not in (")", "]", "[", "."):
             text += " "
         text += word
-    return text, cls.__match_args__
+    writers = [
+        _WRITERS.get(part, print_concrete) for part in template if part.__class__ is not str
+    ]
+    return text, tuple(zip(cls.__match_args__, writers))
 
 
-def _forms() -> dict[type, tuple[str, tuple[str, ...]]]:
+def _forms() -> dict[type, tuple[str, tuple]]:
     forms = {cls: _form(cls, templates[0]) for cls, templates in PHRASES.items()}
     for token, (priority, *columns) in (*OPERATORS.items(), ("not", NEGATION)):
         if priority is None:
@@ -44,9 +49,6 @@ def _forms() -> dict[type, tuple[str, tuple[str, ...]]]:
         for column in filter(None, columns):
             forms[column] = _form(column, template)
     return forms
-
-
-_FORMS = _forms()
 
 
 def _formals(params: tuple[n.FormalParam, ...]) -> str:
@@ -63,11 +65,10 @@ def print_concrete(ast: n.Node) -> str:
     p = print_concrete
     form = _FORMS.get(ast.__class__)
     if form is not None:
-        text, names = form
+        text, fields = form
         operands = []
-        for name in names:  # a loop, not a generator, keeps one frame a level
-            value = getattr(ast, name)
-            operands.append(value if value.__class__ is str else p(value))
+        for name, write in fields:  # a loop, not a generator: one frame a level
+            operands.append(write(getattr(ast, name)))
         return text % tuple(operands)
     match ast:
         case n.BoolLit(value) | n.TraBoolLit(value):
@@ -83,11 +84,6 @@ def print_concrete(ast: n.Node) -> str:
         # declarations
         case n.FormalParam(ide, t):
             return f"{ide} as {p(t)}"
-        case n.ImpProcDec(ide, val_params, ref_params, prg):
-            return (
-                f"proc {ide} (val {_formals(val_params)} ref {_formals(ref_params)}) "
-                f"{p(prg)} end proc"
-            )
         case n.MultiProcDec(decs):
             inner = " ".join(p(d) for d in decs)
             return f"begin multiproc {inner} end multiproc"
@@ -101,8 +97,6 @@ def print_concrete(ast: n.Node) -> str:
         # instructions
         case n.AssignIns(ide, dae):
             return f"{ide} := {p(dae)}"
-        case n.CallIns(ide, ref_args, val_args):
-            return f"call {ide} (ref {_actuals(ref_args)} val {_actuals(val_args)})"
         # sequences of every sort
         case n.SeqIns(items) | n.PreSeq(items) | n.VarDecSeq(items) | n.TypDefSeq(items):
             return " ; ".join(p(item) for item in items)
@@ -112,6 +106,10 @@ def print_concrete(ast: n.Node) -> str:
         case n.Program(pam, ins):
             return f"begin-program {p(pam)} ; {p(ins)} end-program"
     raise TypeError(f"cannot print {ast!r}")
+
+
+_WRITERS = {IDENT: str, FORMALS: _formals, ACTUALS: _actuals}
+_FORMS = _forms()
 
 
 # ---------------------------------------------------------------------------

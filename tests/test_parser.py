@@ -521,6 +521,88 @@ class TestDiagnostics:
             parse_program("begin-program x := end-program")
         assert exc.value.diagnostic.span.line == 1
 
+    # Procedure declarations, calls, literals and parentheses, each at the
+    # first token that does not fit: (kind, message, line, column).
+    BODY = "begin-program skip end-program"
+
+    @pytest.mark.parametrize(
+        "parse, text, kind, message, line, column",
+        [
+            (
+                parse_program,
+                f"begin-program proc p (a as number ref empty-fp) {BODY} end proc ; skip end-program",
+                "syntactic", "expected 'val', found 'a'", 1, 23,
+            ),
+            (
+                parse_program,
+                f"begin-program proc p (val a as number) {BODY} end proc ; skip end-program",
+                "syntactic", "expected 'ref', found ')'", 1, 38,
+            ),
+            (
+                parse_program,
+                f"begin-program proc p (val skip as number ref empty-fp) {BODY} end proc ; skip end-program",
+                "keyword-misuse", "keyword 'skip' cannot be used as an identifier", 1, 27,
+            ),
+            (
+                parse_program,
+                f"begin-program proc p (val a ref empty-fp) {BODY} end proc ; skip end-program",
+                "syntactic", "expected 'as' with a type in the formal parameter list", 1, 29,
+            ),
+            (
+                parse_program,
+                f"begin-program\nproc p (val empty-fp ref empty-fp)\n  {BODY}\nend ; skip end-program",
+                "syntactic", "expected 'proc', found ';'", 4, 5,
+            ),
+            (
+                parse_program,
+                "begin-program begin multiproc end multiproc ; skip end-program",
+                "syntactic", "expected 'proc', found 'end'", 1, 31,
+            ),
+            (parse_instruction, "call p (val a)", "syntactic", "expected 'ref', found 'val'", 1, 9),
+            (
+                parse_instruction, "call p (ref skip val a)",
+                "keyword-misuse", "keyword 'skip' cannot be used as an identifier", 1, 13,
+            ),
+            (
+                parse_instruction, "call p (ref a val b",
+                "syntactic", "expected ')', found end of input", 1, 20,
+            ),
+            (
+                parse_transfer_expression, "value < -1",
+                "syntactic", "expected a transfer expression, found '-'", 1, 9,
+            ),
+            (
+                parse_transfer_expression, "array x",
+                "syntactic", "expected '[' after 'array' in a transfer expression", 1, 7,
+            ),
+            (parse_data_expression, "(1 + 2", "syntactic", "expected ')', found end of input", 1, 7),
+            (
+                parse_transfer_expression, "(value + 1",
+                "syntactic", "expected ')', found end of input", 1, 11,
+            ),
+            (
+                parse_type_expression, "set-type number with (value < 1 ee",
+                "syntactic", "expected ')', found 'ee'", 1, 33,
+            ),
+            (parse_instruction, "x := (1 + 2", "syntactic", "expected ')', found end of input", 1, 12),
+        ],
+        ids=[
+            "proc-without-val", "proc-without-ref", "proc-keyword-formal",
+            "proc-formal-without-as", "proc-unclosed", "multiproc-without-member",
+            "call-val-first", "call-keyword-actual", "call-unclosed",
+            "transfer-negative-numeral", "transfer-array-without-bracket",
+            "data-unclosed-parenthesis", "transfer-unclosed-parenthesis",
+            "type-unclosed-parenthesis", "instruction-unclosed-parenthesis",
+        ],
+    )
+    def test_pinned_diagnostic(self, parse, text, kind, message, line, column):
+        with pytest.raises(LinguaParseError) as exc:
+            parse(text)
+        diag = exc.value.diagnostic
+        assert (diag.kind, diag.message, diag.span.line, diag.span.column) == (
+            kind, message, line, column,
+        )
+
     DEPTH = max(600, sys.getrecursionlimit())
     NESTED = "(" * DEPTH + "1" + ")" * DEPTH
     DEEP_PROGRAM = f"begin-program let x be number tel ; x := {NESTED} end-program"
@@ -595,8 +677,16 @@ class TestNestingDepth:
             (parse_type_expression, "list-type ", "number", " ee", 900, n.ListTyp, "tex"),
             (parse_instruction, "while true do ", "skip", " od", 450, n.WhileIns, "ins"),
             (parse_instruction, "if true then ", "skip", " else skip fi", 450, n.IfIns, "ins1"),
+            # the atom reader and the call row: under pytest, two atom readers
+            # and a hand-written call reach 317, 317 and 475 levels
+            (parse_transfer_expression, "array[", "value", "]", 300, n.ArrayAtTra, "tre"),
+            (parse_data_expression, "array [ ", "1", " ]", 300, n.ArrayExp, "dae"),
+            (parse_instruction, "while true do ", "call p (ref a val b)", " od", 450, n.WhileIns, "ins"),
         ],
-        ids=["list", "top", "push", "data-if", "sum", "all-list", "list-type", "while", "if"],
+        ids=[
+            "list", "top", "push", "data-if", "sum", "all-list", "list-type", "while", "if",
+            "transfer-array-selector", "data-array-literal", "while-around-call",
+        ],
     )
     def test_keyword_phrase(self, parse, opening, leaf, closing, depth, cls, field):
         node = parse(opening * depth + leaf + closing * depth)
@@ -604,6 +694,17 @@ class TestNestingDepth:
             assert isinstance(node, cls)
             node = getattr(node, field)
         assert not isinstance(node, cls)
+
+    def test_procedure_declaration(self):
+        # under pytest a hand-written declaration reader reaches 237 levels
+        text = "begin-program skip end-program"
+        for _ in range(225):
+            text = f"begin-program proc p (val empty-fp ref empty-fp) {text} end proc ; skip end-program"
+        prg = parse_program(text)
+        for _ in range(225):
+            assert isinstance(prg.pam, n.ImpProcDec)
+            prg = prg.pam.prg
+        assert prg.pam is None
 
 
 # ---------------------------------------------------------------------------
