@@ -16,7 +16,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, TextIO, TypeVar
+from typing import Callable, Iterator, Optional, TextIO, TypeVar, Union
 
 from .diagnostics import LinguaParseError, format_diagnostic
 from .kernel import (
@@ -110,15 +110,6 @@ def state_report(sta: State) -> list[str]:
     return lines
 
 
-def _read_file(path: str, err: TextIO) -> Optional[str]:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"lingua: cannot read {path}: {exc}", file=err)
-        return None
-
-
 @contextmanager
 def _deep_recursion() -> Iterator[None]:
     """Raise the recursion limit for evaluation and put the old one back."""
@@ -139,36 +130,43 @@ def _parse(parse: Callable[[str], T], text: str, path: str, err: TextIO) -> Opti
         return None
 
 
+def _load(path: str, parse: Callable[[str], T], err: TextIO) -> Union[T, int]:
+    """`parse` of the file at `path`, or the exit code after printing why
+    not: 4 if it cannot be read as UTF-8, 2 on a parse diagnostic."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"lingua: cannot read {path}: {exc}", file=err)
+        return 4
+    parsed = _parse(parse, text, path, err)
+    return 2 if parsed is None else parsed
+
+
+def _whole(text: str, least: int, expected: str) -> int:
+    """`text` as a whole number no less than `least`, else a usage error."""
+    try:
+        number = int(text)
+    except ValueError:
+        number = least - 1
+    if number < least:
+        raise argparse.ArgumentTypeError(f"not a {expected}: {text!r}")
+    return number
+
+
 def _fuel(text: str) -> Optional[int]:
     """A step budget: a whole number, or None for 'unlimited'."""
-    if text == "unlimited":
-        return None
-    try:
-        fuel = int(text)
-    except ValueError:
-        fuel = -1
-    if fuel < 0:
-        raise argparse.ArgumentTypeError(f"not a whole number or 'unlimited': {text!r}")
-    return fuel
+    return None if text == "unlimited" else _whole(text, 0, "whole number or 'unlimited'")
 
 
 def _digits(text: str) -> int:
-    try:
-        digits = int(text)
-    except ValueError:
-        digits = 0
-    if digits < 1:
-        raise argparse.ArgumentTypeError(f"not a positive whole number: {text!r}")
-    return digits
+    return _whole(text, 1, "positive whole number")
 
 
 def cmd_run(path: str, config: RunConfig, out: TextIO, err: TextIO) -> int:
-    text = _read_file(path, err)
-    if text is None:
-        return 4
-    prg = _parse(parse_program, text, path, err)
-    if prg is None:
-        return 2
+    prg = _load(path, parse_program, err)
+    if isinstance(prg, int):
+        return prg
     trace = None
     if config.trace:
         # One line per traced node, printed once for the run: a loop would
@@ -198,21 +196,14 @@ def cmd_run(path: str, config: RunConfig, out: TextIO, err: TextIO) -> int:
 
 
 def cmd_check(path: str, out: TextIO, err: TextIO) -> int:
-    text = _read_file(path, err)
-    if text is None:
-        return 4
-    if _parse(parse_any, text, path, err) is None:
-        return 2
-    return 0
+    parsed = _load(path, parse_any, err)
+    return parsed if isinstance(parsed, int) else 0
 
 
 def cmd_restore(path: str, out: TextIO, err: TextIO) -> int:
-    text = _read_file(path, err)
-    if text is None:
-        return 4
-    parsed = _parse(parse_any, text, path, err)
-    if parsed is None:
-        return 2
+    parsed = _load(path, parse_any, err)
+    if isinstance(parsed, int):
+        return parsed
     try:
         with _deep_recursion():
             restored = print_concrete(parsed[1])
@@ -224,12 +215,9 @@ def cmd_restore(path: str, out: TextIO, err: TextIO) -> int:
 
 
 def cmd_ast(path: str, format: str, out: TextIO, err: TextIO) -> int:
-    text = _read_file(path, err)
-    if text is None:
-        return 4
-    parsed = _parse(parse_any, text, path, err)
-    if parsed is None:
-        return 2
+    parsed = _load(path, parse_any, err)
+    if isinstance(parsed, int):
+        return parsed
     print(ast_dump(parsed[1], format), file=out)
     return 0
 
@@ -254,7 +242,11 @@ def repl(
         while True:
             if interactive:
                 print("lingua> ", end="", file=out, flush=True)
-            line = stdin.readline()
+            try:
+                line = stdin.readline()
+            except (OSError, UnicodeDecodeError) as exc:
+                print(f"lingua: cannot read <stdin>: {exc}", file=err)
+                return 4
             if not line:
                 return 0
             line = line.strip()

@@ -5,13 +5,13 @@ composite.  A type pairs a body with a transfer; transfers whose results are
 Boolean composites act as integrity constraints (yokes).  Everything here is
 immutable and freely shareable.
 
-Certification rule: the public constructors of `Composite`, `ListData` and
-`ArrayData` are the trust boundary and check the datum/body pairing (and the
-homogeneity of a collection) on every call.  The evaluator, which derives a
-result's body from parts that are already certified, builds those results
-with the `_unchecked_*` constructors instead, so a value is certified once
-and not on every touch.  `Value` keeps the composite it was bound from for
-the same reason.
+Certification rule: the public constructors of `Composite`, `ListData`,
+`ArrayData` and `Value` are the trust boundary and check, on every call,
+the datum/body pairing, the homogeneity of a collection and a value's
+transfer.  The evaluator, which derives a result's body from parts that
+are already certified, builds those results with the `_unchecked_*`
+constructors instead, so a value is certified once and not on every
+touch.
 
 Lean numbers: the values every operation builds are cheap.  Numbers,
 composites and number, list and array data are slotted.  `Number(coeff,
@@ -626,21 +626,27 @@ OMEGA = _Omega()
 class Value:
     """What a variable is bound to: a datum (or Ω) together with its type.
 
-    `com` is the composite the value was bound from, when the binder already
-    holds one pairing `content` with `typ.bod`; without it `composite()`
-    builds, and so checks, a fresh one.
+    Construction certifies the value: the datum must pair with the type's
+    body and satisfy its transfer.  `com` is that composite, and None
+    exactly for Ω.
     """
 
     content: Union[Data, _Omega]
     typ: LangType
-    com: Optional[Composite] = field(default=None, compare=False, repr=False)
+    com: Optional[Composite] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        com = None
+        if self.content is not OMEGA:
+            com = Composite(self.content, self.typ.bod)
+            if not clan_tr_member(com, self.typ.tra):
+                raise ValueError("value does not satisfy its transfer")
+        _set_com(self, com)
 
     def composite(self) -> Composite:
-        if self.content is OMEGA:
+        if self.com is None:
             raise ValueError("uninitialized value has no composite")
-        if self.com is not None:
-            return self.com
-        return Composite(self.content, self.typ.bod)
+        return self.com
 
 
 _set_content, _set_typ, _set_com = Value.content.__set__, Value.typ.__set__, Value.com.__set__
@@ -649,8 +655,8 @@ _set_content, _set_typ, _set_com = Value.content.__set__, Value.typ.__set__, Val
 def _unchecked_value(
     content: Union[Data, _Omega], typ: LangType, com: Optional[Composite]
 ) -> Value:
-    """`Value(content, typ, com)` without the frozen dataclass's per-field
-    `object.__setattr__`; `com`, if given, pairs `content` with `typ.bod`."""
+    """`Value(content, typ)` unchecked, for a binder that holds `com`: the
+    certified composite of `content` that satisfies `typ`, or None for Ω."""
     val = _new(Value)
     _set_content(val, content)
     _set_typ(val, typ)

@@ -99,7 +99,6 @@ from .kernel import (
     boo_composite,
     clan_ty_member,
     coherent,
-    is_boo_composite,
     oversized,
 )
 from . import nodes as n
@@ -617,7 +616,7 @@ def _assign(ide: str, value: DataCode) -> StateCode:
                 return load_error(sta, NO_COHERENCE)
             typ = LangType(new.bod, tra)
         if tra is not TT:
-            if not is_boo_composite(com):
+            if com.bod is not BOOLEAN:
                 return load_error(sta, A_YOKE_EXPECTED)
             if not com.dat.value:
                 return load_error(sta, YOKE_NOT_SATISFIED)
@@ -631,12 +630,11 @@ def _element_write(ide: str, value: DataCode, single: Callable[[tuple], Data]) -
     of, the collection `ide` holds; `value` yields the new collection and
     that element, and `single` makes a collection of one datum.
 
-    Every binder checks a value against its own transfer, so under
-    `all-list T` or `all-array T` every old element satisfies T, and the
-    verdict on the new collection is the verdict on the one element alone.
-    Any other yoke checks the whole value, and TT passes it unapplied.  The
-    new collection keeps the held body, so it is coherent and keeps the
-    held type.
+    Every `Value` satisfies its own transfer, so under `all-list T` or
+    `all-array T` every old element satisfies T, and the verdict on the new
+    collection is the verdict on the one element alone.  Any other yoke
+    checks the whole value, and TT passes it unapplied.  The new collection
+    keeps the held body, so it is coherent and keeps the held type.
     """
 
     def assign(sta):
@@ -658,7 +656,7 @@ def _element_write(ide: str, value: DataCode, single: Callable[[tuple], Data]) -
                 com = apply_transfer(tra, new)
             if isinstance(com, AbstractError):
                 return load_error(sta, com)
-            if not is_boo_composite(com):
+            if com.bod is not BOOLEAN:
                 return load_error(sta, A_YOKE_EXPECTED)
             if not com.dat.value:
                 return load_error(sta, YOKE_NOT_SATISFIED)
@@ -676,13 +674,13 @@ def _yoke(ide: str, tra: Transfer) -> StateCode:
         val = sta.store.valuation.get(ide)
         if val is None:
             return load_error(sta, IDENTIFIER_NOT_DECLARED)
-        if val.content is OMEGA:
+        old = val.com
+        if old is None:
             return load_error(sta, VARIABLE_NOT_INITIALIZED)
-        old = val.composite()
         com = apply_transfer(tra, old)
         if isinstance(com, AbstractError):
             return load_error(sta, com)
-        if not is_boo_composite(com):
+        if com.bod is not BOOLEAN:
             return load_error(sta, A_YOKE_EXPECTED)
         if not com.dat.value:
             return load_error(sta, YOKE_NOT_SATISFIED)
@@ -882,11 +880,9 @@ class Evaluator:
                     if val is None:
                         return IDENTIFIER_NOT_DECLARED
                     com = val.com
-                    if com is not None:
-                        return com
-                    if val.content is OMEGA:
+                    if com is None:
                         return VARIABLE_NOT_INITIALIZED
-                    return val.composite()
+                    return com
 
                 return variable
             case n.AndExp(a, b) | n.TraAndExp(a, b):
@@ -1118,13 +1114,10 @@ class Evaluator:
             formal_type = type_code(local)
             if isinstance(formal_type, AbstractError):
                 return formal_type
-            if actual_value.content is OMEGA:
-                valuation[formal] = _unchecked_value(OMEGA, formal_type, None)
-            else:
-                com = actual_value.composite()
-                if not clan_ty_member(com, formal_type):
-                    return PARAMETER_TYPE_MISMATCH
-                valuation[formal] = _unchecked_value(com.dat, formal_type, com)
+            com = actual_value.com
+            if com is not None and not clan_ty_member(com, formal_type):
+                return PARAMETER_TYPE_MISMATCH
+            valuation[formal] = _unchecked_value(actual_value.content, formal_type, com)
         return call, local
 
     def call_imperative_procedure(
@@ -1188,13 +1181,7 @@ def run_program(
     limits: Limits = Limits(),
     trace: Optional[Callable[[n.Instruction], None]] = None,
 ) -> State:
-    """Run a program from `sta`, by default the empty state.
-
-    Every initialized value in `sta` must satisfy its own type: its datum
-    pairs with its body and its transfer yields `true`.  The evaluator's
-    binders guarantee this for every state it returns; a write that adds or
-    changes one element under `all-list T` or `all-array T` relies on it.
-    """
+    """Run a program from `sta`, by default the empty state."""
     evaluator = Evaluator(limits=limits, fuel=fuel, trace=trace)
     return evaluator.run_program(prg, sta if sta is not None else empty_state())
 
@@ -1205,8 +1192,7 @@ def run_source(
     fuel: Optional[int] = None,
     limits: Limits = Limits(),
 ) -> State:
-    """Parse and run a program; `sta`, if given, must satisfy the
-    precondition of `run_program`, and is left unchanged."""
+    """Parse and run a program; `sta`, if given, is left unchanged."""
     from .parser import parse_program
 
     return run_program(parse_program(text), sta, fuel=fuel, limits=limits)

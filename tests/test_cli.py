@@ -414,6 +414,13 @@ class TestRepl:
         code, _, _ = self.drive([":quit"], capsys)
         assert code == 0
 
+    def test_undecodable_input_exits_four(self):
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff\n"), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        assert repl(RunConfig(), stdin, out, err) == 4
+        assert err.getvalue().startswith("lingua: cannot read <stdin>: 'utf-8' codec")
+        assert out.getvalue() == ""
+
     def test_recursion_limit_restored(self, capsys):
         previous = sys.getrecursionlimit()
         sys.setrecursionlimit(1234)
@@ -492,6 +499,14 @@ class TestCollector:
             assert main(argv) == code
             garbage = gc.collect()
         capsys.readouterr()
+        assert garbage == 0
+
+    def test_undecodable_repl_input_leaves_no_cyclic_garbage(self):
+        for _ in range(2):
+            stdin = io.TextIOWrapper(io.BytesIO(b"x := 1\n\xff\n"), encoding="utf-8")
+            gc.collect()
+            assert repl(RunConfig(), stdin, io.StringIO(), io.StringIO()) == 4
+            garbage = gc.collect()
         assert garbage == 0
 
     @pytest.mark.parametrize(
