@@ -37,6 +37,29 @@ def _init(cls: type, names: tuple[str, ...]) -> FunctionType:
     return init
 
 
+_TUPLE = object()  # stands for a tuple in `_walk`; the tuple's length follows
+
+
+def _walk(node: Node) -> list:
+    """Every class and leaf value of the tree under `node`, depth first: a
+    node is its class, then its fields, last first; a tuple is `_TUPLE` and
+    its length, then its items, last first.  Equal trees give equal lists,
+    and a loop over an explicit stack costs no Python frame per level."""
+    out: list = []
+    todo = [node]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, Node):
+            out.append(x.__class__)
+            todo += x.__dict__.values()
+        elif x.__class__ is tuple:
+            out += (_TUPLE, len(x))
+            todo += x
+        else:
+            out.append(x)
+    return out
+
+
 class Node:
     """A frozen record of the fields its class annotates.
 
@@ -55,18 +78,41 @@ class Node:
             cls.__doc__ = f"{cls.__name__}({', '.join(names)})"
         dataclass(init=False, repr=False, eq=False)(cls)
 
+    # Equality, hashing and the repr walk the tree with an explicit stack,
+    # so a tree of any depth needs no more Python frames than a leaf.
+
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return self.__dict__ == other.__dict__
+            return self is other or _walk(self) == _walk(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.__class__, *self.__dict__.values()))
+        return hash(tuple(_walk(self)))
 
     def __repr__(self) -> str:
-        # `%` calls each field's repr without a Python frame of its own
-        fields = ", ".join(map("%s=%r".__mod__, self.__dict__.items()))
-        return f"{self.__class__.__qualname__}({fields})"
+        # `todo` holds text still to write, as a str, and nodes and tuples
+        # still to render; any other value is rendered as it is pushed.
+        out: list[str] = []
+        todo: list = [self]
+        while todo:
+            x = todo.pop()
+            if isinstance(x, str):
+                out.append(x)
+                continue
+            if isinstance(x, Node):
+                head, tail = f"{x.__class__.__qualname__}(", ")"
+                labelled = [(f"{name}=", value) for name, value in x.__dict__.items()]
+            else:
+                head, tail = "(", ",)" if len(x) == 1 else ")"
+                labelled = [("", value) for value in x]
+            todo.append(tail)
+            for i in range(len(labelled) - 1, -1, -1):
+                label, value = labelled[i]
+                nested = isinstance(value, Node) or value.__class__ is tuple
+                todo.append(value if nested else repr(value))
+                todo.append(", " + label if i else label)
+            todo.append(head)
+        return "".join(out)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

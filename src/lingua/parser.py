@@ -191,11 +191,17 @@ class Parser:
 
     # -- token plumbing ----------------------------------------------------
 
+    # The token list ends with its eof token and `pos` never moves past it:
+    # the parser advances only past a token it knows is not eof.  So
+    # `tokens[pos]` is always there, and so is the token after a non-eof
+    # one.  The hot paths (`expression`, `unary`, `data_postfix`, `atom`'s
+    # literals and names, and the statement path) read `tokens[pos]` and
+    # advance `pos` themselves.  A keyword or punctuation token is matched
+    # by its text and kind: a word literal may have any text, and the eof
+    # token's is "".
+
     def peek(self, k: int = 0) -> Token:
-        try:
-            return self.tokens[self.pos + k]
-        except IndexError:  # looking past the end sees the eof token
-            return self.tokens[-1]
+        return self.tokens[self.pos + k]
 
     def take(self) -> Token:
         tok = self.tokens[self.pos]
@@ -208,24 +214,22 @@ class Parser:
         where = span(self.text, tok.begin, tok.end)
         raise LinguaParseError(ParseDiagnostic(where, message, kind))
 
-    # A keyword or punctuation token is matched by its text; a word literal
-    # never is, whatever its text.
-
     def accept(self, *names: str) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.text in names and tok.kind != "word":
-            self.take()
+            self.pos += 1
             return True
         return False
 
     def expect(self, name: str) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.text != name or tok.kind == "word":
             self.error(f"expected '{name}', found {self._describe(tok)}")
-        return self.take()
+        self.pos += 1
+        return tok
 
     def expect_ident(self) -> str:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind == "keyword":
             self.error(
                 f"keyword '{tok.text}' cannot be used as an identifier",
@@ -233,7 +237,8 @@ class Parser:
             )
         if tok.kind != "ident":
             self.error(f"expected an identifier, found {self._describe(tok)}")
-        return self.take().text
+        self.pos += 1
+        return tok.text
 
     def expect_eof(self) -> None:
         tok = self.peek()
@@ -296,69 +301,86 @@ class Parser:
         """A data or transfer expression, as `sort` says, whose binary
         operators bind at least as tightly as `min_prec`."""
         left = self.unary(sort)
+        tokens = self.tokens
         while True:
-            tok = self.peek()
-            op = OPERATORS.get(tok.text) if tok.kind != "word" else None
-            if op is None or op[sort] is None or op[0] < min_prec:
-                break
-            self.take()
-            right = self.expression(sort, op[0] + 1)
-            left = op[sort](left, right)
-        return left
+            tok = tokens[self.pos]
+            op = OPERATORS.get(tok.text)
+            if op is None or op[sort] is None or op[0] < min_prec or tok.kind == "word":
+                return left
+            self.pos += 1
+            left = op[sort](left, self.expression(sort, op[0] + 1))
 
     def unary(self, sort: int) -> n.Node:
-        tok = self.peek()
-        if tok.is_keyword("not"):
-            self.take()
-            return NEGATION[sort](self.unary(sort))
-        if tok.kind == "keyword" and tok.text in _LEADS[sort]:
-            node = self.phrase(sort)
+        """A `not`, a table phrase or an atom, read here without a call when
+        it is a numeral or a data name that no `(` follows; in a data
+        expression, with its selectors."""
+        tokens = self.tokens
+        pos = self.pos
+        tok = tokens[pos]
+        kind = tok.kind
+        if kind == "num":
+            self.pos = pos + 1
+            node = NUMERAL[sort](tok.num)
+        elif kind == "ident" and sort == DATA and (
+            tokens[pos + 1].text != "(" or tokens[pos + 1].kind != "punct"
+        ):
+            self.pos = pos + 1
+            node = n.IdeExp(tok.text)
+        elif kind == "keyword":
+            if tok.text == "not":
+                self.pos = pos + 1
+                return NEGATION[sort](self.unary(sort))
+            node = self.phrase(sort) if tok.text in _LEADS[sort] else self.atom(sort)
         else:
             node = self.atom(sort)
-        return self.data_postfix(node) if sort == DATA else node
+        if sort == DATA:
+            tok = tokens[self.pos]
+            if tok.text == "." and tok.kind == "punct":
+                return self.data_postfix(node)
+        return node
 
     def data_postfix(self, node: n.DatExp) -> n.DatExp:
-        while self.peek().is_punct("."):
-            nxt = self.peek(1)
-            if nxt.is_punct("["):
-                self.take()
-                self.take()
+        tokens = self.tokens
+        while True:
+            tok = tokens[self.pos]
+            if tok.text != "." or tok.kind != "punct":
+                return node
+            nxt = tokens[self.pos + 1]
+            if nxt.text == "[" and nxt.kind == "punct":
+                self.pos += 2
                 index = self.expression(DATA)
                 self.expect("]")
                 node = n.ArrAtExp(node, index)
-            elif nxt.is_punct("("):
-                self.take()
-                self.take()
+            elif nxt.text == "(" and nxt.kind == "punct":
+                self.pos += 2
                 ide = self.expect_ident()
                 self.expect(")")
                 node = n.RecAtExp(node, ide)
             else:
                 self.error("expected '[' or '(' after '.'")
-        return node
 
     def atom(self, sort: int) -> n.Node:
-        """A literal, a parenthesized expression or, by sort, a data name,
-        call or colloquial collection, or the transfer selector `array[..]`."""
-        tok = self.peek()
-        if tok.kind == "num":
-            self.take()
-            return NUMERAL[sort](tok.num)
-        if tok.kind == "word":
-            self.take()
-            return WORD[sort](tok.text)
-        if tok.kind == "ident" and sort == DATA:
-            self.take()
-            if self.peek().is_punct("("):
-                self.take()
-                apar = self.actual_params()
-                self.expect(")")
-                return n.FunCallExp(tok.text, apar)
-            return n.IdeExp(tok.text)
-        if tok.is_keyword("true", "false"):
-            self.take()
-            return TRUTH[sort](tok.text == "true")
-        if tok.is_punct("("):
-            self.take()
+        """A word, truth or negative numeral literal, a parenthesized
+        expression or, by sort, a call or colloquial collection, or the
+        transfer selector `array[..]`.  `unary` reads the other numerals and
+        the data names that no `(` follows."""
+        tokens = self.tokens
+        pos = self.pos
+        tok = tokens[pos]
+        kind, text = tok.kind, tok.text
+        if kind == "word":
+            self.pos = pos + 1
+            return WORD[sort](text)
+        if kind == "ident" and sort == DATA:
+            self.pos = pos + 2  # past the name and its `(`
+            apar = self.actual_params()
+            self.expect(")")
+            return n.FunCallExp(text, apar)
+        if kind == "keyword" and text in ("true", "false"):
+            self.pos = pos + 1
+            return TRUTH[sort](text == "true")
+        if kind == "punct" and text == "(":
+            self.pos = pos + 1
             inner = self.expression(sort)
             self.expect(")")
             return inner
@@ -373,10 +395,9 @@ class Parser:
             index = self.expression(TRANSFER)
             self.expect("]")
             return n.ArrayAtTra(index)
-        if tok.is_punct("-") and self.peek(1).kind == "num":
-            self.take()
-            lit = self.take()
-            return n.NumLit(lit.num.neg())
+        if kind == "punct" and text == "-" and tokens[pos + 1].kind == "num":
+            self.pos = pos + 2
+            return n.NumLit(tokens[pos + 1].num.neg())
         if tok.is_keyword("array"):
             self.take()
             if self.accept("["):
@@ -520,17 +541,20 @@ class Parser:
         return _sequence(items)
 
     def simple_instruction(self) -> n.Instruction:
-        """An instruction that is not a table phrase."""
-        tok = self.peek()
+        """An instruction that is not a table phrase: an assignment."""
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        if tok.kind == "ident":
+            self.pos += 1
+            nxt = tokens[self.pos]
+            if nxt.text != ":=" or nxt.kind != "punct":
+                self.expect(":=")  # raises
+            self.pos += 1
+            return n.AssignIns(tok.text, self.expression(DATA))
         if tok.is_keyword(*_DECL_KEYWORDS) or (
             tok.is_keyword("begin") and self.peek(1).is_keyword("multiproc")
         ):
             self.error("declarations must precede the instructions of a program")
-        if tok.kind == "ident":
-            ide = self.expect_ident()
-            self.expect(":=")
-            expr = self.expression(DATA)
-            return n.AssignIns(ide, expr)
         self.error(f"expected an instruction, found {self._describe(tok)}")
 
     # -- declarations ----------------------------------------------------
@@ -569,12 +593,14 @@ class Parser:
         return n.FunProcDec(ide, params, None, dae, None)
 
     def program_item(self) -> n.Node:
-        tok = self.peek()
-        if tok.kind == "keyword" and tok.text in _LEADS[DECLARATION]:
+        tok = self.tokens[self.pos]
+        if tok.kind != "keyword":
+            return self.simple_instruction()
+        if tok.text in _LEADS[DECLARATION]:
             return self.phrase(DECLARATION)
-        if tok.is_keyword("begin") and self.peek(1).is_keyword("multiproc"):
+        if tok.text == "begin" and self.peek(1).is_keyword("multiproc"):
             return self.multi_proc_dec()
-        if tok.is_keyword("fun"):
+        if tok.text == "fun":
             return self.fun_proc_dec()
         return self.phrase(INSTRUCTION)
 
@@ -583,11 +609,14 @@ class Parser:
     def program_items(self) -> list[tuple[n.Node, Token]]:
         """A `;`-separated run of program items, each with its first token."""
         items = []
+        tokens = self.tokens
         while True:
-            start = self.peek()
+            start = tokens[self.pos]
             items.append((self.program_item(), start))
-            if not self.accept(";"):
+            tok = tokens[self.pos]
+            if tok.text != ";" or tok.kind != "punct":
                 return items
+            self.pos += 1
 
     def program(self) -> n.Program:
         self.expect("begin-program")

@@ -8,6 +8,7 @@ dataclass text, and copied and pickled to an equal node.
 import copy
 import dataclasses
 import pickle
+import sys
 
 import pytest
 
@@ -126,3 +127,23 @@ def test_record_methods_are_defined_once():
         for name in ("__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"):
             assert getattr(cls, name) is getattr(n.Node, name), (cls, name)
         assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
+
+
+def test_deep_trees_compare_hash_and_print_at_the_default_limit():
+    # A left-nested chain is as deep as it is long; comparing, hashing and
+    # printing it must not cost a Python frame per level.
+    def chain(first):
+        return parse_program(f"begin-program x := {first}{' + 1' * 4999} end-program")
+
+    first, second, other = chain(1), chain(1), chain(2)  # `other` differs at the deepest leaf
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert first == second and hash(first) == hash(second)
+        assert first != other and not first == other
+        text = repr(first)
+        assert text == repr(second) and text != repr(other)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert text.count("NumLit(") == 5000
+    assert text.startswith("Program(pam=None, ins=AssignIns(ide='x', dae=AddExp(dae1=AddExp(")

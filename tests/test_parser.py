@@ -585,6 +585,39 @@ class TestDiagnostics:
                 "syntactic", "expected ')', found 'ee'", 1, 33,
             ),
             (parse_instruction, "x := (1 + 2", "syntactic", "expected ')', found end of input", 1, 12),
+            # selectors, calls, assignments, operators and `;` runs
+            (parse_instruction, "x := 1 .", "syntactic", "expected '[' or '(' after '.'", 1, 8),
+            (
+                parse_instruction, "x := a.(",
+                "syntactic", "expected an identifier, found end of input", 1, 9,
+            ),
+            (parse_instruction, "x := a . [1", "syntactic", "expected ']', found end of input", 1, 12),
+            (
+                parse_instruction, "x := f(a,",
+                "syntactic", "expected an identifier, found end of input", 1, 10,
+            ),
+            (parse_instruction, "x 1", "syntactic", "expected ':=', found '1'", 1, 3),
+            (
+                parse_instruction, "x := 1 +",
+                "syntactic", "expected a data expression, found end of input", 1, 9,
+            ),
+            (parse_data_expression, "-x", "syntactic", "expected a data expression, found '-'", 1, 1),
+            (
+                parse_transfer_expression, "value + 1 .",
+                "syntactic", "unexpected '.' after the end of the phrase", 1, 11,
+            ),
+            (
+                parse_program, "begin-program x := 1 ; end-program",
+                "syntactic", "expected an instruction, found 'end-program'", 1, 24,
+            ),
+            (
+                parse_program, "begin-program x := 1 ; y end-program",
+                "syntactic", "expected ':=', found 'end-program'", 1, 26,
+            ),
+            (
+                parse_program, "begin-program x := 1 x := 2 end-program",
+                "syntactic", "expected 'end-program', found 'x'", 1, 22,
+            ),
         ],
         ids=[
             "proc-without-val", "proc-without-ref", "proc-keyword-formal",
@@ -593,6 +626,10 @@ class TestDiagnostics:
             "transfer-negative-numeral", "transfer-array-without-bracket",
             "data-unclosed-parenthesis", "transfer-unclosed-parenthesis",
             "type-unclosed-parenthesis", "instruction-unclosed-parenthesis",
+            "selector-dot-alone", "record-selector-unclosed", "array-selector-unclosed",
+            "call-unclosed-actuals", "assignment-without-becomes", "operator-without-operand",
+            "data-negative-name", "transfer-trailing-dot", "program-empty-item",
+            "program-name-alone", "program-missing-semicolon",
         ],
     )
     def test_pinned_diagnostic(self, parse, text, kind, message, line, column):
@@ -682,10 +719,13 @@ class TestNestingDepth:
             (parse_transfer_expression, "array[", "value", "]", 300, n.ArrayAtTra, "tre"),
             (parse_data_expression, "array [ ", "1", " ]", 300, n.ArrayExp, "dae"),
             (parse_instruction, "while true do ", "call p (ref a val b)", " od", 450, n.WhileIns, "ins"),
+            # the selector loop, which nests as deeply as parentheses
+            (parse_data_expression, "a.[", "1", "]", 300, n.ArrAtExp, "dae2"),
         ],
         ids=[
             "list", "top", "push", "data-if", "sum", "all-list", "list-type", "while", "if",
             "transfer-array-selector", "data-array-literal", "while-around-call",
+            "data-array-selector",
         ],
     )
     def test_keyword_phrase(self, parse, opening, leaf, closing, depth, cls, field):
