@@ -30,7 +30,7 @@ from .kernel import (
     Limits,
     ListBody,
     ListData,
-    NumberData,
+    Number,
     OMEGA,
     RecordBody,
     RecordData,
@@ -64,8 +64,8 @@ def format_data(dat: Data) -> str:
     match dat:
         case BoolData(value):
             return "true" if value else "false"
-        case NumberData(value):
-            return value.text()
+        case Number():
+            return dat.text()
         case WordData(text):
             return f"'{text}'"
         case ListData(items):

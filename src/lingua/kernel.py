@@ -13,14 +13,15 @@ are already certified, builds those results with the `_unchecked_*`
 constructors instead, so a value is certified once and not on every
 touch.
 
-Lean numbers: the values every operation builds are cheap.  Numbers,
-composites and number, list and array data are slotted.  `Number(coeff,
-exp)` checks the normal form, but `Number.make`, which normalizes, builds
-its result unchecked, as the evaluator does the data and composites it
-derives.  `Number.sum` and `Number.max` fold a sequence in one pass over
-its coefficients.  The size rule in `oversized` never writes a number
-out: a coefficient's bit length decides it, and only a coefficient within
-a bit per digit of the bound is compared with a cached power of ten.
+Lean numbers: the values every operation builds are cheap.  A `Number`
+is the number datum itself, and numbers, composites and list and array
+data are slotted.  `Number(coeff, exp)` checks the normal form, but
+`Number.make`, which normalizes, builds its result unchecked, as the
+evaluator does the data and composites it derives.  `Number.sum` and
+`Number.max` fold a sequence in one pass over its coefficients.  The
+size rule in `oversized` never writes a number out: a coefficient's bit
+length decides it, and only a coefficient within a bit per digit of the
+bound is compared with a cached power of ten.
 There are exactly three simple bodies, `BOOLEAN`, `NUMBER` and `WORD`:
 `SimpleBody(name)`, `copy` and `pickle` all return the canonical instance,
 so the evaluator tests a body with `is`.
@@ -80,12 +81,18 @@ EMPTY_LIST = AbstractError("empty-list")
 
 
 # ---------------------------------------------------------------------------
-# exact decimal numbers
+# data; a number is its own datum
+
+
+class Data:
+    """A runtime datum: boolean, number, word, list, array or record."""
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True, slots=True)
-class Number:
-    """An exact decimal number coeff * 10**exp.
+class Number(Data):
+    """An exact decimal number coeff * 10**exp, and the number datum itself.
 
     Normalized so that zero is (0, 0) and a nonzero coeff is never divisible
     by 10.  Arithmetic is exact; a quotient that has no finite decimal
@@ -360,23 +367,12 @@ WORD = SimpleBody("word")
 
 
 # ---------------------------------------------------------------------------
-# data
-
-
-class Data:
-    """A runtime datum: boolean, number, word, list, array or record."""
-
-    __slots__ = ()
+# the other data
 
 
 @dataclass(frozen=True)
 class BoolData(Data):
     value: bool
-
-
-@dataclass(frozen=True, slots=True)
-class NumberData(Data):
-    value: Number
 
 
 @dataclass(frozen=True)
@@ -411,15 +407,8 @@ class RecordData(_Attributes, Data):
 # from certified parts; everything else goes through the checking
 # constructors.  A slot is set through its descriptor, which also skips the
 # frozen dataclass's `object.__setattr__` per field.
-_set_value = NumberData.value.__set__
 _set_list_items = ListData.items.__set__
 _set_array_items = ArrayData.items.__set__
-
-
-def _number_data(value: Number) -> NumberData:
-    dat = _new(NumberData)
-    _set_value(dat, value)
-    return dat
 
 
 def _unchecked_list(items: tuple) -> ListData:
@@ -434,10 +423,10 @@ def _unchecked_array(items: tuple) -> ArrayData:
     return dat
 
 
-def num(value: Union[int, str]) -> NumberData:
+def num(value: Union[int, str]) -> Number:
     if isinstance(value, int):
-        return NumberData(Number.from_int(value))
-    return NumberData(Number.parse(value))
+        return Number.from_int(value)
+    return Number.parse(value)
 
 
 def word(text: str) -> WordData:
@@ -452,7 +441,7 @@ def body_of(dat: Data) -> Optional[Body]:
     match dat:
         case BoolData():
             return BOOLEAN
-        case NumberData():
+        case Number():
             return NUMBER
         case WordData():
             return WORD
@@ -488,7 +477,7 @@ def clan_bo_member(dat: Data, bod: Body) -> bool:
     match dat:
         case BoolData():
             return bod is BOOLEAN
-        case NumberData():
+        case Number():
             return bod is NUMBER
         case WordData():
             return bod is WORD
@@ -577,11 +566,7 @@ def boo_composite(value: bool) -> Composite:
 
 
 def is_boo_composite(com: Union[Composite, AbstractError]) -> bool:
-    return (
-        isinstance(com, Composite)
-        and com.bod is BOOLEAN
-        and isinstance(com.dat, BoolData)
-    )
+    return isinstance(com, Composite) and com.bod is BOOLEAN
 
 
 @dataclass(frozen=True, slots=True)
@@ -700,11 +685,12 @@ def _power_of_ten(k: int) -> int:
 
 
 def oversized(dat: Data, lim: Limits) -> bool:
-    """Does a freshly computed datum exceed the limits?  A number does when
-    `digits()` exceeds `max_significant_digits`."""
+    """Does a freshly computed datum exceed the limits?  A number, which
+    is its own datum, does when `digits()` would exceed
+    `max_significant_digits`; its coefficient and exponent decide that."""
     match dat:
-        case NumberData(value):
-            coeff, exp, limit = value.coeff, value.exp, lim.max_significant_digits
+        case Number(coeff, exp):
+            limit = lim.max_significant_digits
             # The digit positions left for the coefficient; zero has exponent 0.
             room = limit - exp if exp > 0 else limit
             if exp < -limit or room <= 0:

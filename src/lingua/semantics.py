@@ -84,13 +84,11 @@ from .kernel import (
     Limits,
     ListBody,
     Number,
-    NumberData,
     RecordBody,
     RecordData,
     Transfer,
     Value,
     WordData,
-    _number_data,
     _unchecked_array,
     _unchecked_composite,
     _unchecked_list,
@@ -282,48 +280,39 @@ def _sized(dat: Data, bod, limits: Limits) -> EvalResult:
     return _unchecked_composite(dat, bod)
 
 
-def _number(number: Number, limits: Limits) -> EvalResult:
-    """`_sized` written out for a number, since every arithmetic result
-    passes here."""
-    dat = _number_data(number)
-    if oversized(dat, limits):
-        return OVERFLOW
-    return _unchecked_composite(dat, NUMBER)
-
-
 def _add(left: Composite, right: Composite, limits: Limits) -> EvalResult:
     if left.bod is not NUMBER or right.bod is not NUMBER:
         return NUMBER_EXPECTED
-    return _number(left.dat.value.add(right.dat.value), limits)
+    return _sized(left.dat.add(right.dat), NUMBER, limits)
 
 
 def _sub(left: Composite, right: Composite, limits: Limits) -> EvalResult:
     if left.bod is not NUMBER or right.bod is not NUMBER:
         return NUMBER_EXPECTED
-    return _number(left.dat.value.sub(right.dat.value), limits)
+    return _sized(left.dat.sub(right.dat), NUMBER, limits)
 
 
 def _mul(left: Composite, right: Composite, limits: Limits) -> EvalResult:
     if left.bod is not NUMBER or right.bod is not NUMBER:
         return NUMBER_EXPECTED
-    return _number(left.dat.value.mul(right.dat.value), limits)
+    return _sized(left.dat.mul(right.dat), NUMBER, limits)
 
 
 def _divide(left: Composite, right: Composite, limits: Limits) -> EvalResult:
     if left.bod is not NUMBER or right.bod is not NUMBER:
         return NUMBER_EXPECTED
-    if right.dat.value.is_zero():
+    if right.dat.is_zero():
         return DIVISION_BY_ZERO
-    quotient = left.dat.value.divide(right.dat.value)
+    quotient = left.dat.divide(right.dat)
     if quotient is None:
         return OVERFLOW
-    return _number(quotient, limits)
+    return _sized(quotient, NUMBER, limits)
 
 
 def _less(left: Composite, right: Composite, _) -> EvalResult:
     if left.bod is not NUMBER or right.bod is not NUMBER:
         return NUMBER_EXPECTED
-    return boo_composite(left.dat.value.lt(right.dat.value))
+    return boo_composite(left.dat.lt(right.dat))
 
 
 def _equal(left: Composite, right: Composite, _) -> EvalResult:
@@ -371,7 +360,7 @@ def _array_at(arr: Composite, idx: Composite, _) -> EvalResult:
         return ARRAY_EXPECTED
     if idx.bod is not NUMBER:
         return NUMBER_EXPECTED
-    i = _index(idx.dat.value, len(arr.dat.items))
+    i = _index(idx.dat, len(arr.dat.items))
     if i is None:
         return INDEX_OUT_OF_RANGE
     return _unchecked_composite(arr.dat.items[i - 1], arr.bod.element)
@@ -426,7 +415,7 @@ def _change_array(arr: Composite, idx: Composite, new: Composite, _) -> EvalResu
         return ARRAY_EXPECTED
     if idx.bod is not NUMBER:
         return NUMBER_EXPECTED
-    i = _index(idx.dat.value, len(arr.dat.items))
+    i = _index(idx.dat, len(arr.dat.items))
     if i is None:
         return INDEX_OUT_OF_RANGE
     if new.bod != arr.bod.element:
@@ -496,33 +485,33 @@ def _array_first(code: TransferCode) -> TransferCode:
     return lambda com: code(com) if isinstance(com.bod, ArrayBody) else ARRAY_EXPECTED
 
 
-def _numbers_in(com: Composite) -> Union[list[Number], AbstractError]:
+def _numbers_in(com: Composite) -> Union[tuple[Number, ...], AbstractError]:
     """The numbers of a non-empty list or array of numbers."""
     if not (isinstance(com.bod, (ListBody, ArrayBody)) and com.bod.element is NUMBER):
         return ARRAY_EXPECTED
     if not com.dat.items:
         return EMPTY_LIST
-    return [item.value for item in com.dat.items]
+    return com.dat.items
 
 
 def _sum(com: Composite, limits: Limits) -> EvalResult:
     numbers = _numbers_in(com)
     if isinstance(numbers, AbstractError):
         return numbers
-    return _number(Number.sum(numbers), limits)
+    return _sized(Number.sum(numbers), NUMBER, limits)
 
 
 def _max(com: Composite, limits: Limits) -> EvalResult:
     numbers = _numbers_in(com)
     if isinstance(numbers, AbstractError):
         return numbers
-    return _number(Number.max(numbers), limits)
+    return _sized(Number.max(numbers), NUMBER, limits)
 
 
 def _small_number(com: Composite, _) -> EvalResult:
     if com.bod is not NUMBER:
         return NUMBER_EXPECTED
-    return boo_composite(com.dat.value.abs().lt(SMALL_NUMBER_BOUND))
+    return boo_composite(com.dat.abs().lt(SMALL_NUMBER_BOUND))
 
 
 def _increasing(com: Composite, _) -> EvalResult:
@@ -530,7 +519,7 @@ def _increasing(com: Composite, _) -> EvalResult:
         return ARRAY_EXPECTED
     if com.bod.element is not NUMBER:
         return NUMBER_EXPECTED
-    numbers = [item.value for item in com.dat.items]
+    numbers = com.dat.items
     return boo_composite(all(numbers[i].lt(numbers[i + 1]) for i in range(len(numbers) - 1)))
 
 
@@ -870,7 +859,7 @@ class Evaluator:
             case n.BoolLit(value) | n.TraBoolLit(value):
                 return _constant(boo_composite(value))
             case n.NumLit(number) | n.TraNumLit(number):
-                return _constant(_number(number, limits))
+                return _constant(_sized(number, NUMBER, limits))
             case n.WordLit(text) | n.TraWordLit(text):
                 return _constant(_sized(WordData(text), WORD, limits))
             case n.IdeExp(ide):

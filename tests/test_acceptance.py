@@ -174,7 +174,7 @@ def test_criterion_3_restoration_goldens():
         # array literal unfolding
         expected = n.AddToArrExp(
             n.AddToArrExp(n.ArrayExp(x), n.AddExp(x, y)),
-            n.MulExp(n.NumLit(num(3).value), y),
+            n.MulExp(n.NumLit(num(3)), y),
         )
         restored = parse_data_expression("array [x, x+y, 3*y]")
         assert restored == expected
@@ -187,8 +187,8 @@ def test_criterion_3_restoration_goldens():
         # chained array selection
         m = n.IdeExp("measurement-data")
         expected = n.ArrAtExp(
-            n.ArrAtExp(m, n.AddExp(x, n.NumLit(num(1).value))),
-            n.SubExp(y, n.NumLit(num(1).value)),
+            n.ArrAtExp(m, n.AddExp(x, n.NumLit(num(1)))),
+            n.SubExp(y, n.NumLit(num(1))),
         )
         restored = parse_data_expression("measurement-data.[x+1].[y-1]")
         assert restored == expected
@@ -198,8 +198,8 @@ def test_criterion_3_restoration_goldens():
         )
 
         # array modification list
-        one = n.NumLit(num(1).value)
-        three = n.NumLit(num(3).value)
+        one = n.NumLit(num(1))
+        three = n.NumLit(num(3))
         expected = n.ChangeArrExp(
             n.ChangeArrExp(
                 n.ChangeArrExp(m, s, x),

@@ -24,7 +24,6 @@ from lingua.kernel import (
     ListBody,
     ListData,
     Number,
-    NumberData,
     Value,
     apply_transfer,
     is_boo_composite,
@@ -207,7 +206,7 @@ def transfer(text):
 
 
 def number_value(number):
-    return Value(NumberData(number), LangType(NUMBER, TT))
+    return Value(number, LangType(NUMBER, TT))
 
 
 @RANDOM
@@ -225,18 +224,18 @@ def test_element_write_matches_the_full_check(template, k, old, new, shape, posi
     tra = transfer(f"{'all-list' if listed else 'all-array'} {template.format(k=k)} ee")
     # The held value satisfies its own transfer, as every binder ensures.
     items = [
-        NumberData(x) for x in old if full_check_word(tra, Composite(data((NumberData(x),)), body)) == "OK"
+        x for x in old if full_check_word(tra, Composite(data((x,)), body)) == "OK"
     ]
     if shape == "change-arr" and not items:
         shape = "add-to-arr"
     if shape == "add-to-arr":
-        expected, write = items + [NumberData(new)], "add-to-arr {} new e ee"
+        expected, write = items + [new], "add-to-arr {} new e ee"
     elif shape == "push":
-        expected, write = [NumberData(new)] + items, "push e on {} ee"
+        expected, write = [new] + items, "push e on {} ee"
     else:
         i = (position - 1) % len(items) + 1
         expected, write = list(items), "change-arr {} at i by e ee"
-        expected[i - 1] = NumberData(new)
+        expected[i - 1] = new
     held = Value(data(tuple(items)), LangType(body, tra))
     sta = bind_variable(empty_state(), "a", held)
     sta = bind_variable(sta, "b", Value(held.content, LangType(body, TT)))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lingua import kernel
+from lingua.cli import format_data
 from lingua.kernel import (
     ARRAY_EXPECTED,
     BOOLEAN,
@@ -21,17 +22,18 @@ from lingua.kernel import (
     ArrayData,
     BoolData,
     Composite,
+    Data,
     LangType,
     Limits,
     ListBody,
     ListData,
     Number,
-    NumberData,
     RecordBody,
     RecordData,
     SimpleBody,
     Transfer,
     Value,
+    WordData,
     _power_of_ten,
     apply_transfer,
     body_of,
@@ -214,11 +216,11 @@ class TestLeanNumbers:
     @example([Number.make(0), Number.make(-1, -3)], (ListData, ListBody), 1)
     def test_sum_and_max_match_a_fold(self, numbers, shape, limit):
         data, body = shape
-        com = Composite(data(tuple(NumberData(x) for x in numbers)), body(NUMBER))
+        com = Composite(data(tuple(numbers)), body(NUMBER))
         lim = Limits(max_significant_digits=limit)
 
         def expected(x):
-            return OVERFLOW if x.digits() > limit else Composite(NumberData(x), NUMBER)
+            return OVERFLOW if x.digits() > limit else Composite(x, NUMBER)
 
         total = reduce(Number.add, numbers, Number.make(0))
         best = reduce(lambda a, b: b if a.lt(b) else a, numbers)
@@ -230,7 +232,7 @@ class TestLeanNumbers:
     @given(st.integers(-(10**45), 10**45), st.integers(-1002, 1002), st.sampled_from([1, 20, 1000]))
     def test_size_rule_counts_digits(self, coeff, exp, limit):
         x = Number.make(coeff, exp)
-        assert oversized(NumberData(x), Limits(max_significant_digits=limit)) == (
+        assert oversized(x, Limits(max_significant_digits=limit)) == (
             x.digits() > limit
         )
 
@@ -242,7 +244,7 @@ class TestLeanNumbers:
             for base in (Number.make(10**k - 1), Number.make(10**k), Number.make(1 - 10**k)):
                 for exp in range(-limit - 1, limit + 2):
                     x = Number(base.coeff, base.exp + exp)
-                    assert oversized(NumberData(x), lim) == (x.digits() > limit), (k, x)
+                    assert oversized(x, lim) == (x.digits() > limit), (k, x)
 
     @EXACT
     @given(st.integers(-(10**30), 10**30), st.integers(-60, 60))
@@ -252,6 +254,16 @@ class TestLeanNumbers:
         assert as_fraction(x) == coeff * Fraction(10) ** exp
         with pytest.raises(FrozenInstanceError):
             x.coeff = 1
+        # The number is its own datum: it pairs with NUMBER alone, and the
+        # composite survives pickling and deep copying.
+        com = Composite(x, NUMBER)
+        for twin in (pickle.loads(pickle.dumps(com)), copy.deepcopy(com)):
+            assert twin == com and hash(twin) == hash(com)
+        with pytest.raises(ValueError):
+            Composite(x, WORD)
+        with pytest.raises(ValueError):
+            Value(x, LangType(WORD, TT))
+        assert num(3) == Number.from_int(3)
 
     @EXACT
     @given(st.integers(-(10**30), 10**30), st.integers(0, 300), st.integers(-60, 60))
@@ -269,6 +281,34 @@ class TestLeanNumbers:
         for coeff, exp in ((10, 0), (-20, 3), (0, 1)):
             with pytest.raises(ValueError):
                 Number(coeff, exp)
+
+
+class TestDatumUniverse:
+    SAMPLES = (
+        BoolData(True),
+        num(7),
+        word("w"),
+        ListData((num(1),)),
+        ArrayData((num(1),)),
+        RecordData.of({"a": num(1)}),
+    )
+
+    def test_every_datum_class_has_an_arm(self):
+        def descendants(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from descendants(sub)
+
+        universe = {BoolData, Number, WordData, ListData, ArrayData, RecordData}
+        # A slotted dataclass replaces the class it decorates, and the
+        # replaced class stays among the subclasses under the same name.
+        assert {cls.__name__ for cls in descendants(Data)} == {cls.__name__ for cls in universe}
+        assert {type(d) for d in self.SAMPLES} == universe
+        for d in self.SAMPLES:
+            bod = body_of(d)
+            assert bod is not None and clan_bo_member(d, bod)
+            assert Composite(d, bod).dat is d
+            assert isinstance(format_data(d), str)
 
 
 class TestSimpleBodies:
@@ -404,7 +444,7 @@ class TestClanTy:
     def test_yoke_checked(self):
         below_ten = Transfer(
             "(value < 10)",
-            lambda com: boo_composite(com.dat.value.lt(Number.parse("10"))),
+            lambda com: boo_composite(com.dat.lt(Number.parse("10"))),
         )
         typ = LangType(NUMBER, below_ten)
         assert clan_ty_member(Composite(num(7), NUMBER), typ)
@@ -414,7 +454,7 @@ class TestClanTy:
         body = RecordBody.of({"price": NUMBER, "vat": NUMBER})
 
         def sum_below_1000(com):
-            total = com.dat.get("price").value.add(com.dat.get("vat").value)
+            total = com.dat.get("price").add(com.dat.get("vat"))
             return boo_composite(total.lt(Number.parse("1000")))
 
         typ = LangType(body, Transfer("price-vat", sum_below_1000))
@@ -474,7 +514,7 @@ class TestCoherent:
 class TestOversized:
     def test_big_number(self):
         lim = Limits(max_significant_digits=20)
-        assert oversized(NumberData(Number.make(1, 30)), lim)
+        assert oversized(Number.make(1, 30), lim)
 
     def test_far_from_a_large_limit_computes_no_power(self):
         lim = Limits(max_significant_digits=1_000_000)
@@ -482,7 +522,7 @@ class TestOversized:
         for exp in range(-500, 500, 10):
             for k in range(1, 21):
                 x = Number.make(-int("7" * k) if k % 2 else int("7" * k), exp)
-                assert not oversized(NumberData(x), lim)
+                assert not oversized(x, lim)
         assert _power_of_ten.cache_info().misses == misses
 
     def test_zero_never_oversized(self):
