@@ -12,8 +12,11 @@ given, into a Python closure, its denotation: a function from states to
 states, composites or types, or, for a transfer, from composites to
 composites.  Each operator is one function over operand composites,
 shared by data and transfer expressions; `_unary`, `_binary` and
-`_ternary` turn it into code over operand closures.  Literals are built,
-and size-checked, when they compile; sequences compile to flat blocks.
+`_ternary` turn it into code over operand closures, and a data or
+transfer expression compiles by the rule `_EXPRESSION_RULES` keeps for its
+node class.  Literals are built, and size-checked, when they compile, once
+per distinct literal in an entry point's compile; sequences compile to
+flat blocks.
 An expression's code runs on a state whose register is clear: the
 register is tested once, where evaluation enters the expression, since
 the state cannot change inside it.
@@ -41,7 +44,9 @@ Four rules keep a step's Python calls to those that decide something:
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from typing import Callable, NamedTuple, Optional, TypeVar, Union
 
@@ -327,11 +332,6 @@ def _glue(left: Composite, right: Composite, limits: Limits) -> EvalResult:
     return _sized(WordData(left.dat.text + right.dat.text), WORD, limits)
 
 
-def _not_boolean(exp: n.Node) -> AbstractError:
-    """A connective's error word for a non-Boolean operand, by its sort."""
-    return A_YOKE_EXPECTED if isinstance(exp, n.TraExp) else BOOLEAN_EXPECTED
-
-
 def _negate(com: Composite, expected: AbstractError) -> EvalResult:
     if com.bod is not BOOLEAN:
         return expected
@@ -464,6 +464,19 @@ def _change_record(rec: Composite, new: Composite, ide: str) -> EvalResult:
     )
 
 
+def _variable(ide: str) -> DataCode:
+    def variable(sta):
+        val = sta.store.valuation.get(ide)
+        if val is None:
+            return IDENTIFIER_NOT_DECLARED
+        com = val.com
+        if com is None:
+            return VARIABLE_NOT_INITIALIZED
+        return com
+
+    return variable
+
+
 def _conditional(guard: DataCode, then_code: DataCode, else_code: DataCode) -> DataCode:
     def conditional(sta):
         com = guard(sta)
@@ -574,6 +587,64 @@ def _expanded_type(base: TypeCode, ide: str, addition: TypeCode) -> TypeCode:
 
 def _replaced_transfer(typ: LangType, tra: Transfer) -> TypeResult:
     return LangType(typ.bod, tra)
+
+
+# ---------------------------------------------------------------------------
+# the compile rule of every data and transfer expression class, called with
+# the evaluator and then the node's fields in order, each operand already
+# compiled; an operator both sorts share has one rule for both classes
+
+_BOOLEANS = {value: _constant(boo_composite(value)) for value in (False, True)}
+
+_EXPRESSION_RULES: dict[type, Callable[..., Code]] = {
+    cls: rule
+    for classes, rule in {
+        (n.BoolLit, n.TraBoolLit): lambda ev, value: _BOOLEANS[value],
+        (n.NumLit, n.TraNumLit): lambda ev, num: ev._literal(num, NUMBER),
+        (n.WordLit, n.TraWordLit): lambda ev, wor: ev._literal(WordData(wor), WORD),
+        (n.IdeExp,): lambda ev, ide: _variable(ide),
+        (n.AndExp,): lambda ev, a, b: _lazy(a, b, False, BOOLEAN_EXPECTED),
+        (n.TraAndExp,): lambda ev, a, b: _lazy(a, b, False, A_YOKE_EXPECTED),
+        (n.OrExp,): lambda ev, a, b: _lazy(a, b, True, BOOLEAN_EXPECTED),
+        (n.TraOrExp,): lambda ev, a, b: _lazy(a, b, True, A_YOKE_EXPECTED),
+        (n.NotExp,): lambda ev, a: _unary(a, _negate, BOOLEAN_EXPECTED),
+        (n.TraNotExp,): lambda ev, a: _unary(a, _negate, A_YOKE_EXPECTED),
+        (n.LessExp, n.TraLessExp): lambda ev, a, b: _binary(a, b, _less, None),
+        (n.AddExp, n.TraAddExp): lambda ev, a, b: _binary(a, b, _add, ev.limits),
+        (n.SubExp,): lambda ev, a, b: _binary(a, b, _sub, ev.limits),
+        (n.MulExp,): lambda ev, a, b: _binary(a, b, _mul, ev.limits),
+        (n.DivExp, n.TraDivExp): lambda ev, a, b: _binary(a, b, _divide, ev.limits),
+        (n.EqExp, n.TraEqExp): lambda ev, a, b: _binary(a, b, _equal, None),
+        (n.GlueExp, n.TraGlueExp): lambda ev, a, b: _binary(a, b, _glue, ev.limits),
+        (n.ListExp,): lambda ev, a: _unary(a, _list, ev.limits),
+        (n.PushExp,): lambda ev, new, lst: _binary(new, lst, _push, ev.limits),
+        (n.TopExp,): lambda ev, a: _unary(a, _top, None),
+        (n.PopExp,): lambda ev, a: _unary(a, _pop, None),
+        (n.ArrayExp,): lambda ev, a: _unary(a, _array, ev.limits),
+        (n.AddToArrExp,): lambda ev, arr, new: _binary(arr, new, _add_to_array, ev.limits),
+        (n.ChangeArrExp,): lambda ev, *operands: _ternary(*operands, _change_array, None),
+        (n.ArrAtExp,): lambda ev, arr, idx: _binary(arr, idx, _array_at, None),
+        (n.RecordExp,): lambda ev, ide, a: _unary(a, _record, (ide, ev.limits)),
+        (n.AddAttrExp,): lambda ev, ide, a, b: _binary(a, b, _add_attribute, (ide, ev.limits)),
+        (n.RecAtExp,): lambda ev, rec, ide: _unary(rec, _record_at, ide),
+        (n.RemoveAttrExp,): lambda ev, ide, rec: _unary(rec, _remove_attribute, ide),
+        (n.ChangeRecExp,): lambda ev, rec, ide, new: _binary(rec, new, _change_record, ide),
+        (n.CondExp,): lambda ev, *operands: _conditional(*operands),
+        (n.FunCallExp,): lambda ev, ide, apar: partial(ev.call_functional_procedure, ide, apar),
+        # transfer expressions only
+        (n.ValueTra,): lambda ev: _value,
+        (n.TopTra,): lambda ev: _unary(_value, _top, None),
+        (n.ArrayAtTra,): lambda ev, idx: _array_first(_binary(_value, idx, _array_at, None)),
+        (n.RecordAtTra,): lambda ev, ide: _unary(_value, _record_at, ide),
+        (n.SumExp,): lambda ev, a: _unary(a, _sum, ev.limits),
+        (n.MaxExp,): lambda ev, a: _unary(a, _max, ev.limits),
+        (n.SmallNumberExp,): lambda ev, a: _unary(a, _small_number, None),
+        (n.IncreasingExp,): lambda ev, a: _unary(a, _increasing, None),
+        (n.AllListExp,): lambda ev, a: _all_elements(a, ListBody, LIST_EXPECTED),
+        (n.AllArrayExp,): lambda ev, a: _all_elements(a, ArrayBody, ARRAY_EXPECTED),
+    }.items()
+    for cls in classes
+}
 
 
 # ---------------------------------------------------------------------------
@@ -818,29 +889,30 @@ class Evaluator:
         self.limits = limits
         self.fuel = Fuel(fuel)
         self.trace = trace
+        self._literals: dict[Data, Code] = {}
 
     # -- entry points: compile, then run -----------------------------------
 
     def eval_data_exp(self, dae: n.DatExp, sta: State) -> EvalResult:
         if sta.store.register is not None:
             return sta.store.register
-        return self.compile_expression(dae)(sta)
+        return self._compiled(self.compile_expression, dae)(sta)
 
     def eval_transfer_exp(self, tre: n.TraExp, sta: State) -> Union[Transfer, AbstractError]:
         if sta.store.register is not None:
             return sta.store.register
-        return self._transfer(tre)
+        return self._compiled(self._transfer, tre)
 
     def eval_type_exp(self, tex: n.TypExp, sta: State) -> TypeResult:
         if sta.store.register is not None:
             return sta.store.register
-        return self.compile_type_exp(tex)(sta)
+        return self._compiled(self.compile_type_exp, tex)(sta)
 
     def exec_instruction(self, ins: n.Instruction, sta: State) -> State:
-        return self._step(ins)(owned(sta))
+        return self._compiled(self._step, ins)(owned(sta))
 
     def exec_preamble(self, pam, sta: State) -> State:
-        return self.compile_preamble(pam)(owned(sta))
+        return self._compiled(self.compile_preamble, pam)(owned(sta))
 
     def run_program(self, prg: n.Program, sta: State) -> State:
         """The preamble, then the instruction, each entered through its
@@ -851,101 +923,44 @@ class Evaluator:
 
     # -- compilation ---------------------------------------------------------
 
+    def _compiled(self, compile: Callable[[n.Node], C], node: n.Node) -> C:
+        """`compile(node)`, the collector paused, as compiling frees nothing;
+        then the literal table is dropped and the collector put back as it
+        was, also when the compile raises."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return compile(node)
+        finally:
+            self._literals.clear()
+            if enabled:
+                gc.enable()
+
     def compile_expression(self, exp: n.Node) -> Code:
         """The code of a data expression, over states, or of a transfer
-        expression, over composites.  A shared operator has one arm."""
-        sub, limits = self.compile_expression, self.limits
-        match exp:
-            case n.BoolLit(value) | n.TraBoolLit(value):
-                return _constant(boo_composite(value))
-            case n.NumLit(number) | n.TraNumLit(number):
-                return _constant(_sized(number, NUMBER, limits))
-            case n.WordLit(text) | n.TraWordLit(text):
-                return _constant(_sized(WordData(text), WORD, limits))
-            case n.IdeExp(ide):
+        expression, over composites: the rule of its class, called with the
+        evaluator and its fields, each operand compiled first.
 
-                def variable(sta):
-                    val = sta.store.valuation.get(ide)
-                    if val is None:
-                        return IDENTIFIER_NOT_DECLARED
-                    com = val.com
-                    if com is None:
-                        return VARIABLE_NOT_INITIALIZED
-                    return com
+        The rule itself never recurses, so each level of nesting costs one
+        Python frame, this one.  The operands compile in a plain loop, as a
+        comprehension is a frame of its own on Python 3.10 and 3.11, and
+        through `self.compile_expression`, so a subclass that wraps it sees
+        every subexpression."""
+        rule = _EXPRESSION_RULES.get(exp.__class__)
+        if rule is None:
+            raise TypeError(f"not a data or transfer expression: {exp!r}")
+        operands = [self]
+        for field in exp.__dict__.values():
+            operands.append(self.compile_expression(field) if isinstance(field, n.Node) else field)
+        return rule(*operands)
 
-                return variable
-            case n.AndExp(a, b) | n.TraAndExp(a, b):
-                return _lazy(sub(a), sub(b), False, _not_boolean(exp))
-            case n.OrExp(a, b) | n.TraOrExp(a, b):
-                return _lazy(sub(a), sub(b), True, _not_boolean(exp))
-            case n.NotExp(a) | n.TraNotExp(a):
-                return _unary(sub(a), _negate, _not_boolean(exp))
-            case n.LessExp(a, b) | n.TraLessExp(a, b):
-                return _binary(sub(a), sub(b), _less, None)
-            case n.AddExp(a, b) | n.TraAddExp(a, b):
-                return _binary(sub(a), sub(b), _add, limits)
-            case n.SubExp(a, b):
-                return _binary(sub(a), sub(b), _sub, limits)
-            case n.MulExp(a, b):
-                return _binary(sub(a), sub(b), _mul, limits)
-            case n.DivExp(a, b) | n.TraDivExp(a, b):
-                return _binary(sub(a), sub(b), _divide, limits)
-            case n.EqExp(a, b) | n.TraEqExp(a, b):
-                return _binary(sub(a), sub(b), _equal, None)
-            case n.GlueExp(a, b) | n.TraGlueExp(a, b):
-                return _binary(sub(a), sub(b), _glue, limits)
-            case n.ListExp(element):
-                return _unary(sub(element), _list, limits)
-            case n.PushExp(element, target):
-                return _binary(sub(element), sub(target), _push, limits)
-            case n.TopExp(a):
-                return _unary(sub(a), _top, None)
-            case n.PopExp(a):
-                return _unary(sub(a), _pop, None)
-            case n.ArrayExp(element):
-                return _unary(sub(element), _array, limits)
-            case n.AddToArrExp(target, element):
-                return _binary(sub(target), sub(element), _add_to_array, limits)
-            case n.ChangeArrExp(target, index, element):
-                return _ternary(sub(target), sub(index), sub(element), _change_array, None)
-            case n.ArrAtExp(target, index):
-                return _binary(sub(target), sub(index), _array_at, None)
-            case n.RecordExp(ide, expr):
-                return _unary(sub(expr), _record, (ide, limits))
-            case n.AddAttrExp(ide, expr, target):
-                return _binary(sub(expr), sub(target), _add_attribute, (ide, limits))
-            case n.RecAtExp(target, ide):
-                return _unary(sub(target), _record_at, ide)
-            case n.RemoveAttrExp(ide, target):
-                return _unary(sub(target), _remove_attribute, ide)
-            case n.ChangeRecExp(target, ide, expr):
-                return _binary(sub(target), sub(expr), _change_record, ide)
-            case n.CondExp(guard, then_branch, else_branch):
-                return _conditional(sub(guard), sub(then_branch), sub(else_branch))
-            case n.FunCallExp(ide, apar):
-                return lambda sta: self.call_functional_procedure(ide, apar, sta)
-            # transfer expressions only
-            case n.ValueTra():
-                return _value
-            case n.TopTra():
-                return _unary(_value, _top, None)
-            case n.ArrayAtTra(index):
-                return _array_first(_binary(_value, sub(index), _array_at, None))
-            case n.RecordAtTra(ide):
-                return _unary(_value, _record_at, ide)
-            case n.SumExp(a):
-                return _unary(sub(a), _sum, limits)
-            case n.MaxExp(a):
-                return _unary(sub(a), _max, limits)
-            case n.SmallNumberExp(a):
-                return _unary(sub(a), _small_number, None)
-            case n.IncreasingExp(a):
-                return _unary(sub(a), _increasing, None)
-            case n.AllListExp(a):
-                return _all_elements(sub(a), ListBody, LIST_EXPECTED)
-            case n.AllArrayExp(a):
-                return _all_elements(sub(a), ArrayBody, ARRAY_EXPECTED)
-        raise TypeError(f"not a data or transfer expression: {exp!r}")
+    def _literal(self, dat: Data, bod) -> Code:
+        """A number or word literal: one constant per distinct datum in one
+        entry point's compile, size-checked once."""
+        code = self._literals.get(dat)
+        if code is None:
+            code = self._literals[dat] = _constant(_sized(dat, bod, self.limits))
+        return code
 
     def _transfer(self, tre: n.TraExp) -> Transfer:
         """The transfer a transfer expression denotes, its source printed once."""
