@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
 from types import CodeType, FunctionType
-from typing import Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from .kernel import Number
 
@@ -60,6 +60,43 @@ def _walk(node: Node) -> list:
     return out
 
 
+def _render(node: Node, container: Callable, scalar: Callable[[Any], str]) -> str:
+    """Write `node` along an explicit stack, so nesting costs no recursion.
+
+    `container(value, depth)` gives a node's or tuple's (opening text,
+    [(text before child, child)], closing text); `scalar(value)` gives the
+    text of anything else.  Plain text rides the stack as `(text, None)`.
+    The repr and both AST dumps are written by it.
+    """
+    parts: list[str] = []
+    stack: list[tuple[Any, Any]] = [(node, 0)]
+    while stack:
+        value, depth = stack.pop()
+        if depth is None:
+            parts.append(value)
+        elif isinstance(value, (Node, tuple)):
+            opening, children, closing = container(value, depth)
+            parts.append(opening)
+            stack.append((closing, None))
+            for before, child in reversed(children):
+                stack += ((child, depth + 1), (before, None))
+        else:
+            parts.append(scalar(value))
+    return "".join(parts)
+
+
+def _repr_parts(value: Any, depth: int):
+    """A node's or tuple's repr, the dataclass text, as `_render` takes it."""
+    if isinstance(value, Node):
+        labelled = [(f"{name}=", v) for name, v in value.__dict__.items()]
+        opening, closing = f"{value.__class__.__qualname__}(", ")"
+    else:
+        labelled = [("", v) for v in value]
+        opening, closing = "(", ",)" if len(value) == 1 else ")"
+    children = [(", " + label if i else label, v) for i, (label, v) in enumerate(labelled)]
+    return opening, children, closing
+
+
 class Node:
     """A frozen record of the fields its class annotates.
 
@@ -90,29 +127,7 @@ class Node:
         return hash(tuple(_walk(self)))
 
     def __repr__(self) -> str:
-        # `todo` holds text still to write, as a str, and nodes and tuples
-        # still to render; any other value is rendered as it is pushed.
-        out: list[str] = []
-        todo: list = [self]
-        while todo:
-            x = todo.pop()
-            if isinstance(x, str):
-                out.append(x)
-                continue
-            if isinstance(x, Node):
-                head, tail = f"{x.__class__.__qualname__}(", ")"
-                labelled = [(f"{name}=", value) for name, value in x.__dict__.items()]
-            else:
-                head, tail = "(", ",)" if len(x) == 1 else ")"
-                labelled = [("", value) for value in x]
-            todo.append(tail)
-            for i in range(len(labelled) - 1, -1, -1):
-                label, value = labelled[i]
-                nested = isinstance(value, Node) or value.__class__ is tuple
-                todo.append(value if nested else repr(value))
-                todo.append(", " + label if i else label)
-            todo.append(head)
-        return "".join(out)
+        return _render(self, _repr_parts, repr)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

@@ -132,31 +132,6 @@ def _fields(value: Any) -> list[tuple[Any, Any]]:
     return [("node", _kebab(type(value).__name__))] + fields
 
 
-def _render(ast: n.Node, container, scalar) -> str:
-    """Dump `ast` along an explicit stack, so nesting costs no recursion.
-
-    `container(value, depth)` gives a node's or tuple's (opening text,
-    [(text before child, child)], closing text); `scalar(value)` gives the
-    text of anything else, numbers as their literal text.  Plain text rides
-    the stack as `(text, None)`.
-    """
-    parts: list[str] = []
-    stack: list[tuple[Any, Any]] = [(ast, 0)]
-    while stack:
-        value, depth = stack.pop()
-        if depth is None:
-            parts.append(value)
-        elif isinstance(value, (n.Node, tuple)):
-            opening, children, closing = container(value, depth)
-            parts.append(opening)
-            stack.append((closing, None))
-            for before, child in reversed(children):
-                stack += ((child, depth + 1), (before, None))
-        else:
-            parts.append(scalar(value.text() if isinstance(value, Number) else value))
-    return "".join(parts)
-
-
 def _json_container(value: Any, depth: int):
     """As `json.dumps(indent=2)` lays out an object or an array."""
     brackets = "[]" if isinstance(value, tuple) else "{}"
@@ -176,7 +151,13 @@ def _sexpr_container(value: Any, depth: int):
     return "(", children, ")"
 
 
+def _json_scalar(value: Any) -> str:
+    return json.dumps(value.text() if isinstance(value, Number) else value)
+
+
 def _sexpr_scalar(value: Any) -> str:
+    if isinstance(value, Number):
+        value = value.text()
     if value is None:
         return "()"
     if isinstance(value, bool):
@@ -191,7 +172,7 @@ def _sexpr_scalar(value: Any) -> str:
 def ast_dump(ast: n.Node, format: str = "sexpr") -> str:
     """Deterministic serialization; format is 'json' or 'sexpr'."""
     if format == "json":
-        return _render(ast, _json_container, json.dumps)
+        return n._render(ast, _json_container, _json_scalar)
     if format == "sexpr":
-        return _render(ast, _sexpr_container, _sexpr_scalar)
+        return n._render(ast, _sexpr_container, _sexpr_scalar)
     raise ValueError(f"unknown dump format: {format!r}")

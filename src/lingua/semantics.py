@@ -25,6 +25,11 @@ Nontermination is bounded by a fuel budget, spent on loop iterations and
 procedure calls; running out raises OutOfFuel, which is an outcome of the
 run, not a language error, and never reaches an error register.
 
+The procedure value, `Procedure`, is defined here beside the call protocol
+that reads it; `state` only binds it.  Both call sites compile to Python
+closures: a C-level callable such as a `partial` would spend C stack on
+every Lingua call, so the C stack, not the recursion limit, would bound depth.
+
 Four rules keep a step's Python calls to those that decide something:
 
 - The register is tested inline (`sta.store.register is not None`), and a
@@ -45,8 +50,7 @@ Four rules keep a step's Python calls to those that decide something:
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, NamedTuple, Optional, TypeVar, Union
 
@@ -108,7 +112,6 @@ from . import nodes as n
 from .printer import print_concrete
 from .state import (
     Env,
-    Procedure,
     State,
     Store,
     bind_procedure,
@@ -630,7 +633,9 @@ _EXPRESSION_RULES: dict[type, Callable[..., Code]] = {
         (n.RemoveAttrExp,): lambda ev, ide, rec: _unary(rec, _remove_attribute, ide),
         (n.ChangeRecExp,): lambda ev, rec, ide, new: _binary(rec, new, _change_record, ide),
         (n.CondExp,): lambda ev, *operands: _conditional(*operands),
-        (n.FunCallExp,): lambda ev, ide, apar: partial(ev.call_functional_procedure, ide, apar),
+        (n.FunCallExp,): lambda ev, ide, apar: lambda sta: ev.call_functional_procedure(
+            ide, apar, sta
+        ),
         # transfer expressions only
         (n.ValueTra,): lambda ev: _value,
         (n.TopTra,): lambda ev: _unary(_value, _top, None),
@@ -862,6 +867,21 @@ class _Call(NamedTuple):
     body: Optional[StateCode]
     result: Optional[DataCode]
     return_type: Optional[TypeCode]
+
+
+@dataclass(frozen=True)
+class Procedure:
+    """One value for both kinds of procedure, bound in `Env.procs`: its
+    declaration, the group declared with it (a function, or a lone `proc`,
+    is a group of one) and the declaration-time environment, without the
+    group.  A call nests `group` back into `env`, so recursion works, and
+    runs the callee's entry of `calls`: each member's `_Call`, in the order
+    of `group`.  `calls` takes no part in equality or repr."""
+
+    dec: Union[n.ImpProcDec, n.FunProcDec]
+    group: tuple[Union[n.ImpProcDec, n.FunProcDec], ...]
+    env: Env
+    calls: tuple[_Call, ...] = field(compare=False, repr=False)
 
 
 class Evaluator:

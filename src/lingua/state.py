@@ -3,12 +3,14 @@
 A state pairs an environment (types and procedures) with a store (the
 valuation and the error register).  Environments are persistent: binding
 a type or a procedure returns a fresh State and leaves the original
-untouched, which is what lets a `Procedure` keep its declaration-time
-environment.  The valuation is owned by one activation, a program run or
-one procedure call: compiled code writes variables in place
-(`write_variable`), since a callee runs on a valuation of its own and no
-code reads the valuation as it was before a write.  The load and clear of
-the register build a new State that shares the valuation.
+untouched, which is what lets a procedure keep its declaration-time
+environment.  The procedure value, `semantics.Procedure`, lives beside
+the call protocol that reads it; this module only binds and looks it up.
+The valuation is owned by one activation, a program run or one procedure
+call: compiled code writes variables in place (`write_variable`), since a
+callee runs on a valuation of its own and no code reads the valuation as
+it was before a write.  The load and clear of the register build a new
+State that shares the valuation.
 
 The entry-point copy rule: a state handed to the evaluator from outside
 is copied once where it enters (`owned`, in `Evaluator.run_program`,
@@ -16,38 +18,20 @@ is copied once where it enters (`owned`, in `Evaluator.run_program`,
 never written, even when a run stops midway.  Expressions never write, so
 their entry copies nothing.  `bind_variable` is the persistent write, for
 building states by hand.
-
-A `Procedure` is one value for both kinds of procedure: its declaration,
-the group declared with it (a function, or a lone `proc`, is a group of
-one) and the declaration-time environment, without the group.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Optional
 
 from .kernel import AbstractError, LangType, Value
-from .nodes import FunProcDec, ImpProcDec
-
-
-@dataclass(frozen=True)
-class Procedure:
-    """A call nests `group` back into `env`, which makes recursion work,
-    and runs the callee's entry of `calls`: each member's compiled code
-    (`semantics._Call`) in the order of `group`, which takes no part in
-    equality or repr."""
-
-    dec: Union[ImpProcDec, FunProcDec]
-    group: tuple[Union[ImpProcDec, FunProcDec], ...]
-    env: "Env"
-    calls: tuple = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Env:
     types: dict[str, LangType]
-    procs: dict[str, Procedure]
+    procs: dict[str, "Procedure"]
 
 
 @dataclass(frozen=True)
@@ -105,7 +89,7 @@ def bind_type(sta: State, ide: str, typ: LangType) -> State:
     )
 
 
-def bind_procedure(sta: State, ide: str, pro: Procedure) -> State:
+def bind_procedure(sta: State, ide: str, pro: "Procedure") -> State:
     return State(
         Env(sta.env.types, {**sta.env.procs, ide: pro}),
         sta.store,
@@ -120,5 +104,5 @@ def lookup_type(sta: State, ide: str) -> Optional[LangType]:
     return sta.env.types.get(ide)
 
 
-def lookup_procedure(sta: State, ide: str) -> Optional[Procedure]:
+def lookup_procedure(sta: State, ide: str) -> Optional["Procedure"]:
     return sta.env.procs.get(ide)

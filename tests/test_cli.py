@@ -23,6 +23,12 @@ def write(tmp_path, name, text):
     return str(path)
 
 
+def cli_env():
+    """The environment for `python -m lingua.cli` on this checkout's `src`."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def run_main(argv, stdin_text=None, monkeypatch=None, capsys=None):
     if stdin_text is not None:
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
@@ -597,14 +603,61 @@ class TestClosedOutput:
     @pytest.mark.parametrize("command", COMMANDS[:2] + COMMANDS[3:4], ids=" ".join)
     def test_subprocess(self, tmp_path, command):
         path = write(tmp_path, "ok.lng", self.FILE)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.Popen(
             [sys.executable, "-m", "lingua.cli", command[0], path, *command[1:]],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            env=env,
+            env=cli_env(),
         )
         proc.stdout.close()  # before the interpreter has started to write
         _, err = proc.communicate(timeout=60)
         assert (proc.returncode, err) == (4, b"")
+
+
+class TestDeepRecursion:
+    """A deep recursion of a function ends in an outcome, a state or exit 3
+    (`evaluation too deep`), never in a signal.  Both call sites compile to
+    Python closures, so a Lingua call spends no C stack on Python 3.11 and
+    later.  Each run is a subprocess: a crash would take the test with it."""
+
+    PROGRAM = (
+        "begin-program "
+        "fun cnt (n as number) begin-program let m be number tel ; let r be number tel ; "
+        "if (n < 1) then r := 0 else m := (n - 1) ; r := (1 + cnt(m)) fi end-program "
+        "return r as number end fun ; "
+        "let x be number tel ; let y be number tel ; x := %d ; y := cnt(x) end-program"
+    )
+
+    def run(self, tmp_path, depth, preexec_fn=None):
+        path = write(tmp_path, "deep.lng", self.PROGRAM % depth)
+        return subprocess.run(
+            [sys.executable, "-m", "lingua.cli", "run", path],
+            capture_output=True,
+            env=cli_env(),
+            preexec_fn=preexec_fn,
+            timeout=60,
+        )
+
+    def test_within_reach(self, tmp_path):
+        proc = self.run(tmp_path, 2_500)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert b"(2500, number)" in proc.stdout
+
+    def test_past_reach_is_too_deep(self, tmp_path):
+        proc = self.run(tmp_path, 3_500)
+        assert (proc.returncode, proc.stderr) == (3, b"lingua: evaluation too deep\n")
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11),
+        reason="Python 3.10 spends C stack on every Python call, so 1 MB runs out first",
+    )
+    def test_within_reach_on_a_1_mb_stack(self, tmp_path):
+        resource = pytest.importorskip("resource", reason="no resource module to limit the stack")
+
+        def small_stack():  # in the child only
+            hard = resource.getrlimit(resource.RLIMIT_STACK)[1]
+            resource.setrlimit(resource.RLIMIT_STACK, (2**20, hard))
+
+        proc = self.run(tmp_path, 2_000, small_stack)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert b"(2000, number)" in proc.stdout

@@ -1,7 +1,8 @@
-"""Compilation: the expression rule table, shared literals and the paused
-collector."""
+"""Compilation: the expression rule table, the call sites, shared literals
+and the paused collector."""
 
 import gc
+import types
 import weakref
 
 import pytest
@@ -51,6 +52,21 @@ class TestRuleTable:
         tex = parse_type_expression("number")
         with pytest.raises(TypeError, match=r"^not a data or transfer expression: NumberTyp\(\)$"):
             Evaluator().compile_expression(tex)
+
+
+class TestCallSites:
+    @pytest.mark.parametrize(
+        "compile_call_site",
+        [
+            lambda ev: ev.compile_expression(parse_data_expression("f(x)")),
+            lambda ev: ev.compile_instruction(parse_instruction("call p (ref x val empty-ap)")),
+        ],
+        ids=["function", "procedure"],
+    )
+    def test_a_call_site_is_a_python_function(self, compile_call_site):
+        # A C-level callable, such as a `functools.partial`, would spend C
+        # stack on every Lingua call, so deep recursion would crash the host.
+        assert type(compile_call_site(Evaluator())) is types.FunctionType
 
 
 def entry_points():
