@@ -30,7 +30,7 @@ that reads it; `state` only binds it.  Both call sites compile to Python
 closures: a C-level callable such as a `partial` would spend C stack on
 every Lingua call, so the C stack, not the recursion limit, would bound depth.
 
-Four rules keep a step's Python calls to those that decide something:
+Five rules keep a step's Python calls to those that decide something:
 
 - The register is tested inline (`sta.store.register is not None`), and a
   variable is read straight from the valuation, whose bound `Value.com` is
@@ -44,7 +44,12 @@ Four rules keep a step's Python calls to those that decide something:
   return type codes from one entry compiled with the declaration and
   kept in its `Procedure` value (`_Call`); the entry holds code only, and
   the formal types are still evaluated in the callee's environment on
-  every call.
+  every call.  A call site holds its actuals as one tuple, the ref list
+  before the val, and the lists' lengths, both built when it compiles.
+- A parameter whose actual holds the formal's type object, not merely an
+  equal one, is bound to that value as it is: a `Value` is certified
+  against its own type.  A `ref` actual gets the formal's type back with
+  the result, so from its second call on it passes unchecked too.
 """
 
 from __future__ import annotations
@@ -633,9 +638,7 @@ _EXPRESSION_RULES: dict[type, Callable[..., Code]] = {
         (n.RemoveAttrExp,): lambda ev, ide, rec: _unary(rec, _remove_attribute, ide),
         (n.ChangeRecExp,): lambda ev, rec, ide, new: _binary(rec, new, _change_record, ide),
         (n.CondExp,): lambda ev, *operands: _conditional(*operands),
-        (n.FunCallExp,): lambda ev, ide, apar: lambda sta: ev.call_functional_procedure(
-            ide, apar, sta
-        ),
+        (n.FunCallExp,): lambda ev, ide, apar: _function_call(ev, ide, apar),
         # transfer expressions only
         (n.ValueTra,): lambda ev: _value,
         (n.TopTra,): lambda ev: _unary(_value, _top, None),
@@ -650,6 +653,12 @@ _EXPRESSION_RULES: dict[type, Callable[..., Code]] = {
     }.items()
     for cls in classes
 }
+
+
+def _function_call(ev: "Evaluator", ide: str, actuals: tuple[str, ...]) -> DataCode:
+    """The call site `ide(actuals)`, its lengths counted once."""
+    lengths = (len(actuals),)
+    return lambda sta: ev.call_functional_procedure(ide, actuals, lengths, sta)
 
 
 # ---------------------------------------------------------------------------
@@ -861,7 +870,7 @@ class _Call(NamedTuple):
     type.  It holds code only: the environment is the callee's, and the
     formal types are evaluated in it on every call."""
 
-    lengths: list[int]
+    lengths: tuple[int, ...]
     formals: tuple[tuple[str, TypeCode], ...]
     refs: tuple[str, ...]
     body: Optional[StateCode]
@@ -1035,7 +1044,8 @@ class Evaluator:
             case n.YokeIns(ide, tre):
                 return _yoke(ide, self._transfer(tre))
             case n.CallIns(ide, ref_args, val_args):
-                return lambda sta: self.call_imperative_procedure(ide, ref_args, val_args, sta)
+                actuals, lengths = (*ref_args, *val_args), (len(ref_args), len(val_args))
+                return lambda sta: self.call_imperative_procedure(ide, actuals, lengths, sta)
             case n.IfIns(guard, then_branch, else_branch):
                 return _if(data(guard), step(then_branch), step(else_branch))
             case n.IfErrorIns(guard, handler):
@@ -1102,15 +1112,15 @@ class Evaluator:
             refs = tuple(formal.ide for formal in dec.ref_params)
             body, result, return_type = self.compile_program(dec.prg), None, None
         formals = tuple((formal.ide, self.compile_type_exp(formal.tex)) for formal in chain(*lists))
-        return _Call(list(map(len, lists)), formals, refs, body, result, return_type)
+        return _Call(tuple(map(len, lists)), formals, refs, body, result, return_type)
 
     def _enter(
-        self, kind: type, ide: str, actuals: tuple[tuple[str, ...], ...], sta: State
+        self, kind: type, ide: str, actuals: tuple[str, ...], lengths: tuple[int, ...], sta: State
     ) -> Union[tuple[_Call, State], AbstractError]:
         """Stages 1 and 2 of a call from a clear state: the compiled entry
         of the declaration, of class `kind`, and the local state its body
-        runs on, or an error word.  `actuals` has one list per formal list,
-        the ref list before the val."""
+        runs on, or an error word.  `actuals` is every actual, the ref list
+        before the val, and `lengths` the length of each list."""
         pro = sta.env.procs.get(ide)
         if pro is None or not isinstance(pro.dec, kind):
             return PROCEDURE_NOT_DECLARED
@@ -1118,43 +1128,53 @@ class Evaluator:
         # The declaration-time environment with the whole group nested back
         # in, so every member, the callee included, resolves recursively.
         dec, group, env, calls = pro.dec, pro.group, pro.env, pro.calls
-        procs = dict(env.procs)
-        for member, member_call in zip(group, calls):
-            if member is dec:
-                procs[member.ide], call = pro, member_call
-            else:
-                procs[member.ide] = Procedure(member, group, env, calls)
-        if call.lengths != list(map(len, actuals)):
+        if len(group) == 1:
+            procs, call = {**env.procs, dec.ide: pro}, calls[0]
+        else:
+            procs = dict(env.procs)
+            for member, member_call in zip(group, calls):
+                if member is dec:
+                    procs[member.ide], call = pro, member_call
+                else:
+                    procs[member.ide] = Procedure(member, group, env, calls)
+        if call.lengths != lengths:
             return PARAMETER_LIST_MISMATCH
         valuation: dict[str, Value] = {}
         local = State(Env(env.types, procs), Store(valuation, None))
         # The local valuation holds only the formals.  Formal types read
         # only the environment, so they evaluate on `local` as it fills.
+        # An actual that holds the formal's type object satisfies it, as
+        # every Value is certified against its own type.
         caller = sta.store.valuation
-        for (formal, type_code), actual in zip(call.formals, chain(*actuals)):
+        for (formal, type_code), actual in zip(call.formals, actuals):
             actual_value = caller.get(actual)
             if actual_value is None:
                 return IDENTIFIER_NOT_DECLARED
             formal_type = type_code(local)
             if isinstance(formal_type, AbstractError):
                 return formal_type
-            com = actual_value.com
-            if com is not None and not clan_ty_member(com, formal_type):
-                return PARAMETER_TYPE_MISMATCH
-            valuation[formal] = _unchecked_value(actual_value.content, formal_type, com)
+            if actual_value.typ is not formal_type:
+                com = actual_value.com
+                if com is not None and not clan_ty_member(com, formal_type):
+                    return PARAMETER_TYPE_MISMATCH
+                actual_value = _unchecked_value(actual_value.content, formal_type, com)
+            valuation[formal] = actual_value
         return call, local
 
     def call_imperative_procedure(
-        self,
-        ide: str,
-        ref_args: tuple[str, ...],
-        val_args: tuple[str, ...],
-        sta: State,
+        self, ide: str, actuals: tuple[str, ...], lengths: tuple[int, ...], sta: State
     ) -> State:
+        """The code of a compiled `call ide (ref ... val ...)` site, not
+        library API: `actuals` is the ref list, then the val list, and
+        `lengths` their two lengths.  The ref results are written back into
+        the valuation of `sta` in place, as compiled code owns it; a library
+        caller runs a call through `exec_instruction`, which copies first.
+        The name stays public, and is looked up on each call, because
+        `perfbench/spans.py` wraps it on the class."""
         # An error-carrying initial global state is the terminal one.
         if sta.store.register is not None:
             return sta
-        entered = self._enter(n.ImpProcDec, ide, (ref_args, val_args), sta)
+        entered = self._enter(n.ImpProcDec, ide, actuals, lengths, sta)
         if isinstance(entered, AbstractError):
             return load_error(sta, entered)
         call, local = entered
@@ -1163,18 +1183,23 @@ class Evaluator:
         if terminal.store.register is not None:
             return load_error(sta, terminal.store.register)
         # Stage 4: local environment is abandoned; reference parameters are
-        # copied back onto their actuals, in the caller's valuation.
+        # copied back onto their actuals, which lead `actuals`, in the
+        # caller's valuation, each with the formal's type.
         valuation, local = sta.store.valuation, terminal.store.valuation
-        for formal, actual in zip(call.refs, ref_args):
+        for formal, actual in zip(call.refs, actuals):
             valuation[actual] = local[formal]
         return sta
 
     def call_functional_procedure(
-        self, ide: str, val_args: tuple[str, ...], sta: State
+        self, ide: str, actuals: tuple[str, ...], lengths: tuple[int, ...], sta: State
     ) -> EvalResult:
+        """The code of a compiled `ide(actuals)` site, not library API:
+        `lengths` holds the one list's length.  It reads `sta` and writes
+        nothing.  The name stays public, and is looked up on each call,
+        because `perfbench/spans.py` wraps it on the class."""
         if sta.store.register is not None:
             return sta.store.register
-        entered = self._enter(n.FunProcDec, ide, (val_args,), sta)
+        entered = self._enter(n.FunProcDec, ide, actuals, lengths, sta)
         if isinstance(entered, AbstractError):
             return entered
         call, terminal = entered

@@ -2,6 +2,8 @@
 
 import pytest
 
+from lingua import semantics
+from lingua.cli import state_report
 from lingua.kernel import TT, WORD, AbstractError, Composite, LangType, NUMBER, Value, num, word
 from lingua.parser import parse_data_expression, parse_instruction, parse_program
 from lingua.semantics import Evaluator, OutOfFuel
@@ -386,3 +388,62 @@ class TestFrameLaw:
         assert after.store.valuation["z"] == valuation["z"]
         assert after.store.valuation.keys() == valuation.keys()
         assert after.store.valuation["x"].content == num(2)
+
+
+class TestParameterBinding:
+    """A call site passes its actuals as one list, ref before val, and a
+    parameter is checked against its formal's type unless the actual holds
+    that very type object."""
+
+    ACC = (
+        "set small as replace-transfer-in number by value < 100 ee tes ; "
+        "proc acc (val d as small ref t as small) "
+        "begin-program t := (t + d) end-program end proc"
+    )
+
+    def test_same_total_length_with_another_split(self):
+        sta = run_text(
+            f"begin-program {SWAP} ; let x be number tel ; let y be number tel ; "
+            "x := 1 ; y := 2 ; call swap (ref x val y) end-program"
+        )
+        assert register_word(sta) == "parameter-list-mismatch"
+
+    def test_transfer_only_mismatch(self):
+        sta = run_text(
+            f"begin-program {self.ACC} ; let total be number tel ; let step be number tel ; "
+            "total := 0 ; step := 500 ; call acc (ref total val step) end-program"
+        )
+        assert register_word(sta) == "parameter-type-mismatch"
+
+    @pytest.mark.parametrize("step_type, checks", [("small", 1), ("other", 2)])
+    def test_only_another_type_object_is_checked(self, monkeypatch, step_type, checks):
+        # `other` has the text of `small` but is a type of its own; `total`
+        # is a `number`, so its ref parameter is checked either way.
+        seen, check = [], semantics.clan_ty_member
+
+        def counted(com, typ):
+            seen.append(typ)
+            return check(com, typ)
+
+        monkeypatch.setattr(semantics, "clan_ty_member", counted)
+        sta = run_text(
+            f"begin-program {self.ACC} ; "
+            "set other as replace-transfer-in number by value < 100 ee tes ; "
+            f"let total be number tel ; let step be {step_type} tel ; "
+            "total := 0 ; step := 3 ; call acc (ref total val step) end-program"
+        )
+        assert register_word(sta) == "OK"
+        assert lookup_variable(sta, "total").content == num(3)
+        assert len(seen) == checks
+
+    def test_copy_back_carries_the_formal_type(self):
+        program = (
+            f"begin-program {self.ACC} ; let total be number tel ; let step be small tel ; "
+            "total := 0 ; step := 3 ; call acc (ref total val step) ; %s end-program"
+        )
+        sta = run_text(program % "skip")
+        assert state_report(sta)[-2:] == [
+            "total = (3, number) with (value < 100)",
+            "register = OK",
+        ]
+        assert register_word(run_text(program % "total := 5000")) == "yoke-not-satisfied"
