@@ -231,8 +231,8 @@ def repl(
     """One preamble item or instruction per line against a persistent state.
 
     `:state` prints the report, `:ok` clears the register, `:quit` leaves.
-    Bare expressions are evaluated and shown as a convenience.
-    """
+    Bare expressions are evaluated and shown as a convenience.  Each line
+    runs on the whole step budget."""
     from .state import clear_error
 
     sta = empty_state()
@@ -265,6 +265,7 @@ def repl(
             if parsed is None:
                 continue
             kind, node = parsed
+            evaluator.fuel.remaining = config.fuel
             try:
                 if kind == "program":
                     sta = evaluator.run_program(node, sta)

@@ -40,12 +40,13 @@ Five rules keep a step's Python calls to those that decide something:
   satisfaction steps are known to pass.
 - Identical bodies are coherent, so a write calls `coherent` only when the
   new body is not the held one.
-- A call reads its formal lengths, formal type codes, body, result and
-  return type codes from one entry compiled with the declaration and
-  kept in its `Procedure` value (`_Call`); the entry holds code only, and
-  the formal types are still evaluated in the callee's environment on
-  every call.  A call site holds its actuals as one tuple, the ref list
-  before the val, and the lists' lengths, both built when it compiles.
+- A call reads its formal lengths, formal type codes, body steps, result
+  and return type codes from one entry compiled with the declaration and
+  kept in its `Procedure` value (`_Call`), and runs the steps in a loop
+  of its own; the entry holds code only, and the formal types are still
+  evaluated in the callee's environment on every call.  A call site holds
+  its actuals as one tuple, the ref list before the val, and the lists'
+  lengths, both built when it compiles.
 - A parameter whose actual holds the formal's type object, not merely an
   equal one, is bound to that value as it is: a `Value` is certified
   against its own type.  A `ref` actual gets the formal's type back with
@@ -865,15 +866,16 @@ class _Call(NamedTuple):
     """What a call of one procedure declaration runs, compiled with the
     declaration and kept in its `Procedure` value: the lengths of the
     formal lists, the ref list before the val; each formal's name and type
-    code, in that order; the ref formals' names; and the code of the body
-    (a function's is optional), a function's result and its optional return
+    code, in that order; the ref formals' names; the body's steps, its
+    preamble, then its instruction or each item of its `;` sequence (none
+    for a function without a body); a function's result and its optional return
     type.  It holds code only: the environment is the callee's, and the
     formal types are evaluated in it on every call."""
 
     lengths: tuple[int, ...]
     formals: tuple[tuple[str, TypeCode], ...]
     refs: tuple[str, ...]
-    body: Optional[StateCode]
+    steps: tuple[StateCode, ...]
     result: Optional[DataCode]
     return_type: Optional[TypeCode]
 
@@ -1090,29 +1092,25 @@ class Evaluator:
                 return _declare_procedures(decs, self._compile_call)
         raise TypeError(f"not a preamble: {pam!r}")
 
-    def compile_program(self, prg: n.Program) -> StateCode:
-        """A procedure body: its preamble, then its instruction.  A whole
-        program run by `run_program` enters both through the public methods."""
-        body = self._step(prg.ins)
-        if prg.pam is None:
-            return body
-        preamble = self.compile_preamble(prg.pam)
-        return lambda sta: body(preamble(sta))
-
     # -- procedure calls ----------------------------------------------------
 
     def _compile_call(self, dec: Union[n.ImpProcDec, n.FunProcDec]) -> _Call:
+        prg, steps = dec.prg, ()
+        if prg is not None:
+            ins = prg.ins
+            steps = tuple(map(self._step, ins.items if isinstance(ins, n.SeqIns) else (ins,)))
+            if prg.pam is not None:
+                steps = (self.compile_preamble(prg.pam), *steps)
         if isinstance(dec, n.FunProcDec):
             lists, refs = (dec.params,), ()
-            body = None if dec.prg is None else self.compile_program(dec.prg)
             result = self.compile_expression(dec.dae)
             return_type = None if dec.tex is None else self.compile_type_exp(dec.tex)
         else:
             lists = (dec.ref_params, dec.val_params)
             refs = tuple(formal.ide for formal in dec.ref_params)
-            body, result, return_type = self.compile_program(dec.prg), None, None
+            result, return_type = None, None
         formals = tuple((formal.ide, self.compile_type_exp(formal.tex)) for formal in chain(*lists))
-        return _Call(tuple(map(len, lists)), formals, refs, body, result, return_type)
+        return _Call(tuple(map(len, lists)), formals, refs, steps, result, return_type)
 
     def _enter(
         self, kind: type, ide: str, actuals: tuple[str, ...], lengths: tuple[int, ...], sta: State
@@ -1177,9 +1175,10 @@ class Evaluator:
         entered = self._enter(n.ImpProcDec, ide, actuals, lengths, sta)
         if isinstance(entered, AbstractError):
             return load_error(sta, entered)
-        call, local = entered
-        # Stage 3: run the body on the local state.
-        terminal = call.body(local)
+        call, terminal = entered
+        # Stage 3: run the body's steps on the local state.
+        for step in call.steps:
+            terminal = step(terminal)
         if terminal.store.register is not None:
             return load_error(sta, terminal.store.register)
         # Stage 4: local environment is abandoned; reference parameters are
@@ -1194,19 +1193,18 @@ class Evaluator:
         self, ide: str, actuals: tuple[str, ...], lengths: tuple[int, ...], sta: State
     ) -> EvalResult:
         """The code of a compiled `ide(actuals)` site, not library API:
-        `lengths` holds the one list's length.  It reads `sta` and writes
-        nothing.  The name stays public, and is looked up on each call,
-        because `perfbench/spans.py` wraps it on the class."""
-        if sta.store.register is not None:
-            return sta.store.register
+        `lengths` holds the one list's length.  It reads `sta`, clear as
+        every state an expression runs on, and writes nothing.  The name
+        stays public, and is looked up on each call, because
+        `perfbench/spans.py` wraps it on the class."""
         entered = self._enter(n.FunProcDec, ide, actuals, lengths, sta)
         if isinstance(entered, AbstractError):
             return entered
         call, terminal = entered
-        if call.body is not None:
-            terminal = call.body(terminal)
-            if terminal.store.register is not None:
-                return terminal.store.register
+        for step in call.steps:
+            terminal = step(terminal)
+        if terminal.store.register is not None:
+            return terminal.store.register
         result = call.result(terminal)
         if isinstance(result, AbstractError):
             return result

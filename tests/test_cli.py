@@ -416,6 +416,23 @@ class TestRepl:
         assert "lingua: fuel exhausted" in err
         assert "x = (1, number) with true" in out.splitlines()
 
+    def test_each_line_gets_the_whole_fuel_budget(self, capsys):
+        # A line that runs out of fuel leaves the next line a full budget.
+        code, out, err = self.drive(
+            [
+                "let x be number tel",
+                "while true do skip od",
+                "x := 1",
+                "while (x < 2) do x := (x + 1) od",
+                ":state",
+            ],
+            capsys,
+            fuel=5,
+        )
+        assert code == 0
+        assert err == "lingua: fuel exhausted\n"
+        assert "x = (2, number) with true" in out.splitlines()
+
     def test_quit_exits_zero(self, capsys):
         code, _, _ = self.drive([":quit"], capsys)
         assert code == 0
@@ -642,6 +659,11 @@ class TestDeepRecursion:
         proc = self.run(tmp_path, 2_500)
         assert (proc.returncode, proc.stderr) == (0, b"")
         assert b"(2500, number)" in proc.stdout
+
+    def test_within_reach_at_3000(self, tmp_path):
+        proc = self.run(tmp_path, 3_000)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert b"(3000, number)" in proc.stdout
 
     def test_past_reach_is_too_deep(self, tmp_path):
         proc = self.run(tmp_path, 3_500)

@@ -2,8 +2,10 @@
 and the paused collector."""
 
 import gc
+import sys
 import types
 import weakref
+from itertools import pairwise
 
 import pytest
 
@@ -17,6 +19,7 @@ from lingua.parser import (
     parse_transfer_expression,
     parse_type_expression,
 )
+from lingua.printer import print_concrete
 from lingua.semantics import (
     _EXPRESSION_RULES,
     Evaluator,
@@ -67,6 +70,58 @@ class TestCallSites:
         # A C-level callable, such as a `functools.partial`, would spend C
         # stack on every Lingua call, so deep recursion would crash the host.
         assert type(compile_call_site(Evaluator())) is types.FunctionType
+
+    @pytest.mark.parametrize(
+        "body, frames",
+        [
+            ("if (k < 1) then r := 0 else m := (k - 1) ; r := (1 + f(m)) fi", 6),
+            ("m := (k - 1) ; if (k < 1) then r := 0 else r := (k + f(m)) fi", 5),
+        ],
+        ids=["cnt", "tri"],
+    )
+    def test_python_frames_per_lingua_call(self, body, frames):
+        """Between two calls of a recursive function run the call method,
+        the closures of the body instruction that holds the call, and the
+        call site.  `cnt`'s body is one `if` with a `;` branch; `tri`'s is
+        a `;` sequence, whose items the call method runs itself."""
+        depths = []
+
+        class Counting(Evaluator):
+            def call_functional_procedure(self, *args):
+                frame, depth = sys._getframe(), 0
+                while frame is not None:
+                    frame, depth = frame.f_back, depth + 1
+                depths.append(depth)
+                return super().call_functional_procedure(*args)
+
+        prg = parse_program(
+            "begin-program fun f (k as number) begin-program let m be number tel ; "
+            f"let r be number tel ; {body} end-program return r as number end fun ; "
+            "let x be number tel ; x := 4 ; x := f(x) end-program"
+        )
+        sta = Counting().run_program(prg, empty_state())
+        assert register_word(sta) == "OK"
+        # Each entry is one frame deeper for the override itself.
+        assert [deeper - depth - 1 for depth, deeper in pairwise(depths)] == [frames] * 4
+
+    def test_the_trace_sees_each_body_instruction_on_every_call(self):
+        traced = []
+        prg = parse_program(
+            "begin-program proc p (val n as number ref r as number) begin-program "
+            "let m be number tel ; m := (n + 1) ; r := (m + 1) end-program end proc ; "
+            "let x be number tel ; let y be number tel ; "
+            "x := 1 ; call p (ref y val x) ; call p (ref x val y) end-program"
+        )
+        sta = Evaluator(trace=traced.append).run_program(prg, empty_state())
+        assert sta.store.valuation["x"].com == Composite(num(5), NUMBER)
+        body = ["m := (n + 1)", "r := (m + 1)"]
+        assert [print_concrete(ins) for ins in traced] == [
+            "x := 1",
+            "call p (ref y val x)",
+            *body,
+            "call p (ref x val y)",
+            *body,
+        ]
 
 
 def entry_points():
