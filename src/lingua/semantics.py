@@ -868,9 +868,9 @@ class _Call(NamedTuple):
     formal lists, the ref list before the val; each formal's name and type
     code, in that order; the ref formals' names; the body's steps, its
     preamble, then its instruction or each item of its `;` sequence (none
-    for a function without a body); a function's result and its optional return
-    type.  It holds code only: the environment is the callee's, and the
-    formal types are evaluated in it on every call."""
+    for a function without a body); a function's result and its optional
+    return type.  It holds code only: the environment is the callee's, and
+    the formal types are evaluated in it on every call."""
 
     lengths: tuple[int, ...]
     formals: tuple[tuple[str, TypeCode], ...]

@@ -5,16 +5,18 @@ tests/test_cli.py: `cnt(n)` calls itself on `n - 1` down to 0.  Each depth
 runs in a subprocess of `python -m lingua.cli run`, which evaluates at the
 CLI's recursion limit, and a bisection finds the deepest one that exits 0
 with the right answer; the search takes every shallower depth to finish
-too.  The interpreter the subprocesses run is this one, or `--python`.
+too.  The subprocesses run the interpreter that runs this script; to
+measure another, run the script under it (with pytest installed, since
+tests/test_cli.py imports it).
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/depth_reach.py [--python PATH]
+    PYTHONPATH=src python tests/depth_reach.py
 """
 
 from __future__ import annotations
 
-import argparse
+import platform
 import subprocess
 import sys
 import tempfile
@@ -26,10 +28,10 @@ from test_cli import TestDeepRecursion, cli_env
 CEILING = 1 << 16  # deeper than any reach at the CLI's limit
 
 
-def finishes(python: str, path: Path, depth: int) -> bool:
+def finishes(path: Path, depth: int) -> bool:
     path.write_text(TestDeepRecursion.PROGRAM % depth, encoding="utf-8")
     proc = subprocess.run(
-        [python, "-m", "lingua.cli", "run", str(path)],
+        [sys.executable, "-m", "lingua.cli", "run", str(path)],
         capture_output=True,
         env=cli_env(),
         timeout=60,
@@ -37,16 +39,16 @@ def finishes(python: str, path: Path, depth: int) -> bool:
     return proc.returncode == 0 and f"({depth}, number)".encode() in proc.stdout
 
 
-def reach(python: str) -> int:
+def reach() -> int:
     """The deepest depth that finishes, by doubling and then bisection."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "deep.lng"
         low, high = 0, 1_000
-        while high < CEILING and finishes(python, path, high):
+        while high < CEILING and finishes(path, high):
             low, high = high, high * 2
         while high - low > 1:
             mid = (low + high) // 2
-            if finishes(python, path, mid):
+            if finishes(path, mid):
                 low = mid
             else:
                 high = mid
@@ -54,16 +56,10 @@ def reach(python: str) -> int:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--python", default=sys.executable, help="the interpreter to measure")
-    python = parser.parse_args().python
-    version = subprocess.run(
-        [python, "-c", "import platform; print(platform.python_version())"],
-        capture_output=True,
-        text=True,
-        check=True,
-    ).stdout.strip()
-    print(f"cnt reach at recursion limit {RECURSION_LIMIT:,}: {reach(python):,} (Python {version})")
+    print(
+        f"cnt reach at recursion limit {RECURSION_LIMIT:,}: {reach():,}"
+        f" (Python {platform.python_version()})"
+    )
 
 
 if __name__ == "__main__":
