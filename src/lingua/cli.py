@@ -236,7 +236,6 @@ def repl(
     from .state import clear_error
 
     sta = empty_state()
-    evaluator = Evaluator(limits=config.limits, fuel=config.fuel)
     interactive = stdin.isatty()
     with _deep_recursion():
         while True:
@@ -265,7 +264,7 @@ def repl(
             if parsed is None:
                 continue
             kind, node = parsed
-            evaluator.fuel.remaining = config.fuel
+            evaluator = Evaluator(limits=config.limits, fuel=config.fuel)
             try:
                 if kind == "program":
                     sta = evaluator.run_program(node, sta)

@@ -481,12 +481,9 @@ def clan_bo_member(dat: Data, bod: Body) -> bool:
             return bod is NUMBER
         case WordData():
             return bod is WORD
-        case ListData(items):
-            return isinstance(bod, ListBody) and all(
-                clan_bo_member(item, bod.element) for item in items
-            )
-        case ArrayData(items):
-            return isinstance(bod, ArrayBody) and all(
+        case ListData(items) | ArrayData(items):
+            body_cls = ListBody if isinstance(dat, ListData) else ArrayBody
+            return isinstance(bod, body_cls) and all(
                 clan_bo_member(item, bod.element) for item in items
             )
         case RecordData(fields):

@@ -26,9 +26,11 @@ procedure calls; running out raises OutOfFuel, which is an outcome of the
 run, not a language error, and never reaches an error register.
 
 The procedure value, `Procedure`, is defined here beside the call protocol
-that reads it; `state` only binds it.  Both call sites compile to Python
-closures: a C-level callable such as a `partial` would spend C stack on
-every Lingua call, so the C stack, not the recursion limit, would bound depth.
+that reads it; `state` only binds it.  It holds no code, so a body runs
+under the fuel, limits and trace hook of the evaluator that calls it.
+Both call sites compile to Python closures: a C-level callable such as a
+`partial` would spend C stack on every Lingua call, so the C stack, not
+the recursion limit, would bound depth.
 
 Five rules keep a step's Python calls to those that decide something:
 
@@ -41,12 +43,12 @@ Five rules keep a step's Python calls to those that decide something:
 - Identical bodies are coherent, so a write calls `coherent` only when the
   new body is not the held one.
 - A call reads its formal lengths, formal type codes, body steps, result
-  and return type codes from one entry compiled with the declaration and
-  kept in its `Procedure` value (`_Call`), and runs the steps in a loop
-  of its own; the entry holds code only, and the formal types are still
-  evaluated in the callee's environment on every call.  A call site holds
-  its actuals as one tuple, the ref list before the val, and the lists'
-  lengths, both built when it compiles.
+  and return type codes from one entry (`_Call`), compiled at the first
+  call in an entry point, and runs the steps in a loop of its own; the
+  entry holds code only, and the formal types are still evaluated in the
+  callee's environment on every call.  A call site holds its actuals as
+  one tuple, the ref list before the val, and the lists' lengths, both
+  built when it compiles.
 - A parameter whose actual holds the formal's type object, not merely an
   equal one, is bound to that value as it is: a `Value` is certified
   against its own type.  A `ref` actual gets the formal's type back with
@@ -56,7 +58,7 @@ Five rules keep a step's Python calls to those that decide something:
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, NamedTuple, Optional, TypeVar, Union
 
@@ -839,10 +841,9 @@ def _bind_omega(sta: State, ide: str, typ: LangType) -> State:
     return bind_variable(sta, ide, _unchecked_value(OMEGA, typ, None))
 
 
-def _declare_procedures(decs: tuple, compile_call: Callable[[n.Node], _Call]) -> StateCode:
-    """Procedures declared together, as one group, each member's calls
-    compiled here, once; names must be free and distinct."""
-    calls = tuple(map(compile_call, decs))
+def _declare_procedures(decs: tuple) -> StateCode:
+    """Procedures declared together, as one group; names must be free and
+    distinct."""
     names = [dec.ide for dec in decs]
     repeated = len(set(names)) != len(names)
 
@@ -853,7 +854,7 @@ def _declare_procedures(decs: tuple, compile_call: Callable[[n.Node], _Call]) ->
             return load_error(sta, IDENTIFIER_NOT_FREE)
         out = sta
         for dec in decs:
-            out = bind_procedure(out, dec.ide, Procedure(dec, decs, sta.env, calls))
+            out = bind_procedure(out, dec.ide, Procedure(dec, decs, sta.env))
         return out
 
     return declare
@@ -863,8 +864,8 @@ def _declare_procedures(decs: tuple, compile_call: Callable[[n.Node], _Call]) ->
 
 
 class _Call(NamedTuple):
-    """What a call of one procedure declaration runs, compiled with the
-    declaration and kept in its `Procedure` value: the lengths of the
+    """What a call of one procedure declaration runs, compiled by the
+    evaluator at its first call in an entry point: the lengths of the
     formal lists, the ref list before the val; each formal's name and type
     code, in that order; the ref formals' names; the body's steps, its
     preamble, then its instruction or each item of its `;` sequence (none
@@ -885,23 +886,21 @@ class Procedure:
     """One value for both kinds of procedure, bound in `Env.procs`: its
     declaration, the group declared with it (a function, or a lone `proc`,
     is a group of one) and the declaration-time environment, without the
-    group.  A call nests `group` back into `env`, so recursion works, and
-    runs the callee's entry of `calls`: each member's `_Call`, in the order
-    of `group`.  `calls` takes no part in equality or repr."""
+    group.  A call nests `group` back into `env`, so recursion works.  It
+    holds no code: the evaluator running the call compiles `dec`."""
 
     dec: Union[n.ImpProcDec, n.FunProcDec]
     group: tuple[Union[n.ImpProcDec, n.FunProcDec], ...]
     env: Env
-    calls: tuple[_Call, ...] = field(compare=False, repr=False)
 
 
 class Evaluator:
     """Compiles phrases and runs the compiled closures.
 
     The public `eval_*`, `exec_*` and `run_program` methods compile the
-    node they are given, top-down and once, and then run it; a procedure
-    declaration's calls compile with it (`_Call`), and call sites find them
-    in the `Procedure` value at run time.  Compiled code writes
+    node they are given, top-down and once, and then run it; each callee
+    compiles at its first call in that run (`_Call`), so its steps spend
+    this evaluator's fuel wherever it was declared.  Compiled code writes
     variables in place, so `exec_*` run it on a copy of the caller's
     valuation (`owned`) and leave the caller's state as it was, even when
     the run raises; expressions never write.  The `compile_*`
@@ -921,29 +920,30 @@ class Evaluator:
         self.fuel = Fuel(fuel)
         self.trace = trace
         self._literals: dict[Data, Code] = {}
+        self._calls: dict[int, tuple[n.Node, _Call]] = {}
 
     # -- entry points: compile, then run -----------------------------------
 
     def eval_data_exp(self, dae: n.DatExp, sta: State) -> EvalResult:
         if sta.store.register is not None:
             return sta.store.register
-        return self._compiled(self.compile_expression, dae)(sta)
+        return self._entered(lambda: self.compile_expression(dae)(sta))
 
     def eval_transfer_exp(self, tre: n.TraExp, sta: State) -> Union[Transfer, AbstractError]:
         if sta.store.register is not None:
             return sta.store.register
-        return self._compiled(self._transfer, tre)
+        return self._entered(lambda: self._transfer(tre))
 
     def eval_type_exp(self, tex: n.TypExp, sta: State) -> TypeResult:
         if sta.store.register is not None:
             return sta.store.register
-        return self._compiled(self.compile_type_exp, tex)(sta)
+        return self._entered(lambda: self.compile_type_exp(tex)(sta))
 
     def exec_instruction(self, ins: n.Instruction, sta: State) -> State:
-        return self._compiled(self._step, ins)(owned(sta))
+        return self._entered(lambda: self._step(ins)(owned(sta)))
 
     def exec_preamble(self, pam, sta: State) -> State:
-        return self._compiled(self.compile_preamble, pam)(owned(sta))
+        return self._entered(lambda: self.compile_preamble(pam)(owned(sta)))
 
     def run_program(self, prg: n.Program, sta: State) -> State:
         """The preamble, then the instruction, each entered through its
@@ -954,16 +954,18 @@ class Evaluator:
 
     # -- compilation ---------------------------------------------------------
 
-    def _compiled(self, compile: Callable[[n.Node], C], node: n.Node) -> C:
-        """`compile(node)`, the collector paused, as compiling frees nothing;
-        then the literal table is dropped and the collector put back as it
-        was, also when the compile raises."""
+    def _entered(self, run: Callable[[], C]) -> C:
+        """`run()`, an entry point's compile and run, the collector paused,
+        as neither leaves cyclic garbage; then the literal and callee tables
+        go, as recursive call sites hold this evaluator, and the collector
+        is put back as it was, also when `run` raises."""
         enabled = gc.isenabled()
         gc.disable()
         try:
-            return compile(node)
+            return run()
         finally:
             self._literals.clear()
+            self._calls.clear()
             if enabled:
                 gc.enable()
 
@@ -1087,9 +1089,9 @@ class Evaluator:
             case n.TypDef(ide, tex):
                 return _declare(ide, self.compile_type_exp(tex), variable=False)
             case n.ImpProcDec() | n.FunProcDec():
-                return _declare_procedures((pam,), self._compile_call)
+                return _declare_procedures((pam,))
             case n.MultiProcDec(decs):
-                return _declare_procedures(decs, self._compile_call)
+                return _declare_procedures(decs)
         raise TypeError(f"not a preamble: {pam!r}")
 
     # -- procedure calls ----------------------------------------------------
@@ -1123,18 +1125,20 @@ class Evaluator:
         if pro is None or not isinstance(pro.dec, kind):
             return PROCEDURE_NOT_DECLARED
         self.fuel.spend()
+        dec, group, env = pro.dec, pro.group, pro.env
+        # `dec` is kept beside its code, so no other node takes its id.
+        compiled = self._calls.get(id(dec))
+        if compiled is None:
+            compiled = self._calls[id(dec)] = (dec, self._compile_call(dec))
+        call = compiled[1]
         # The declaration-time environment with the whole group nested back
         # in, so every member, the callee included, resolves recursively.
-        dec, group, env, calls = pro.dec, pro.group, pro.env, pro.calls
         if len(group) == 1:
-            procs, call = {**env.procs, dec.ide: pro}, calls[0]
+            procs = {**env.procs, dec.ide: pro}
         else:
             procs = dict(env.procs)
-            for member, member_call in zip(group, calls):
-                if member is dec:
-                    procs[member.ide], call = pro, member_call
-                else:
-                    procs[member.ide] = Procedure(member, group, env, calls)
+            for member in group:
+                procs[member.ide] = pro if member is dec else Procedure(member, group, env)
         if call.lengths != lengths:
             return PARAMETER_LIST_MISMATCH
         valuation: dict[str, Value] = {}

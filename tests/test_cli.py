@@ -480,7 +480,8 @@ class TestCollector:
         "fragment.lng": "(1 + 2)",
         "deep.lng": "x := " + "(" * 1_200 + "1" + ")" * 1_200,
     }
-    # The declared procedures keep their compiled code in the session's state.
+    # Procedures declared on one line are called on later ones; each line
+    # compiles its callees afresh and drops them when it ends.
     REPL_SESSION = (
         "1 + 2\nvalue < 3\nnumber\nx :=\nlet y be number tel\ny := 1\n"
         "fun double (k as number) (k * 2) endfun\ny := double(y)\n"

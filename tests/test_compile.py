@@ -146,8 +146,8 @@ def entry_points():
 
 def running_out():
     """Every library entry point that runs out of fuel: a loop, or a call
-    of a function whose body loops.  The function's loop was compiled by
-    the evaluator that declared it, and spends that evaluator's fuel."""
+    of a function whose body loops.  The calling evaluator compiles the
+    function's body, so its loop spends the caller's fuel."""
     loop, prg = parse_instruction("while true do skip od"), parse_program(LOOP)
     call, sta = parse_data_expression("f(x)"), empty_state()
 

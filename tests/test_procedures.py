@@ -1,14 +1,31 @@
 """Procedure declaration and the four-stage call protocol."""
 
+import subprocess
+import sys
+
 import pytest
 
 from lingua import semantics
 from lingua.cli import state_report
-from lingua.kernel import TT, WORD, AbstractError, Composite, LangType, NUMBER, Value, num, word
+from lingua.kernel import (
+    OVERFLOW,
+    TT,
+    WORD,
+    AbstractError,
+    Composite,
+    LangType,
+    Limits,
+    NUMBER,
+    Value,
+    num,
+    word,
+)
 from lingua.parser import parse_data_expression, parse_instruction, parse_program
-from lingua.semantics import Evaluator, OutOfFuel
+from lingua.printer import print_concrete
+from lingua.semantics import Evaluator, OutOfFuel, run_source
 from lingua.state import bind_type, bind_variable, empty_state, lookup_variable, register_word
 
+from test_cli import cli_env
 from util import run_text
 
 SWAP = (
@@ -350,7 +367,7 @@ class TestSharedCallProtocol:
         assert register_word(sta) == "type-not-defined"
 
     def test_formal_types_are_read_in_each_declarations_environment(self):
-        # One evaluator compiles `q` once; each declaration of it captures
+        # One evaluator runs both calls; each declaration of `q` captures
         # its own `t`, which its formal types must read on every call.
         evaluator = Evaluator()
         pam = parse_program(
@@ -388,6 +405,58 @@ class TestFrameLaw:
         assert after.store.valuation["z"] == valuation["z"]
         assert after.store.valuation.keys() == valuation.keys()
         assert after.store.valuation["x"].content == num(2)
+
+
+class TestTheCallerRunsTheCall:
+    """A procedure declared under one evaluator and called under another
+    runs under the caller's fuel, trace hook and limits: a `Procedure`
+    holds no code, and the evaluator that runs the call compiles it."""
+
+    def test_the_body_spends_the_callers_fuel(self):
+        # In a subprocess, so that a body spending the declaring run's
+        # unlimited fuel fails on the timeout instead of hanging the suite.
+        script = (
+            "from lingua.semantics import OutOfFuel, eval_source_expression, run_source\n"
+            "sta = run_source('begin-program fun f (n as number) begin-program "
+            "while true do skip od end-program return n as number end fun ; "
+            "let x be number tel ; x := 1 end-program')\n"
+            "try:\n"
+            "    eval_source_expression('f(x)', sta, fuel=3)\n"
+            "except OutOfFuel:\n"
+            "    print('out of fuel')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, env=cli_env(), timeout=60
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"out of fuel\n", b"")
+
+    def test_the_body_reaches_the_callers_trace_hook(self):
+        sta = run_source(
+            "begin-program proc p (val empty-fp ref r as number) "
+            "begin-program r := 1 ; r := (r + 1) end-program end proc ; "
+            "let x be number tel ; x := 0 end-program"
+        )
+        traced = []
+        call = parse_instruction("call p (ref x val empty-ap)")
+        after = Evaluator(trace=traced.append).exec_instruction(call, sta)
+        assert lookup_variable(after, "x").content == num(2)
+        assert [print_concrete(ins) for ins in traced] == [
+            "call p (ref x val empty-ap)",
+            "r := 1",
+            "r := (r + 1)",
+        ]
+
+    def test_the_body_computes_under_the_callers_limits(self):
+        sta = run_source(
+            "begin-program fun sq (n as number) begin-program let m be number tel ; "
+            "m := (n * n) end-program return m as number end fun ; "
+            "let x be number tel ; x := 99 end-program"
+        )
+        small = Evaluator(limits=Limits(max_significant_digits=3))
+        assert small.eval_data_exp(parse_data_expression("sq(x)"), sta) == OVERFLOW
+        assert Evaluator().eval_data_exp(parse_data_expression("sq(x)"), sta) == Composite(
+            num(9801), NUMBER
+        )
 
 
 class TestParameterBinding:
