@@ -10,17 +10,20 @@ Word literals sit between apostrophes and may span lines.  Keywords are
 classified here; using one where an identifier is required is reported by
 the parser as keyword-misuse.
 
-A token is the tuple (kind, text, begin, end, num): its offsets in code
-points and, for a numeral, its `Number`.  Line and column are not kept;
-`span` computes them from the text when a diagnostic needs them.  Only
-`\n` ends a line.
+A token is the tuple (kind, text, num), where num is a numeral's
+`Number`.  A text's distinct lexemes get one token each, which every
+occurrence shares; the keywords, the punctuation and eof get theirs once,
+at import.  A token's position is its index in the list `tokenize`
+returns: `span` finds its offsets, line and column by reading the text
+again up to it, when a diagnostic needs them.  Only `\n` ends a line.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import islice
 from string import ascii_letters, digits
-from typing import NamedTuple, NoReturn, Optional
+from typing import NamedTuple, Optional
 
 from .diagnostics import LinguaParseError, ParseDiagnostic, SourceSpan
 from .kernel import Number
@@ -49,7 +52,7 @@ KEYWORDS = frozenset(
 # apostrophe that no second one closes, is matched alone by `\S` and
 # reported below.
 _TOKEN = re.compile(
-    r"(\s*)("
+    r"\s*("
     r"[A-Za-z](?:[A-Za-z0-9]|-[A-Za-z])*"  # identifier or keyword
     r"|[0-9]+(?:\.[0-9]+)?"  # numeral
     r"|'[^']*'"  # word literal
@@ -57,21 +60,10 @@ _TOKEN = re.compile(
     r"|\S|\Z)"
 )
 
-# A lexeme's kind follows from its first character; `:` starts only `:=`.
-_KIND = {
-    **dict.fromkeys(ascii_letters, "ident"),
-    **dict.fromkeys(digits, "num"),
-    **dict.fromkeys("()[],;.+-*/<=", "punct"),
-    "'": "word",
-    "": "eof",
-}
-
 
 class Token(NamedTuple):
     kind: str  # keyword | ident | num | word | punct | eof
     text: str
-    begin: int  # offset of the lexeme's first code point
-    end: int  # offset just past its last
     num: Optional[Number]
 
     def is_keyword(self, *names: str) -> bool:
@@ -81,42 +73,48 @@ class Token(NamedTuple):
         return self.kind == "punct" and self.text in names
 
 
-def span(text: str, begin: int, end: int) -> SourceSpan:
-    """The span of `text[begin:end]`, with the line and column of `begin`."""
+# The tokens every text shares, by lexeme
+_FIXED = {
+    **{word: Token("keyword", word, None) for word in KEYWORDS},
+    **{mark: Token("punct", mark, None) for mark in (*"()[],;.+-*/<=", ":=", "<=")},
+    "": Token("eof", "", None),
+}
+
+
+def span(text: str, index: int) -> SourceSpan:
+    """The span of token `index` of `tokenize(text)`, with the line and
+    column of its first code point."""
+    begin, end = next(islice(_TOKEN.finditer(text), index, None)).span(1)
     line_start = text.rfind("\n", 0, begin) + 1
     return SourceSpan(begin, end, text.count("\n", 0, begin) + 1, begin - line_start + 1)
 
 
-def _fail(message: str, text: str, begin: int, end: int) -> NoReturn:
-    raise LinguaParseError(ParseDiagnostic(span(text, begin, end), message, "lexical"))
+def _token(lexeme: str, text: str, lexemes: list[str]) -> Token:
+    """The token of a lexeme that is not a keyword, punctuation or eof."""
+    first = lexeme[0]
+    if first in ascii_letters:
+        return Token("ident", lexeme, None)
+    if first in digits:
+        return Token("num", lexeme, Number.parse(lexeme))
+    if first == "'" and len(lexeme) > 1:
+        return Token("word", lexeme[1:-1], None)
+    # the first occurrence is the first lexical error of the text
+    where = span(text, lexemes.index(lexeme))
+    if lexeme == "'":
+        message = "unterminated word literal"
+        where = SourceSpan(where.begin, len(text), where.line, where.column)
+    else:
+        message = f"illegal character {lexeme!r}"
+    raise LinguaParseError(ParseDiagnostic(where, message, "lexical"))
 
 
 def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    append, new, kinds = tokens.append, tuple.__new__, _KIND
-    numbers: dict[str, Number] = {}  # numerals repeat; `Number` is frozen
-    pos = 0
-    for space, lexeme in _TOKEN.findall(text):
-        begin = pos + len(space)
-        pos = begin + len(lexeme)
-        kind = kinds.get(lexeme[:1])
-        if kind == "ident":
-            kind = "keyword" if lexeme in KEYWORDS else "ident"
-            append(new(Token, (kind, lexeme, begin, pos, None)))
-        elif kind == "punct" or lexeme == ":=":
-            append(new(Token, ("punct", lexeme, begin, pos, None)))
-        elif kind == "num":
-            num = numbers.get(lexeme)
-            if num is None:
-                num = numbers[lexeme] = Number.parse(lexeme)
-            append(new(Token, ("num", lexeme, begin, pos, num)))
-        elif kind == "word":
-            if len(lexeme) == 1:
-                _fail("unterminated word literal", text, begin, len(text))
-            append(new(Token, ("word", lexeme[1:-1], begin, pos, None)))
-        elif kind == "eof":
-            append(new(Token, ("eof", "", begin, pos, None)))
-            break  # trailing whitespace can leave an empty match after it
-        else:
-            _fail(f"illegal character {lexeme!r}", text, begin, pos)
-    return tokens
+    lexemes = _TOKEN.findall(text)
+    if len(lexemes) > 1 and not lexemes[-2]:
+        lexemes.pop()  # trailing whitespace leaves an empty match after eof
+    # Each distinct lexeme in order of first occurrence, so the first one
+    # that is in error is also the first in the text.
+    table = dict.fromkeys(lexemes)
+    for lexeme in table:
+        table[lexeme] = _FIXED.get(lexeme) or _token(lexeme, text, lexemes)
+    return list(map(table.__getitem__, lexemes))

@@ -209,9 +209,9 @@ class Parser:
             self.pos += 1
         return tok
 
-    def error(self, message: str, kind: str = "syntactic", token: Optional[Token] = None):
-        tok = token or self.peek()
-        where = span(self.text, tok.begin, tok.end)
+    def error(self, message: str, kind: str = "syntactic", at: Optional[int] = None):
+        """Raise a diagnostic at token `at`, by default the current one."""
+        where = span(self.text, self.pos if at is None else at)
         raise LinguaParseError(ParseDiagnostic(where, message, kind))
 
     def accept(self, *names: str) -> bool:
@@ -606,12 +606,13 @@ class Parser:
 
     # -- preambles and programs ------------------------------------------
 
-    def program_items(self) -> list[tuple[n.Node, Token]]:
-        """A `;`-separated run of program items, each with its first token."""
+    def program_items(self) -> list[tuple[n.Node, int]]:
+        """A `;`-separated run of program items, each with the index of its
+        first token."""
         items = []
         tokens = self.tokens
         while True:
-            start = tokens[self.pos]
+            start = self.pos
             items.append((self.program_item(), start))
             tok = tokens[self.pos]
             if tok.text != ";" or tok.kind != "punct":
@@ -624,7 +625,7 @@ class Parser:
         self.expect("end-program")
         return self._assemble_program(items)
 
-    def _assemble_program(self, items: list[tuple[n.Node, Token]]) -> n.Program:
+    def _assemble_program(self, items: list[tuple[n.Node, int]]) -> n.Program:
         decl_indices = [
             i for i, (node, _) in enumerate(items) if isinstance(node, n.Declaration)
         ]
@@ -636,7 +637,7 @@ class Parser:
             if isinstance(node, n.Instruction) and not isinstance(node, n.SkipIns):
                 self.error(
                     "declarations must precede the instructions of a program",
-                    token=start,
+                    at=start,
                 )
         if boundary + 1 >= len(items):
             self.error("a program needs an instruction after its declarations")
@@ -656,7 +657,7 @@ class Parser:
             self.error(
                 "fragment mixes declarations and instructions; wrap it in "
                 "begin-program ... end-program",
-                token=items[0][1],
+                at=items[0][1],
             )
         return "instruction", _sequence([node for node, _ in items])
 
@@ -675,8 +676,7 @@ def _whole(parser: Parser, rule: Callable[..., T], *args) -> T:
         result = rule(parser, *args)
     except RecursionError:
         # The parser never moves back, so it still stands where it ran out.
-        tok = parser.peek()
-        where = span(parser.text, tok.begin, tok.end)
+        where = span(parser.text, parser.pos)
         diag = ParseDiagnostic(where, "nesting too deep to parse", "too-deep")
         raise LinguaParseError(diag) from None
     parser.expect_eof()

@@ -115,7 +115,7 @@ def test_selector_punctuation():
 
 def test_spans_track_lines():
     text = "x :=\n 1"
-    first, _, last, _ = (span(text, t.begin, t.end) for t in tokenize(text))
+    first, _, last, _ = (span(text, i) for i in range(len(tokenize(text))))
     assert first.line == 1 and first.column == 1
     assert last.line == 2 and last.column == 2
 
@@ -142,13 +142,41 @@ def test_non_ascii_digit_is_illegal(text, char, column):
 
 def test_positions_count_code_points_and_only_newline_ends_a_line():
     text = "'a\nb' x\r\n\u2028 y"
-    spans = [(t.text, span(text, t.begin, t.end)) for t in tokenize(text)]
+    spans = [(t.text, span(text, i)) for i, t in enumerate(tokenize(text))]
     assert [(word, s.line, s.column) for word, s in spans] == [
         ("a\nb", 1, 1),
         ("x", 2, 4),
         ("y", 3, 3),
         ("", 3, 4),
     ]
+
+
+def test_each_distinct_lexeme_is_one_token():
+    # 1,300 lines with every token kind, names, numerals and words repeating
+    body = [
+        f"v{i % 40} := (v{i % 7} + {i % 13}.5) * a.[{i % 4}] ; w := 'w{i % 5}' glue w ;"
+        for i in range(1_298)
+    ]
+    text = "\n".join(["begin-program", *body, "skip end-program"]) + "\n"
+    assert text.count("\n") == 1_300
+    tokens = tokenize(text)
+    oracle = lexer_oracle.tokenize(text)
+    assert len(tokens) == len(oracle)
+    by_lexeme = {}
+    for token, expected in zip(tokens, oracle):
+        assert (token.kind, token.text, token.num) == (expected.kind, expected.text, expected.num)
+        lexeme = text[expected.span.begin : expected.span.end]
+        assert by_lexeme.setdefault(lexeme, token) is token
+    assert len({id(token) for token in tokens}) == len(by_lexeme)
+    assert {token.kind for token in tokens} == {"keyword", "ident", "num", "word", "punct", "eof"}
+
+
+def test_keywords_are_shared_across_texts_and_names_are_not():
+    # A name's token lives with its text's list, so a long-lived caller (the
+    # REPL) holds no table that grows with what it reads.
+    first, second = tokenize("skip ; fresh"), tokenize("fresh ; skip")
+    assert first[0] is second[2] and first[1] is second[1] and first[3] is second[3]
+    assert first[2] == second[0] and first[2] is not second[0]
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +195,7 @@ _PIECES = st.one_of(
 
 
 def _lexer_tokens(text):
-    return [(t.kind, t.text, t.num, span(text, t.begin, t.end)) for t in tokenize(text)]
+    return [(t.kind, t.text, t.num, span(text, i)) for i, t in enumerate(tokenize(text))]
 
 
 def _oracle_tokens(text):

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 import lexer_oracle
 from astgen import AstGen
 from lingua.diagnostics import LinguaParseError
-from lingua.lexer import KEYWORDS, tokenize
+from lingua.lexer import KEYWORDS, span, tokenize
 from lingua.parser import parse_any
 from lingua.printer import print_concrete
 
@@ -76,7 +76,8 @@ def test_diagnostics_carry_their_tokens_line_and_column(words):
 def test_edited_printed_trees_restore_to_a_fixpoint(seed, edits):
     _, tree = AstGen(seed).any_sort(depth=3)
     text = print_concrete(tree)
-    lexemes = [text[token.begin : token.end] for token in tokenize(text)[:-1]]
+    spans = (span(text, i) for i in range(len(tokenize(text)) - 1))
+    lexemes = [text[s.begin : s.end] for s in spans]
     for operation, position, word in edits:
         if operation == "insert":
             lexemes.insert(position % (len(lexemes) + 1), word)
