@@ -23,7 +23,6 @@ from .kernel import (
     AbstractError,
     ArrayBody,
     ArrayData,
-    BoolData,
     Body,
     Composite,
     Data,
@@ -36,7 +35,6 @@ from .kernel import (
     RecordData,
     SimpleBody,
     Value,
-    WordData,
 )
 from . import nodes as n
 from .parser import parse_any, parse_program
@@ -62,12 +60,12 @@ class RunConfig:
 
 def format_data(dat: Data) -> str:
     match dat:
-        case BoolData(value):
-            return "true" if value else "false"
+        case bool():
+            return "true" if dat else "false"
         case Number():
             return dat.text()
-        case WordData(text):
-            return f"'{text}'"
+        case str():
+            return f"'{dat}'"
         case ListData(items):
             return "(" + ", ".join(format_data(i) for i in items) + ")"
         case ArrayData(items):

@@ -13,15 +13,17 @@ are already certified, builds those results with the `_unchecked_*`
 constructors instead, so a value is certified once and not on every
 touch.
 
-Lean numbers: the values every operation builds are cheap.  A `Number`
-is the number datum itself, and numbers, composites and list and array
-data are slotted.  `Number(coeff, exp)` checks the normal form, but
-`Number.make`, which normalizes, builds its result unchecked, as the
-evaluator does the data and composites it derives.  `Number.sum` and
-`Number.max` fold a sequence in one pass over its coefficients.  The
-size rule in `oversized` never writes a number out: a coefficient's bit
-length decides it, and only a coefficient within a bit per digit of the
-bound is compared with a cached power of ten.
+Lean numbers: the values every operation builds are cheap.  A simple
+datum is its own value: a truth value is the Python `bool` itself, a
+word the `str` itself, and a `Number` the number datum itself.  Numbers,
+composites and list and array data are slotted.  `Number(coeff, exp)`
+checks the normal form, but `Number.make`, which normalizes, builds its
+result unchecked, as the evaluator does the data and composites it
+derives.  `Number.sum` and `Number.max` fold a sequence in one pass over
+its coefficients.  The size rule in `oversized` never writes a number
+out: a coefficient's bit length decides it, and only a coefficient
+within a bit per digit of the bound is compared with a cached power of
+ten.
 There are exactly three simple bodies, `BOOLEAN`, `NUMBER` and `WORD`:
 `SimpleBody(name)`, `copy` and `pickle` all return the canonical instance,
 so the evaluator tests a body with `is`.
@@ -81,11 +83,12 @@ EMPTY_LIST = AbstractError("empty-list")
 
 
 # ---------------------------------------------------------------------------
-# data; a number is its own datum
+# data; a truth value, number or word is its own datum
 
 
 class Data:
-    """A runtime datum: boolean, number, word, list, array or record."""
+    """A runtime datum that is not a plain Python value: a number, list,
+    array or record.  A truth value is a `bool` and a word a `str`."""
 
     __slots__ = ()
 
@@ -367,17 +370,7 @@ WORD = SimpleBody("word")
 
 
 # ---------------------------------------------------------------------------
-# the other data
-
-
-@dataclass(frozen=True)
-class BoolData(Data):
-    value: bool
-
-
-@dataclass(frozen=True)
-class WordData(Data):
-    text: str
+# collection and record data
 
 
 @dataclass(frozen=True, slots=True)
@@ -429,21 +422,17 @@ def num(value: Union[int, str]) -> Number:
     return Number.parse(value)
 
 
-def word(text: str) -> WordData:
-    return WordData(text)
-
-
 def body_of(dat: Data) -> Optional[Body]:
     """Best-effort descriptor; None when empty collections leave it open.
 
     Raises ValueError for a collection whose elements provably disagree.
     """
     match dat:
-        case BoolData():
+        case bool():
             return BOOLEAN
         case Number():
             return NUMBER
-        case WordData():
+        case str():
             return WORD
         case ListData(items) | ArrayData(items):
             element: Optional[Body] = None
@@ -475,11 +464,11 @@ def clan_bo_member(dat: Data, bod: Body) -> bool:
     Empty lists and arrays match any element body.
     """
     match dat:
-        case BoolData():
+        case bool():
             return bod is BOOLEAN
         case Number():
             return bod is NUMBER
-        case WordData():
+        case str():
             return bod is WORD
         case ListData(items) | ArrayData(items):
             body_cls = ListBody if isinstance(dat, ListData) else ArrayBody
@@ -552,8 +541,8 @@ def apply_transfer(
     return tra.fn(x)
 
 
-TRUE_COMPOSITE = Composite(BoolData(True), BOOLEAN)
-FALSE_COMPOSITE = Composite(BoolData(False), BOOLEAN)
+TRUE_COMPOSITE = Composite(True, BOOLEAN)
+FALSE_COMPOSITE = Composite(False, BOOLEAN)
 
 TT = Transfer("true", lambda com: TRUE_COMPOSITE)
 
@@ -578,7 +567,7 @@ def clan_tr_member(com: Composite, tra: Transfer) -> bool:
     if tra is TT:  # its verdict is true for every composite
         return True
     verdict = apply_transfer(tra, com)
-    return is_boo_composite(verdict) and verdict.dat.value
+    return is_boo_composite(verdict) and verdict.dat
 
 
 def clan_ty_member(com: Composite, typ: LangType) -> bool:
@@ -698,8 +687,8 @@ def oversized(dat: Data, lim: Limits) -> bool:
             if bits <= 3 * room:
                 return False
             return bits > 4 * room or abs(coeff) >= _power_of_ten(room)
-        case WordData(text):
-            return len(text) > lim.max_word_length
+        case str():
+            return len(dat) > lim.max_word_length
         case ListData(items) | ArrayData(items):
             return len(items) > lim.max_collection_size
         case RecordData(fields):

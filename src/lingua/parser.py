@@ -719,29 +719,31 @@ def parse_any(text: str) -> tuple[str, n.Node]:
 
     Tries, in order: program, data expression, declaration/instruction
     sequence, transfer expression, type expression.  On total failure the
-    diagnostic that made it furthest into the input is reported.  The text
-    is tokenized once and every attempt reads the same tokens.
+    diagnostic of the attempt that read furthest is reported, even where it
+    points back at an earlier token; on a tie, the earlier attempt's.  The
+    text is tokenized once and every attempt reads the same tokens.
     """
     tokens = tokenize(text)
     if tokens[0].is_keyword("begin-program"):
         return "program", _whole(Parser(text, tokens), Parser.program)
     # Diagnostics, not the exceptions: an exception's traceback holds this
     # frame, which would hold the list, a reference cycle per attempt.
-    attempts: list[ParseDiagnostic] = []
+    attempts: list[tuple[int, ParseDiagnostic]] = []
     for kind, rule, *args in (
         ("data", Parser.expression, DATA),
         ("items", Parser.item_sequence),
         ("transfer", Parser.expression, TRANSFER),
         ("type", Parser.phrase, TYPE),
     ):
+        parser = Parser(text, tokens)
         try:
-            result = _whole(Parser(text, tokens), rule, *args)
+            result = _whole(parser, rule, *args)
         except LinguaParseError as exc:
             if exc.diagnostic.kind == "too-deep":
                 raise  # as deep for every other sort
-            attempts.append(exc.diagnostic)
+            attempts.append((parser.pos, exc.diagnostic))
             continue
         if kind == "items":
             return result  # item_sequence already labels its result
         return kind, result
-    raise LinguaParseError(max(attempts, key=lambda diag: diag.span.begin))
+    raise LinguaParseError(max(attempts, key=lambda attempt: attempt[0])[1])

@@ -54,7 +54,7 @@ def _forms() -> dict[type, tuple[str, tuple]]:
 def _formals(params: tuple[n.FormalParam, ...]) -> str:
     if not params:
         return "empty-fp"
-    return ", ".join(f"{p.ide} as {print_concrete(p.tex)}" for p in params)
+    return ", ".join(map(print_concrete, params))
 
 
 def _actuals(names: tuple[str, ...]) -> str:

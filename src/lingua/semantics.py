@@ -105,7 +105,6 @@ from .kernel import (
     RecordData,
     Transfer,
     Value,
-    WordData,
     _unchecked_array,
     _unchecked_composite,
     _unchecked_list,
@@ -254,7 +253,7 @@ def _lazy(a: Code, b: Code, short_on: bool, expected: AbstractError) -> Code:
             return left
         if left.bod is not BOOLEAN:
             return expected
-        if left.dat.value == short_on:
+        if left.dat == short_on:
             return left
         right = b(x)
         if isinstance(right, AbstractError):
@@ -268,8 +267,6 @@ def _lazy(a: Code, b: Code, short_on: bool, expected: AbstractError) -> Code:
 
 def _block(codes: list[C]) -> C:
     """Run compiled steps one after another."""
-    if len(codes) == 1:
-        return codes[0]
     steps = tuple(codes)
 
     def block(sta):
@@ -340,13 +337,13 @@ def _equal(left: Composite, right: Composite, _) -> EvalResult:
 def _glue(left: Composite, right: Composite, limits: Limits) -> EvalResult:
     if left.bod is not WORD or right.bod is not WORD:
         return WORD_EXPECTED
-    return _sized(WordData(left.dat.text + right.dat.text), WORD, limits)
+    return _sized(left.dat + right.dat, WORD, limits)
 
 
 def _negate(com: Composite, expected: AbstractError) -> EvalResult:
     if com.bod is not BOOLEAN:
         return expected
-    return boo_composite(not com.dat.value)
+    return boo_composite(not com.dat)
 
 
 def _top(com: Composite, _) -> EvalResult:
@@ -495,7 +492,7 @@ def _conditional(guard: DataCode, then_code: DataCode, else_code: DataCode) -> D
             return com
         if com.bod is not BOOLEAN:
             return BOOLEAN_EXPECTED
-        return (then_code if com.dat.value else else_code)(sta)
+        return (then_code if com.dat else else_code)(sta)
 
     return conditional
 
@@ -561,7 +558,7 @@ def _all_elements(inner: TransferCode, body_cls: type, expected: AbstractError) 
                 return result
             if result.bod is not BOOLEAN:
                 return A_YOKE_EXPECTED
-            if not result.dat.value:
+            if not result.dat:
                 all_true = False
         return boo_composite(all_true)
 
@@ -612,7 +609,7 @@ _EXPRESSION_RULES: dict[type, Callable[..., Code]] = {
     for classes, rule in {
         (n.BoolLit, n.TraBoolLit): lambda ev, value: _BOOLEANS[value],
         (n.NumLit, n.TraNumLit): lambda ev, num: ev._literal(num, NUMBER),
-        (n.WordLit, n.TraWordLit): lambda ev, wor: ev._literal(WordData(wor), WORD),
+        (n.WordLit, n.TraWordLit): lambda ev, wor: ev._literal(wor, WORD),
         (n.IdeExp,): lambda ev, ide: _variable(ide),
         (n.AndExp,): lambda ev, a, b: _lazy(a, b, False, BOOLEAN_EXPECTED),
         (n.TraAndExp,): lambda ev, a, b: _lazy(a, b, False, A_YOKE_EXPECTED),
@@ -695,7 +692,7 @@ def _assign(ide: str, value: DataCode) -> StateCode:
         if tra is not TT:
             if com.bod is not BOOLEAN:
                 return load_error(sta, A_YOKE_EXPECTED)
-            if not com.dat.value:
+            if not com.dat:
                 return load_error(sta, YOKE_NOT_SATISFIED)
         return bind_variable(sta, ide, _unchecked_value(new.dat, typ, new))
 
@@ -735,7 +732,7 @@ def _element_write(ide: str, value: DataCode, single: Callable[[tuple], Data]) -
                 return load_error(sta, com)
             if com.bod is not BOOLEAN:
                 return load_error(sta, A_YOKE_EXPECTED)
-            if not com.dat.value:
+            if not com.dat:
                 return load_error(sta, YOKE_NOT_SATISFIED)
         return bind_variable(sta, ide, _unchecked_value(new.dat, val.typ, new))
 
@@ -759,7 +756,7 @@ def _yoke(ide: str, tra: Transfer) -> StateCode:
             return load_error(sta, com)
         if com.bod is not BOOLEAN:
             return load_error(sta, A_YOKE_EXPECTED)
-        if not com.dat.value:
+        if not com.dat:
             return load_error(sta, YOKE_NOT_SATISFIED)
         typ = LangType(val.typ.bod, tra)
         return bind_variable(sta, ide, _unchecked_value(val.content, typ, old))
@@ -776,7 +773,7 @@ def _if(guard: DataCode, then_code: StateCode, else_code: StateCode) -> StateCod
             return load_error(sta, com)
         if com.bod is not BOOLEAN:
             return load_error(sta, BOOLEAN_EXPECTED)
-        return (then_code if com.dat.value else else_code)(sta)
+        return (then_code if com.dat else else_code)(sta)
 
     return if_then_else
 
@@ -794,7 +791,7 @@ def _if_error(guard: DataCode, handler: StateCode) -> StateCode:
             return load_error(sta, com)
         if com.bod is not WORD:
             return load_error(sta, WORD_EXPECTED)
-        if com.dat.text != err.word:
+        if com.dat != err.word:
             return sta
         return handler(cleared)
 
@@ -811,7 +808,7 @@ def _while(guard: DataCode, body: StateCode, fuel: Fuel) -> StateCode:
                 return load_error(sta, com)
             if com.bod is not BOOLEAN:
                 return load_error(sta, BOOLEAN_EXPECTED)
-            if not com.dat.value:
+            if not com.dat:
                 return sta
             fuel.spend()
             sta = body(sta)

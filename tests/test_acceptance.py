@@ -23,7 +23,6 @@ from lingua.kernel import (
     apply_transfer,
     boo_composite,
     num,
-    word,
 )
 from mccarthy import EE, FF, TT as M_TT, and_m, not_m, or_m
 from lingua.parser import (
@@ -448,7 +447,7 @@ def test_criterion_6_interpreter_programs():
             sta = run_text(PARITY_PROGRAM.replace("{value}", str(value)))
             assert register_word(sta) == "OK"
             expected = "yes" if value % 2 == 0 else "no"
-            assert lookup_variable(sta, "res").content == word(expected)
+            assert lookup_variable(sta, "res").content == expected
         assert time.perf_counter() - started < 1.0
 
         # reference-parameter swap: (1, 2) becomes (2, 1)

@@ -37,7 +37,6 @@ from lingua.kernel import (
     apply_transfer,
     clan_bo_member,
     num,
-    word,
 )
 from lingua.semantics import Evaluator, OutOfFuel
 from lingua.parser import parse_program
@@ -155,12 +154,12 @@ class CheckingEvaluator(Evaluator):
 def seeded_state():
     """One variable of every shape astgen's identifiers can name."""
     record = Composite(
-        RecordData.of({"a": num(7), "b": word("John")}),
+        RecordData.of({"a": num(7), "b": "John"}),
         RecordBody.of({"a": NUMBER, "b": WORD}),
     )
     values = {
         "x": Composite(num(3), NUMBER),
-        "y": Composite(word("abc"), WORD),
+        "y": Composite("abc", WORD),
         "z": Composite(ListData((num(1), num(2), num(3))), ListBody(NUMBER)),
         "acc": Composite(ArrayData((num(4), num("0.5"))), ArrayBody(NUMBER)),
         "price": record,

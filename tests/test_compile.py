@@ -11,7 +11,7 @@ import pytest
 
 from lingua import nodes as n
 from lingua import semantics
-from lingua.kernel import NUMBER, OVERFLOW, Composite, Limits, WordData, num
+from lingua.kernel import NUMBER, OVERFLOW, Composite, Limits, num
 from lingua.parser import (
     parse_data_expression,
     parse_instruction,
@@ -248,7 +248,7 @@ class TestSharedLiterals:
         monkeypatch.setattr(semantics, "oversized", counting)
         ins = parse_instruction("x := 'ab' ; x := 12 ; x := 'ab' ; x := 12 ; x := 13")
         Evaluator().exec_instruction(ins, empty_state())
-        assert checked == [WordData("ab"), num(12), num(13)]
+        assert checked == ["ab", num(12), num(13)]
 
     def test_an_oversized_literal_overflows_at_each_occurrence(self):
         sta = run_source(
@@ -264,7 +264,7 @@ class TestSharedLiterals:
         small, default = Evaluator(limits=SMALL), Evaluator()
         for _ in range(2):
             assert small.eval_data_exp(dae, empty_state()) is OVERFLOW
-            assert default.eval_data_exp(dae, empty_state()).dat.value is True
+            assert default.eval_data_exp(dae, empty_state()).dat is True
 
     def test_a_reused_evaluator_keeps_no_literal(self):
         evaluator = Recording()

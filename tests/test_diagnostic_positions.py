@@ -77,6 +77,26 @@ class TestEarlierToken:
         expected = ("syntactic", message, 3, 4, 5, 6)
         assert diagnostic(lambda t: Parser(t).item_sequence(), text) == expected
 
+    @pytest.mark.parametrize(
+        "text, line, column, begin, end",
+        [
+            ("x := 1 ; let y be number tel", 1, 1, 0, 1),
+            ("\n  let x be number tel ;\n x := 1", 2, 3, 3, 6),
+        ],
+        ids=["instruction-first", "declaration-first"],
+    )
+    def test_parse_any_reports_a_mixed_fragment(
+        self, text, line, column, begin, end, tmp_path, capsys
+    ):
+        # the item sequence reads the whole fragment, further than any other
+        # attempt, though its diagnostic points back at the first token
+        message = (
+            "fragment mixes declarations and instructions; wrap it in "
+            "begin-program ... end-program"
+        )
+        assert diagnostic(parse_any, text) == ("syntactic", message, line, column, begin, end)
+        assert check_line(tmp_path, capsys, text) == f"{line}:{column}: syntactic: {message}\n"
+
 
 class TestTooDeep:
     # tokens: x := ( 1 + ( 2 + 3 ) ) eof; the second `(` is token 5

@@ -66,7 +66,7 @@ def full_check_word(tra, com):
         return verdict.word
     if not is_boo_composite(verdict):
         return "a-yoke-expected"
-    return "OK" if verdict.dat.value else "yoke-not-satisfied"
+    return "OK" if verdict.dat else "yoke-not-satisfied"
 
 
 class CountingEvaluator(Evaluator):

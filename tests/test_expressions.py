@@ -18,7 +18,6 @@ from lingua.kernel import (
     Value,
     boo_composite,
     num,
-    word,
 )
 from lingua.state import bind_variable, empty_state, load_error
 
@@ -33,7 +32,7 @@ class TestLiteralsAndIdentifiers:
     def test_constants(self):
         assert eval_text("true") == boo_composite(True)
         assert eval_text("3") == Composite(num(3), NUMBER)
-        assert eval_text("'ab'") == Composite(word("ab"), WORD)
+        assert eval_text("'ab'") == Composite("ab", WORD)
         assert eval_text("-4") == Composite(num(-4), NUMBER)
 
     def test_identifier_not_declared(self):
@@ -125,7 +124,7 @@ class TestBooleans:
             result = eval_text(text)
             if isinstance(result, AbstractError):
                 return EE
-            return M_TT if result.dat.value else FF
+            return M_TT if result.dat else FF
 
         for left, lv in atoms.items():
             assert outcome(f"(not {left})") == not_m(lv)
@@ -136,7 +135,7 @@ class TestBooleans:
 
 class TestWords:
     def test_glue(self):
-        assert eval_text("('ab' glue 'cd')") == Composite(word("abcd"), WORD)
+        assert eval_text("('ab' glue 'cd')") == Composite("abcd", WORD)
 
     def test_glue_requires_words(self):
         assert eval_text("(1 glue 'a')") == err("word-expected")
@@ -209,19 +208,19 @@ class TestRecords:
     def test_add_and_select(self):
         built = eval_text("add-attr b of-value 'x' to record a of-value 1 ee ee")
         assert built == Composite(
-            RecordData.of({"a": num(1), "b": word("x")}),
+            RecordData.of({"a": num(1), "b": "x"}),
             RecordBody.of({"a": NUMBER, "b": WORD}),
         )
         assert eval_text(
             "rec add-attr b of-value 'x' to record a of-value 1 ee ee at b ee"
-        ) == Composite(word("x"), WORD)
+        ) == Composite("x", WORD)
 
     def test_remove_and_change(self):
         removed = eval_text("remove-attr a from record a of-value 1 ee ee")
         assert removed == Composite(RecordData.of({}), RecordBody.of({}))
         changed = eval_text("change-rec record a of-value 1 ee at a by 'w' ee")
         assert changed == Composite(
-            RecordData.of({"a": word("w")}), RecordBody.of({"a": WORD})
+            RecordData.of({"a": "w"}), RecordBody.of({"a": WORD})
         )
 
     def test_guards(self):

@@ -20,7 +20,6 @@ from lingua.kernel import (
     AbstractError,
     ArrayBody,
     ArrayData,
-    BoolData,
     Composite,
     Data,
     LangType,
@@ -33,7 +32,6 @@ from lingua.kernel import (
     SimpleBody,
     Transfer,
     Value,
-    WordData,
     _power_of_ten,
     apply_transfer,
     body_of,
@@ -44,7 +42,6 @@ from lingua.kernel import (
     is_boo_composite,
     num,
     oversized,
-    word,
 )
 from lingua.parser import parse_data_expression
 from lingua.printer import print_concrete
@@ -285,9 +282,9 @@ class TestLeanNumbers:
 
 class TestDatumUniverse:
     SAMPLES = (
-        BoolData(True),
+        True,
         num(7),
-        word("w"),
+        "w",
         ListData((num(1),)),
         ArrayData((num(1),)),
         RecordData.of({"a": num(1)}),
@@ -299,16 +296,22 @@ class TestDatumUniverse:
                 yield sub
                 yield from descendants(sub)
 
-        universe = {BoolData, Number, WordData, ListData, ArrayData, RecordData}
+        classes = {Number, ListData, ArrayData, RecordData}
         # A slotted dataclass replaces the class it decorates, and the
         # replaced class stays among the subclasses under the same name.
-        assert {cls.__name__ for cls in descendants(Data)} == {cls.__name__ for cls in universe}
-        assert {type(d) for d in self.SAMPLES} == universe
+        assert {cls.__name__ for cls in descendants(Data)} == {cls.__name__ for cls in classes}
+        # Truth values and words are the plain `bool` and `str` themselves.
+        assert {type(d) for d in self.SAMPLES} == classes | {bool, str}
         for d in self.SAMPLES:
             bod = body_of(d)
             assert bod is not None and clan_bo_member(d, bod)
             assert Composite(d, bod).dat is d
             assert isinstance(format_data(d), str)
+
+    def test_a_boolean_composite_copies_and_pickles_with_its_body(self):
+        com = Composite(True, BOOLEAN)
+        for twin in (copy.deepcopy(com), pickle.loads(pickle.dumps(com))):
+            assert twin.dat is True and twin.bod is BOOLEAN
 
 
 class TestSimpleBodies:
@@ -319,7 +322,7 @@ class TestSimpleBodies:
             assert copy.deepcopy(body) is body
             assert pickle.loads(pickle.dumps(body)) is body
             assert copy.deepcopy(ListBody(body)).element is body
-            assert copy.deepcopy(Composite(BoolData(True), BOOLEAN)).bod is BOOLEAN
+            assert copy.deepcopy(Composite(True, BOOLEAN)).bod is BOOLEAN
 
     def test_no_other_simple_body(self):
         with pytest.raises(ValueError):
@@ -344,17 +347,17 @@ EMPLOYEE_BODY = RecordBody.of(
 class TestClanBo:
     def test_simple_match(self):
         assert clan_bo_member(num(5), NUMBER)
-        assert not clan_bo_member(BoolData(True), NUMBER)
-        assert clan_bo_member(word("abc"), WORD)
-        assert clan_bo_member(BoolData(False), BOOLEAN)
+        assert not clan_bo_member(True, NUMBER)
+        assert clan_bo_member("abc", WORD)
+        assert clan_bo_member(False, BOOLEAN)
 
     def test_employee_record(self):
         employee = RecordData.of(
             {
                 "salary": num(2000),
                 "bonus": num(100),
-                "ch-name": word("Ann"),
-                "fa-name": word("Lee"),
+                "ch-name": "Ann",
+                "fa-name": "Lee",
                 "birth-year": num(1968),
                 "award-years": ArrayData((num(1999),)),
             }
@@ -384,9 +387,9 @@ class TestConstructors:
 
     def test_heterogeneous_list_rejected(self):
         with pytest.raises(ValueError):
-            ListData((num(1), word("a")))
+            ListData((num(1), "a"))
         with pytest.raises(ValueError):
-            ArrayData((BoolData(True), num(0)))
+            ArrayData((True, num(0)))
 
     def test_body_of_empty_is_open(self):
         assert body_of(ListData(())) is None
@@ -439,7 +442,7 @@ class TestClanTy:
 
     def test_body_mismatch(self):
         typ = LangType(NUMBER, TT)
-        assert not clan_ty_member(Composite(word("7"), WORD), typ)
+        assert not clan_ty_member(Composite("7", WORD), typ)
 
     def test_yoke_checked(self):
         below_ten = Transfer(
@@ -529,8 +532,8 @@ class TestOversized:
         assert not oversized(num(0), Limits(max_significant_digits=1))
 
     def test_word_length(self):
-        assert oversized(word("abc"), Limits(max_word_length=2))
-        assert not oversized(word("ab"), Limits(max_word_length=2))
+        assert oversized("abc", Limits(max_word_length=2))
+        assert not oversized("ab", Limits(max_word_length=2))
 
     def test_collection_size_top_level_only(self):
         lim = Limits(max_collection_size=2)

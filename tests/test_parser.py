@@ -3,7 +3,7 @@ import sys
 import pytest
 
 from lingua.diagnostics import LinguaParseError
-from lingua.kernel import BoolData, Number, num
+from lingua.kernel import Number, num
 from lingua import nodes as n
 from lingua import parser
 from lingua.parser import (
@@ -685,7 +685,7 @@ class TestNestingDepth:
         [
             ("(" * 300 + "1" + ")" * 300, num(1)),
             ("(1 + " * 225 + "1" + ")" * 225, num(226)),
-            ("not " * 900 + "true", BoolData(True)),
+            ("not " * 900 + "true", True),
         ],
         ids=["parentheses", "sums", "negations"],
     )

@@ -18,7 +18,6 @@ from lingua.kernel import (
     NUMBER,
     Value,
     num,
-    word,
 )
 from lingua.parser import parse_data_expression, parse_instruction, parse_program
 from lingua.printer import print_concrete
@@ -209,7 +208,7 @@ class TestMultiprocedures:
             f"k := {value} ; call even (ref res val k) end-program"
         )
         assert register_word(sta) == "OK"
-        assert lookup_variable(sta, "res").content == word(answer)
+        assert lookup_variable(sta, "res").content == answer
 
     def test_member_name_collision(self):
         sta = run_text(

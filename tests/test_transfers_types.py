@@ -17,7 +17,6 @@ from lingua.kernel import (
     apply_transfer,
     boo_composite,
     num,
-    word,
 )
 from lingua.parser import parse_transfer_expression, parse_type_expression
 from lingua.semantics import Evaluator
@@ -62,7 +61,7 @@ class TestTransferBasics:
         assert apply_transfer(tra, PRICE_VAT) == Composite(num(273), NUMBER)
 
     def test_word_constant(self):
-        assert apply_transfer(transfer("'ok'"), FIVE) == Composite(word("ok"), WORD)
+        assert apply_transfer(transfer("'ok'"), FIVE) == Composite("ok", WORD)
 
     def test_true_is_tt(self):
         tra = transfer("true")
@@ -119,7 +118,7 @@ class TestTransferOperators:
         assert apply_transfer(transfer("(value + 'a')"), FIVE) == err("number-expected")
         assert apply_transfer(transfer("(value / 0)"), FIVE) == err("division-by-zero")
         assert apply_transfer(transfer("('a' glue 'b')"), FIVE) == Composite(
-            word("ab"), WORD
+            "ab", WORD
         )
 
     def test_equality_on_mismatched_bodies_is_false(self):
