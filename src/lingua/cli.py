@@ -2,9 +2,9 @@
 
 Exit codes: 0 clean run, 1 an abstract error is left in the register,
 2 parse diagnostics or a bad command line, 3 fuel exhausted or a program
-too deep to evaluate or print, 4 an I/O failure: unreadable input, text
-that is not UTF-8, or a standard output closed before the command's
-output is written (as when piped into `head`; nothing is printed then).
+too deep to evaluate, 4 an I/O failure: unreadable input, text that is
+not UTF-8, or a standard output closed before the command's output is
+written (as when piped into `head`; nothing is printed then).
 """
 
 from __future__ import annotations
@@ -193,30 +193,14 @@ def cmd_run(path: str, config: RunConfig, out: TextIO, err: TextIO) -> int:
     return 1 if is_error(final) else 0
 
 
-def cmd_check(path: str, out: TextIO, err: TextIO) -> int:
-    parsed = _load(path, parse_any, err)
-    return parsed if isinstance(parsed, int) else 0
-
-
-def cmd_restore(path: str, out: TextIO, err: TextIO) -> int:
+def cmd_tree(path: str, write: Optional[Callable[[n.Node], str]], out: TextIO, err: TextIO) -> int:
+    """`check`, `restore` and `ast`: parse the file at `path` and print
+    `write`'s text of its tree, when there is a writer."""
     parsed = _load(path, parse_any, err)
     if isinstance(parsed, int):
         return parsed
-    try:
-        with _deep_recursion():
-            restored = print_concrete(parsed[1])
-    except RecursionError:
-        print("lingua: program too deep to print", file=err)
-        return 3
-    print(restored, file=out)
-    return 0
-
-
-def cmd_ast(path: str, format: str, out: TextIO, err: TextIO) -> int:
-    parsed = _load(path, parse_any, err)
-    if isinstance(parsed, int):
-        return parsed
-    print(ast_dump(parsed[1], format), file=out)
+    if write is not None:
+        print(write(parsed[1]), file=out)
     return 0
 
 
@@ -363,11 +347,11 @@ def _command(args: argparse.Namespace) -> int:
         config = RunConfig(fuel=_command_fuel(args), limits=limits, trace=args.trace)
         return cmd_run(args.file, config, out, err)
     if args.command == "check":
-        return cmd_check(args.file, out, err)
+        return cmd_tree(args.file, None, out, err)
     if args.command == "restore":
-        return cmd_restore(args.file, out, err)
+        return cmd_tree(args.file, print_concrete, out, err)
     if args.command == "ast":
-        return cmd_ast(args.file, args.format, out, err)
+        return cmd_tree(args.file, functools.partial(ast_dump, format=args.format), out, err)
     if args.command == "repl":
         config = RunConfig(fuel=_command_fuel(args))
         return repl(config, sys.stdin, out, err)

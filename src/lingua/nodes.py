@@ -66,7 +66,7 @@ def _render(node: Node, container: Callable, scalar: Callable[[Any], str]) -> st
     `container(value, depth)` gives a node's or tuple's (opening text,
     [(text before child, child)], closing text); `scalar(value)` gives the
     text of anything else.  Plain text rides the stack as `(text, None)`.
-    The repr and both AST dumps are written by it.
+    The repr, both AST dumps and the concrete syntax are written by it.
     """
     parts: list[str] = []
     stack: list[tuple[Any, Any]] = [(node, 0)]

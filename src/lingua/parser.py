@@ -119,8 +119,13 @@ _SYNONYMS = {
 }
 
 # Phrases whose canonical form shares a prefix with a colloquial form that
-# branches after it.  The parser reads both forms by hand.
+# branches after it.  The parser reads the prefix by hand; a data phrase's
+# canonical form then resumes its row from _RESUME, past what was read.
 _BY_HAND = (n.ArrayExp, n.ChangeArrExp, n.RecordExp, n.ArrayAtTra, n.RecordTyp)
+_RESUME = {
+    cls: (cls, PHRASES[cls][0][1 + read :])
+    for cls, read in ((n.ArrayExp, 0), (n.ChangeArrExp, 1), (n.RecordExp, 1))
+}
 
 _SORTS = (
     (n.DatExp, DATA),
@@ -255,8 +260,9 @@ class Parser:
 
     # -- table phrases -------------------------------------------------------
 
-    def phrase(self, sort: int) -> n.Node:
-        """The phrase of `sort` at the current token.
+    def phrase(self, sort: int, row: Optional[tuple] = None, args: Optional[list] = None) -> n.Node:
+        """The phrase of `sort` at the current token, or the rest of `row`
+        after the operands `args` a hand-written branch has read.
 
         A table phrase is read here, in the frame that dispatched on its
         lead keyword, so an operand of its own sort costs one frame a level.
@@ -265,13 +271,14 @@ class Parser:
         table lead (`unary`), and declarations only for a table lead
         (`program_item`); types and instructions read anything else by hand.
         """
-        tok = self.peek()
-        row = _LEADS[sort].get(tok.text) if tok.kind == "keyword" else None
         if row is None:
-            return self.typ_atom() if sort == TYPE else self.simple_instruction()
-        self.take()
+            tok = self.peek()
+            row = _LEADS[sort].get(tok.text) if tok.kind == "keyword" else None
+            if row is None:
+                return self.typ_atom() if sort == TYPE else self.simple_instruction()
+            self.take()
+            args = []
         ctor, template = row
-        args = []
         for i, part in enumerate(template):
             if part.__class__ is str:
                 self.expect(part)
@@ -409,9 +416,7 @@ class Parser:
                 for element in elements[1:]:
                     node = n.AddToArrExp(node, element)
                 return node
-            element = self.expression(DATA)
-            self.expect("ee")
-            return n.ArrayExp(element)
+            return self.phrase(DATA, _RESUME[n.ArrayExp], [])
         if tok.is_keyword("change-arr"):
             self.take()
             target = self.expression(DATA)
@@ -429,19 +434,12 @@ class Parser:
                 for index, element in pairs:
                     node = n.ChangeArrExp(node, index, element)
                 return node
-            self.expect("at")
-            index = self.expression(DATA)
-            self.expect("by")
-            element = self.expression(DATA)
-            self.expect("ee")
-            return n.ChangeArrExp(target, index, element)
+            return self.phrase(DATA, _RESUME[n.ChangeArrExp], [target])
         if tok.is_keyword("record", "set-record"):
             self.take()
             ide = self.expect_ident()
-            if self.accept("of-value"):
-                expr = self.expression(DATA)
-                self.expect("ee")
-                return n.RecordExp(ide, expr)
+            if self.peek().is_keyword("of-value"):
+                return self.phrase(DATA, _RESUME[n.RecordExp], [ide])
             self.expect("<=")
             first = self.expression(DATA)
             fields = []

@@ -1,14 +1,15 @@
 """Canonical concrete-syntax printing and AST dumps.
 
-print_concrete writes every phrase of the parser's tables from its row:
-a keyword phrase, procedure declarations and calls included, from its
-canonical template in `PHRASES`, and an operator from `OPERATORS`, each
-operand by the writer of its kind.  It fully parenthesizes binary
-operators, glue included: the grammar writes glue without parentheses of
-its own, but under the priority ladder a bare glue nested inside another
-operator would re-parse differently, and the printing contract is that
-output re-parses to an equal tree.  The parser accepts the added
-parentheses as plain grouping.
+Every text of a tree is written by `nodes._render`, so a tree of any depth
+prints in a constant number of Python frames.  print_concrete writes every
+phrase of the parser's tables from its row: a keyword phrase, procedure
+declarations and calls included, from its canonical template in
+`PHRASES`, and an operator from `OPERATORS`, each operand by the writer
+of its kind.  It fully parenthesizes binary operators, glue included: the
+grammar writes glue without parentheses of its own, but under the
+priority ladder a bare glue nested inside another operator would re-parse
+differently, and the printing contract is that output re-parses to an
+equal tree.  The parser accepts the added parentheses as plain grouping.
 """
 
 from __future__ import annotations
@@ -19,27 +20,26 @@ from functools import cache
 from typing import Any
 
 from .kernel import Number
-from .parser import ACTUALS, DATA, FORMALS, IDENT, NEGATION, OPERATORS, PHRASES
+from .parser import ACTUALS, DATA, FORMALS, IDENT, NEGATION, OPERATORS, PHRASES, TYPE
 from . import nodes as n
 
 
-def _form(cls: type, template: tuple) -> tuple[str, tuple]:
-    """`cls`'s template as %-format text, each operand a `%s`, with the
-    (name, writer) of the field that fills each.  Words are spaced; brackets
-    and parentheses hug what they enclose, and `.` and `[` what they follow."""
+def _form(cls: type, template: tuple) -> tuple[tuple, str]:
+    """`cls`'s template split at each operand: (text before, field, writer)
+    per operand, and the text after.  Words are spaced; brackets and
+    parentheses hug what they enclose, and `.` and `[` what they follow."""
     text = ""
     for part in template:
         word = part if part.__class__ is str else "%s"
         if text and text[-1] not in "([." and word not in (")", "]", "[", "."):
             text += " "
         text += word
-    writers = [
-        _WRITERS.get(part, print_concrete) for part in template if part.__class__ is not str
-    ]
-    return text, tuple(zip(cls.__match_args__, writers))
+    *befores, after = text.split("%s")
+    writers = [_WRITERS.get(part) for part in template if part.__class__ is not str]
+    return tuple(zip(befores, cls.__match_args__, writers)), after
 
 
-def _forms() -> dict[type, tuple[str, tuple]]:
+def _forms() -> dict[type, tuple[tuple, str]]:
     forms = {cls: _form(cls, templates[0]) for cls, templates in PHRASES.items()}
     for token, (priority, *columns) in (*OPERATORS.items(), ("not", NEGATION)):
         if priority is None:
@@ -48,7 +48,18 @@ def _forms() -> dict[type, tuple[str, tuple]]:
             template = ("(", DATA, token, DATA, ")")
         for column in filter(None, columns):
             forms[column] = _form(column, template)
+    forms[n.IdeExp] = forms[n.IdeTyp] = _form(n.IdeExp, (IDENT,))
+    forms[n.FormalParam] = _form(n.FormalParam, (IDENT, "as", TYPE))
+    forms[n.AssignIns] = _form(n.AssignIns, (IDENT, ":=", DATA))
     return forms
+
+
+def _unprintable(value: Any) -> str:
+    raise TypeError(f"cannot print {value!r}")
+
+
+def _ident(ide: Any) -> str:
+    return ide if ide.__class__ is str else _unprintable(ide)
 
 
 def _formals(params: tuple[n.FormalParam, ...]) -> str:
@@ -61,54 +72,55 @@ def _actuals(names: tuple[str, ...]) -> str:
     return ", ".join(names) if names else "empty-ap"
 
 
-def print_concrete(ast: n.Node) -> str:
-    p = print_concrete
-    form = _FORMS.get(ast.__class__)
+def _concrete(node: Any, depth: int) -> tuple[str, list, str]:
+    """A node's text around its children, as `nodes._render` takes it.  An
+    identifier's or a parameter list's text joins the text around it, so
+    every child is a node, and `_render` hands anything else to
+    `_unprintable`."""
+    form = _FORMS.get(node.__class__)
     if form is not None:
-        text, fields = form
-        operands = []
-        for name, write in fields:  # a loop, not a generator: one frame a level
-            operands.append(write(getattr(ast, name)))
-        return text % tuple(operands)
-    match ast:
+        children, text = [], ""
+        for before, name, write in form[0]:
+            if write is None:
+                children.append((text + before, getattr(node, name)))
+                text = ""
+            else:
+                text += before + write(getattr(node, name))
+        return "", children, text + form[1]
+    match node:
         case n.BoolLit(value) | n.TraBoolLit(value):
-            return "true" if value else "false"
+            return "true" if value else "false", [], ""
         case n.NumLit(num) | n.TraNumLit(num):
-            return num.text()
+            return num.text(), [], ""
         case n.WordLit(wor) | n.TraWordLit(wor):
-            return f"'{wor}'"
-        case n.IdeExp(ide) | n.IdeTyp(ide):
-            return ide
+            return f"'{wor}'", [], ""
         case n.FunCallExp(ide, apar):
-            return f"{ide}({_actuals(apar)})"
+            return f"{_ident(ide)}({_actuals(apar)})", [], ""
         # declarations
-        case n.FormalParam(ide, t):
-            return f"{ide} as {p(t)}"
         case n.MultiProcDec(decs):
-            inner = " ".join(p(d) for d in decs)
-            return f"begin multiproc {inner} end multiproc"
+            children = [(" " if i else "", dec) for i, dec in enumerate(decs)]
+            return "begin multiproc ", children, " end multiproc"
         case n.FunProcDec(ide, params, None, dae, None):
-            return f"fun {ide} ({_formals(params)}) {p(dae)} endfun"
+            return f"fun {_ident(ide)} ({_formals(params)}) ", [("", dae)], " endfun"
         case n.FunProcDec(ide, params, prg, dae, tex):
-            return (
-                f"fun {ide} ({_formals(params)}) {p(prg)} "
-                f"return {p(dae)} as {p(tex)} end fun"
-            )
-        # instructions
-        case n.AssignIns(ide, dae):
-            return f"{ide} := {p(dae)}"
+            children = [("", prg), (" return ", dae), (" as ", tex)]
+            return f"fun {_ident(ide)} ({_formals(params)}) ", children, " end fun"
         # sequences of every sort
         case n.SeqIns(items) | n.PreSeq(items) | n.VarDecSeq(items) | n.TypDefSeq(items):
-            return " ; ".join(p(item) for item in items)
+            return "", [(" ; " if i else "", item) for i, item in enumerate(items)], ""
         # programs
         case n.Program(None, ins):
-            return f"begin-program {p(ins)} end-program"
+            return "begin-program ", [("", ins)], " end-program"
         case n.Program(pam, ins):
-            return f"begin-program {p(pam)} ; {p(ins)} end-program"
-    raise TypeError(f"cannot print {ast!r}")
+            return "begin-program ", [("", pam), (" ; ", ins)], " end-program"
+    return _unprintable(node)
 
 
-_WRITERS = {IDENT: str, FORMALS: _formals, ACTUALS: _actuals}
+def print_concrete(ast: n.Node) -> str:
+    return n._render(ast, _concrete, _unprintable)
+
+
+_WRITERS = {IDENT: _ident, FORMALS: _formals, ACTUALS: _actuals}
 _FORMS = _forms()
 
 

@@ -299,13 +299,17 @@ class TestCheckRestoreAst:
             assert parse_program(restored) == parse_program(source)
             assert print_concrete(parse_program(restored)) == restored
 
-    def test_restore_too_deep_to_print_exits_three(self, tmp_path, capsys):
+    def test_restore_prints_a_chain_of_any_length(self, tmp_path, capsys):
+        # the printer keeps its own stack, so no chain is too deep to print
         path = write(tmp_path, "chain.lng", self._sum_program(20_000))
         code = main(["restore", path])
         out, err = capsys.readouterr()
-        assert code == 3
-        assert out == ""
-        assert err == "lingua: program too deep to print\n"
+        assert (code, err) == (0, "")
+        assert out == (
+            "begin-program let x be number tel ; x := "
+            + "(" * 19_999 + "1" + " + 1)" * 19_999
+            + " end-program\n"
+        )
 
     def test_restore_parse_failure(self, tmp_path, capsys):
         path = write(tmp_path, "bad.lng", "x +")
@@ -432,6 +436,23 @@ class TestRepl:
         assert code == 0
         assert err == "lingua: fuel exhausted\n"
         assert "x = (2, number) with true" in out.splitlines()
+
+    def test_program_line_and_blank_line(self, capsys):
+        code, out, err = self.drive(
+            ["let x be number tel", "", "begin-program x := 4 end-program", ":state"], capsys
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["x = (4, number) with true", "register = OK"]
+
+    def test_prompt_on_a_terminal(self):
+        class Terminal(io.StringIO):
+            def isatty(self):
+                return True
+
+        out, err = io.StringIO(), io.StringIO()
+        assert repl(RunConfig(), Terminal("(1 + 2)\n"), out, err) == 0
+        assert out.getvalue() == "lingua> (3, number)\nlingua> "
+        assert err.getvalue() == ""
 
     def test_quit_exits_zero(self, capsys):
         code, _, _ = self.drive([":quit"], capsys)

@@ -56,6 +56,20 @@ class TestRuleTable:
         with pytest.raises(TypeError, match=r"^not a data or transfer expression: NumberTyp\(\)$"):
             Evaluator().compile_expression(tex)
 
+    @pytest.mark.parametrize(
+        "compile_node, node, message",
+        [
+            (Evaluator.compile_type_exp, n.SkipIns(), "not a type expression: SkipIns()"),
+            (Evaluator.compile_instruction, n.NumberTyp(), "not an instruction: NumberTyp()"),
+            (Evaluator.compile_preamble, n.NumberTyp(), "not a preamble: NumberTyp()"),
+        ],
+        ids=["type", "instruction", "preamble"],
+    )
+    def test_a_node_of_another_sort_is_rejected(self, compile_node, node, message):
+        with pytest.raises(TypeError) as exc:
+            compile_node(Evaluator(), node)
+        assert str(exc.value) == message
+
 
 class TestCallSites:
     @pytest.mark.parametrize(

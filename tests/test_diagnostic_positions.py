@@ -14,7 +14,7 @@ import pytest
 
 from lingua import parser
 from lingua.cli import main
-from lingua.diagnostics import LinguaParseError
+from lingua.diagnostics import LinguaParseError, ParseDiagnostic, SourceSpan
 from lingua.lexer import tokenize
 from lingua.parser import Parser, parse_any, parse_instruction, parse_program
 from test_cli import write
@@ -151,3 +151,10 @@ class TestParseAnyFurthest:
         kind, message, line, column, _, _ = expected
         assert diagnostic(parse_any, text) == expected
         assert check_line(tmp_path, capsys, text) == f"{line}:{column}: {kind}: {message}\n"
+
+
+def test_a_diagnostic_needs_a_forward_span_and_a_message():
+    with pytest.raises(ValueError, match="^span runs backwards$"):
+        SourceSpan(2, 1, 1, 3)
+    with pytest.raises(ValueError, match="^diagnostic needs a message$"):
+        ParseDiagnostic(SourceSpan(0, 0, 1, 1), "", "syntactic")

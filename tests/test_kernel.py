@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lingua import kernel
-from lingua.cli import format_data
+from lingua.cli import format_body, format_data
 from lingua.kernel import (
     ARRAY_EXPECTED,
     BOOLEAN,
@@ -86,6 +86,15 @@ class TestNumber:
 
     def test_divide_non_decimal_is_none(self):
         assert Number.parse("1").divide(Number.parse("3")) is None
+
+    def test_divide_by_zero_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            Number.parse("1").divide(Number.parse("0"))
+
+    def test_to_int_of_a_fraction_raises(self):
+        assert Number.parse("120").to_int() == 120
+        with pytest.raises(ValueError, match=r"^0\.5 is not an integer$"):
+            Number.parse("0.5").to_int()
 
     def test_digit_count(self):
         assert Number.make(1, 30).digits() == 31
@@ -308,6 +317,18 @@ class TestDatumUniverse:
             assert Composite(d, bod).dat is d
             assert isinstance(format_data(d), str)
 
+    @pytest.mark.parametrize("thing", [None, 1.5, ListBody(NUMBER)], ids=repr)
+    def test_a_non_datum_has_no_body_and_no_text(self, thing):
+        with pytest.raises(TypeError, match="^not a datum"):
+            body_of(thing)
+        assert not clan_bo_member(thing, NUMBER)
+        with pytest.raises(TypeError, match="^not a datum"):
+            format_data(thing)
+
+    def test_a_non_body_has_no_text(self):
+        with pytest.raises(TypeError, match="^not a body"):
+            format_body(num(1))
+
     def test_a_boolean_composite_copies_and_pickles_with_its_body(self):
         com = Composite(True, BOOLEAN)
         for twin in (copy.deepcopy(com), pickle.loads(pickle.dumps(com))):
@@ -394,6 +415,7 @@ class TestConstructors:
     def test_body_of_empty_is_open(self):
         assert body_of(ListData(())) is None
         assert body_of(ListData((num(1),))) == ListBody(NUMBER)
+        assert body_of(RecordData.of({"a": num(1), "b": ListData(())})) is None
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +582,14 @@ class TestValuesAndRecords:
         assert RecordBody.of({"a": NUMBER, "b": WORD}) == RecordBody.of(
             {"b": WORD, "a": NUMBER}
         )
+
+    def test_get_of_a_missing_attribute_raises(self):
+        record = RecordData.of({"a": num(1)})
+        assert record.get("a") == num(1)
+        with pytest.raises(KeyError):
+            record.get("b")
+        with pytest.raises(KeyError):
+            RecordBody.of({"a": NUMBER}).get("b")
 
     def test_omega_is_a_singleton(self):
         assert Value(OMEGA, LangType(NUMBER, TT)).content is OMEGA

@@ -15,7 +15,7 @@ from lingua.cli import main
 from lingua import nodes as n
 from lingua.kernel import NUMBER, OMEGA, Composite, num
 from lingua.parser import parse_program
-from lingua.printer import print_concrete
+from lingua.printer import ast_dump, print_concrete
 from lingua.semantics import Evaluator, run_source
 from lingua.state import empty_state, register_word
 from test_cli import write
@@ -177,6 +177,32 @@ def test_long_sequence_repr_without_recursion():
 
 def test_print_concrete_long_sequence():
     assert print_concrete(parse_program(assignments(1_600))) == canonical(1_600)
+
+
+def test_long_chain_prints_and_dumps_at_the_default_limit():
+    # A left-nested chain is as deep as it is long; every writer and `==`
+    # keep their own stack, so the host limit does not bound its length.
+    k = 5_000
+    source = "begin-program x := " + " + ".join(["1"] * k) + " end-program"
+    first, second = parse_program(source), parse_program(source)
+    previous = sys.getrecursionlimit()
+    sys.setrecursionlimit(1_000)
+    try:
+        text = print_concrete(first)
+        assert first == second
+        assert repr(first) == repr(second)
+        dumps = [ast_dump(first, format) for format in ("json", "sexpr")]
+    except RecursionError:
+        # failed outside the handler: pytest takes minutes to report a
+        # traceback thousands of frames deep
+        text = "RecursionError"
+    finally:
+        sys.setrecursionlimit(previous)
+    assert text == (
+        "begin-program x := " + "(" * (k - 1) + "1" + " + 1)" * (k - 1) + " end-program"
+    )
+    assert dumps[0].count('"node": "num-lit"') == k
+    assert dumps[1].count("(num-lit 1)") == k
 
 
 def test_restore_long_program_is_a_fixpoint(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from astgen import AstGen
 from lingua import nodes as n
+from lingua.kernel import num
 from lingua.parser import (
     parse_any,
     parse_data_expression,
@@ -121,3 +122,26 @@ def test_dump_stable_under_whitespace():
 def test_dump_rejects_unknown_format():
     with pytest.raises(ValueError):
         ast_dump(n.SkipIns(), "yaml")
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        None,
+        "x",
+        (n.SkipIns(),),
+        n.DatExp(),
+        n.AssignIns("x", None),
+        n.AddExp(n.NumLit(num(1)), "x"),
+        n.SeqIns((n.SkipIns(), 1)),
+        n.Program(n.VarDec("x", n.NumberTyp()), (n.SkipIns(),)),
+        n.VarDec(None, n.NumberTyp()),
+    ],
+    ids=["none", "word", "tuple", "abstract-node", "none-field", "word-field",
+         "int-item", "tuple-field", "none-identifier"],
+)
+def test_print_concrete_rejects_what_is_not_a_node(tree):
+    # An identifier field holds a word; anything else in any field is
+    # rejected, not printed through `str`.
+    with pytest.raises(TypeError, match="^cannot print "):
+        print_concrete(tree)
