@@ -58,36 +58,77 @@ class RunConfig:
     trace: bool = False
 
 
+def _scalar_text(dat: object) -> Optional[str]:
+    """The text of a truth value, number or word; None for anything else."""
+    if dat is True or dat is False:
+        return "true" if dat else "false"
+    if dat.__class__ is Number:
+        return dat.text()
+    if dat.__class__ is str:
+        return f"'{dat}'"
+    return None
+
+
+def _push_items(todo: list, out: list, brackets: str, pairs: list) -> None:
+    """Write the opening bracket, and push the (label, item) pairs, comma
+    separated, and the closing bracket, so that they pop in order."""
+    out.append(brackets[0])
+    todo.append(brackets[1])
+    for i in range(len(pairs) - 1, -1, -1):
+        label, item = pairs[i]
+        todo.append(item)
+        todo.append(f", {label}" if i else label)
+
+
 def format_data(dat: Data) -> str:
-    match dat:
-        case bool():
-            return "true" if dat else "false"
-        case Number():
-            return dat.text()
-        case str():
-            return f"'{dat}'"
-        case ListData(items):
-            return "(" + ", ".join(format_data(i) for i in items) + ")"
-        case ArrayData(items):
-            return "[" + ", ".join(format_data(i) for i in items) + "]"
-        case RecordData(fields):
-            inner = ", ".join(f"{name}: {format_data(d)}" for name, d in fields)
-            return "{" + inner + "}"
-    raise TypeError(f"not a datum: {dat!r}")
+    """A datum's text, written along an explicit stack rather than by
+    recursion, so data of any depth prints at the default recursion limit.
+    A word is pushed as its text, so a `str` on the stack is text.  A
+    certified collection is homogeneous: when its first item is a truth
+    value, number or word, so is every item, and one join writes them."""
+    text = _scalar_text(dat)
+    if text is not None:
+        return text
+    out: list[str] = []
+    todo: list = [dat]
+    while todo:
+        dat = todo.pop()
+        cls = dat.__class__
+        if cls is str:
+            out.append(dat)
+        elif cls is RecordData:
+            pairs = [(f"{name}: ", _scalar_text(item) or item) for name, item in dat.fields]
+            _push_items(todo, out, "{}", pairs)
+        elif cls is ListData or cls is ArrayData:
+            brackets, items = "()" if cls is ListData else "[]", dat.items
+            if items and _scalar_text(items[0]) is not None:
+                out.append(brackets[0] + ", ".join(map(_scalar_text, items)) + brackets[1])
+            else:
+                _push_items(todo, out, brackets, [("", item) for item in items])
+        else:
+            raise TypeError(f"not a datum: {dat!r}")
+    return "".join(out)
 
 
 def format_body(bod: Body) -> str:
-    match bod:
-        case SimpleBody(name):
-            return name
-        case ListBody(element):
-            return f"list of {format_body(element)}"
-        case ArrayBody(element):
-            return f"array of {format_body(element)}"
-        case RecordBody(fields):
-            inner = ", ".join(f"{name}: {format_body(b)}" for name, b in fields)
-            return "{" + inner + "}"
-    raise TypeError(f"not a body: {bod!r}")
+    """A body's text, written along an explicit stack as `format_data` is."""
+    out: list[str] = []
+    todo: list = [bod]
+    while todo:
+        bod = todo.pop()
+        cls = bod.__class__
+        if cls is str:
+            out.append(bod)
+        elif cls is SimpleBody:
+            out.append(bod.name)
+        elif cls is ListBody or cls is ArrayBody:
+            out.append("list of " if cls is ListBody else "array of ")
+            todo.append(bod.element)
+        elif cls is RecordBody:
+            _push_items(todo, out, "{}", [(f"{name}: ", element) for name, element in bod.fields])
+        else:
+            raise TypeError(f"not a body: {bod!r}")
+    return "".join(out)
 
 
 def format_composite(com: Composite) -> str:

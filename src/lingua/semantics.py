@@ -37,9 +37,10 @@ Five rules keep a step's Python calls to those that decide something:
 - The register is tested inline (`sta.store.register is not None`), and a
   variable is read straight from the valuation, whose bound `Value.com` is
   the composite a read returns.
-- The verdict of `TT`, the transfer `true`, is `true` for every composite,
-  so a write under it never applies it: its yoke error, shape and
-  satisfaction steps are known to pass.
+- Assignment, the element writes and `yoke` compile to one write closure,
+  `_assign`, one ladder of checks.  The verdict of `TT`, the transfer
+  `true`, is `true` for every composite, so a write under it never applies
+  it: its yoke error, shape and satisfaction steps are known to pass.
 - Identical bodies are coherent, so a write calls `coherent` only when the
   new body is not the held one.
 - A call reads its formal lengths, formal type codes, body steps, result
@@ -665,50 +666,24 @@ def _function_call(ev: "Evaluator", ide: str, actuals: tuple[str, ...]) -> DataC
 # instructions and declarations
 
 
-def _assign(ide: str, value: DataCode) -> StateCode:
-    def assign(sta):
-        # The nine-step ladder: error state, declaredness, expression
-        # error, yoke error, coherence, yoke shape, yoke satisfaction,
-        # then rebind with the new composite and the unchanged transfer.
-        # Under TT the three yoke steps pass; an identical body is coherent.
-        if sta.store.register is not None:
-            return sta
-        val = sta.store.valuation.get(ide)
-        if val is None:
-            return load_error(sta, IDENTIFIER_NOT_DECLARED)
-        new = value(sta)
-        if isinstance(new, AbstractError):
-            return load_error(sta, new)
-        typ = val.typ
-        tra = typ.tra
-        if tra is not TT:
-            com = apply_transfer(tra, new)
-            if isinstance(com, AbstractError):
-                return load_error(sta, com)
-        if new.bod is not typ.bod:
-            if not coherent(new.bod, typ.bod):
-                return load_error(sta, NO_COHERENCE)
-            typ = LangType(new.bod, tra)
-        if tra is not TT:
-            if com.bod is not BOOLEAN:
-                return load_error(sta, A_YOKE_EXPECTED)
-            if not com.dat:
-                return load_error(sta, YOKE_NOT_SATISFIED)
-        return bind_variable(sta, ide, _unchecked_value(new.dat, typ, new))
+def _assign(
+    ide: str,
+    value: DataCode,
+    single: Optional[Callable[[tuple], Data]] = None,
+    yoke: Optional[Transfer] = None,
+) -> StateCode:
+    """Every write by one ladder: error state, declaredness, expression
+    error, yoke error, coherence, yoke shape, yoke satisfaction, then rebind
+    with the new composite.  Under TT the three yoke steps pass; an
+    identical body is coherent.  `yoke ide := tre` runs it on the composite
+    `ide` holds, with `yoke` in place of the held transfer.
 
-    return assign
-
-
-def _element_write(ide: str, value: DataCode, single: Callable[[tuple], Data]) -> StateCode:
-    """`ide := dae` where `dae` adds one element to, or changes one element
-    of, the collection `ide` holds; `value` yields the new collection and
-    that element, and `single` makes a collection of one datum.
-
-    Every `Value` satisfies its own transfer, so under `all-list T` or
-    `all-array T` every old element satisfies T, and the verdict on the new
-    collection is the verdict on the one element alone.  Any other yoke
-    checks the whole value, and TT passes it unapplied.  The new collection
-    keeps the held body, so it is coherent and keeps the held type.
+    For an element write, `value` yields the new collection paired with the
+    element it adds or changes, and `single` makes a collection of one
+    datum.  Every `Value` satisfies its own transfer, so under `all-list T`
+    or `all-array T` every old element satisfies T, and the verdict on the
+    new collection is the verdict on the one element alone; any other yoke
+    checks the whole value.
     """
 
     def assign(sta):
@@ -717,51 +692,34 @@ def _element_write(ide: str, value: DataCode, single: Callable[[tuple], Data]) -
         val = sta.store.valuation.get(ide)
         if val is None:
             return load_error(sta, IDENTIFIER_NOT_DECLARED)
-        out = value(sta)
-        if isinstance(out, AbstractError):
-            return load_error(sta, out)
-        new, element = out
-        tra = val.typ.tra
+        new = value(sta)
+        if isinstance(new, AbstractError):
+            return load_error(sta, new)
+        if single is not None:
+            new, element = new
+        typ = val.typ
+        tra = typ.tra if yoke is None else yoke
         if tra is not TT:
-            if tra.elementwise:
-                new_only = _unchecked_composite(single((element.dat,)), new.bod)
-                com = apply_transfer(tra, new_only)
+            if single is not None and tra.elementwise:
+                com = apply_transfer(tra, _unchecked_composite(single((element.dat,)), new.bod))
             else:
                 com = apply_transfer(tra, new)
             if isinstance(com, AbstractError):
                 return load_error(sta, com)
+        if new.bod is not typ.bod:
+            if not coherent(new.bod, typ.bod):
+                return load_error(sta, NO_COHERENCE)
+            typ = LangType(new.bod, tra)
+        elif yoke is not None:
+            typ = LangType(typ.bod, tra)
+        if tra is not TT:
             if com.bod is not BOOLEAN:
                 return load_error(sta, A_YOKE_EXPECTED)
             if not com.dat:
                 return load_error(sta, YOKE_NOT_SATISFIED)
-        return bind_variable(sta, ide, _unchecked_value(new.dat, val.typ, new))
+        return bind_variable(sta, ide, _unchecked_value(new.dat, typ, new))
 
     return assign
-
-
-def _yoke(ide: str, tra: Transfer) -> StateCode:
-    def yoke(sta):
-        # Symmetric to assignment: the old composite is kept, the transfer
-        # is replaced, and the new transfer must accept the old composite.
-        if sta.store.register is not None:
-            return sta
-        val = sta.store.valuation.get(ide)
-        if val is None:
-            return load_error(sta, IDENTIFIER_NOT_DECLARED)
-        old = val.com
-        if old is None:
-            return load_error(sta, VARIABLE_NOT_INITIALIZED)
-        com = apply_transfer(tra, old)
-        if isinstance(com, AbstractError):
-            return load_error(sta, com)
-        if com.bod is not BOOLEAN:
-            return load_error(sta, A_YOKE_EXPECTED)
-        if not com.dat:
-            return load_error(sta, YOKE_NOT_SATISFIED)
-        typ = LangType(val.typ.bod, tra)
-        return bind_variable(sta, ide, _unchecked_value(val.content, typ, old))
-
-    return yoke
 
 
 def _if(guard: DataCode, then_code: StateCode, else_code: StateCode) -> StateCode:
@@ -1043,7 +1001,7 @@ class Evaluator:
             case n.AssignIns(ide, dae):
                 return self.compile_assignment(ide, dae)
             case n.YokeIns(ide, tre):
-                return _yoke(ide, self._transfer(tre))
+                return _assign(ide, _variable(ide), yoke=self._transfer(tre))
             case n.CallIns(ide, ref_args, val_args):
                 actuals, lengths = (*ref_args, *val_args), (len(ref_args), len(val_args))
                 return lambda sta: self.call_imperative_procedure(ide, actuals, lengths, sta)
@@ -1056,22 +1014,23 @@ class Evaluator:
         raise TypeError(f"not an instruction: {ins!r}")
 
     def compile_assignment(self, ide: str, dae: n.DatExp) -> StateCode:
-        """`ide := dae`.  Whether `dae` adds or changes one element of the
-        value `ide` holds is decided here, from the tree: `add-to-arr`,
-        `push` and `change-arr` with `ide` itself as their collection."""
+        """`ide := dae`, as `_assign`.  Whether `dae` adds or changes one
+        element of the value `ide` holds is decided here, from the tree:
+        `add-to-arr`, `push` and `change-arr` with `ide` itself as their
+        collection pass `_assign` the maker of a one-datum collection."""
         sub, limits = self.compile_expression, self.limits
         match dae:
             case n.AddToArrExp(n.IdeExp(held) as target, element) if held == ide:
                 value = _binary(sub(target), sub(element), _with_element(_add_to_array, 1), limits)
-                return _element_write(ide, value, _unchecked_array)
+                return _assign(ide, value, single=_unchecked_array)
             case n.PushExp(element, n.IdeExp(held) as target) if held == ide:
                 value = _binary(sub(element), sub(target), _with_element(_push, 0), limits)
-                return _element_write(ide, value, _unchecked_list)
+                return _assign(ide, value, single=_unchecked_list)
             case n.ChangeArrExp(n.IdeExp(held) as target, index, element) if held == ide:
                 value = _ternary(
                     sub(target), sub(index), sub(element), _with_element(_change_array, 2), None
                 )
-                return _element_write(ide, value, _unchecked_array)
+                return _assign(ide, value, single=_unchecked_array)
         return _assign(ide, sub(dae))
 
     def compile_preamble(self, pam) -> StateCode:
@@ -1130,12 +1089,9 @@ class Evaluator:
         call = compiled[1]
         # The declaration-time environment with the whole group nested back
         # in, so every member, the callee included, resolves recursively.
-        if len(group) == 1:
-            procs = {**env.procs, dec.ide: pro}
-        else:
-            procs = dict(env.procs)
-            for member in group:
-                procs[member.ide] = pro if member is dec else Procedure(member, group, env)
+        procs = dict(env.procs)
+        for member in group:
+            procs[member.ide] = pro if member is dec else Procedure(member, group, env)
         if call.lengths != lengths:
             return PARAMETER_LIST_MISMATCH
         valuation: dict[str, Value] = {}

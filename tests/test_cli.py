@@ -217,6 +217,54 @@ class TestRun:
         assert "x = (Ω, number) with true" in out
 
 
+class TestDeepReport:
+    """The report is printed after the recursion limit is put back, so it
+    writes types and data of any depth without recursing."""
+
+    @staticmethod
+    def types(depth):
+        """`t1` is an array of numbers, and each `tk` an array of `t(k-1)`."""
+        return ["set t1 as array-type number ee tes ;"] + [
+            f"set t{k} as array-type t{k - 1} ee tes ;" for k in range(2, depth + 1)
+        ]
+
+    def run(self, tmp_path, capsys, lines):
+        path = write(tmp_path, "deep.lng", "\n".join(["begin-program", *lines, "end-program"]))
+        previous = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            code = main(["run", path])
+        finally:
+            sys.setrecursionlimit(previous)
+        out, err = capsys.readouterr()
+        assert err == ""
+        return code, out.splitlines()
+
+    def test_a_type_nested_1000_deep(self, tmp_path, capsys):
+        code, out = self.run(tmp_path, capsys, [*self.types(1000), "let x be t1000 tel ; skip"])
+        assert code == 0
+        assert out == [f"x = (Ω, {'array of ' * 1000}number) with true", "register = OK"]
+
+    def test_data_nested_400_deep(self, tmp_path, capsys):
+        depth = 400
+        code, out = self.run(
+            tmp_path,
+            capsys,
+            [
+                *self.types(depth),
+                *(f"let x{k} be t{k} tel ;" for k in range(1, depth + 1)),
+                " ; ".join(
+                    ["x1 := array 1 ee"]
+                    + [f"x{k} := array x{k - 1} ee" for k in range(2, depth + 1)]
+                ),
+            ],
+        )
+        assert code == 0
+        assert out[-1] == "register = OK"
+        deepest = f"({'[' * depth}1{']' * depth}, {'array of ' * depth}number) with true"
+        assert f"x{depth} = {deepest}" in out
+
+
 class TestCheckRestoreAst:
     def test_check_valid_program(self, tmp_path, capsys):
         path = write(tmp_path, "ok.lng", "begin-program skip end-program")

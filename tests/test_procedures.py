@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from lingua import semantics
-from lingua.cli import state_report
+from lingua.cli import main, state_report
 from lingua.kernel import (
     OVERFLOW,
     TT,
@@ -515,3 +515,51 @@ class TestParameterBinding:
             "register = OK",
         ]
         assert register_word(run_text(program % "total := 5000")) == "yoke-not-satisfied"
+
+
+class TestWritesToParameterHeldCollections:
+    """A `ref` formal's type is built on each call, so the collection the
+    parameter holds has a body equal to, but not the same object as, the
+    formal's body.  Element writes and `yoke` on it still run every check
+    of the write ladder and report as a whole-value write would."""
+
+    GROW = (
+        "proc grow (val empty-fp ref a as array-type number ee) "
+        "begin-program a := add-to-arr a new 1 ee ; "
+        "yoke a := all-array (value < 10) ee ; "
+        "a := change-arr a at 1 by {changed} ee end-program end proc"
+    )
+
+    def run(self, tmp_path, capsys, first, changed):
+        path = tmp_path / "grow.lng"
+        path.write_text(
+            f"begin-program {self.GROW.format(changed=changed)} ; "
+            "let x be array-type number ee tel ; "
+            f"x := array {first} ee ; "
+            "call grow (ref x val empty-ap) ; call grow (ref x val empty-ap) end-program",
+            encoding="utf-8",
+        )
+        code = main(["run", str(path)])
+        out, err = capsys.readouterr()
+        assert err == ""
+        return code, out.splitlines()
+
+    def test_two_calls_grow_yoke_and_change(self, tmp_path, capsys):
+        assert self.run(tmp_path, capsys, 5, 7) == (
+            0,
+            [
+                "x = ([7, 1, 1], array of number) with all-array (value < 10) ee",
+                "register = OK",
+            ],
+        )
+
+    @pytest.mark.parametrize(
+        "first, changed",
+        [(50, 7), (5, 70)],
+        ids=["the-yoke-rejects-the-held-array", "the-changed-element-breaks-the-yoke"],
+    )
+    def test_a_broken_yoke_leaves_the_actual_as_it_was(self, tmp_path, capsys, first, changed):
+        assert self.run(tmp_path, capsys, first, changed) == (
+            1,
+            [f"x = ([{first}], array of number) with true", "register = yoke-not-satisfied"],
+        )
