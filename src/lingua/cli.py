@@ -5,6 +5,9 @@ Exit codes: 0 clean run, 1 an abstract error is left in the register,
 too deep to evaluate, 4 an I/O failure: unreadable input, text that is
 not UTF-8, or a standard output closed before the command's output is
 written (as when piped into `head`; nothing is printed then).
+
+`run` and `repl` import the evaluator and the state module when they
+start, so `check`, `restore` and `ast` load only the front end.
 """
 
 from __future__ import annotations
@@ -15,8 +18,7 @@ import gc
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, TextIO, TypeVar, Union
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, TextIO, TypeVar, Union
 
 from .diagnostics import LinguaParseError, format_diagnostic
 from .kernel import (
@@ -39,8 +41,10 @@ from .kernel import (
 from . import nodes as n
 from .parser import parse_any, parse_program
 from .printer import ast_dump, print_concrete
-from .semantics import Evaluator, OutOfFuel
-from .state import State, empty_state, is_error, register_word
+from .record import record
+
+if TYPE_CHECKING:
+    from .state import State
 
 DEFAULT_FUEL = 10_000_000
 
@@ -51,8 +55,7 @@ T = TypeVar("T")
 RECURSION_LIMIT = 20_000
 
 
-@dataclass
-class RunConfig:
+class RunConfig(metaclass=record, frozen=False):
     fuel: Optional[int] = DEFAULT_FUEL
     limits: Limits = Limits()
     trace: bool = False
@@ -141,6 +144,8 @@ def format_value(val: Value) -> str:
 
 
 def state_report(sta: State) -> list[str]:
+    from .state import register_word
+
     lines = [
         f"{ide} = {format_value(val)}"
         for ide, val in sorted(sta.store.valuation.items())
@@ -203,6 +208,9 @@ def _digits(text: str) -> int:
 
 
 def cmd_run(path: str, config: RunConfig, out: TextIO, err: TextIO) -> int:
+    from .semantics import Evaluator, OutOfFuel
+    from .state import empty_state, is_error
+
     prg = _load(path, parse_program, err)
     if isinstance(prg, int):
         return prg
@@ -256,7 +264,8 @@ def repl(
     `:state` prints the report, `:ok` clears the register, `:quit` leaves.
     Bare expressions are evaluated and shown as a convenience.  Each line
     runs on the whole step budget."""
-    from .state import clear_error
+    from .semantics import Evaluator, OutOfFuel
+    from .state import clear_error, empty_state, is_error, register_word
 
     sta = empty_state()
     interactive = stdin.isatty()

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .record import record
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(metaclass=record):
     begin: int
     end: int
     line: int
@@ -17,8 +16,7 @@ class SourceSpan:
             raise ValueError("span runs backwards")
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
+class ParseDiagnostic(metaclass=record):
     span: SourceSpan
     message: str
     kind: str  # lexical | syntactic | keyword-misuse | too-deep

@@ -15,8 +15,9 @@ touch.
 
 Lean numbers: the values every operation builds are cheap.  A simple
 datum is its own value: a truth value is the Python `bool` itself, a
-word the `str` itself, and a `Number` the number datum itself.  Numbers,
-composites and list and array data are slotted.  `Number(coeff, exp)`
+word the `str` itself, and a `Number` the number datum itself.  Every
+datum, body, composite, transfer, type and value class is a frozen
+slotted record (`lingua.record`).  `Number(coeff, exp)`
 checks the normal form, but `Number.make`, which normalizes, builds its
 result unchecked, as the evaluator does the data and composites it
 derives.  `Number.sum` and `Number.max` fold a sequence in one pass over
@@ -31,19 +32,19 @@ so the evaluator tests a body with `is`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Callable, Mapping, Optional, Sequence, Union
+
+from .record import record
 
 
 # ---------------------------------------------------------------------------
 # abstract errors
 
 
-@dataclass(frozen=True)
-class AbstractError:
+class AbstractError(metaclass=record):
     """An error word, stored in state registers and returned by evaluation."""
 
     word: str
@@ -93,8 +94,7 @@ class Data:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Number(Data):
+class Number(Data, metaclass=record):
     """An exact decimal number coeff * 10**exp, and the number datum itself.
 
     Normalized so that zero is (0, 0) and a nonzero coeff is never divisible
@@ -295,12 +295,13 @@ ZERO = Number(0, 0)
 class Body:
     """Structural descriptor of a datum."""
 
+    __slots__ = ()
+
 
 _SIMPLE_BODIES: dict[str, "SimpleBody"] = {}
 
 
-@dataclass(frozen=True)
-class SimpleBody(Body):
+class SimpleBody(Body, metaclass=record):
     """One of exactly three instances, one per name, so `is` decides equality."""
 
     name: str  # 'Boolean' | 'number' | 'word'
@@ -317,13 +318,11 @@ class SimpleBody(Body):
         return SimpleBody, (self.name,)
 
 
-@dataclass(frozen=True)
-class ListBody(Body):
+class ListBody(Body, metaclass=record):
     element: Body
 
 
-@dataclass(frozen=True)
-class ArrayBody(Body):
+class ArrayBody(Body, metaclass=record):
     element: Body
 
 
@@ -351,8 +350,7 @@ class _Attributes:
         raise KeyError(name)
 
 
-@dataclass(frozen=True)
-class RecordBody(_Attributes, Body):
+class RecordBody(_Attributes, Body, metaclass=record):
     fields: tuple[tuple[str, Body], ...]
 
     def with_added(self, name: str, body: Body) -> "RecordBody":
@@ -373,16 +371,14 @@ WORD = SimpleBody("word")
 # collection and record data
 
 
-@dataclass(frozen=True, slots=True)
-class ListData(Data):
+class ListData(Data, metaclass=record):
     items: tuple[Data, ...]
 
     def __post_init__(self) -> None:
         body_of(self)  # raises on a provably heterogeneous collection
 
 
-@dataclass(frozen=True, slots=True)
-class ArrayData(Data):
+class ArrayData(Data, metaclass=record):
     """Array indexed 1..n; item with index i sits at items[i - 1]."""
 
     items: tuple[Data, ...]
@@ -391,15 +387,14 @@ class ArrayData(Data):
         body_of(self)
 
 
-@dataclass(frozen=True)
-class RecordData(_Attributes, Data):
+class RecordData(_Attributes, Data, metaclass=record):
     fields: tuple[tuple[str, Data], ...]
 
 
 # Unchecked construction, for results whose pairing the caller has derived
 # from certified parts; everything else goes through the checking
-# constructors.  A slot is set through its descriptor, which also skips the
-# frozen dataclass's `object.__setattr__` per field.
+# constructors.  A slot is set through its descriptor, as the checking
+# constructor sets it, but `__post_init__`'s check is skipped.
 _set_list_items = ListData.items.__set__
 _set_array_items = ArrayData.items.__set__
 
@@ -489,8 +484,7 @@ def clan_bo_member(dat: Data, bod: Body) -> bool:
 # composites, transfers, types, values
 
 
-@dataclass(frozen=True, slots=True)
-class Composite:
+class Composite(metaclass=record):
     """A certified datum/body pair: construction checks the pairing."""
 
     dat: Data
@@ -511,8 +505,7 @@ def _unchecked_composite(dat: Data, bod: Body) -> Composite:
     return com
 
 
-@dataclass(frozen=True)
-class Transfer:
+class Transfer(metaclass=record):
     """A total map over composites-or-errors, tagged with its source text.
 
     Two transfers compare equal when their source texts do: the text of a
@@ -520,13 +513,20 @@ class Transfer:
     """
 
     source: str
-    fn: Callable[[Composite], Union[Composite, AbstractError]] = field(
-        compare=False, repr=False
-    )
+    fn: Callable[[Composite], Union[Composite, AbstractError]]
     # True for `all-list T` and `all-array T`: their verdict on a collection
     # of the right kind is T's on every element, so on a collection of one
     # element it is T's verdict on that element.
-    elementwise: bool = field(default=False, compare=False, repr=False)
+    elementwise: bool = False
+
+    def __eq__(self, other: object) -> bool:
+        return self.source == other.source if other.__class__ is Transfer else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.source)
+
+    def __repr__(self) -> str:
+        return f"Transfer(source={self.source!r})"
 
     def apply(self, x: Union[Composite, AbstractError]) -> Union[Composite, AbstractError]:
         return apply_transfer(self, x)
@@ -555,8 +555,7 @@ def is_boo_composite(com: Union[Composite, AbstractError]) -> bool:
     return isinstance(com, Composite) and com.bod is BOOLEAN
 
 
-@dataclass(frozen=True, slots=True)
-class LangType:
+class LangType(metaclass=record):
     """A (body, transfer) pair; its clan holds the composites it admits."""
 
     bod: Body
@@ -593,18 +592,17 @@ class _Omega:
 OMEGA = _Omega()
 
 
-@dataclass(frozen=True, slots=True)
-class Value:
+class Value(metaclass=record):
     """What a variable is bound to: a datum (or Ω) together with its type.
 
     Construction certifies the value: the datum must pair with the type's
-    body and satisfy its transfer.  `com` is that composite, and None
-    exactly for Ω.
+    body and satisfy its transfer.  `com`, a slot beside the two fields,
+    is that composite, and None exactly for Ω.
     """
 
+    __slots__ = ("com",)
     content: Union[Data, _Omega]
     typ: LangType
-    com: Optional[Composite] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         com = None
@@ -652,8 +650,7 @@ def coherent(b1: Body, b2: Body) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class Limits:
+class Limits(metaclass=record):
     """Size bounds applied to freshly computed data (top level only)."""
 
     max_significant_digits: int = 20

@@ -11,30 +11,32 @@ item itself), and parameter lists are tuples too.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
-from types import CodeType, FunctionType
 from typing import Any, Callable, Optional, Union
 
 from .kernel import Number
-
-# one compiled `__init__` body per distinct tuple of field names
-_INIT_CODES: dict[tuple[str, ...], CodeType] = {}
+from .record import method, refuse_write
 
 
-def _init(cls: type, names: tuple[str, ...]) -> FunctionType:
+def _init(cls: type, names: tuple[str, ...]) -> Callable:
     """`cls.__init__`, taking `names` positionally or by keyword and
     storing each straight into the instance `__dict__`."""
-    code = _INIT_CODES.get(names)
-    if code is None:
-        source = f"def __init__(self{''.join(', ' + name for name in names)}):\n"
-        source += "    d = self.__dict__\n"
-        source += "".join(f"    d[{name!r}] = {name}\n" for name in names)
-        namespace: dict = {}
-        exec(source, namespace)
-        code = _INIT_CODES[names] = namespace["__init__"].__code__
-    init = FunctionType(code, {}, "__init__")
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    return init
+    source = f"def __init__(self{''.join(', ' + name for name in names)}):\n"
+    source += "    d = self.__dict__\n"
+    source += "".join(f"    d[{name!r}] = {name}\n" for name in names)
+    return method(cls.__qualname__, source, {})
+
+
+class _LazyFields:
+    """A node class's `__dataclass_fields__`, which `dataclasses.fields`
+    reads.  The first read processes the class as a dataclass, for its
+    field metadata alone, which sets the class's own entry in place of
+    this descriptor."""
+
+    def __get__(self, node: Optional[Node], cls: type) -> dict:
+        from dataclasses import dataclass
+
+        dataclass(init=False, repr=False, eq=False)(cls)
+        return cls.__dict__["__dataclass_fields__"]
 
 
 _TUPLE = object()  # stands for a tuple in `_walk`; the tuple's length follows
@@ -65,23 +67,23 @@ def _render(node: Node, container: Callable, scalar: Callable[[Any], str]) -> st
 
     `container(value, depth)` gives a node's or tuple's (opening text,
     [(text before child, child)], closing text); `scalar(value)` gives the
-    text of anything else.  Plain text rides the stack as `(text, None)`.
-    The repr, both AST dumps and the concrete syntax are written by it.
+    text of anything else.  Text rides the stack as `(text, None)`, and
+    empty text is dropped.  The repr, dumps and concrete syntax use it.
     """
     parts: list[str] = []
     stack: list[tuple[Any, Any]] = [(node, 0)]
     while stack:
         value, depth = stack.pop()
-        if depth is None:
-            parts.append(value)
-        elif isinstance(value, (Node, tuple)):
+        if depth is not None and isinstance(value, (Node, tuple)):
             opening, children, closing = container(value, depth)
-            parts.append(opening)
             stack.append((closing, None))
             for before, child in reversed(children):
                 stack += ((child, depth + 1), (before, None))
-        else:
+            stack.append((opening, None))
+        elif depth is not None:
             parts.append(scalar(value))
+        elif value:
+            parts.append(value)
     return "".join(parts)
 
 
@@ -101,10 +103,10 @@ class Node:
     """A frozen record of the fields its class annotates.
 
     Each subclass gets `__match_args__` from its own annotations, an
-    `__init__` for them and dataclass field metadata (`dataclasses.fields`
-    reads it).  Equality and hashing go by class and fields, the repr is
-    the dataclass text, and assigning or deleting an attribute raises
-    `FrozenInstanceError`, as for a frozen dataclass.
+    `__init__` for them and dataclass field metadata, built when
+    `dataclasses.fields` first reads it.  Equality and hashing go by class
+    and fields, the repr is the dataclass text, and assigning or deleting
+    an attribute raises `FrozenInstanceError`, as for a frozen dataclass.
     """
 
     def __init_subclass__(cls) -> None:
@@ -113,7 +115,7 @@ class Node:
         cls.__init__ = _init(cls, names)
         if cls.__doc__ is None:  # else `dataclass` builds one from a signature
             cls.__doc__ = f"{cls.__name__}({', '.join(names)})"
-        dataclass(init=False, repr=False, eq=False)(cls)
+        cls.__dataclass_fields__ = _LazyFields()
 
     # Equality, hashing and the repr walk the tree with an explicit stack,
     # so a tree of any depth needs no more Python frames than a leaf.
@@ -129,11 +131,7 @@ class Node:
     def __repr__(self) -> str:
         return _render(self, _repr_parts, repr)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    __setattr__ = __delattr__ = refuse_write
 
 
 class DatExp(Node):

@@ -59,7 +59,6 @@ Five rules keep a step's Python calls to those that decide something:
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, NamedTuple, Optional, TypeVar, Union
 
@@ -118,6 +117,7 @@ from .kernel import (
 )
 from . import nodes as n
 from .printer import print_concrete
+from .record import record
 from .state import (
     Env,
     State,
@@ -143,8 +143,7 @@ class OutOfFuel(Exception):
     """The step budget ran out; distinct from every abstract error."""
 
 
-@dataclass
-class Fuel:
+class Fuel(metaclass=record, frozen=False):
     """Remaining loop iterations and procedure calls; None is unlimited."""
 
     remaining: Optional[int]
@@ -836,8 +835,7 @@ class _Call(NamedTuple):
     return_type: Optional[TypeCode]
 
 
-@dataclass(frozen=True)
-class Procedure:
+class Procedure(metaclass=record):
     """One value for both kinds of procedure, bound in `Env.procs`: its
     declaration, the group declared with it (a function, or a lone `proc`,
     is a group of one) and the declaration-time environment, without the

@@ -2,14 +2,14 @@
 
 A state pairs an environment (types and procedures) with a store (the
 valuation and the error register).  `State`, `Env` and `Store` are
-slotted records, not frozen ones, since a call builds three and every
-load or clear of the register two, and a frozen record costs about twice
-as much to build; they compare field by field.  They are persistent by
-convention: no code assigns a field, and binding a type or a procedure
-returns a fresh State and leaves the original untouched, which is what
-lets a procedure keep its declaration-time environment.  The procedure
-value, `semantics.Procedure`, lives beside the call protocol that reads
-it; this module only binds and looks it up.
+mutable records (`frozen=False`), not frozen ones, since a call builds
+three and every load or clear of the register two, and a frozen record
+costs about twice as much to build; they compare field by field.  They
+are persistent by convention: no code assigns a field, and binding a
+type or a procedure returns a fresh State and leaves the original
+untouched, which is what lets a procedure keep its declaration-time
+environment.  The procedure value, `semantics.Procedure`, lives beside
+the call protocol that reads it; this module only binds and looks it up.
 The valuation is owned by one activation, a program run or one procedure
 call: compiled code writes variables in place (`write_variable`), since a
 callee runs on a valuation of its own and no code reads the valuation as
@@ -26,26 +26,23 @@ building states by hand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .kernel import AbstractError, LangType, Value
+from .record import record
 
 
-@dataclass(slots=True)
-class Env:
+class Env(metaclass=record, frozen=False):
     types: dict[str, LangType]
     procs: dict[str, "Procedure"]
 
 
-@dataclass(slots=True)
-class Store:
+class Store(metaclass=record, frozen=False):
     valuation: dict[str, Value]
     register: Optional[AbstractError]  # None stands for 'OK'
 
 
-@dataclass(slots=True)
-class State:
+class State(metaclass=record, frozen=False):
     env: Env
     store: Store
 
