@@ -47,9 +47,10 @@ Five rules keep a step's Python calls to those that decide something:
   and return type codes from one entry (`_Call`), compiled at the first
   call in an entry point, and runs the steps in a loop of its own; the
   entry holds code only, and the formal types are still evaluated in the
-  callee's environment on every call.  A call site holds its actuals as
-  one tuple, the ref list before the val, and the lists' lengths, both
-  built when it compiles.
+  callee's environment on every call.  That environment is built once per
+  procedure value per entry point, and its calls share it, as no code
+  writes an `Env`.  A call site holds its actuals as one tuple, the ref
+  list before the val, and the lists' lengths, both built when it compiles.
 - A parameter whose actual holds the formal's type object, not merely an
   equal one, is bound to that value as it is: a `Value` is certified
   against its own type.  A `ref` actual gets the formal's type back with
@@ -377,9 +378,10 @@ def _array_at(arr: Composite, idx: Composite, _) -> EvalResult:
 def _record_at(com: Composite, ide: str) -> EvalResult:
     if not isinstance(com.bod, RecordBody):
         return RECORD_EXPECTED
-    if not com.bod.has(ide):
+    bod = com.bod.find(ide)
+    if bod is None:
         return ATTRIBUTE_NOT_PRESENT
-    return _unchecked_composite(com.dat.get(ide), com.bod.get(ide))
+    return _unchecked_composite(com.dat.find(ide), bod)
 
 
 # -- data expressions only
@@ -874,6 +876,7 @@ class Evaluator:
         self.trace = trace
         self._literals: dict[Data, Code] = {}
         self._calls: dict[int, tuple[n.Node, _Call]] = {}
+        self._envs: dict[int, tuple[Procedure, Env]] = {}
 
     # -- entry points: compile, then run -----------------------------------
 
@@ -909,9 +912,9 @@ class Evaluator:
 
     def _entered(self, run: Callable[[], C]) -> C:
         """`run()`, an entry point's compile and run, the collector paused,
-        as neither leaves cyclic garbage; then the literal and callee tables
-        go, as recursive call sites hold this evaluator, and the collector
-        is put back as it was, also when `run` raises."""
+        as neither leaves cyclic garbage; then the evaluator's tables go, as
+        recursive call sites hold this evaluator, and the collector is put
+        back as it was, also when `run` raises."""
         enabled = gc.isenabled()
         gc.disable()
         try:
@@ -919,6 +922,7 @@ class Evaluator:
         finally:
             self._literals.clear()
             self._calls.clear()
+            self._envs.clear()
             if enabled:
                 gc.enable()
 
@@ -1079,21 +1083,27 @@ class Evaluator:
         if pro is None or not isinstance(pro.dec, kind):
             return PROCEDURE_NOT_DECLARED
         self.fuel.spend()
-        dec, group, env = pro.dec, pro.group, pro.env
-        # `dec` is kept beside its code, so no other node takes its id.
+        dec = pro.dec
+        # `dec` and `pro` are kept beside what is built from them, so their
+        # ids stay theirs.
         compiled = self._calls.get(id(dec))
         if compiled is None:
             compiled = self._calls[id(dec)] = (dec, self._compile_call(dec))
         call = compiled[1]
-        # The declaration-time environment with the whole group nested back
-        # in, so every member, the callee included, resolves recursively.
-        procs = dict(env.procs)
-        for member in group:
-            procs[member.ide] = pro if member is dec else Procedure(member, group, env)
         if call.lengths != lengths:
             return PARAMETER_LIST_MISMATCH
+        callee = self._envs.get(id(pro))
+        if callee is None:
+            # The declaration-time environment with the whole group nested
+            # back in, so every member, the callee included, resolves
+            # recursively.
+            group, env = pro.group, pro.env
+            procs = dict(env.procs)
+            for member in group:
+                procs[member.ide] = pro if member is dec else Procedure(member, group, env)
+            callee = self._envs[id(pro)] = (pro, Env(env.types, procs))
         valuation: dict[str, Value] = {}
-        local = State(Env(env.types, procs), Store(valuation, None))
+        local = State(callee[1], Store(valuation, None))
         # The local valuation holds only the formals.  Formal types read
         # only the environment, so they evaluate on `local` as it fills.
         # An actual that holds the formal's type object satisfies it, as

@@ -223,6 +223,17 @@ class TestRecords:
             RecordData.of({"a": "w"}), RecordBody.of({"a": WORD})
         )
 
+    def test_read_a_false_attribute(self):
+        # A false datum is a found attribute, not a missing one.
+        assert eval_text("rec record flag of-value false ee at flag ee") == boo_composite(
+            False
+        )
+
+    def test_read_an_empty_list_attribute(self):
+        assert eval_text("rec record xs of-value pop (list 1 ee) ee at xs ee") == Composite(
+            ListData(()), ListBody(NUMBER)
+        )
+
     def test_guards(self):
         assert eval_text("rec 1 at a ee") == err("record-expected")
         assert eval_text("rec record a of-value 1 ee at b ee") == err(

@@ -569,6 +569,22 @@ class TestOversized:
         with pytest.raises(ValueError):
             Limits(max_significant_digits=0)
 
+    def test_truth_values_never_oversized(self):
+        # bool is an int subclass, but no Number, word or collection.
+        lim = Limits(max_significant_digits=1, max_word_length=1, max_collection_size=1)
+        assert not oversized(True, lim)
+        assert not oversized(False, lim)
+
+    def test_array_at_the_collection_bound(self):
+        lim = Limits(max_collection_size=3)
+        assert not oversized(ArrayData((num(1), num(2), num(3))), lim)
+        assert oversized(ArrayData((num(1), num(2), num(3), num(4))), lim)
+
+    def test_word_of_exactly_the_length_bound(self):
+        lim = Limits()
+        assert not oversized("w" * lim.max_word_length, lim)
+        assert oversized("w" * (lim.max_word_length + 1), lim)
+
 
 # ---------------------------------------------------------------------------
 # values and records
@@ -590,6 +606,19 @@ class TestValuesAndRecords:
             record.get("b")
         with pytest.raises(KeyError):
             RecordBody.of({"a": NUMBER}).get("b")
+
+    def test_find_has_and_get_of_a_false_item(self):
+        record = RecordData.of({"flag": False, "xs": ListData(())})
+        assert record.find("flag") is False
+        assert record.has("flag") and record.get("flag") is False
+        assert record.find("xs") == ListData(())
+        assert record.find("other") is None and not record.has("other")
+        with pytest.raises(KeyError):
+            record.get("other")
+        body = RecordBody.of({"flag": BOOLEAN})
+        assert body.find("flag") is BOOLEAN and body.find("other") is None
+        with pytest.raises(KeyError):
+            body.get("other")
 
     def test_omega_is_a_singleton(self):
         assert Value(OMEGA, LangType(NUMBER, TT)).content is OMEGA

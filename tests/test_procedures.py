@@ -406,6 +406,67 @@ class TestFrameLaw:
         assert after.store.valuation["x"].content == num(2)
 
 
+class TestCalleeEnvironments:
+    """A callee's environment is built once per procedure value in an
+    entry point, keyed by the value's identity, and dropped when the entry
+    point ends."""
+
+    def test_one_declaration_in_two_states_reads_each_states_procedures(self):
+        # Both entry points call `f`, one declaration node, bound in two
+        # states over different `g`s: each call must reach its own `g`.
+        evaluator = Evaluator()
+        pam = parse_program(
+            "begin-program fun f (n as number) g(n) endfun ; skip end-program"
+        ).pam
+        call = parse_data_expression("f(x)")
+        results = []
+        for g in ("(n + 1)", "(n * 10)"):
+            sta = run_text(
+                f"begin-program fun g (n as number) {g} endfun ; "
+                "let x be number tel ; x := 2 end-program"
+            )
+            sta = evaluator.exec_preamble(pam, sta)
+            results.append(evaluator.eval_data_exp(call, sta))
+        assert results == [Composite(num(3), NUMBER), Composite(num(20), NUMBER)]
+
+    def test_one_name_bound_to_two_declarations(self):
+        # Each state's `f` recurses through its own environment, so a call
+        # that ran on the other state's environment would read 11, not 20.
+        evaluator = Evaluator()
+        call = parse_data_expression("f(x)")
+        results = []
+        for step in (1, 10):
+            sta = run_text(
+                "begin-program fun f (n as number) begin-program "
+                "let m be number tel ; let r be number tel ; "
+                "if (n < 1) then r := 0 else m := (n - 1) ; "
+                f"r := (f(m) + {step}) fi end-program return r as number end fun ; "
+                "let x be number tel ; x := 2 end-program"
+            )
+            results.append(evaluator.eval_data_exp(call, sta))
+        assert results == [Composite(num(2), NUMBER), Composite(num(20), NUMBER)]
+
+    def test_local_type_and_procedure_under_recursion(self):
+        sta = run_source(
+            "begin-program "
+            "proc down (val n as number ref r as number) "
+            "begin-program set small as replace-transfer-in number by value < 100 ee tes ; "
+            "proc inc (val v as small ref w as small) "
+            "begin-program w := (v + 1) end-program end proc ; "
+            "let m be small tel ; let t be small tel ; "
+            "if (n < 1) then r := 0 else m := (n - 1) ; call down (ref t val m) ; "
+            "call inc (ref r val t) fi "
+            "end-program end proc ; "
+            "let k be number tel ; let res be number tel ; "
+            "k := 50 ; call down (ref res val k) end-program"
+        )
+        assert state_report(sta) == [
+            "k = (50, number) with true",
+            "res = (50, number) with (value < 100)",
+            "register = OK",
+        ]
+
+
 class TestTheCallerRunsTheCall:
     """A procedure declared under one evaluator and called under another
     runs under the caller's fuel, trace hook and limits: a `Procedure`
