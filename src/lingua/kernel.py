@@ -25,9 +25,11 @@ and `Number.max` fold a sequence in one pass over its coefficients.  The
 size rule in `oversized` never writes a number out: a coefficient's bit
 length decides it, and only a coefficient within a bit per digit of the
 bound is compared with a cached power of ten.
-There are exactly three simple bodies, `BOOLEAN`, `NUMBER` and `WORD`:
-`SimpleBody(name)`, `copy` and `pickle` all return the canonical instance,
-so the evaluator tests a body with `is`.
+Bodies are interned: every body is built through one table keyed by its
+class and parts, so equal bodies are one object.  `ListBody(NUMBER)`,
+`copy` and `pickle` all return the canonical instance, there are exactly
+three simple bodies, `BOOLEAN`, `NUMBER` and `WORD`, and the kernel and
+evaluator test bodies with `is`.
 """
 
 from __future__ import annotations
@@ -297,30 +299,41 @@ ZERO = Number(0, 0)
 # bodies
 
 
+# Every body is interned in this table, keyed by its class and parts, so
+# equal bodies are one object and `is` decides body equality.  The table is
+# strong: a body is never freed.  New shapes come only from new source text,
+# or from recursion whose depth fuel bounds, so it grows only with what the
+# programs run in a process write (21 bodies after all four benchmark
+# corpora).  A weak table would need a `__weakref__` slot on every body and
+# a slower lookup on every construction.
+_BODIES: dict[tuple, "Body"] = {}
+
+
 class Body:
-    """Structural descriptor of a datum."""
+    """Structural descriptor of a datum, interned: constructing a body
+    whose class and parts are those of an existing one returns that one,
+    and pickling and copying construct it again.  Each body class has one
+    field, so its key is the same whether that part is given by position
+    or by keyword.  Equality and hashing go by identity, so they never
+    recurse through a body's parts."""
 
     __slots__ = ()
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-
-_SIMPLE_BODIES: dict[str, "SimpleBody"] = {}
+    def __new__(cls, *parts, **named) -> "Body":
+        key = (cls, *parts, *named.values())
+        body = _BODIES.get(key)
+        if body is None:
+            body = _BODIES[key] = _new(cls)
+        return body
 
 
 class SimpleBody(Body, metaclass=record):
-    """One of exactly three instances, one per name, so `is` decides equality."""
-
     name: str  # 'Boolean' | 'number' | 'word'
 
-    def __new__(cls, name: str) -> "SimpleBody":
-        body = _SIMPLE_BODIES.get(name)
-        if body is None:
-            if name not in ("Boolean", "number", "word"):
-                raise ValueError(f"no simple body is called {name!r}")
-            body = _SIMPLE_BODIES[name] = _new(cls)
-        return body
-
-    def __reduce__(self):
-        return SimpleBody, (self.name,)
+    def __post_init__(self) -> None:
+        if self.name not in ("Boolean", "number", "word"):
+            raise ValueError(f"no simple body is called {self.name!r}")
 
 
 class ListBody(Body, metaclass=record):
@@ -449,7 +462,7 @@ def body_of(dat: Data) -> Optional[Body]:
                     continue
                 if element is None:
                     element = b
-                elif element != b:
+                elif element is not b:
                     raise ValueError("collection elements have different bodies")
             if element is None:
                 return None
@@ -582,9 +595,9 @@ def clan_tr_member(com: Composite, tra: Transfer) -> bool:
 
 
 def clan_ty_member(com: Composite, typ: LangType) -> bool:
-    """A composite is certified against its own body, so with an equal body
-    it is in the type's clan exactly when the transfer accepts it."""
-    return (com.bod is typ.bod or com.bod == typ.bod) and clan_tr_member(com, typ.tra)
+    """A composite is certified against its own body, so with the type's
+    body it is in the type's clan exactly when the transfer accepts it."""
+    return com.bod is typ.bod and clan_tr_member(com, typ.tra)
 
 
 class _Omega:
@@ -650,15 +663,14 @@ def _unchecked_value(
 
 
 def coherent(b1: Body, b2: Body) -> bool:
-    """Equal bodies, or record bodies where one attribute map extends the other."""
-    if b1 is b2 or b1 == b2:
+    """The same body, or record bodies where one attribute map extends the
+    other: its (name, body) pairs, which hash by identity, include the
+    other's."""
+    if b1 is b2:
         return True
     if isinstance(b1, RecordBody) and isinstance(b2, RecordBody):
-        a1, a2 = b1.attributes(), b2.attributes()
-        if set(a1) <= set(a2):
-            return all(a2[name] == body for name, body in a1.items())
-        if set(a2) <= set(a1):
-            return all(a1[name] == body for name, body in a2.items())
+        f1, f2 = set(b1.fields), set(b2.fields)
+        return f1 <= f2 or f2 <= f1
     return False
 
 

@@ -8,9 +8,9 @@ default) that calls the class's own `__post_init__`, equality and hashing
 by class and fields, the dataclass repr, and pickling and copying through
 the constructor.  A write raises `dataclasses.FrozenInstanceError` unless
 the class statement says `frozen=False`; a mutable record is not
-hashable.  A method the class body defines is kept, and names its
-`__slots__` lists are storage beside the fields.  Each distinct method
-source compiles once, and classes share the code.
+hashable.  A method the class body or a base class defines is kept, and
+names its `__slots__` lists are storage beside the fields.  Each distinct
+method source compiles once, and classes share the code.
 """
 
 from types import CodeType, FunctionType
@@ -67,18 +67,18 @@ def record(name: str, bases: tuple, namespace: dict, frozen: bool = True) -> typ
         ("def __eq__(self, other):\n    if other.__class__ is self.__class__:\n"
          f"        return {fields('self')} == {fields('other')}\n    return NotImplemented\n", ()),
     ]
+    made = {"__repr__": _repr, "__reduce__": _reduce}
     if frozen:
         methods.append((f"def __hash__(self):\n    return hash({fields('self')})\n", ()))
-        namespace.setdefault("__setattr__", refuse_write)
-        namespace.setdefault("__delattr__", refuse_write)
+        made["__setattr__"] = made["__delattr__"] = refuse_write
     else:
-        namespace.setdefault("__hash__", None)
+        made["__hash__"] = None
     env: dict = {}
     for source, argdefs in methods:
         fn = method(namespace["__qualname__"], source, env, argdefs)
-        namespace.setdefault(fn.__name__, fn)
-    namespace.setdefault("__repr__", _repr)
-    namespace.setdefault("__reduce__", _reduce)
+        made[fn.__name__] = fn
+    inherited = {key for base in bases for cls in base.__mro__[:-1] for key in vars(cls)}
+    namespace.update((key, fn) for key, fn in made.items() if key not in namespace and key not in inherited)
     cls = type(name, bases, namespace)
     env.update((f"_set_{key}", cls.__dict__[key].__set__) for key in names)
     return cls

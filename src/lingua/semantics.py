@@ -41,8 +41,8 @@ Five rules keep a step's Python calls to those that decide something:
   `_assign`, one ladder of checks.  The verdict of `TT`, the transfer
   `true`, is `true` for every composite, so a write under it never applies
   it: its yoke error, shape and satisfaction steps are known to pass.
-- Identical bodies are coherent, so a write calls `coherent` only when the
-  new body is not the held one.
+- Bodies are interned, so an equal body is the held body itself, and a
+  write calls `coherent` only when the new body is not the held one.
 - A call reads its formal lengths, formal type codes, body steps, result
   and return type codes from one entry (`_Call`), compiled at the first
   call in an entry point, and runs the steps in a loop of its own; the
@@ -330,7 +330,7 @@ def _less(left: Composite, right: Composite, _) -> EvalResult:
 
 
 def _equal(left: Composite, right: Composite, _) -> EvalResult:
-    if left.bod != right.bod:
+    if left.bod is not right.bod:
         return FALSE_COMPOSITE
     return boo_composite(left.dat == right.dat)
 
@@ -394,7 +394,7 @@ def _list(com: Composite, limits: Limits) -> EvalResult:
 def _push(new: Composite, lst: Composite, limits: Limits) -> EvalResult:
     if not isinstance(lst.bod, ListBody):
         return LIST_EXPECTED
-    if new.bod != lst.bod.element:
+    if new.bod is not lst.bod.element:
         return NO_COHERENCE
     return _sized(_unchecked_list((new.dat, *lst.dat.items)), lst.bod, limits)
 
@@ -415,7 +415,7 @@ def _array(com: Composite, limits: Limits) -> EvalResult:
 def _add_to_array(arr: Composite, new: Composite, limits: Limits) -> EvalResult:
     if not isinstance(arr.bod, ArrayBody):
         return ARRAY_EXPECTED
-    if new.bod != arr.bod.element:
+    if new.bod is not arr.bod.element:
         return NO_COHERENCE
     return _sized(_unchecked_array((*arr.dat.items, new.dat)), arr.bod, limits)
 
@@ -428,7 +428,7 @@ def _change_array(arr: Composite, idx: Composite, new: Composite, _) -> EvalResu
     i = _index(idx.dat, len(arr.dat.items))
     if i is None:
         return INDEX_OUT_OF_RANGE
-    if new.bod != arr.bod.element:
+    if new.bod is not arr.bod.element:
         return NO_COHERENCE
     items = list(arr.dat.items)
     items[i - 1] = new.dat

@@ -264,6 +264,26 @@ class TestDeepReport:
         deepest = f"({'[' * depth}1{']' * depth}, {'array of ' * depth}number) with true"
         assert f"x{depth} = {deepest}" in out
 
+    def test_writes_of_types_nested_1000_deep(self, tmp_path, capsys):
+        """Each write compares the new body with the held one.  Bodies are
+        interned, so that comparison is `is` and never recurses, which C
+        recursion limits would stop at this depth on some Python versions."""
+        depth = 1000
+        code, out = self.run(
+            tmp_path,
+            capsys,
+            [
+                *self.types(depth),
+                *(f"let x{k} be t{k} tel ;" for k in range(1, depth + 1)),
+                " ; ".join(
+                    ["x1 := array 1 ee"]
+                    + [f"x{k} := array x{k - 1} ee" for k in range(2, depth + 1)]
+                ),
+            ],
+        )
+        assert code == 0
+        assert out[-1] == "register = OK"
+
 
 class TestCheckRestoreAst:
     def test_check_valid_program(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import sys
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import reduce
@@ -7,7 +8,7 @@ from functools import reduce
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lingua import kernel
+from lingua import kernel, nodes as n
 from lingua.cli import format_body, format_data
 from lingua.kernel import (
     ARRAY_EXPECTED,
@@ -45,7 +46,8 @@ from lingua.kernel import (
 )
 from lingua.parser import parse_data_expression
 from lingua.printer import print_concrete
-from lingua.semantics import OVERFLOW, _max, _sum
+from lingua.semantics import OVERFLOW, Evaluator, _max, _sum
+from lingua.state import empty_state
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +350,130 @@ class TestSimpleBodies:
     def test_no_other_simple_body(self):
         with pytest.raises(ValueError):
             SimpleBody("text")
+
+
+# ---------------------------------------------------------------------------
+# interned bodies
+
+# A body's shape: a simple body's name, a ("list" | "array", shape) pair,
+# or a record's {attribute: shape} dict.
+SHAPES = st.recursive(
+    st.sampled_from(["Boolean", "number", "word"]),
+    lambda inner: st.tuples(st.sampled_from(["list", "array"]), inner)
+    | st.dictionaries(st.sampled_from(["a", "b", "c"]), inner, min_size=1, max_size=3),
+    max_leaves=6,
+)
+COLLECTION_BODIES = {"list": ListBody, "array": ArrayBody}
+
+
+def build(shape, draw):
+    """A body of `shape`, each part built along a path `draw` picks."""
+    return draw(st.sampled_from(BODY_PATHS))(shape, draw)
+
+
+def by_position(shape, draw):
+    if isinstance(shape, str):
+        return SimpleBody(shape)
+    if isinstance(shape, dict):
+        return RecordBody(tuple((name, build(shape[name], draw)) for name in sorted(shape)))
+    return COLLECTION_BODIES[shape[0]](build(shape[1], draw))
+
+
+def by_keyword(shape, draw):
+    if isinstance(shape, str):
+        return SimpleBody(name=shape)
+    if isinstance(shape, dict):
+        return RecordBody(fields=tuple((name, build(shape[name], draw)) for name in sorted(shape)))
+    return COLLECTION_BODIES[shape[0]](element=build(shape[1], draw))
+
+
+def by_mapping(shape, draw):
+    """`RecordBody.of` a dict written in a drawn attribute order."""
+    if not isinstance(shape, dict):
+        return by_position(shape, draw)
+    names = draw(st.permutations(sorted(shape)))
+    return RecordBody.of({name: build(shape[name], draw) for name in names})
+
+
+def datum(shape):
+    """Certified data of `shape`: every collection holds one element."""
+    if isinstance(shape, str):
+        return {"Boolean": True, "number": num(1), "word": "w"}[shape]
+    if isinstance(shape, dict):
+        return RecordData.of({name: datum(inner) for name, inner in shape.items()})
+    return (ListData if shape[0] == "list" else ArrayData)((datum(shape[1]),))
+
+
+def type_expression(shape, draw):
+    """A type expression of `shape`; a record's attributes are added one by
+    one, in a drawn order."""
+    if isinstance(shape, str):
+        return {"Boolean": n.BooleanTyp, "number": n.NumberTyp, "word": n.WordTyp}[shape]()
+    if isinstance(shape, dict):
+        first, *rest = draw(st.permutations(sorted(shape)))
+        tex = n.RecordTyp(first, type_expression(shape[first], draw))
+        for name in rest:
+            tex = n.ExpandRecordTyp(tex, name, type_expression(shape[name], draw))
+        return tex
+    return (n.ListTyp if shape[0] == "list" else n.ArrayTyp)(type_expression(shape[1], draw))
+
+
+BODY_PATHS = [
+    by_position,
+    by_keyword,
+    by_mapping,
+    lambda shape, draw: body_of(Composite(datum(shape), build(shape, draw)).dat),
+    lambda shape, draw: Evaluator().eval_type_exp(type_expression(shape, draw), empty_state()).bod,
+    lambda shape, draw: pickle.loads(pickle.dumps(build(shape, draw))),
+    lambda shape, draw: copy.deepcopy(build(shape, draw)),
+]
+
+
+def shape_text(shape):
+    """The text `format_body` writes for a body of `shape`."""
+    if isinstance(shape, str):
+        return shape
+    if isinstance(shape, dict):
+        return "{" + ", ".join(f"{name}: {shape_text(shape[name])}" for name in sorted(shape)) + "}"
+    return f"{shape[0]} of {shape_text(shape[1])}"
+
+
+def deep_array_body(leaf, depth):
+    """`array of` written `depth` times before `leaf`, built bottom up."""
+    body = leaf
+    for _ in range(depth):
+        body = ArrayBody(body)
+    return body
+
+
+class TestInternedBodies:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(SHAPES, SHAPES, st.booleans(), st.data())
+    def test_equal_structure_is_one_object(self, first, second, same, data):
+        if same:
+            second = first
+        b1, b2 = build(first, data.draw), build(second, data.draw)
+        assert format_body(b1) == shape_text(first) and format_body(b2) == shape_text(second)
+        equal = format_body(b1) == format_body(b2)
+        assert (b1 is b2) is equal
+        assert (b1 == b2) is equal and (b1 != b2) is not equal
+        assert (hash(b1) == hash(b2)) is equal
+
+    def test_deep_bodies_compare_without_recursing(self):
+        """Equality, hashing, coherence and clan membership of two bodies
+        5,000 deep, which differ only at the leaf, never visit their parts."""
+        previous = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            numbers, words = deep_array_body(NUMBER, 5000), deep_array_body(WORD, 5000)
+            assert numbers != words and not numbers == words
+            assert hash(numbers) != hash(words)
+            assert not coherent(numbers, words)
+            assert not clan_ty_member(Composite(ArrayData(()), numbers), LangType(words, TT))
+            assert clan_ty_member(Composite(ArrayData(()), numbers), LangType(numbers, TT))
+            assert deep_array_body(NUMBER, 5000) is numbers
+        finally:
+            sys.setrecursionlimit(previous)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,12 @@ from lingua.kernel import (
     TT,
     AbstractError,
     ArrayBody,
+    ArrayData,
     Composite,
     LangType,
     Limits,
     ListBody,
+    ListData,
     Transfer,
     Value,
     num,
@@ -43,7 +45,7 @@ def test_equality_hashing_and_repr_go_by_class_and_fields():
     assert repr(ListBody(NUMBER)) == "ListBody(element=SimpleBody(name='number'))"
     assert repr(AbstractError("overflow")) == "AbstractError(word='overflow')"
     # the methods are compiled once per tuple of field names and shared
-    assert ListBody.__eq__.__code__ is ArrayBody.__eq__.__code__
+    assert ListData.__eq__.__code__ is ArrayData.__eq__.__code__
     assert ListBody.__init__.__qualname__ == "ListBody.__init__"
 
 
