@@ -10,13 +10,16 @@ lazy: a deciding left operand suppresses the right one entirely.
 Each clause is compiled once, top-down from the node an entry point is
 given, into a Python closure, its denotation: a function from states to
 states, composites or types, or, for a transfer, from composites to
-composites.  Each operator is one function over operand composites,
-shared by data and transfer expressions; `_unary`, `_binary` and
-`_ternary` turn it into code over operand closures, and a data or
-transfer expression compiles by the rule `_EXPRESSION_RULES` keeps for its
-node class.  Literals are built, and size-checked, when they compile, once
-per distinct literal in an entry point's compile; sequences compile to
-flat blocks.
+composites.  A node compiles by the rule one table keeps for its class:
+`_EXPRESSION_RULES` for data and transfer expressions, `_TYPE_RULES`,
+`_INSTRUCTION_RULES` and `_PREAMBLE_RULES`.  A rule builds the node's
+closure in its own frame.  Each operator is one function over operand
+composites, shared by data and transfer expressions; `_unary`, `_binary`
+and `_ternary` make its rule, which closes over the operand closures.
+Literals are built, and size-checked, when they compile, and each read
+of a variable is one closure per name: both are shared by every
+occurrence in an entry point's compile.  Sequences compile to flat
+blocks.
 An expression's code runs on a state whose register is clear: the
 register is tested once, where evaluation enters the expression, since
 the state cannot change inside it.
@@ -96,11 +99,13 @@ from .kernel import (
     YOKE_NOT_SATISFIED,
     AbstractError,
     ArrayBody,
+    ArrayData,
     Composite,
     Data,
     LangType,
     Limits,
     ListBody,
+    ListData,
     Number,
     RecordBody,
     RecordData,
@@ -171,8 +176,14 @@ C = TypeVar("C")
 
 
 # ---------------------------------------------------------------------------
-# building code; `x` is the state a data or type expression reads, or the
-# composite a transfer is applied to
+# compile rules; `x` is the state a data or type expression reads, or the
+# composite a transfer is applied to.  A rule is called with the evaluator
+# and then the node's fields, and builds the node's code in its own frame.
+
+Rule = Callable[..., Code]
+
+# A rule's `param` that stands for the compiling evaluator's limits
+_LIMITS = object()
 
 
 def _constant(result) -> Code:
@@ -184,51 +195,65 @@ def _value(com: Composite) -> EvalResult:
     return com
 
 
-def _unary(a: Code, op: Callable, param) -> Code:
-    """An error from the operand is the result; otherwise `op(com, param)`."""
+def _unary(op: Callable, param=None) -> Rule:
+    """The rule of `op` over one operand: an error from the operand is the
+    result; otherwise `op(com, param)`."""
 
-    def unary(x):
-        com = a(x)
-        if isinstance(com, AbstractError):
-            return com
-        return op(com, param)
+    def rule(ev, a: Code) -> Code:
+        fixed = ev.limits if param is _LIMITS else param
 
-    return unary
+        def unary(x):
+            com = a(x)
+            if isinstance(com, AbstractError):
+                return com
+            return op(com, fixed)
 
+        return unary
 
-def _binary(a: Code, b: Code, op: Callable, param) -> Code:
-    """Operands left to right, the first error is the result; otherwise
-    `op(left, right, param)`."""
-
-    def binary(x):
-        left = a(x)
-        if isinstance(left, AbstractError):
-            return left
-        right = b(x)
-        if isinstance(right, AbstractError):
-            return right
-        return op(left, right, param)
-
-    return binary
+    return rule
 
 
-def _ternary(a: Code, b: Code, c: Code, op: Callable, param) -> Code:
-    """Three operands left to right, the first error is the result;
-    otherwise `op(first, second, third, param)`."""
+def _binary(op: Callable, param=None) -> Rule:
+    """The rule of `op` over two operands, evaluated left to right: the
+    first error is the result; otherwise `op(left, right, param)`."""
 
-    def ternary(x):
-        first = a(x)
-        if isinstance(first, AbstractError):
-            return first
-        second = b(x)
-        if isinstance(second, AbstractError):
-            return second
-        third = c(x)
-        if isinstance(third, AbstractError):
-            return third
-        return op(first, second, third, param)
+    def rule(ev, a: Code, b: Code) -> Code:
+        fixed = ev.limits if param is _LIMITS else param
 
-    return ternary
+        def binary(x):
+            left = a(x)
+            if isinstance(left, AbstractError):
+                return left
+            right = b(x)
+            if isinstance(right, AbstractError):
+                return right
+            return op(left, right, fixed)
+
+        return binary
+
+    return rule
+
+
+def _ternary(op: Callable) -> Rule:
+    """The rule of `op` over three operands, evaluated left to right: the
+    first error is the result; otherwise `op(first, second, third)`."""
+
+    def rule(ev, a: Code, b: Code, c: Code) -> Code:
+        def ternary(x):
+            first = a(x)
+            if isinstance(first, AbstractError):
+                return first
+            second = b(x)
+            if isinstance(second, AbstractError):
+                return second
+            third = c(x)
+            if isinstance(third, AbstractError):
+                return third
+            return op(first, second, third)
+
+        return ternary
+
+    return rule
 
 
 def _with_element(op: Callable, at: int) -> Callable:
@@ -244,26 +269,29 @@ def _with_element(op: Callable, at: int) -> Callable:
     return paired
 
 
-def _lazy(a: Code, b: Code, short_on: bool, expected: AbstractError) -> Code:
-    """McCarthy connectives: a left operand equal to `short_on` decides
-    alone; a non-Boolean operand yields `expected`."""
+def _lazy(short_on: bool, expected: AbstractError) -> Rule:
+    """The rule of a McCarthy connective: a left operand equal to
+    `short_on` decides alone; a non-Boolean operand yields `expected`."""
 
-    def lazy(x):
-        left = a(x)
-        if isinstance(left, AbstractError):
-            return left
-        if left.bod is not BOOLEAN:
-            return expected
-        if left.dat == short_on:
-            return left
-        right = b(x)
-        if isinstance(right, AbstractError):
+    def rule(ev, a: Code, b: Code) -> Code:
+        def lazy(x):
+            left = a(x)
+            if isinstance(left, AbstractError):
+                return left
+            if left.bod is not BOOLEAN:
+                return expected
+            if left.dat == short_on:
+                return left
+            right = b(x)
+            if isinstance(right, AbstractError):
+                return right
+            if right.bod is not BOOLEAN:
+                return expected
             return right
-        if right.bod is not BOOLEAN:
-            return expected
-        return right
 
-    return lazy
+        return lazy
+
+    return rule
 
 
 def _block(codes: list[C]) -> C:
@@ -284,7 +312,7 @@ def _skip(sta: State) -> State:
 
 # ---------------------------------------------------------------------------
 # operators over composites; `param` is what the clause fixes when it
-# compiles: the limits, an attribute name or an error word
+# compiles: the limits or an error word
 
 
 def _sized(dat: Data, bod, limits: Limits) -> EvalResult:
@@ -332,7 +360,36 @@ def _less(left: Composite, right: Composite, _) -> EvalResult:
 def _equal(left: Composite, right: Composite, _) -> EvalResult:
     if left.bod is not right.bod:
         return FALSE_COMPOSITE
-    return boo_composite(left.dat == right.dat)
+    return boo_composite(_same_data(left.dat, right.dat))
+
+
+_NESTED = {ListData, ArrayData, RecordData}
+
+
+def _same_data(left: Data, right: Data) -> bool:
+    """`left == right` for data of one body, which have one shape, compared
+    along an explicit stack, so any depth costs no Python frame per level;
+    shared parts compare by `is`.  A certified collection is homogeneous,
+    so one of truth values, numbers or words compares as one tuple."""
+    if left.__class__ not in _NESTED:
+        return left == right
+    todo = [(left, right)]
+    while todo:
+        left, right = todo.pop()
+        if left is right:
+            continue
+        if left.__class__ is RecordData:
+            todo += zip([dat for _, dat in left.fields], [dat for _, dat in right.fields])
+        elif left.__class__ not in _NESTED:
+            if left != right:
+                return False
+        elif len(left.items) != len(right.items):
+            return False
+        elif left.items and left.items[0].__class__ in _NESTED:
+            todo += zip(left.items, right.items)
+        elif left.items != right.items:
+            return False
+    return True
 
 
 def _glue(left: Composite, right: Composite, limits: Limits) -> EvalResult:
@@ -347,7 +404,8 @@ def _negate(com: Composite, expected: AbstractError) -> EvalResult:
     return boo_composite(not com.dat)
 
 
-def _top(com: Composite, _) -> EvalResult:
+def _top(com: Composite, _=None) -> EvalResult:
+    """`top`; with no second argument, the transfer `top`."""
     if not isinstance(com.bod, ListBody):
         return LIST_EXPECTED
     if not com.dat.items:
@@ -382,6 +440,25 @@ def _record_at(com: Composite, ide: str) -> EvalResult:
     if bod is None:
         return ATTRIBUTE_NOT_PRESENT
     return _unchecked_composite(com.dat.find(ide), bod)
+
+
+def _numeral(ev, num: Number) -> Code:
+    """A numeral: one constant per distinct number in an entry point's
+    compile, size-checked once.  It is keyed by its fields, as a tuple
+    hashes in C where a `Number` hashes in Python."""
+    key = num.coeff, num.exp
+    code = ev._literals.get(key)
+    if code is None:
+        code = ev._literals[key] = _constant(_sized(num, NUMBER, ev.limits))
+    return code
+
+
+def _word(ev, wor: str) -> Code:
+    """A word literal, as `_numeral`; a `str` is its own key."""
+    code = ev._literals.get(wor)
+    if code is None:
+        code = ev._literals[wor] = _constant(_sized(wor, WORD, ev.limits))
+    return code
 
 
 # -- data expressions only
@@ -420,7 +497,7 @@ def _add_to_array(arr: Composite, new: Composite, limits: Limits) -> EvalResult:
     return _sized(_unchecked_array((*arr.dat.items, new.dat)), arr.bod, limits)
 
 
-def _change_array(arr: Composite, idx: Composite, new: Composite, _) -> EvalResult:
+def _change_array(arr: Composite, idx: Composite, new: Composite) -> EvalResult:
     if not isinstance(arr.bod, ArrayBody):
         return ARRAY_EXPECTED
     if idx.bod is not NUMBER:
@@ -435,59 +512,107 @@ def _change_array(arr: Composite, idx: Composite, new: Composite, _) -> EvalResu
     return _unchecked_composite(_unchecked_array(tuple(items)), arr.bod)
 
 
-def _record(com: Composite, param: tuple[str, Limits]) -> EvalResult:
-    ide, limits = param
-    return _sized(RecordData.of({ide: com.dat}), RecordBody.of({ide: com.bod}), limits)
+def _record(ev, ide: str, a: DataCode) -> DataCode:
+    limits = ev.limits
+
+    def record(sta):
+        com = a(sta)
+        if isinstance(com, AbstractError):
+            return com
+        return _sized(RecordData.of({ide: com.dat}), RecordBody.of({ide: com.bod}), limits)
+
+    return record
 
 
-def _add_attribute(new: Composite, rec: Composite, param: tuple[str, Limits]) -> EvalResult:
-    ide, limits = param
-    if not isinstance(rec.bod, RecordBody):
-        return RECORD_EXPECTED
-    if rec.bod.has(ide):
-        return ATTRIBUTE_ALREADY_PRESENT
-    return _sized(
-        RecordData.of({**rec.dat.attributes(), ide: new.dat}),
-        rec.bod.with_added(ide, new.bod),
-        limits,
-    )
+def _add_attribute(ev, ide: str, a: DataCode, b: DataCode) -> DataCode:
+    limits = ev.limits
+
+    def add_attribute(sta):
+        new = a(sta)
+        if isinstance(new, AbstractError):
+            return new
+        rec = b(sta)
+        if isinstance(rec, AbstractError):
+            return rec
+        if not isinstance(rec.bod, RecordBody):
+            return RECORD_EXPECTED
+        if rec.bod.has(ide):
+            return ATTRIBUTE_ALREADY_PRESENT
+        return _sized(
+            RecordData.of({**rec.dat.attributes(), ide: new.dat}),
+            rec.bod.with_added(ide, new.bod),
+            limits,
+        )
+
+    return add_attribute
 
 
-def _remove_attribute(com: Composite, ide: str) -> EvalResult:
-    if not isinstance(com.bod, RecordBody):
-        return RECORD_EXPECTED
-    if not com.bod.has(ide):
-        return ATTRIBUTE_NOT_PRESENT
-    remaining = com.dat.attributes()
-    del remaining[ide]
-    return _unchecked_composite(RecordData.of(remaining), com.bod.with_removed(ide))
+def _record_at_rule(ev, a: DataCode, ide: str) -> DataCode:
+    def record_at(sta):
+        com = a(sta)
+        if isinstance(com, AbstractError):
+            return com
+        return _record_at(com, ide)
+
+    return record_at
 
 
-def _change_record(rec: Composite, new: Composite, ide: str) -> EvalResult:
-    if not isinstance(rec.bod, RecordBody):
-        return RECORD_EXPECTED
-    if not rec.bod.has(ide):
-        return ATTRIBUTE_NOT_PRESENT
-    return _unchecked_composite(
-        RecordData.of({**rec.dat.attributes(), ide: new.dat}),
-        RecordBody.of({**rec.bod.attributes(), ide: new.bod}),
-    )
+def _remove_attribute(ev, ide: str, a: DataCode) -> DataCode:
+    def remove_attribute(sta):
+        com = a(sta)
+        if isinstance(com, AbstractError):
+            return com
+        if not isinstance(com.bod, RecordBody):
+            return RECORD_EXPECTED
+        if not com.bod.has(ide):
+            return ATTRIBUTE_NOT_PRESENT
+        remaining = com.dat.attributes()
+        del remaining[ide]
+        return _unchecked_composite(RecordData.of(remaining), com.bod.with_removed(ide))
+
+    return remove_attribute
 
 
-def _variable(ide: str) -> DataCode:
-    def variable(sta):
-        val = sta.store.valuation.get(ide)
-        if val is None:
-            return IDENTIFIER_NOT_DECLARED
-        com = val.com
-        if com is None:
-            return VARIABLE_NOT_INITIALIZED
-        return com
+def _change_record(ev, a: DataCode, ide: str, b: DataCode) -> DataCode:
+    def change_record(sta):
+        rec = a(sta)
+        if isinstance(rec, AbstractError):
+            return rec
+        new = b(sta)
+        if isinstance(new, AbstractError):
+            return new
+        if not isinstance(rec.bod, RecordBody):
+            return RECORD_EXPECTED
+        if not rec.bod.has(ide):
+            return ATTRIBUTE_NOT_PRESENT
+        return _unchecked_composite(
+            RecordData.of({**rec.dat.attributes(), ide: new.dat}),
+            RecordBody.of({**rec.bod.attributes(), ide: new.bod}),
+        )
 
-    return variable
+    return change_record
 
 
-def _conditional(guard: DataCode, then_code: DataCode, else_code: DataCode) -> DataCode:
+def _read(ev, ide: str) -> DataCode:
+    """A read of the variable `ide`: one closure per name in an entry
+    point's compile, which every read of that name shares."""
+    code = ev._reads.get(ide)
+    if code is None:
+
+        def variable(sta):
+            val = sta.store.valuation.get(ide)
+            if val is None:
+                return IDENTIFIER_NOT_DECLARED
+            com = val.com
+            if com is None:
+                return VARIABLE_NOT_INITIALIZED
+            return com
+
+        code = ev._reads[ide] = variable
+    return code
+
+
+def _conditional(ev, guard: DataCode, then_code: DataCode, else_code: DataCode) -> DataCode:
     def conditional(sta):
         com = guard(sta)
         if isinstance(com, AbstractError):
@@ -499,13 +624,28 @@ def _conditional(guard: DataCode, then_code: DataCode, else_code: DataCode) -> D
     return conditional
 
 
+def _function_call(ev, ide: str, actuals: tuple[str, ...]) -> DataCode:
+    """The call site `ide(actuals)`, its lengths counted once."""
+    lengths = (len(actuals),)
+    return lambda sta: ev.call_functional_procedure(ide, actuals, lengths, sta)
+
+
 # -- transfer expressions only
 
 
-def _array_first(code: TransferCode) -> TransferCode:
+def _array_at_transfer(ev, idx: TransferCode) -> TransferCode:
     """A transfer's array selection checks for an array before it evaluates
     the index; a data expression evaluates both operands first."""
-    return lambda com: code(com) if isinstance(com.bod, ArrayBody) else ARRAY_EXPECTED
+
+    def array_at(com):
+        if not isinstance(com.bod, ArrayBody):
+            return ARRAY_EXPECTED
+        i = idx(com)
+        if isinstance(i, AbstractError):
+            return i
+        return _array_at(com, i, None)
+
+    return array_at
 
 
 def _numbers_in(com: Composite) -> Union[tuple[Number, ...], AbstractError]:
@@ -546,25 +686,29 @@ def _increasing(com: Composite, _) -> EvalResult:
     return boo_composite(all(numbers[i].lt(numbers[i + 1]) for i in range(len(numbers) - 1)))
 
 
-def _all_elements(inner: TransferCode, body_cls: type, expected: AbstractError) -> TransferCode:
-    """`all-list`/`all-array`: `inner` must hold of every element; every
-    element is visited, so a later error still wins over an earlier false."""
+def _all_elements(body_cls: type, expected: AbstractError) -> Rule:
+    """The rule of `all-list`/`all-array`: `inner` must hold of every
+    element; every element is visited, so a later error still wins over an
+    earlier false."""
 
-    def all_elements(com):
-        if not isinstance(com.bod, body_cls):
-            return expected
-        element, all_true = com.bod.element, True
-        for item in com.dat.items:
-            result = inner(_unchecked_composite(item, element))
-            if isinstance(result, AbstractError):
-                return result
-            if result.bod is not BOOLEAN:
-                return A_YOKE_EXPECTED
-            if not result.dat:
-                all_true = False
-        return boo_composite(all_true)
+    def rule(ev, inner: TransferCode) -> TransferCode:
+        def all_elements(com):
+            if not isinstance(com.bod, body_cls):
+                return expected
+            element, all_true = com.bod.element, True
+            for item in com.dat.items:
+                result = inner(_unchecked_composite(item, element))
+                if isinstance(result, AbstractError):
+                    return result
+                if result.bod is not BOOLEAN:
+                    return A_YOKE_EXPECTED
+                if not result.dat:
+                    all_true = False
+            return boo_composite(all_true)
 
-    return all_elements
+        return all_elements
+
+    return rule
 
 
 # -- type expressions
@@ -574,11 +718,17 @@ def _collection_type(typ: LangType, body_cls: type) -> TypeResult:
     return LangType(body_cls(typ.bod), TT)
 
 
-def _record_type(typ: LangType, ide: str) -> TypeResult:
-    return LangType(RecordBody.of({ide: typ.bod}), TT)
+def _record_type(ev, ide: str, inner: TypeCode) -> TypeCode:
+    def record_type(sta):
+        typ = inner(sta)
+        if isinstance(typ, AbstractError):
+            return typ
+        return LangType(RecordBody.of({ide: typ.bod}), TT)
+
+    return record_type
 
 
-def _expanded_type(base: TypeCode, ide: str, addition: TypeCode) -> TypeCode:
+def _expanded_type(ev, base: TypeCode, ide: str, addition: TypeCode) -> TypeCode:
     def expanded(sta):
         typ = base(sta)
         if isinstance(typ, AbstractError):
@@ -595,8 +745,16 @@ def _expanded_type(base: TypeCode, ide: str, addition: TypeCode) -> TypeCode:
     return expanded
 
 
-def _replaced_transfer(typ: LangType, tra: Transfer) -> TypeResult:
-    return LangType(typ.bod, tra)
+def _replaced_transfer(ev, base: TypeCode, tre: n.TraExp) -> TypeCode:
+    tra = ev._transfer(tre)
+
+    def replaced(sta):
+        typ = base(sta)
+        if isinstance(typ, AbstractError):
+            return typ
+        return LangType(typ.bod, tra)
+
+    return replaced
 
 
 # ---------------------------------------------------------------------------
@@ -606,61 +764,77 @@ def _replaced_transfer(typ: LangType, tra: Transfer) -> TypeResult:
 
 _BOOLEANS = {value: _constant(boo_composite(value)) for value in (False, True)}
 
-_EXPRESSION_RULES: dict[type, Callable[..., Code]] = {
+_EXPRESSION_RULES: dict[type, Rule] = {
     cls: rule
     for classes, rule in {
         (n.BoolLit, n.TraBoolLit): lambda ev, value: _BOOLEANS[value],
-        (n.NumLit, n.TraNumLit): lambda ev, num: ev._literal(num, NUMBER),
-        (n.WordLit, n.TraWordLit): lambda ev, wor: ev._literal(wor, WORD),
-        (n.IdeExp,): lambda ev, ide: _variable(ide),
-        (n.AndExp,): lambda ev, a, b: _lazy(a, b, False, BOOLEAN_EXPECTED),
-        (n.TraAndExp,): lambda ev, a, b: _lazy(a, b, False, A_YOKE_EXPECTED),
-        (n.OrExp,): lambda ev, a, b: _lazy(a, b, True, BOOLEAN_EXPECTED),
-        (n.TraOrExp,): lambda ev, a, b: _lazy(a, b, True, A_YOKE_EXPECTED),
-        (n.NotExp,): lambda ev, a: _unary(a, _negate, BOOLEAN_EXPECTED),
-        (n.TraNotExp,): lambda ev, a: _unary(a, _negate, A_YOKE_EXPECTED),
-        (n.LessExp, n.TraLessExp): lambda ev, a, b: _binary(a, b, _less, None),
-        (n.AddExp, n.TraAddExp): lambda ev, a, b: _binary(a, b, _add, ev.limits),
-        (n.SubExp,): lambda ev, a, b: _binary(a, b, _sub, ev.limits),
-        (n.MulExp,): lambda ev, a, b: _binary(a, b, _mul, ev.limits),
-        (n.DivExp, n.TraDivExp): lambda ev, a, b: _binary(a, b, _divide, ev.limits),
-        (n.EqExp, n.TraEqExp): lambda ev, a, b: _binary(a, b, _equal, None),
-        (n.GlueExp, n.TraGlueExp): lambda ev, a, b: _binary(a, b, _glue, ev.limits),
-        (n.ListExp,): lambda ev, a: _unary(a, _list, ev.limits),
-        (n.PushExp,): lambda ev, new, lst: _binary(new, lst, _push, ev.limits),
-        (n.TopExp,): lambda ev, a: _unary(a, _top, None),
-        (n.PopExp,): lambda ev, a: _unary(a, _pop, None),
-        (n.ArrayExp,): lambda ev, a: _unary(a, _array, ev.limits),
-        (n.AddToArrExp,): lambda ev, arr, new: _binary(arr, new, _add_to_array, ev.limits),
-        (n.ChangeArrExp,): lambda ev, *operands: _ternary(*operands, _change_array, None),
-        (n.ArrAtExp,): lambda ev, arr, idx: _binary(arr, idx, _array_at, None),
-        (n.RecordExp,): lambda ev, ide, a: _unary(a, _record, (ide, ev.limits)),
-        (n.AddAttrExp,): lambda ev, ide, a, b: _binary(a, b, _add_attribute, (ide, ev.limits)),
-        (n.RecAtExp,): lambda ev, rec, ide: _unary(rec, _record_at, ide),
-        (n.RemoveAttrExp,): lambda ev, ide, rec: _unary(rec, _remove_attribute, ide),
-        (n.ChangeRecExp,): lambda ev, rec, ide, new: _binary(rec, new, _change_record, ide),
-        (n.CondExp,): lambda ev, *operands: _conditional(*operands),
-        (n.FunCallExp,): lambda ev, ide, apar: _function_call(ev, ide, apar),
+        (n.NumLit, n.TraNumLit): _numeral,
+        (n.WordLit, n.TraWordLit): _word,
+        (n.IdeExp,): _read,
+        (n.AndExp,): _lazy(False, BOOLEAN_EXPECTED),
+        (n.TraAndExp,): _lazy(False, A_YOKE_EXPECTED),
+        (n.OrExp,): _lazy(True, BOOLEAN_EXPECTED),
+        (n.TraOrExp,): _lazy(True, A_YOKE_EXPECTED),
+        (n.NotExp,): _unary(_negate, BOOLEAN_EXPECTED),
+        (n.TraNotExp,): _unary(_negate, A_YOKE_EXPECTED),
+        (n.LessExp, n.TraLessExp): _binary(_less),
+        (n.AddExp, n.TraAddExp): _binary(_add, _LIMITS),
+        (n.SubExp,): _binary(_sub, _LIMITS),
+        (n.MulExp,): _binary(_mul, _LIMITS),
+        (n.DivExp, n.TraDivExp): _binary(_divide, _LIMITS),
+        (n.EqExp, n.TraEqExp): _binary(_equal),
+        (n.GlueExp, n.TraGlueExp): _binary(_glue, _LIMITS),
+        (n.ListExp,): _unary(_list, _LIMITS),
+        (n.PushExp,): _binary(_push, _LIMITS),
+        (n.TopExp,): _unary(_top),
+        (n.PopExp,): _unary(_pop),
+        (n.ArrayExp,): _unary(_array, _LIMITS),
+        (n.AddToArrExp,): _binary(_add_to_array, _LIMITS),
+        (n.ChangeArrExp,): _ternary(_change_array),
+        (n.ArrAtExp,): _binary(_array_at),
+        (n.RecordExp,): _record,
+        (n.AddAttrExp,): _add_attribute,
+        (n.RecAtExp,): _record_at_rule,
+        (n.RemoveAttrExp,): _remove_attribute,
+        (n.ChangeRecExp,): _change_record,
+        (n.CondExp,): _conditional,
+        (n.FunCallExp,): _function_call,
         # transfer expressions only
         (n.ValueTra,): lambda ev: _value,
-        (n.TopTra,): lambda ev: _unary(_value, _top, None),
-        (n.ArrayAtTra,): lambda ev, idx: _array_first(_binary(_value, idx, _array_at, None)),
-        (n.RecordAtTra,): lambda ev, ide: _unary(_value, _record_at, ide),
-        (n.SumExp,): lambda ev, a: _unary(a, _sum, ev.limits),
-        (n.MaxExp,): lambda ev, a: _unary(a, _max, ev.limits),
-        (n.SmallNumberExp,): lambda ev, a: _unary(a, _small_number, None),
-        (n.IncreasingExp,): lambda ev, a: _unary(a, _increasing, None),
-        (n.AllListExp,): lambda ev, a: _all_elements(a, ListBody, LIST_EXPECTED),
-        (n.AllArrayExp,): lambda ev, a: _all_elements(a, ArrayBody, ARRAY_EXPECTED),
+        (n.TopTra,): lambda ev: _top,
+        (n.ArrayAtTra,): _array_at_transfer,
+        (n.RecordAtTra,): lambda ev, ide: lambda com: _record_at(com, ide),
+        (n.SumExp,): _unary(_sum, _LIMITS),
+        (n.MaxExp,): _unary(_max, _LIMITS),
+        (n.SmallNumberExp,): _unary(_small_number),
+        (n.IncreasingExp,): _unary(_increasing),
+        (n.AllListExp,): _all_elements(ListBody, LIST_EXPECTED),
+        (n.AllArrayExp,): _all_elements(ArrayBody, ARRAY_EXPECTED),
     }.items()
     for cls in classes
 }
 
+# the compile rule of every type expression class, called as an
+# expression's is, with each type operand already compiled
+_TYPE_RULES: dict[type, Rule] = {
+    n.BooleanTyp: lambda ev: _constant(LangType(BOOLEAN, TT)),
+    n.NumberTyp: lambda ev: _constant(LangType(NUMBER, TT)),
+    n.WordTyp: lambda ev: _constant(LangType(WORD, TT)),
+    n.IdeTyp: lambda ev, ide: lambda sta: lookup_type(sta, ide) or TYPE_NOT_DEFINED,
+    n.ListTyp: _unary(_collection_type, ListBody),
+    n.ArrayTyp: _unary(_collection_type, ArrayBody),
+    n.RecordTyp: _record_type,
+    n.ExpandRecordTyp: _expanded_type,
+    n.ReplaceTransferTyp: _replaced_transfer,
+}
 
-def _function_call(ev: "Evaluator", ide: str, actuals: tuple[str, ...]) -> DataCode:
-    """The call site `ide(actuals)`, its lengths counted once."""
-    lengths = (len(actuals),)
-    return lambda sta: ev.call_functional_procedure(ide, actuals, lengths, sta)
+# The value of an element write, `ide := add-to-arr ide …`, `push … on ide`
+# or `change-arr ide …`: the new collection paired with the new element.
+_ELEMENT_WRITES: dict[type, Rule] = {
+    n.AddToArrExp: _binary(_with_element(_add_to_array, 1), _LIMITS),
+    n.PushExp: _binary(_with_element(_push, 0), _LIMITS),
+    n.ChangeArrExp: _ternary(_with_element(_change_array, 2)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -723,11 +897,14 @@ def _assign(
     return assign
 
 
-def _if(guard: DataCode, then_code: StateCode, else_code: StateCode) -> StateCode:
+def _if(ev, guard: n.DatExp, then_branch: n.Instruction, else_branch: n.Instruction) -> StateCode:
+    guard_code = ev.compile_expression(guard)
+    then_code, else_code = ev.compile_instruction(then_branch), ev.compile_instruction(else_branch)
+
     def if_then_else(sta):
         if sta.store.register is not None:
             return sta
-        com = guard(sta)
+        com = guard_code(sta)
         if isinstance(com, AbstractError):
             return load_error(sta, com)
         if com.bod is not BOOLEAN:
@@ -737,7 +914,9 @@ def _if(guard: DataCode, then_code: StateCode, else_code: StateCode) -> StateCod
     return if_then_else
 
 
-def _if_error(guard: DataCode, handler: StateCode) -> StateCode:
+def _if_error(ev, guard: n.DatExp, handler: n.Instruction) -> StateCode:
+    guard_code, handler_code = ev.compile_expression(guard), ev.compile_instruction(handler)
+
     def if_error(sta):
         err = sta.store.register
         if err is None:
@@ -745,24 +924,27 @@ def _if_error(guard: DataCode, handler: StateCode) -> StateCode:
         # The handled word is evaluated with the register cleared;
         # otherwise transparency would poison the evaluation.
         cleared = clear_error(sta)
-        com = guard(cleared)
+        com = guard_code(cleared)
         if isinstance(com, AbstractError):
             return load_error(sta, com)
         if com.bod is not WORD:
             return load_error(sta, WORD_EXPECTED)
         if com.dat != err.word:
             return sta
-        return handler(cleared)
+        return handler_code(cleared)
 
     return if_error
 
 
-def _while(guard: DataCode, body: StateCode, fuel: Fuel) -> StateCode:
+def _while(ev, guard: n.DatExp, body: n.Instruction) -> StateCode:
+    guard_code, body_code = ev.compile_expression(guard), ev.compile_instruction(body)
+    fuel = ev.fuel
+
     def loop(sta):
         while True:
             if sta.store.register is not None:
                 return sta
-            com = guard(sta)
+            com = guard_code(sta)
             if isinstance(com, AbstractError):
                 return load_error(sta, com)
             if com.bod is not BOOLEAN:
@@ -770,15 +952,39 @@ def _while(guard: DataCode, body: StateCode, fuel: Fuel) -> StateCode:
             if not com.dat:
                 return sta
             fuel.spend()
-            sta = body(sta)
+            sta = body_code(sta)
 
     return loop
 
 
-def _declare(ide: str, type_code: TypeCode, variable: bool) -> StateCode:
+def _procedure_call(
+    ev, ide: str, ref_args: tuple[str, ...], val_args: tuple[str, ...]
+) -> StateCode:
+    """The call site `call ide (ref ref_args val val_args)`, its actuals
+    joined and its lengths counted once."""
+    actuals, lengths = (*ref_args, *val_args), (len(ref_args), len(val_args))
+    return lambda sta: ev.call_imperative_procedure(ide, actuals, lengths, sta)
+
+
+# the compile rule of every instruction class, called with the evaluator and
+# then the node's fields in order, none compiled
+_INSTRUCTION_RULES: dict[type, Rule] = {
+    n.SkipIns: lambda ev: _skip,
+    n.SeqIns: lambda ev, items: _block([ev.compile_instruction(item) for item in items]),
+    n.AssignIns: lambda ev, ide, dae: ev.compile_assignment(ide, dae),
+    n.YokeIns: lambda ev, ide, tre: _assign(ide, _read(ev, ide), yoke=ev._transfer(tre)),
+    n.CallIns: _procedure_call,
+    n.IfIns: _if,
+    n.IfErrorIns: _if_error,
+    n.WhileIns: _while,
+}
+
+
+def _declare(ev, dec: Union[n.VarDec, n.TypDef]) -> StateCode:
     """A variable declaration, or else a type definition: `ide` must be
     free among the variables, or the types."""
-    bind = _bind_omega if variable else bind_type
+    ide, variable = dec.ide, dec.__class__ is n.VarDec
+    type_code, bind = ev.compile_type_exp(dec.tex), _bind_omega if variable else bind_type
 
     def declare(sta):
         if sta.store.register is not None:
@@ -797,9 +1003,10 @@ def _bind_omega(sta: State, ide: str, typ: LangType) -> State:
     return bind_variable(sta, ide, _unchecked_value(OMEGA, typ, None))
 
 
-def _declare_procedures(decs: tuple) -> StateCode:
-    """Procedures declared together, as one group; names must be free and
-    distinct."""
+def _declare_procedures(ev, pam: Union[n.ImpProcDec, n.FunProcDec, n.MultiProcDec]) -> StateCode:
+    """Procedures declared together, as one group, or one alone; names must
+    be free and distinct."""
+    decs = pam.decs if pam.__class__ is n.MultiProcDec else (pam,)
     names = [dec.ide for dec in decs]
     repeated = len(set(names)) != len(names)
 
@@ -814,6 +1021,24 @@ def _declare_procedures(decs: tuple) -> StateCode:
         return out
 
     return declare
+
+
+def _preambles(ev, pam: Union[n.PreSeq, n.VarDecSeq, n.TypDefSeq]) -> StateCode:
+    return _block([ev.compile_preamble(item) for item in pam.items])
+
+
+# the compile rule of every preamble class, called with the evaluator and
+# the node
+_PREAMBLE_RULES: dict[type, Rule] = {
+    cls: rule
+    for classes, rule in {
+        (n.PreSeq, n.VarDecSeq, n.TypDefSeq): _preambles,
+        (n.SkipIns,): lambda ev, pam: _skip,
+        (n.VarDec, n.TypDef): _declare,
+        (n.ImpProcDec, n.FunProcDec, n.MultiProcDec): _declare_procedures,
+    }.items()
+    for cls in classes
+}
 
 
 # ---------------------------------------------------------------------------
@@ -874,7 +1099,8 @@ class Evaluator:
         self.limits = limits
         self.fuel = Fuel(fuel)
         self.trace = trace
-        self._literals: dict[Data, Code] = {}
+        self._literals: dict[Union[tuple[int, int], str], Code] = {}
+        self._reads: dict[str, DataCode] = {}
         self._calls: dict[int, tuple[n.Node, _Call]] = {}
         self._envs: dict[int, tuple[Procedure, Env]] = {}
 
@@ -896,7 +1122,7 @@ class Evaluator:
         return self._entered(lambda: self.compile_type_exp(tex)(sta))
 
     def exec_instruction(self, ins: n.Instruction, sta: State) -> State:
-        return self._entered(lambda: self._step(ins)(owned(sta)))
+        return self._entered(lambda: self.compile_instruction(ins)(owned(sta)))
 
     def exec_preamble(self, pam, sta: State) -> State:
         return self._entered(lambda: self.compile_preamble(pam)(owned(sta)))
@@ -921,6 +1147,7 @@ class Evaluator:
             return run()
         finally:
             self._literals.clear()
+            self._reads.clear()
             self._calls.clear()
             self._envs.clear()
             if enabled:
@@ -944,47 +1171,32 @@ class Evaluator:
             operands.append(self.compile_expression(field) if isinstance(field, n.Node) else field)
         return rule(*operands)
 
-    def _literal(self, dat: Data, bod) -> Code:
-        """A number or word literal: one constant per distinct datum in one
-        entry point's compile, size-checked once."""
-        code = self._literals.get(dat)
-        if code is None:
-            code = self._literals[dat] = _constant(_sized(dat, bod, self.limits))
-        return code
-
     def _transfer(self, tre: n.TraExp) -> Transfer:
         """The transfer a transfer expression denotes, its source printed once."""
         elementwise = isinstance(tre, (n.AllListExp, n.AllArrayExp))
         return Transfer(print_concrete(tre), self.compile_expression(tre), elementwise)
 
     def compile_type_exp(self, tex: n.TypExp) -> TypeCode:
-        sub = self.compile_type_exp
-        match tex:
-            case n.BooleanTyp():
-                return _constant(LangType(BOOLEAN, TT))
-            case n.NumberTyp():
-                return _constant(LangType(NUMBER, TT))
-            case n.WordTyp():
-                return _constant(LangType(WORD, TT))
-            case n.IdeTyp(ide):
-                return lambda sta: lookup_type(sta, ide) or TYPE_NOT_DEFINED
-            case n.ListTyp(inner):
-                return _unary(sub(inner), _collection_type, ListBody)
-            case n.ArrayTyp(inner):
-                return _unary(sub(inner), _collection_type, ArrayBody)
-            case n.RecordTyp(ide, inner):
-                return _unary(sub(inner), _record_type, ide)
-            case n.ExpandRecordTyp(base, ide, addition):
-                return _expanded_type(sub(base), ide, sub(addition))
-            case n.ReplaceTransferTyp(base, tre):
-                return _unary(sub(base), _replaced_transfer, self._transfer(tre))
-        raise TypeError(f"not a type expression: {tex!r}")
+        """The code of a type expression, as `compile_expression` compiles
+        an expression: each type operand compiled first, here."""
+        rule = _TYPE_RULES.get(tex.__class__)
+        if rule is None:
+            raise TypeError(f"not a type expression: {tex!r}")
+        operands = [self]
+        for field in tex.__dict__.values():
+            operands.append(self.compile_type_exp(field) if isinstance(field, n.TypExp) else field)
+        return rule(*operands)
 
-    def _step(self, ins: n.Instruction) -> StateCode:
-        """An instruction's code, reported to the trace hook before it runs
-        unless it is a sequence, whose items report themselves."""
-        code, trace = self.compile_instruction(ins), self.trace
-        if trace is None or isinstance(ins, n.SeqIns):
+    def compile_instruction(self, ins: n.Instruction) -> StateCode:
+        """The code of an instruction: the rule of its class, called with
+        the evaluator and its fields.  Unless it is a sequence, whose items
+        report themselves, it reports the instruction to the trace hook
+        before it runs."""
+        rule = _INSTRUCTION_RULES.get(ins.__class__)
+        if rule is None:
+            raise TypeError(f"not an instruction: {ins!r}")
+        code, trace = rule(self, *ins.__dict__.values()), self.trace
+        if trace is None or ins.__class__ is n.SeqIns:
             return code
 
         def traced(sta):
@@ -993,64 +1205,30 @@ class Evaluator:
 
         return traced
 
-    def compile_instruction(self, ins: n.Instruction) -> StateCode:
-        data, step = self.compile_expression, self._step
-        match ins:
-            case n.SkipIns():
-                return _skip
-            case n.SeqIns(items):
-                return _block([step(item) for item in items])
-            case n.AssignIns(ide, dae):
-                return self.compile_assignment(ide, dae)
-            case n.YokeIns(ide, tre):
-                return _assign(ide, _variable(ide), yoke=self._transfer(tre))
-            case n.CallIns(ide, ref_args, val_args):
-                actuals, lengths = (*ref_args, *val_args), (len(ref_args), len(val_args))
-                return lambda sta: self.call_imperative_procedure(ide, actuals, lengths, sta)
-            case n.IfIns(guard, then_branch, else_branch):
-                return _if(data(guard), step(then_branch), step(else_branch))
-            case n.IfErrorIns(guard, handler):
-                return _if_error(data(guard), step(handler))
-            case n.WhileIns(guard, body):
-                return _while(data(guard), step(body), self.fuel)
-        raise TypeError(f"not an instruction: {ins!r}")
-
     def compile_assignment(self, ide: str, dae: n.DatExp) -> StateCode:
         """`ide := dae`, as `_assign`.  Whether `dae` adds or changes one
         element of the value `ide` holds is decided here, from the tree:
         `add-to-arr`, `push` and `change-arr` with `ide` itself as their
         collection pass `_assign` the maker of a one-datum collection."""
-        sub, limits = self.compile_expression, self.limits
-        match dae:
-            case n.AddToArrExp(n.IdeExp(held) as target, element) if held == ide:
-                value = _binary(sub(target), sub(element), _with_element(_add_to_array, 1), limits)
-                return _assign(ide, value, single=_unchecked_array)
-            case n.PushExp(element, n.IdeExp(held) as target) if held == ide:
-                value = _binary(sub(element), sub(target), _with_element(_push, 0), limits)
-                return _assign(ide, value, single=_unchecked_list)
-            case n.ChangeArrExp(n.IdeExp(held) as target, index, element) if held == ide:
-                value = _ternary(
-                    sub(target), sub(index), sub(element), _with_element(_change_array, 2), None
-                )
-                return _assign(ide, value, single=_unchecked_array)
+        sub, write = self.compile_expression, _ELEMENT_WRITES.get(dae.__class__)
+        if write is not None:
+            match dae:
+                case n.AddToArrExp(n.IdeExp(held) as target, element) if held == ide:
+                    return _assign(ide, write(self, sub(target), sub(element)), _unchecked_array)
+                case n.PushExp(element, n.IdeExp(held) as target) if held == ide:
+                    return _assign(ide, write(self, sub(element), sub(target)), _unchecked_list)
+                case n.ChangeArrExp(n.IdeExp(held) as target, index, element) if held == ide:
+                    operands = sub(target), sub(index), sub(element)
+                    return _assign(ide, write(self, *operands), _unchecked_array)
         return _assign(ide, sub(dae))
 
     def compile_preamble(self, pam) -> StateCode:
-        """A declaration, a definition, skip or a sequence of them."""
-        match pam:
-            case n.PreSeq(items) | n.VarDecSeq(items) | n.TypDefSeq(items):
-                return _block([self.compile_preamble(item) for item in items])
-            case n.SkipIns():
-                return _skip
-            case n.VarDec(ide, tex):
-                return _declare(ide, self.compile_type_exp(tex), variable=True)
-            case n.TypDef(ide, tex):
-                return _declare(ide, self.compile_type_exp(tex), variable=False)
-            case n.ImpProcDec() | n.FunProcDec():
-                return _declare_procedures((pam,))
-            case n.MultiProcDec(decs):
-                return _declare_procedures(decs)
-        raise TypeError(f"not a preamble: {pam!r}")
+        """A declaration, a definition, skip or a sequence of them: the rule
+        of its class, called with the evaluator and the node."""
+        rule = _PREAMBLE_RULES.get(pam.__class__)
+        if rule is None:
+            raise TypeError(f"not a preamble: {pam!r}")
+        return rule(self, pam)
 
     # -- procedure calls ----------------------------------------------------
 
@@ -1058,7 +1236,8 @@ class Evaluator:
         prg, steps = dec.prg, ()
         if prg is not None:
             ins = prg.ins
-            steps = tuple(map(self._step, ins.items if isinstance(ins, n.SeqIns) else (ins,)))
+            items = ins.items if isinstance(ins, n.SeqIns) else (ins,)
+            steps = tuple(map(self.compile_instruction, items))
             if prg.pam is not None:
                 steps = (self.compile_preamble(prg.pam), *steps)
         if isinstance(dec, n.FunProcDec):

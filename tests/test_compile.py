@@ -1,5 +1,5 @@
-"""Compilation: the expression rule table, the call sites, shared literals
-and the paused collector."""
+"""Compilation: the rule tables, the call sites, shared literals and
+variable reads, and the paused collector."""
 
 import gc
 import sys
@@ -22,6 +22,9 @@ from lingua.parser import (
 from lingua.printer import print_concrete
 from lingua.semantics import (
     _EXPRESSION_RULES,
+    _INSTRUCTION_RULES,
+    _PREAMBLE_RULES,
+    _TYPE_RULES,
     Evaluator,
     OutOfFuel,
     eval_source_expression,
@@ -50,6 +53,25 @@ class TestRuleTable:
             and cls not in (n.DatExp, n.TraExp)
         }
         assert set(_EXPRESSION_RULES) == expressions
+
+    @pytest.mark.parametrize(
+        "rules, sorts",
+        [
+            (_INSTRUCTION_RULES, (n.Instruction,)),
+            (_PREAMBLE_RULES, (n.Declaration, n.SkipIns, n.PreSeq)),
+            (_TYPE_RULES, (n.TypExp,)),
+        ],
+        ids=["instruction", "preamble", "type"],
+    )
+    def test_keys_are_the_classes_of_each_sort(self, rules, sorts):
+        classes = {
+            cls
+            for cls in vars(n).values()
+            if isinstance(cls, type)
+            and issubclass(cls, sorts)
+            and cls not in (n.Instruction, n.Declaration, n.TypExp)
+        }
+        assert set(rules) == classes
 
     def test_a_type_node_is_not_an_expression(self):
         tex = parse_type_expression("number")
@@ -289,3 +311,48 @@ class TestSharedLiterals:
         evaluator.eval_transfer_exp(parse_transfer_expression("(value < 1234)"), sta)
         assert len(evaluator.numerals) == 3
         assert all(ref() is None for ref in evaluator.numerals)
+
+
+class Reading(Evaluator):
+    """Keeps, for every variable read it compiles, the name, the identity
+    of its code and a weak reference to that code."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.reads = []
+
+    def compile_expression(self, exp):
+        code = super().compile_expression(exp)
+        if isinstance(exp, n.IdeExp):
+            self.reads.append((exp.ide, id(code), weakref.ref(code)))
+        return code
+
+
+class TestSharedReads:
+    def test_one_read_closure_per_name_and_none_kept(self):
+        """Every read compiled in one entry point is alive until it
+        returns, so equal identities are one closure."""
+        evaluator = Reading()
+        sta = number_var(number_var(empty_state(), "x", num(1)), "y", num(2))
+        ins = parse_instruction("x := (x + y) ; y := (y * x) ; x := (x - 1)")
+        sta = evaluator.exec_instruction(ins, sta)
+        evaluator.eval_data_exp(parse_data_expression("(x + x)"), sta)
+        first, second = evaluator.reads[:5], evaluator.reads[5:]
+        for reads in (first, second):
+            codes = {ide: {code for name, code, _ in reads if name == ide} for ide, _, _ in reads}
+            assert all(len(same) == 1 for same in codes.values())
+        assert [ide for ide, _, _ in evaluator.reads] == ["x", "y", "y", "x", "x", "x", "x"]
+        assert all(ref() is None for _, _, ref in evaluator.reads)
+
+    @pytest.mark.parametrize(
+        "declaration, word",
+        [("", "identifier-not-declared"), ("let u be number tel ; ", "variable-not-initialized")],
+        ids=["undeclared", "uninitialized"],
+    )
+    def test_a_failing_read_fails_at_each_site(self, declaration, word):
+        sta = run_source(
+            f"begin-program {declaration}let x be number tel ; x := u ; "
+            f"if-error '{word}' then x := 5 ; x := (u + 1) fi end-program"
+        )
+        assert register_word(sta) == word
+        assert sta.store.valuation["x"].com == Composite(num(5), NUMBER)

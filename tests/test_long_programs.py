@@ -10,6 +10,8 @@ import gc
 import json
 import sys
 
+import pytest
+
 from lingua import cli
 from lingua.cli import main
 from lingua import nodes as n
@@ -249,6 +251,33 @@ def test_ast_dumps_long_program(tmp_path, capsys):
     assert main(["ast", path, "--format", "json"]) == 0
     out, _ = capsys.readouterr()
     assert len(out.encode()) < 1_000_000
+
+
+def nested_equality(depth: int, innermost: int) -> str:
+    """`x1 .. x<depth>` and `z1 .. z<depth>`, arrays nested as deep as their
+    index, built apart around 1 and around `innermost`, then `b := x = z`
+    at the deepest level."""
+    lines = ["begin-program", "set t1 as array-type number ee tes ;"]
+    lines += [f"set t{k} as array-type t{k - 1} ee tes ;" for k in range(2, depth + 1)]
+    lines += [f"let {v}{k} be t{k} tel ;" for v in "xz" for k in range(1, depth + 1)]
+    steps = ["x1 := array 1 ee", f"z1 := array {innermost} ee"]
+    steps += [f"{v}{k} := array {v}{k - 1} ee" for v in "xz" for k in range(2, depth + 1)]
+    lines += ["let b be boolean tel ;", " ; ".join([*steps, f"b := x{depth} = z{depth}"])]
+    return "\n".join([*lines, "end-program"])
+
+
+@pytest.mark.parametrize("innermost, equal", [(1, True), (2, False)], ids=["equal", "differ"])
+def test_equality_of_data_nested_300_deep(innermost, equal):
+    """`=` compares data along a stack of its own, so nesting deeper than
+    the recursion limit leaves room for compares too."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        sta = run_source(nested_equality(300, innermost))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert register_word(sta) == "OK"
+    assert sta.store.valuation["b"].com.dat is equal
 
 
 def test_run_leaves_no_cyclic_garbage():
