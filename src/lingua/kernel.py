@@ -20,8 +20,12 @@ datum, body, composite, transfer, type and value class is a frozen
 slotted record (`lingua.record`).  `Number(coeff, exp)`
 checks the normal form, but `Number.make`, which normalizes, builds its
 result unchecked, as the evaluator does the data and composites it
-derives.  `Number.sub` normalizes once, as `add` does, and `Number.sum`
-and `Number.max` fold a sequence in one pass over its coefficients.  The
+derives.  `Number.add`, `sub` and `mul` build their result in their own
+frame, and call `make` only for a coefficient that ends in 0;
+`Number.divide` reduces the coefficients' quotient with `math.gcd`, with
+no `Fraction`; `Number.sum` and `Number.max` fold a sequence in one pass
+over its coefficients.  `decimal` is imported only where a number has
+more digits than Python converts between int and str.  The
 size rule in `oversized` never writes a number out: a coefficient's bit
 length decides it, and only a coefficient within a bit per digit of the
 bound is compared with a cached power of ten.
@@ -34,9 +38,8 @@ evaluator test bodies with `is`.
 
 from __future__ import annotations
 
-from decimal import Decimal
-from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 from .record import record
@@ -143,6 +146,8 @@ class Number(Data, metaclass=record):
         try:
             coeff = int(significant)
         except ValueError:  # more digits than Python converts from str
+            from decimal import Decimal
+
             coeff = int(Decimal(significant))
         exp = len(digits) - len(significant) - len(frac)
         return _unchecked_number(-coeff if negative else coeff, exp)
@@ -173,32 +178,54 @@ class Number(Data, metaclass=record):
     def add(self, other: "Number") -> "Number":
         a, x, b, y = self.coeff, self.exp, other.coeff, other.exp
         if x == y:
-            return Number.make(a + b, x)
-        if x > y:
-            return Number.make(a * 10 ** (x - y) + b, y)
-        return Number.make(a + b * 10 ** (y - x), x)
+            coeff, exp = a + b, x
+        elif x > y:
+            coeff, exp = a * 10 ** (x - y) + b, y
+        else:
+            coeff, exp = a + b * 10 ** (y - x), x
+        if coeff % 10 == 0:
+            return Number.make(coeff, exp)
+        number = _new(Number)
+        _set_coeff(number, coeff)
+        _set_exp(number, exp)
+        return number
 
     def sub(self, other: "Number") -> "Number":
         a, x, b, y = self.coeff, self.exp, other.coeff, other.exp
         if x == y:
-            return Number.make(a - b, x)
-        if x > y:
-            return Number.make(a * 10 ** (x - y) - b, y)
-        return Number.make(a - b * 10 ** (y - x), x)
+            coeff, exp = a - b, x
+        elif x > y:
+            coeff, exp = a * 10 ** (x - y) - b, y
+        else:
+            coeff, exp = a - b * 10 ** (y - x), x
+        if coeff % 10 == 0:
+            return Number.make(coeff, exp)
+        number = _new(Number)
+        _set_coeff(number, coeff)
+        _set_exp(number, exp)
+        return number
 
     def mul(self, other: "Number") -> "Number":
-        return Number.make(self.coeff * other.coeff, self.exp + other.exp)
+        coeff = self.coeff * other.coeff
+        if coeff % 10 == 0:
+            return Number.make(coeff, self.exp + other.exp)
+        number = _new(Number)
+        _set_coeff(number, coeff)
+        _set_exp(number, self.exp + other.exp)
+        return number
 
     def divide(self, other: "Number") -> Optional["Number"]:
-        """Exact quotient, or None when it is not a finite decimal."""
+        """Exact quotient, or None when it is not a finite decimal: the
+        fraction of the coefficients in lowest terms, its sign on the
+        numerator, must have a denominator of twos and fives only."""
         if other.coeff == 0:
             raise ZeroDivisionError("division of Number by zero")
-        quotient = Fraction(self.coeff, other.coeff)
-        den = quotient.denominator
-        twos = 0
-        while den % 2 == 0:
-            den //= 2
-            twos += 1
+        common = gcd(self.coeff, other.coeff)
+        numerator, den = self.coeff // common, other.coeff // common
+        if den < 0:
+            numerator, den = -numerator, -den
+        twos = (den & -den).bit_length() - 1  # the lowest set bit's place
+        den >>= twos
         fives = 0
         while den % 5 == 0:
             den //= 5
@@ -206,7 +233,7 @@ class Number(Data, metaclass=record):
         if den != 1:
             return None
         shift = max(twos, fives)
-        coeff = quotient.numerator * 2 ** (shift - twos) * 5 ** (shift - fives)
+        coeff = numerator * 2 ** (shift - twos) * 5 ** (shift - fives)
         return Number.make(coeff, self.exp - other.exp - shift)
 
     def neg(self) -> "Number":
@@ -277,6 +304,8 @@ def _digit_string(magnitude: int) -> str:
     try:
         return str(magnitude)
     except ValueError:
+        from decimal import Decimal
+
         return str(Decimal(magnitude))
 
 
@@ -591,7 +620,7 @@ def clan_tr_member(com: Composite, tra: Transfer) -> bool:
     if tra is TT:  # its verdict is true for every composite
         return True
     verdict = apply_transfer(tra, com)
-    return is_boo_composite(verdict) and verdict.dat
+    return isinstance(verdict, Composite) and verdict.bod is BOOLEAN and verdict.dat
 
 
 def clan_ty_member(com: Composite, typ: LangType) -> bool:

@@ -14,7 +14,6 @@ equal tree.  The parser accepts the added parentheses as plain grouping.
 
 from __future__ import annotations
 
-import json
 import re
 from functools import cache
 from typing import Any
@@ -144,6 +143,14 @@ def _fields(value: Any) -> list[tuple[Any, Any]]:
     return [("node", _kebab(type(value).__name__))] + fields
 
 
+def _quote(value: Any) -> str:
+    """`value` as JSON.  Only a dump quotes, so `json` is imported here and
+    `check` and `run` never load it."""
+    import json
+
+    return json.dumps(value)
+
+
 def _json_container(value: Any, depth: int):
     """As `json.dumps(indent=2)` lays out an object or an array."""
     brackets = "[]" if isinstance(value, tuple) else "{}"
@@ -152,7 +159,7 @@ def _json_container(value: Any, depth: int):
         return brackets, [], ""
     inner = "\n" + "  " * (depth + 1)
     children = [
-        (("," if i else "") + inner + ("" if key is None else json.dumps(key) + ": "), v)
+        (("," if i else "") + inner + ("" if key is None else _quote(key) + ": "), v)
         for i, (key, v) in enumerate(fields)
     ]
     return brackets[0], children, "\n" + "  " * depth + brackets[1]
@@ -164,7 +171,7 @@ def _sexpr_container(value: Any, depth: int):
 
 
 def _json_scalar(value: Any) -> str:
-    return json.dumps(value.text() if isinstance(value, Number) else value)
+    return _quote(value.text() if isinstance(value, Number) else value)
 
 
 def _sexpr_scalar(value: Any) -> str:
@@ -177,7 +184,7 @@ def _sexpr_scalar(value: Any) -> str:
     if isinstance(value, str):
         if value and all(c.isalnum() or c in "-." for c in value):
             return value
-        return json.dumps(value)
+        return _quote(value)
     return str(value)
 
 

@@ -35,29 +35,43 @@ Both call sites compile to Python closures: a C-level callable such as a
 `partial` would spend C stack on every Lingua call, so the C stack, not
 the recursion limit, would bound depth.
 
-Five rules keep a step's Python calls to those that decide something:
+Seven rules keep a step's Python calls to those that decide something:
 
 - The register is tested inline (`sta.store.register is not None`), and a
   variable is read straight from the valuation, whose bound `Value.com` is
   the composite a read returns.
 - Assignment, the element writes and `yoke` compile to one write closure,
-  `_assign`, one ladder of checks.  The verdict of `TT`, the transfer
-  `true`, is `true` for every composite, so a write under it never applies
-  it: its yoke error, shape and satisfaction steps are known to pass.
+  `_assign`, one ladder of checks, which builds the new `Value` in its own
+  frame.  The verdict of `TT`, the transfer `true`, is `true` for every
+  composite, so a write under it never applies it: its yoke error, shape
+  and satisfaction steps are known to pass.
 - Bodies are interned, so an equal body is the held body itself, and a
   write calls `coherent` only when the new body is not the held one.
 - A call reads its formal lengths, formal type codes, body steps, result
   and return type codes from one entry (`_Call`), compiled at the first
-  call in an entry point, and runs the steps in a loop of its own; the
-  entry holds code only, and the formal types are still evaluated in the
-  callee's environment on every call.  That environment is built once per
+  call in an entry point, and runs the steps in a loop of its own.  The
+  entry holds code only.  The callee's environment is built once per
   procedure value per entry point, and its calls share it, as no code
-  writes an `Env`.  A call site holds its actuals as one tuple, the ref
-  list before the val, and the lists' lengths, both built when it compiles.
+  writes an `Env`; the formal types, which read only that environment,
+  are evaluated in it then, and so is the return type, which a call
+  evaluates again only when its body has defined a type.  A call site
+  holds its actuals as one tuple, the ref list before the val, and the
+  lists' lengths, both built when it compiles.
 - A parameter whose actual holds the formal's type object, not merely an
   equal one, is bound to that value as it is: a `Value` is certified
-  against its own type.  A `ref` actual gets the formal's type back with
-  the result, so from its second call on it passes unchecked too.
+  against its own type.  `boolean`, `number` and `word` each denote one
+  shared type object, so an actual declared with one of them passes so
+  for a formal of that type.  A `ref` actual gets the formal's type back
+  with the result, so from its second call on it passes unchecked too.
+- Every literal compiles to a `_constant` closure, and all of them run
+  one code object, so a rule reads a constant operand's value when it
+  compiles.  A binary operator binds a constant right operand that is
+  not an error into its closure, and a variable declared with a constant
+  type is bound to one Ω value, built when the declaration compiles.
+- A number result is built in as few frames as it can be: `Number.add`,
+  `sub` and `mul` build it themselves unless its coefficient ends in 0,
+  `_sized` builds its composite, and a comparison picks its Boolean
+  composite inline.
 """
 
 from __future__ import annotations
@@ -91,6 +105,7 @@ from .kernel import (
     PROCEDURE_NOT_DECLARED,
     RECORD_EXPECTED,
     RETURN_TYPE_MISMATCH,
+    TRUE_COMPOSITE,
     TT,
     TYPE_NOT_DEFINED,
     VARIABLE_NOT_INITIALIZED,
@@ -111,6 +126,12 @@ from .kernel import (
     RecordData,
     Transfer,
     Value,
+    _new,
+    _set_bod,
+    _set_com,
+    _set_content,
+    _set_dat,
+    _set_typ,
     _unchecked_array,
     _unchecked_composite,
     _unchecked_list,
@@ -190,6 +211,12 @@ def _constant(result) -> Code:
     return lambda x: result
 
 
+# Every `_constant` closure runs this one code object, so a rule that
+# compiles tells a constant operand by its `__code__` (all code is Python
+# functions) and reads its value from the closure's one cell.
+_CONSTANT_CODE = _constant(None).__code__
+
+
 def _value(com: Composite) -> EvalResult:
     """The transfer `value`, and the operand of the transfer selections."""
     return com
@@ -215,10 +242,22 @@ def _unary(op: Callable, param=None) -> Rule:
 
 def _binary(op: Callable, param=None) -> Rule:
     """The rule of `op` over two operands, evaluated left to right: the
-    first error is the result; otherwise `op(left, right, param)`."""
+    first error is the result; otherwise `op(left, right, param)`.  A
+    constant right operand that is not an error is bound when the rule
+    runs, and its code is never called."""
 
     def rule(ev, a: Code, b: Code) -> Code:
         fixed = ev.limits if param is _LIMITS else param
+        right = b.__closure__[0].cell_contents if b.__code__ is _CONSTANT_CODE else None
+        if right is not None and not isinstance(right, AbstractError):
+
+            def binary_constant(x):
+                left = a(x)
+                if isinstance(left, AbstractError):
+                    return left
+                return op(left, right, fixed)
+
+            return binary_constant
 
         def binary(x):
             left = a(x)
@@ -319,7 +358,10 @@ def _sized(dat: Data, bod, limits: Limits) -> EvalResult:
     """A freshly computed result, or overflow when it exceeds the limits."""
     if oversized(dat, limits):
         return OVERFLOW
-    return _unchecked_composite(dat, bod)
+    com = _new(Composite)
+    _set_dat(com, dat)
+    _set_bod(com, bod)
+    return com
 
 
 def _add(left: Composite, right: Composite, limits: Limits) -> EvalResult:
@@ -354,13 +396,13 @@ def _divide(left: Composite, right: Composite, limits: Limits) -> EvalResult:
 def _less(left: Composite, right: Composite, _) -> EvalResult:
     if left.bod is not NUMBER or right.bod is not NUMBER:
         return NUMBER_EXPECTED
-    return boo_composite(left.dat.lt(right.dat))
+    return TRUE_COMPOSITE if left.dat.lt(right.dat) else FALSE_COMPOSITE
 
 
 def _equal(left: Composite, right: Composite, _) -> EvalResult:
     if left.bod is not right.bod:
         return FALSE_COMPOSITE
-    return boo_composite(_same_data(left.dat, right.dat))
+    return TRUE_COMPOSITE if _same_data(left.dat, right.dat) else FALSE_COMPOSITE
 
 
 _NESTED = {ListData, ArrayData, RecordData}
@@ -401,7 +443,7 @@ def _glue(left: Composite, right: Composite, limits: Limits) -> EvalResult:
 def _negate(com: Composite, expected: AbstractError) -> EvalResult:
     if com.bod is not BOOLEAN:
         return expected
-    return boo_composite(not com.dat)
+    return FALSE_COMPOSITE if com.dat else TRUE_COMPOSITE
 
 
 def _top(com: Composite, _=None) -> EvalResult:
@@ -814,12 +856,19 @@ _EXPRESSION_RULES: dict[type, Rule] = {
     for cls in classes
 }
 
+# `boolean`, `number` and `word` each compile to one code, which every
+# compile shares, and so denote one type object: a value declared with one
+# of them holds the very type a formal of that type denotes.
+_BOOLEAN_TYPE, _NUMBER_TYPE, _WORD_TYPE = (
+    _constant(LangType(bod, TT)) for bod in (BOOLEAN, NUMBER, WORD)
+)
+
 # the compile rule of every type expression class, called as an
 # expression's is, with each type operand already compiled
 _TYPE_RULES: dict[type, Rule] = {
-    n.BooleanTyp: lambda ev: _constant(LangType(BOOLEAN, TT)),
-    n.NumberTyp: lambda ev: _constant(LangType(NUMBER, TT)),
-    n.WordTyp: lambda ev: _constant(LangType(WORD, TT)),
+    n.BooleanTyp: lambda ev: _BOOLEAN_TYPE,
+    n.NumberTyp: lambda ev: _NUMBER_TYPE,
+    n.WordTyp: lambda ev: _WORD_TYPE,
     n.IdeTyp: lambda ev, ide: lambda sta: lookup_type(sta, ide) or TYPE_NOT_DEFINED,
     n.ListTyp: _unary(_collection_type, ListBody),
     n.ArrayTyp: _unary(_collection_type, ArrayBody),
@@ -892,7 +941,11 @@ def _assign(
                 return load_error(sta, A_YOKE_EXPECTED)
             if not com.dat:
                 return load_error(sta, YOKE_NOT_SATISFIED)
-        return bind_variable(sta, ide, _unchecked_value(new.dat, typ, new))
+        val = _new(Value)
+        _set_content(val, new.dat)
+        _set_typ(val, typ)
+        _set_com(val, new)
+        return bind_variable(sta, ide, val)
 
     return assign
 
@@ -982,9 +1035,21 @@ _INSTRUCTION_RULES: dict[type, Rule] = {
 
 def _declare(ev, dec: Union[n.VarDec, n.TypDef]) -> StateCode:
     """A variable declaration, or else a type definition: `ide` must be
-    free among the variables, or the types."""
+    free among the variables, or the types.  A variable of a constant type
+    is bound to one Ω value, built here."""
     ide, variable = dec.ide, dec.__class__ is n.VarDec
     type_code, bind = ev.compile_type_exp(dec.tex), _bind_omega if variable else bind_type
+    if variable and type_code.__code__ is _CONSTANT_CODE:
+        omega = _unchecked_value(OMEGA, type_code.__closure__[0].cell_contents, None)
+
+        def declare_constant(sta):
+            if sta.store.register is not None:
+                return sta
+            if ide in sta.store.valuation:
+                return load_error(sta, IDENTIFIER_NOT_FREE)
+            return bind_variable(sta, ide, omega)
+
+        return declare_constant
 
     def declare(sta):
         if sta.store.register is not None:
@@ -1047,15 +1112,16 @@ _PREAMBLE_RULES: dict[type, Rule] = {
 class _Call(NamedTuple):
     """What a call of one procedure declaration runs, compiled by the
     evaluator at its first call in an entry point: the lengths of the
-    formal lists, the ref list before the val; each formal's name and type
-    code, in that order; the ref formals' names; the body's steps, its
+    formal lists, the ref list before the val; the formals' names and type
+    codes, in that order; the ref formals' names; the body's steps, its
     preamble, then its instruction or each item of its `;` sequence (none
     for a function without a body); a function's result and its optional
     return type.  It holds code only: the environment is the callee's, and
-    the formal types are evaluated in it on every call."""
+    the types are evaluated in it (`_Callee`)."""
 
     lengths: tuple[int, ...]
-    formals: tuple[tuple[str, TypeCode], ...]
+    formals: tuple[str, ...]
+    types: tuple[TypeCode, ...]
     refs: tuple[str, ...]
     steps: tuple[StateCode, ...]
     result: Optional[DataCode]
@@ -1072,6 +1138,18 @@ class Procedure(metaclass=record):
     dec: Union[n.ImpProcDec, n.FunProcDec]
     group: tuple[Union[n.ImpProcDec, n.FunProcDec], ...]
     env: Env
+
+
+class _Callee(NamedTuple):
+    """What the calls of one procedure value share in an entry point: the
+    value, kept so that its id stays its own; the environment its body
+    runs in, with its group nested back in; and, evaluated in that
+    environment once, the formal types and the return type, if any."""
+
+    pro: Procedure
+    env: Env
+    types: tuple[TypeResult, ...]
+    return_type: Optional[TypeResult]
 
 
 class Evaluator:
@@ -1102,7 +1180,7 @@ class Evaluator:
         self._literals: dict[Union[tuple[int, int], str], Code] = {}
         self._reads: dict[str, DataCode] = {}
         self._calls: dict[int, tuple[n.Node, _Call]] = {}
-        self._envs: dict[int, tuple[Procedure, Env]] = {}
+        self._envs: dict[int, _Callee] = {}
 
     # -- entry points: compile, then run -----------------------------------
 
@@ -1248,16 +1326,19 @@ class Evaluator:
             lists = (dec.ref_params, dec.val_params)
             refs = tuple(formal.ide for formal in dec.ref_params)
             result, return_type = None, None
-        formals = tuple((formal.ide, self.compile_type_exp(formal.tex)) for formal in chain(*lists))
-        return _Call(tuple(map(len, lists)), formals, refs, steps, result, return_type)
+        formals = tuple(chain(*lists))
+        names = tuple(formal.ide for formal in formals)
+        types = tuple(self.compile_type_exp(formal.tex) for formal in formals)
+        return _Call(tuple(map(len, lists)), names, types, refs, steps, result, return_type)
 
     def _enter(
         self, kind: type, ide: str, actuals: tuple[str, ...], lengths: tuple[int, ...], sta: State
-    ) -> Union[tuple[_Call, State], AbstractError]:
+    ) -> Union[tuple[_Call, _Callee, State], AbstractError]:
         """Stages 1 and 2 of a call from a clear state: the compiled entry
-        of the declaration, of class `kind`, and the local state its body
-        runs on, or an error word.  `actuals` is every actual, the ref list
-        before the val, and `lengths` the length of each list."""
+        of the declaration, of class `kind`, the entry of the procedure
+        value, and the local state its body runs on, or an error word.
+        `actuals` is every actual, the ref list before the val, and
+        `lengths` the length of each list."""
         pro = sta.env.procs.get(ide)
         if pro is None or not isinstance(pro.dec, kind):
             return PROCEDURE_NOT_DECLARED
@@ -1280,28 +1361,35 @@ class Evaluator:
             procs = dict(env.procs)
             for member in group:
                 procs[member.ide] = pro if member is dec else Procedure(member, group, env)
-            callee = self._envs[id(pro)] = (pro, Env(env.types, procs))
+            env = Env(env.types, procs)
+            # Type expressions read only the environment, so the formal
+            # types and the return type are evaluated once, on a state
+            # with no variables.
+            bare = State(env, Store({}, None))
+            types = tuple([code(bare) for code in call.types])
+            return_type = None if call.return_type is None else call.return_type(bare)
+            callee = self._envs[id(pro)] = _Callee(pro, env, types, return_type)
         valuation: dict[str, Value] = {}
-        local = State(callee[1], Store(valuation, None))
-        # The local valuation holds only the formals.  Formal types read
-        # only the environment, so they evaluate on `local` as it fills.
-        # An actual that holds the formal's type object satisfies it, as
-        # every Value is certified against its own type.
+        local = State(callee.env, Store(valuation, None))
+        # The local valuation holds only the formals.  Each actual is looked
+        # up before its formal's type is read, so an undeclared actual is
+        # reported first.  An actual that holds the formal's type object
+        # satisfies it, as every Value is certified against its own type;
+        # an error word is no Value's type.
         caller = sta.store.valuation
-        for (formal, type_code), actual in zip(call.formals, actuals):
+        for formal, formal_type, actual in zip(call.formals, callee.types, actuals):
             actual_value = caller.get(actual)
             if actual_value is None:
                 return IDENTIFIER_NOT_DECLARED
-            formal_type = type_code(local)
-            if isinstance(formal_type, AbstractError):
-                return formal_type
             if actual_value.typ is not formal_type:
+                if isinstance(formal_type, AbstractError):
+                    return formal_type
                 com = actual_value.com
                 if com is not None and not clan_ty_member(com, formal_type):
                     return PARAMETER_TYPE_MISMATCH
                 actual_value = _unchecked_value(actual_value.content, formal_type, com)
             valuation[formal] = actual_value
-        return call, local
+        return call, callee, local
 
     def call_imperative_procedure(
         self, ide: str, actuals: tuple[str, ...], lengths: tuple[int, ...], sta: State
@@ -1319,7 +1407,7 @@ class Evaluator:
         entered = self._enter(n.ImpProcDec, ide, actuals, lengths, sta)
         if isinstance(entered, AbstractError):
             return load_error(sta, entered)
-        call, terminal = entered
+        call, _, terminal = entered
         # Stage 3: run the body's steps on the local state.
         for step in call.steps:
             terminal = step(terminal)
@@ -1344,7 +1432,7 @@ class Evaluator:
         entered = self._enter(n.FunProcDec, ide, actuals, lengths, sta)
         if isinstance(entered, AbstractError):
             return entered
-        call, terminal = entered
+        call, callee, terminal = entered
         for step in call.steps:
             terminal = step(terminal)
         if terminal.store.register is not None:
@@ -1352,8 +1440,11 @@ class Evaluator:
         result = call.result(terminal)
         if isinstance(result, AbstractError):
             return result
-        if call.return_type is not None:
-            return_type = call.return_type(terminal)
+        return_type = callee.return_type
+        if return_type is not None:
+            if terminal.env.types is not callee.env.types:
+                # The body defined a type, which the return type may read.
+                return_type = call.return_type(terminal)
             if isinstance(return_type, AbstractError):
                 return return_type
             if not clan_ty_member(result, return_type):

@@ -1,5 +1,7 @@
 """Data-expression evaluation: guard ladders, transparency, laziness."""
 
+import pytest
+
 from lingua.kernel import (
     NUMBER,
     WORD,
@@ -19,9 +21,11 @@ from lingua.kernel import (
     boo_composite,
     num,
 )
-from lingua.state import bind_variable, empty_state, load_error
+from lingua.parser import parse_data_expression, parse_transfer_expression
+from lingua.semantics import Evaluator
+from lingua.state import bind_variable, empty_state, load_error, register_word
 
-from util import eval_text, number_var
+from util import eval_text, number_var, run_text
 
 
 def err(word_):
@@ -95,6 +99,48 @@ class TestArithmetic:
         # left body check
         assert eval_text("(true + (1 / 0))") == err("division-by-zero")
         assert eval_text("(true + 1)") == err("number-expected")
+
+
+class TestConstantOperands:
+    """A literal right operand is bound into its operator's code when it
+    compiles, unless it is an error; the operands still evaluate left to
+    right, and the first error wins."""
+
+    SMALL = Limits(max_significant_digits=3)
+
+    def test_an_undeclared_left_operand_beats_an_oversized_right_literal(self):
+        assert eval_text("(x + 1234)", limits=self.SMALL) == err("identifier-not-declared")
+
+    def test_a_declared_left_operand_with_an_oversized_right_literal(self):
+        sta = number_var(empty_state(), "x", num(1))
+        assert eval_text("(x + 1234)", sta, limits=self.SMALL) == err("overflow")
+        assert eval_text("(x + 123)", sta, limits=self.SMALL) == Composite(num(124), NUMBER)
+
+    def test_a_yoke_with_a_literal_bound(self):
+        program = (
+            "begin-program set small as replace-transfer-in number by value < 1000000 ee tes ; "
+            "let s be small tel ; s := %s end-program"
+        )
+        assert register_word(run_text(program % "999999")) == "OK"
+        assert register_word(run_text(program % "1000000")) == "yoke-not-satisfied"
+
+    @pytest.mark.parametrize(
+        "parse, text, limits, shape",
+        [
+            (parse_data_expression, "(x + 1)", Limits(), "binary_constant"),
+            (parse_data_expression, "(x < 'a')", Limits(), "binary_constant"),
+            (parse_data_expression, "(x = true)", Limits(), "binary_constant"),
+            (parse_data_expression, "(x + y)", Limits(), "binary"),
+            (parse_data_expression, "(1 + x)", Limits(), "binary"),
+            (parse_data_expression, "(x + (1 + 2))", Limits(), "binary"),
+            (parse_data_expression, "(x + 1234)", SMALL, "binary"),
+            (parse_transfer_expression, "(value < 1000000)", Limits(), "binary_constant"),
+            (parse_transfer_expression, "(value < 1000000)", SMALL, "binary"),
+        ],
+    )
+    def test_one_closure_shape_per_node_chosen_when_it_compiles(self, parse, text, limits, shape):
+        code = Evaluator(limits=limits).compile_expression(parse(text))
+        assert code.__code__.co_name == shape
 
 
 class TestBooleans:

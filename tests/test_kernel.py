@@ -199,6 +199,12 @@ class TestLeanNumbers:
     @example(Number.make(5, -1), Number.make(5, -1))  # 0.5 + 0.5 renormalizes
     @example(Number.make(-3, 2), Number.make(3, 2))  # cancels to zero
     @example(Number.make(7, 40), Number.make(-7, -40))
+    @example(Number.make(3), Number.make(-4))  # a negative divisor: -0.75
+    @example(Number.make(-6, -1), Number.make(-8))  # both negative: 0.075
+    @example(Number.make(15), Number.make(5))  # 15 - 5 ends in 0
+    @example(Number.make(2), Number.make(-5))  # 2 * -5 ends in 0
+    @example(Number.make(7, -2), Number.make(7, -2))  # 0.07 - 0.07 is zero
+    @example(Number.make(0), Number.make(3, -2))  # 0 * 0.03 is zero
     def test_arithmetic_matches_fractions(self, x, y):
         fx, fy = as_fraction(x), as_fraction(y)
         for result, exact in ((x.add(y), fx + fy), (x.sub(y), fx - fy), (x.mul(y), fx * fy)):

@@ -355,6 +355,38 @@ class TestSharedCallProtocol:
         )
         assert register_word(sta) == "parameter-type-mismatch"
 
+    @pytest.mark.parametrize(
+        "declaration, call",
+        [
+            (
+                "proc q (val v as nope, w as number ref empty-fp) "
+                "begin-program skip end-program end proc",
+                "call q (ref empty-ap val %s)",
+            ),
+            ("fun q (v as nope, w as number) v endfun", "y := q(%s)"),
+        ],
+        ids=["imperative", "functional"],
+    )
+    @pytest.mark.parametrize(
+        "actuals, word",
+        [
+            ("u, x", "identifier-not-declared"),
+            ("x, u", "type-not-defined"),
+            ("x, x", "type-not-defined"),
+        ],
+        ids=["undeclared-first", "undeclared-second", "declared"],
+    )
+    def test_each_actual_is_looked_up_before_its_formal_type(
+        self, declaration, call, actuals, word
+    ):
+        # The first actual is reported before the first formal's type, and
+        # the first formal's type before the second actual.
+        sta = run_text(
+            f"begin-program {declaration} ; let x be number tel ; let y be number tel ; "
+            f"x := 1 ; {call % actuals} end-program"
+        )
+        assert register_word(sta) == word
+
     def test_functional_formal_type_defined_after_the_procedure(self):
         sta = run_text(
             "begin-program "
@@ -465,6 +497,31 @@ class TestCalleeEnvironments:
             "res = (50, number) with (value < 100)",
             "register = OK",
         ]
+
+    @pytest.mark.parametrize("n, word", [(3, "OK"), (7, "return-type-mismatch")])
+    def test_a_return_type_defined_in_the_body_is_read_on_every_call(self, n, word):
+        # `t` is defined in the body, so each call, each recursive one
+        # included, reads it from its own terminal state: 5 breaks the yoke.
+        sta = run_text(
+            "begin-program fun f (n as number) begin-program "
+            "set t as replace-transfer-in number by value < 5 ee tes ; "
+            "let m be number tel ; let r be number tel ; "
+            "if (n < 1) then r := 0 else m := (n - 1) ; r := (1 + f(m)) fi "
+            "end-program return r as t end fun ; "
+            f"let x be number tel ; let y be number tel ; x := {n} ; y := f(x) end-program"
+        )
+        assert register_word(sta) == word
+        if word == "OK":
+            assert lookup_variable(sta, "y").content == num(n)
+
+    def test_the_tables_are_empty_after_the_entry_point(self):
+        evaluator = Evaluator()
+        prg = parse_program(
+            f"begin-program {FACT_FUN} ; let x be number tel ; x := 3 ; x := fact(x) end-program"
+        )
+        sta = evaluator.run_program(prg, empty_state())
+        assert lookup_variable(sta, "x").content == num(6)
+        assert evaluator._envs == {} and evaluator._calls == {}
 
 
 class TestTheCallerRunsTheCall:

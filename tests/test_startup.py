@@ -2,10 +2,11 @@
 
 `import lingua` loads no submodule; its names are exported lazily.  The
 front end (`check`, `restore`, `ast`) runs without the evaluator, the
-state module, `dataclasses` or `inspect`; `run` loads the evaluator when
-it first runs.  Node classes build their dataclass field metadata only
-when it is first asked for.  Each check that depends on what is already
-loaded runs in a fresh interpreter.
+state module, `dataclasses` or `inspect`, and `check` without `fractions`,
+`decimal` or `json`; `run` loads the evaluator when it first runs.  Node
+classes build their dataclass field metadata only when it is first asked
+for.  Each check that depends on what is already loaded runs in a fresh
+interpreter.
 """
 
 import dataclasses
@@ -59,7 +60,9 @@ import lingua
 assert [m for m in sys.modules if m.startswith("lingua.")] == [], sorted(sys.modules)
 from lingua import cli
 assert cli.main(["check", {str(path)!r}]) == 0
-loaded = {{"lingua.semantics", "lingua.state", "dataclasses", "inspect"}} & set(sys.modules)
+loaded = {{
+    "lingua.semantics", "lingua.state", "dataclasses", "inspect", "fractions", "decimal", "json"
+}} & set(sys.modules)
 assert not loaded, loaded
 assert cli.main(["run", {str(path)!r}]) == 0
 """
