@@ -7,7 +7,10 @@ not UTF-8, or a standard output closed before the command's output is
 written (as when piped into `head`; nothing is printed then).
 
 `run` and `repl` import the evaluator and the state module when they
-start, so `check`, `restore` and `ast` load only the front end.
+start, so `check`, `restore` and `ast` load only the front end.  Every
+command parses at the caller's recursion limit; evaluation runs at the
+evaluator's own (`semantics.RECURSION_LIMIT`), and running out of it is
+`evaluation too deep`, exit 3.
 """
 
 from __future__ import annotations
@@ -17,8 +20,7 @@ import functools
 import gc
 import os
 import sys
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, TextIO, TypeVar, Union
+from typing import TYPE_CHECKING, Callable, Optional, TextIO, TypeVar, Union
 
 from .diagnostics import LinguaParseError, format_diagnostic
 from .kernel import (
@@ -49,10 +51,6 @@ if TYPE_CHECKING:
 DEFAULT_FUEL = 10_000_000
 
 T = TypeVar("T")
-
-# Lingua recursion rides the host stack; give it room and treat running out
-# as a resource outcome alongside fuel exhaustion.
-RECURSION_LIMIT = 20_000
 
 
 class RunConfig(metaclass=record, frozen=False):
@@ -154,17 +152,6 @@ def state_report(sta: State) -> list[str]:
     return lines
 
 
-@contextmanager
-def _deep_recursion() -> Iterator[None]:
-    """Raise the recursion limit for evaluation and put the old one back."""
-    previous = sys.getrecursionlimit()
-    sys.setrecursionlimit(RECURSION_LIMIT)
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(previous)
-
-
 def _parse(parse: Callable[[str], T], text: str, path: str, err: TextIO) -> Optional[T]:
     """`parse(text)`, or None after printing its diagnostic for `path`."""
     try:
@@ -229,8 +216,7 @@ def cmd_run(path: str, config: RunConfig, out: TextIO, err: TextIO) -> int:
 
     evaluator = Evaluator(limits=config.limits, fuel=config.fuel, trace=trace)
     try:
-        with _deep_recursion():
-            final = evaluator.run_program(prg, empty_state())
+        final = evaluator.run_program(prg, empty_state())
     except OutOfFuel:
         print("lingua: fuel exhausted", file=err)
         return 3
@@ -269,59 +255,58 @@ def repl(
 
     sta = empty_state()
     interactive = stdin.isatty()
-    with _deep_recursion():
-        while True:
-            if interactive:
-                print("lingua> ", end="", file=out, flush=True)
-            try:
-                line = stdin.readline()
-            except (OSError, UnicodeDecodeError) as exc:
-                print(f"lingua: cannot read <stdin>: {exc}", file=err)
-                return 4
-            if not line:
-                return 0
-            line = line.strip()
-            if not line:
-                continue
-            if line == ":quit":
-                return 0
-            if line == ":state":
-                for report_line in state_report(sta):
-                    print(report_line, file=out)
-                continue
-            if line == ":ok":
-                sta = clear_error(sta)
-                continue
-            parsed = _parse(parse_any, line, "<repl>", err)
-            if parsed is None:
-                continue
-            kind, node = parsed
-            evaluator = Evaluator(limits=config.limits, fuel=config.fuel)
-            try:
-                if kind == "program":
-                    sta = evaluator.run_program(node, sta)
-                elif kind == "preamble":
-                    sta = evaluator.exec_preamble(node, sta)
-                elif kind == "instruction":
-                    sta = evaluator.exec_instruction(node, sta)
-                elif kind == "data":
-                    result = evaluator.eval_data_exp(node, sta)
-                    if isinstance(result, AbstractError):
-                        print(f"error: {result.word}", file=out)
-                    else:
-                        print(format_composite(result), file=out)
-                    continue
+    while True:
+        if interactive:
+            print("lingua> ", end="", file=out, flush=True)
+        try:
+            line = stdin.readline()
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"lingua: cannot read <stdin>: {exc}", file=err)
+            return 4
+        if not line:
+            return 0
+        line = line.strip()
+        if not line:
+            continue
+        if line == ":quit":
+            return 0
+        if line == ":state":
+            for report_line in state_report(sta):
+                print(report_line, file=out)
+            continue
+        if line == ":ok":
+            sta = clear_error(sta)
+            continue
+        parsed = _parse(parse_any, line, "<repl>", err)
+        if parsed is None:
+            continue
+        kind, node = parsed
+        evaluator = Evaluator(limits=config.limits, fuel=config.fuel)
+        try:
+            if kind == "program":
+                sta = evaluator.run_program(node, sta)
+            elif kind == "preamble":
+                sta = evaluator.exec_preamble(node, sta)
+            elif kind == "instruction":
+                sta = evaluator.exec_instruction(node, sta)
+            elif kind == "data":
+                result = evaluator.eval_data_exp(node, sta)
+                if isinstance(result, AbstractError):
+                    print(f"error: {result.word}", file=out)
                 else:
-                    print(f"cannot execute a {kind} expression here", file=err)
-                    continue
-            except OutOfFuel:
-                print("lingua: fuel exhausted", file=err)
+                    print(format_composite(result), file=out)
                 continue
-            except RecursionError:
-                print("lingua: evaluation too deep", file=err)
+            else:
+                print(f"cannot execute a {kind} expression here", file=err)
                 continue
-            if is_error(sta):
-                print(f"error: {register_word(sta)}", file=out)
+        except OutOfFuel:
+            print("lingua: fuel exhausted", file=err)
+            continue
+        except RecursionError:
+            print("lingua: evaluation too deep", file=err)
+            continue
+        if is_error(sta):
+            print(f"error: {register_word(sta)}", file=out)
 
 
 class _AcyclicFormatter(argparse.HelpFormatter):
@@ -429,17 +414,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        try:
-            args = _build_arg_parser().parse_args(argv)
-        except SystemExit as exc:
-            # Python 3.10's argparse keeps the ArgumentError it reports in
-            # a frame of that error's own traceback, a reference cycle.
-            # (Imported here: `traceback` is not otherwise loaded at startup.)
-            import traceback
-
-            if exc.__context__ is not None:
-                traceback.clear_frames(exc.__context__.__traceback__)
-            raise
+        args = _build_arg_parser().parse_args(argv)
         try:
             code = _command(args)
             sys.stdout.flush()  # a closed output shows here, not at exit

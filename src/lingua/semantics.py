@@ -26,7 +26,9 @@ the state cannot change inside it.
 
 Nontermination is bounded by a fuel budget, spent on loop iterations and
 procedure calls; running out raises OutOfFuel, which is an outcome of the
-run, not a language error, and never reaches an error register.
+run, not a language error, and never reaches an error register.  Depth is
+bounded by `RECURSION_LIMIT`, the recursion limit every entry point runs
+at whatever the caller's limit; running out raises RecursionError.
 
 The procedure value, `Procedure`, is defined here beside the call protocol
 that reads it; `state` only binds it.  It holds no code, so a body runs
@@ -77,6 +79,7 @@ Seven rules keep a step's Python calls to those that decide something:
 from __future__ import annotations
 
 import gc
+import sys
 from itertools import chain
 from typing import Callable, NamedTuple, Optional, TypeVar, Union
 
@@ -164,6 +167,12 @@ from .state import write_variable as bind_variable
 
 # `small-number` holds for a number whose magnitude is below this
 SMALL_NUMBER_BOUND = Number.make(1, 6)
+
+# The recursion limit every entry point sets while it compiles and runs.
+# A Python call spends no C stack (Python 3.11 and later), so this limit,
+# not the C stack, bounds a Lingua recursion: `cnt` of TestDeepRecursion
+# runs 3,330 calls deep under it (tests/depth_reach.py).
+RECURSION_LIMIT = 20_000
 
 
 class OutOfFuel(Exception):
@@ -1165,7 +1174,9 @@ class Evaluator:
     methods build the closure of one node and its subtree; they read the
     limits, the fuel counter and the trace hook as they compile.  The trace
     hook is called before every executed instruction that is not a
-    sequence.
+    sequence.  Each entry point runs at the recursion limit
+    `RECURSION_LIMIT` and puts the caller's back (`_entered`), so its
+    reach is the same whatever limit it is called at.
     """
 
     def __init__(
@@ -1216,14 +1227,22 @@ class Evaluator:
 
     def _entered(self, run: Callable[[], C]) -> C:
         """`run()`, an entry point's compile and run, the collector paused,
-        as neither leaves cyclic garbage; then the evaluator's tables go, as
-        recursive call sites hold this evaluator, and the collector is put
-        back as it was, also when `run` raises."""
+        as neither leaves cyclic garbage, and the recursion limit set to
+        `RECURSION_LIMIT`; then the evaluator's tables go, as recursive
+        call sites hold this evaluator, and the caller's limit and collector
+        state are put back, also when `run` raises.  The limit and the
+        collector switch belong to the interpreter, not the thread, so a
+        caller's other threads run under them while an entry point runs,
+        and entry points must not overlap across threads: the first to
+        finish would put its caller's limit back under the other."""
         enabled = gc.isenabled()
         gc.disable()
+        limit = sys.getrecursionlimit()
         try:
+            sys.setrecursionlimit(RECURSION_LIMIT)
             return run()
         finally:
+            sys.setrecursionlimit(limit)
             self._literals.clear()
             self._reads.clear()
             self._calls.clear()
@@ -1238,7 +1257,7 @@ class Evaluator:
 
         The rule itself never recurses, so each level of nesting costs one
         Python frame, this one.  The operands compile in a plain loop, as a
-        comprehension is a frame of its own on Python 3.10 and 3.11, and
+        comprehension is a frame of its own on Python 3.11, and
         through `self.compile_expression`, so a subclass that wraps it sees
         every subexpression."""
         rule = _EXPRESSION_RULES.get(exp.__class__)

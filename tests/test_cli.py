@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from lingua import cli
-from lingua.cli import RunConfig, _deep_recursion, main, repl
+from lingua.cli import RunConfig, main, repl
 from lingua.parser import parse_program
 from lingua.printer import print_concrete
 
@@ -356,16 +356,20 @@ class TestCheckRestoreAst:
     def test_restore_long_operator_chain(self, tmp_path, capsys):
         # the chain parses flat but prints one parenthesis level per term,
         # deeper than the parser follows at the default limit, so the
-        # output is read back under the limit `restore` prints with
+        # output is read back at a raised limit
         source = self._sum_program(2_000)
         path = write(tmp_path, "chain.lng", source)
         code = main(["restore", path])
         out, err = capsys.readouterr()
         assert (code, err) == (0, "")
         restored = out.strip()
-        with _deep_recursion():
+        previous = sys.getrecursionlimit()
+        sys.setrecursionlimit(20_000)
+        try:
             assert parse_program(restored) == parse_program(source)
             assert print_concrete(parse_program(restored)) == restored
+        finally:
+            sys.setrecursionlimit(previous)
 
     def test_restore_prints_a_chain_of_any_length(self, tmp_path, capsys):
         # the printer keeps its own stack, so no chain is too deep to print
@@ -464,6 +468,19 @@ class TestRepl:
         code, out, _ = self.drive(["(1 + 2)", "(1 / 0)"], capsys)
         assert "(3, number)" in out
         assert "error: division-by-zero" in out
+
+    def test_a_line_too_deep_to_parse_is_a_diagnostic(self, capsys):
+        # a line parses at the caller's limit, as `lingua run` and `check`
+        # parse a file; only its evaluation runs at the evaluator's limit
+        line = "(" * 600 + "1" + ")" * 600
+        previous = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            code, out, err = self.drive([line, "(1 + 2)"], capsys)
+        finally:
+            sys.setrecursionlimit(previous)
+        assert (code, out) == (0, "(3, number)\n")
+        assert re.fullmatch(r"<repl>:1:\d+: too-deep: nesting too deep to parse\n", err)
 
     def test_parse_error_reported_and_survived(self, capsys):
         code, out, err = self.drive(["x +", "(1 + 2)"], capsys)
@@ -759,10 +776,6 @@ class TestDeepRecursion:
         proc = self.run(tmp_path, 3_500)
         assert (proc.returncode, proc.stderr) == (3, b"lingua: evaluation too deep\n")
 
-    @pytest.mark.skipif(
-        sys.version_info < (3, 11),
-        reason="Python 3.10 spends C stack on every Python call, so 1 MB runs out first",
-    )
     def test_within_reach_on_a_1_mb_stack(self, tmp_path):
         resource = pytest.importorskip("resource", reason="no resource module to limit the stack")
 

@@ -15,9 +15,10 @@ import pytest
 from lingua import cli
 from lingua.cli import main
 from lingua import nodes as n
-from lingua.kernel import NUMBER, OMEGA, Composite, num
+from lingua.kernel import NUMBER, OMEGA, Composite, _unchecked_array, num
 from lingua.parser import parse_program
 from lingua.printer import ast_dump, print_concrete
+from lingua import semantics
 from lingua.semantics import Evaluator, run_source
 from lingua.state import empty_state, register_word
 from test_cli import write
@@ -267,9 +268,11 @@ def nested_equality(depth: int, innermost: int) -> str:
 
 
 @pytest.mark.parametrize("innermost, equal", [(1, True), (2, False)], ids=["equal", "differ"])
-def test_equality_of_data_nested_300_deep(innermost, equal):
+def test_equality_of_data_nested_300_deep(innermost, equal, monkeypatch):
     """`=` compares data along a stack of its own, so nesting deeper than
-    the recursion limit leaves room for compares too."""
+    the recursion limit leaves room for compares too.  The run is held to
+    the host's default limit: the evaluator's own is pinned there."""
+    monkeypatch.setattr(semantics, "RECURSION_LIMIT", 1000)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
@@ -279,6 +282,25 @@ def test_equality_of_data_nested_300_deep(innermost, equal):
     assert register_word(sta) == "OK"
     assert sta.store.valuation["b"].com.dat is equal
 
+
+@pytest.mark.parametrize("innermost, equal", [(1, True), (2, False)], ids=["equal", "differ"])
+def test_same_data_nested_deeper_than_the_limit(innermost, equal):
+    """`semantics._same_data`, the walk behind `=`, compares two arrays
+    nested 3,000 deep, built apart, at the host's default limit of 1,000.
+    They are built unchecked, as the evaluator builds `array x ee`: the
+    checking constructor walks its items recursively."""
+    def nested(leaf):
+        dat = _unchecked_array((num(leaf),))
+        for _ in range(3000):
+            dat = _unchecked_array((dat,))
+        return dat
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert semantics._same_data(nested(1), nested(innermost)) is equal
+    finally:
+        sys.setrecursionlimit(limit)
 
 def test_run_leaves_no_cyclic_garbage():
     # Compiled code holds its evaluator weakly, so a finished run is freed

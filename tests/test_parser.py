@@ -6,6 +6,7 @@ from lingua.diagnostics import LinguaParseError
 from lingua.kernel import Number, num
 from lingua import nodes as n
 from lingua import parser
+from lingua import semantics
 from lingua.parser import (
     parse_any,
     parse_data_expression,
@@ -670,11 +671,15 @@ class TestNestingDepth:
 
     Each level of nesting costs the parser, the compiler and the compiled
     code a fixed number of Python frames; one frame more per level on the
-    path a case takes fails that case.
+    path a case takes fails that case.  An entry point sets the limit to
+    `semantics.RECURSION_LIMIT` while it compiles and runs, so that is
+    pinned at the default too, and the compiler and the compiled code are
+    held to the same budget as the parser.
     """
 
     @pytest.fixture(autouse=True)
-    def default_recursion_limit(self):
+    def default_recursion_limit(self, monkeypatch):
+        monkeypatch.setattr(semantics, "RECURSION_LIMIT", 1000)
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)
         yield

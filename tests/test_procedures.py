@@ -19,11 +19,19 @@ from lingua.kernel import (
     Value,
     num,
 )
-from lingua.parser import parse_data_expression, parse_instruction, parse_program
+from lingua.parser import (
+    parse_any,
+    parse_data_expression,
+    parse_instruction,
+    parse_program,
+    parse_transfer_expression,
+    parse_type_expression,
+)
 from lingua.printer import print_concrete
 from lingua.semantics import Evaluator, OutOfFuel, run_source
 from lingua.state import bind_type, bind_variable, empty_state, lookup_variable, register_word
 
+import test_cli
 from test_cli import cli_env
 from util import run_text
 
@@ -574,6 +582,82 @@ class TestTheCallerRunsTheCall:
         assert Evaluator().eval_data_exp(parse_data_expression("sq(x)"), sta) == Composite(
             num(9801), NUMBER
         )
+
+
+# `cnt`, the recursive function of `test_cli.TestDeepRecursion`; the class
+# itself is not imported, so that it is collected only there.
+CNT = test_cli.TestDeepRecursion.PROGRAM
+
+
+def at_limit(limit, entry, *args, **kwargs):
+    """`entry(*args, **kwargs)` called at recursion limit `limit`, which it
+    must put back, also when it raises; the test's own limit is restored
+    after."""
+    previous = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        try:
+            return entry(*args, **kwargs)
+        finally:
+            assert sys.getrecursionlimit() == limit
+    finally:
+        sys.setrecursionlimit(previous)
+
+
+class TestRecursionLimit:
+    """Every entry point evaluates at `semantics.RECURSION_LIMIT`, whatever
+    the caller's limit, and puts the caller's limit back, so a program has
+    one outcome however deep the library is called."""
+
+    LIMITS = (1_000, 1_234, 20_000)
+
+    @pytest.mark.parametrize("limit", (1_000, 20_000))
+    def test_cnt_2000_deep_finishes_at_any_callers_limit(self, limit):
+        sta = at_limit(limit, run_source, CNT % 2_000)
+        assert register_word(sta) == "OK"
+        assert lookup_variable(sta, "y").content == num(2_000)
+
+    @pytest.mark.parametrize("limit", (1_000, 20_000))
+    def test_cnt_3500_deep_is_too_deep_at_any_callers_limit(self, limit):
+        with pytest.raises(RecursionError):
+            at_limit(limit, run_source, CNT % 3_500)
+
+    @pytest.mark.parametrize("limit", LIMITS)
+    def test_every_entry_point_puts_the_callers_limit_back(self, limit):
+        sta = run_source(f"begin-program {FACT_FUN} ; let x be number tel ; x := 3 end-program")
+        evaluator = Evaluator()
+        entries = [
+            (evaluator.eval_data_exp, parse_data_expression("fact(x)")),
+            (evaluator.eval_transfer_exp, parse_transfer_expression("value < 10")),
+            (evaluator.eval_type_exp, parse_type_expression("list-type number ee")),
+            (evaluator.exec_instruction, parse_instruction("x := fact(x)")),
+            (evaluator.exec_preamble, parse_any("let y be number tel")[1]),
+            (evaluator.run_program, parse_program("begin-program x := 1 end-program")),
+        ]
+        for entry, node in entries:
+            assert not isinstance(at_limit(limit, entry, node, sta), AbstractError), entry.__name__
+
+    @pytest.mark.parametrize("limit", LIMITS)
+    def test_the_callers_limit_is_back_after_out_of_fuel(self, limit):
+        with pytest.raises(OutOfFuel):
+            at_limit(
+                limit,
+                run_source,
+                "begin-program let x be number tel ; x := 0 ; "
+                "while true do x := (x + 1) od end-program",
+                fuel=10,
+            )
+
+    @pytest.mark.parametrize("limit", (1_000, 30_000))
+    def test_the_run_sees_exactly_the_evaluators_limit(self, limit):
+        seen = set()
+        prg = parse_program(CNT % 10)
+
+        def trace(ins):
+            seen.add(sys.getrecursionlimit())
+
+        at_limit(limit, semantics.run_program, prg, trace=trace)
+        assert seen == {semantics.RECURSION_LIMIT}
 
 
 class TestParameterBinding:
