@@ -37,7 +37,7 @@ Both call sites compile to Python closures: a C-level callable such as a
 `partial` would spend C stack on every Lingua call, so the C stack, not
 the recursion limit, would bound depth.
 
-Seven rules keep a step's Python calls to those that decide something:
+Eight rules keep a step's Python calls to those that decide something:
 
 - The register is tested inline (`sta.store.register is not None`), and a
   variable is read straight from the valuation, whose bound `Value.com` is
@@ -74,12 +74,16 @@ Seven rules keep a step's Python calls to those that decide something:
   `sub` and `mul` build it themselves unless its coefficient ends in 0,
   `_sized` builds its composite, and a comparison picks its Boolean
   composite inline.
+- A `sum` or `max` keeps the items tuple it last folded and the result,
+  one pair in one cell (`_fold`).  Data never change, so those very items
+  fold to that result again, and it is returned without a walk.
 """
 
 from __future__ import annotations
 
 import gc
 import sys
+import threading
 from itertools import chain
 from typing import Callable, NamedTuple, Optional, TypeVar, Union
 
@@ -173,6 +177,22 @@ SMALL_NUMBER_BOUND = Number.make(1, 6)
 # not the C stack, bounds a Lingua recursion: `cnt` of TestDeepRecursion
 # runs 3,330 calls deep under it (tests/depth_reach.py).
 RECURSION_LIMIT = 20_000
+
+
+class _Host(metaclass=record, frozen=False):
+    """How many entry points are running, in every thread, and the
+    recursion limit and collector state the first of them found.
+    `Evaluator._entered` changes it in place under `_HOST_LOCK`, so an
+    entry rebinds no module name and frees no object the collector
+    tracks."""
+
+    running: int
+    limit: int
+    enabled: bool
+
+
+_HOST = _Host(0, 0, False)
+_HOST_LOCK = threading.Lock()
 
 
 class OutOfFuel(Exception):
@@ -465,9 +485,11 @@ def _top(com: Composite, _=None) -> EvalResult:
 
 
 def _index(number: Number, length: int) -> Optional[int]:
-    if not number.is_integer():
+    """The integer `number` when it lies in 1..length, else None."""
+    exp = number.exp
+    if exp < 0:
         return None
-    i = number.to_int()
+    i = number.coeff * 10**exp
     if not 1 <= i <= length:
         return None
     return i
@@ -708,18 +730,36 @@ def _numbers_in(com: Composite) -> Union[tuple[Number, ...], AbstractError]:
     return com.dat.items
 
 
-def _sum(com: Composite, limits: Limits) -> EvalResult:
-    numbers = _numbers_in(com)
-    if isinstance(numbers, AbstractError):
-        return numbers
-    return _sized(Number.sum(numbers), NUMBER, limits)
+def _fold(fold: Callable[[tuple[Number, ...]], Number]) -> Rule:
+    """The rule of `sum`/`max`: `fold` over the numbers of the operand.
+    Data never change, so the code keeps the items it last folded and the
+    result, one pair in one cell, and returns that result again for those
+    very items without folding them.  Only a tuple is kept: a hand-built
+    `ListData` or `ArrayData` may hold a list, which its builder can
+    change."""
 
+    def rule(ev, a: Code) -> Code:
+        limits, cached = ev.limits, (None, None)
 
-def _max(com: Composite, limits: Limits) -> EvalResult:
-    numbers = _numbers_in(com)
-    if isinstance(numbers, AbstractError):
-        return numbers
-    return _sized(Number.max(numbers), NUMBER, limits)
+        def folded(x):
+            nonlocal cached
+            com = a(x)
+            if isinstance(com, AbstractError):
+                return com
+            items = _numbers_in(com)
+            if isinstance(items, AbstractError):
+                return items
+            last = cached
+            if items is last[0]:
+                return last[1]
+            result = _sized(fold(items), NUMBER, limits)
+            if items.__class__ is tuple:
+                cached = items, result
+            return result
+
+        return folded
+
+    return rule
 
 
 def _small_number(com: Composite, _) -> EvalResult:
@@ -855,8 +895,8 @@ _EXPRESSION_RULES: dict[type, Rule] = {
         (n.TopTra,): lambda ev: _top,
         (n.ArrayAtTra,): _array_at_transfer,
         (n.RecordAtTra,): lambda ev, ide: lambda com: _record_at(com, ide),
-        (n.SumExp,): _unary(_sum, _LIMITS),
-        (n.MaxExp,): _unary(_max, _LIMITS),
+        (n.SumExp,): _fold(Number.sum),
+        (n.MaxExp,): _fold(Number.max),
         (n.SmallNumberExp,): _unary(_small_number),
         (n.IncreasingExp,): _unary(_increasing),
         (n.AllListExp,): _all_elements(ListBody, LIST_EXPECTED),
@@ -1229,26 +1269,31 @@ class Evaluator:
         """`run()`, an entry point's compile and run, the collector paused,
         as neither leaves cyclic garbage, and the recursion limit set to
         `RECURSION_LIMIT`; then the evaluator's tables go, as recursive
-        call sites hold this evaluator, and the caller's limit and collector
-        state are put back, also when `run` raises.  The limit and the
-        collector switch belong to the interpreter, not the thread, so a
-        caller's other threads run under them while an entry point runs,
-        and entry points must not overlap across threads: the first to
-        finish would put its caller's limit back under the other."""
-        enabled = gc.isenabled()
-        gc.disable()
-        limit = sys.getrecursionlimit()
+        call sites hold this evaluator, also when `run` raises.  The limit
+        and the collector switch belong to the interpreter, not the thread,
+        so they hold while any entry point runs in any thread: the first
+        entry saves the caller's and sets them, under `_HOST_LOCK`, and the
+        last exit puts them back.  A caller's other threads run under them
+        meanwhile."""
+        with _HOST_LOCK:
+            if not _HOST.running:
+                _HOST.limit, _HOST.enabled = sys.getrecursionlimit(), gc.isenabled()
+                sys.setrecursionlimit(RECURSION_LIMIT)
+                gc.disable()
+            _HOST.running += 1
         try:
-            sys.setrecursionlimit(RECURSION_LIMIT)
             return run()
         finally:
-            sys.setrecursionlimit(limit)
             self._literals.clear()
             self._reads.clear()
             self._calls.clear()
             self._envs.clear()
-            if enabled:
-                gc.enable()
+            with _HOST_LOCK:
+                _HOST.running -= 1
+                if not _HOST.running:
+                    sys.setrecursionlimit(_HOST.limit)
+                    if _HOST.enabled:
+                        gc.enable()
 
     def compile_expression(self, exp: n.Node) -> Code:
         """The code of a data expression, over states, or of a transfer

@@ -46,7 +46,7 @@ from lingua.kernel import (
 )
 from lingua.parser import parse_data_expression
 from lingua.printer import print_concrete
-from lingua.semantics import OVERFLOW, Evaluator, _max, _sum
+from lingua.semantics import OVERFLOW, Evaluator, _fold, _value
 from lingua.state import empty_state
 
 
@@ -239,8 +239,8 @@ class TestLeanNumbers:
         total = reduce(Number.add, numbers, Number.make(0))
         best = reduce(lambda a, b: b if a.lt(b) else a, numbers)
         assert checked(Number.sum(numbers)) == total and Number.max(numbers) == best
-        assert _sum(com, lim) == expected(total)
-        assert _max(com, lim) == expected(best)
+        assert _fold(Number.sum)(Evaluator(lim), _value)(com) == expected(total)
+        assert _fold(Number.max)(Evaluator(lim), _value)(com) == expected(best)
 
     @EXACT
     @given(st.integers(-(10**45), 10**45), st.integers(-1002, 1002), st.sampled_from([1, 20, 1000]))

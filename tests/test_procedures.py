@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -658,6 +659,51 @@ class TestRecursionLimit:
 
         at_limit(limit, semantics.run_program, prg, trace=trace)
         assert seen == {semantics.RECURSION_LIMIT}
+
+
+class TestOverlappingEntries:
+    """The recursion limit and the collector switch belong to the
+    interpreter, so they hold while any entry point runs in any thread,
+    and the caller's come back when the last one leaves."""
+
+    ROUNDS = 20
+
+    def test_a_deep_run_beside_short_runs_in_another_thread(self):
+        stop, errors = threading.Event(), []
+
+        def short_runs():
+            try:
+                while not stop.is_set():
+                    run_source("begin-program let x be number tel ; x := 1 end-program")
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+
+        def rounds():
+            words = []
+            for _ in range(self.ROUNDS):
+                try:
+                    words.append(register_word(run_source(CNT % 2_000)))
+                except RecursionError:
+                    words.append("RecursionError")
+            return words
+
+        other = threading.Thread(target=short_runs)
+        previous, interval = sys.getrecursionlimit(), sys.getswitchinterval()
+        sys.setrecursionlimit(1_000)
+        sys.setswitchinterval(1e-5)
+        try:
+            other.start()
+            words = rounds()
+        finally:
+            stop.set()
+            other.join(timeout=60)
+            limit = sys.getrecursionlimit()
+            sys.setswitchinterval(interval)
+            sys.setrecursionlimit(previous)
+        assert not other.is_alive()
+        assert errors == []
+        assert words == ["OK"] * self.ROUNDS
+        assert limit == 1_000
 
 
 class TestParameterBinding:
