@@ -426,18 +426,24 @@ WORD = SimpleBody("word")
 
 
 class ListData(Data, metaclass=record):
+    """A list; the constructor keeps its items as a tuple, so no caller can
+    change a list after it is certified."""
+
     items: tuple[Data, ...]
 
     def __post_init__(self) -> None:
+        _set_list_items(self, tuple(self.items))
         body_of(self)  # raises on a provably heterogeneous collection
 
 
 class ArrayData(Data, metaclass=record):
-    """Array indexed 1..n; item with index i sits at items[i - 1]."""
+    """Array indexed 1..n; item with index i sits at items[i - 1].  Its
+    items are a tuple, as a list's are."""
 
     items: tuple[Data, ...]
 
     def __post_init__(self) -> None:
+        _set_array_items(self, tuple(self.items))
         body_of(self)
 
 

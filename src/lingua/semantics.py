@@ -37,7 +37,7 @@ Both call sites compile to Python closures: a C-level callable such as a
 `partial` would spend C stack on every Lingua call, so the C stack, not
 the recursion limit, would bound depth.
 
-Eight rules keep a step's Python calls to those that decide something:
+Nine rules keep a step's Python calls to those that decide something:
 
 - The register is tested inline (`sta.store.register is not None`), and a
   variable is read straight from the valuation, whose bound `Value.com` is
@@ -77,6 +77,11 @@ Eight rules keep a step's Python calls to those that decide something:
 - A `sum` or `max` keeps the items tuple it last folded and the result,
   one pair in one cell (`_fold`).  Data never change, so those very items
   fold to that result again, and it is returned without a walk.
+- An `add-to-arr` spine, an `add-to-arr` with those nested as its array
+  operand, as an array literal is, compiles to one closure: one loop over
+  its elements, which appends to one list and builds one tuple at the end
+  (`_add_to_array_spine`).  Neither its cost per element nor its frame
+  depth grows with its length.
 """
 
 from __future__ import annotations
@@ -562,12 +567,50 @@ def _array(com: Composite, limits: Limits) -> EvalResult:
     return _sized(_unchecked_array((com.dat,)), ArrayBody(com.bod), limits)
 
 
-def _add_to_array(arr: Composite, new: Composite, limits: Limits) -> EvalResult:
+def _not_addable(arr: Composite, new: Composite, added: int, limits: Limits) -> Optional[AbstractError]:
+    """Why `new` cannot be the `added`-th element added to `arr`, or None:
+    `array-expected`, then `no-coherence`, then `overflow` once the length
+    passes the limit."""
     if not isinstance(arr.bod, ArrayBody):
         return ARRAY_EXPECTED
     if new.bod is not arr.bod.element:
         return NO_COHERENCE
-    return _sized(_unchecked_array((*arr.dat.items, new.dat)), arr.bod, limits)
+    if len(arr.dat.items) + added > limits.max_collection_size:
+        return OVERFLOW
+    return None
+
+
+def _add_to_array(arr: Composite, new: Composite, limits: Limits) -> EvalResult:
+    error = _not_addable(arr, new, 1, limits)
+    if error is not None:
+        return error
+    return _unchecked_composite(_unchecked_array((*arr.dat.items, new.dat)), arr.bod)
+
+
+def _add_to_array_spine(ev, base: DataCode, elements: tuple[DataCode, ...]) -> DataCode:
+    """The rule of an `add-to-arr` spine, `base` with `elements` added in
+    source order: one loop, which checks each element as the nested
+    `add-to-arr`s would, right after evaluating it, so the first error
+    wins and no element past an overflow is evaluated.  One tuple is built,
+    at the end."""
+    limits = ev.limits
+
+    def add_to_array(sta):
+        arr = base(sta)
+        if isinstance(arr, AbstractError):
+            return arr
+        added = []
+        for element in elements:
+            new = element(sta)
+            if isinstance(new, AbstractError):
+                return new
+            error = _not_addable(arr, new, len(added) + 1, limits)
+            if error is not None:
+                return error
+            added.append(new.dat)
+        return _unchecked_composite(_unchecked_array((*arr.dat.items, *added)), arr.bod)
+
+    return add_to_array
 
 
 def _change_array(arr: Composite, idx: Composite, new: Composite) -> EvalResult:
@@ -732,11 +775,9 @@ def _numbers_in(com: Composite) -> Union[tuple[Number, ...], AbstractError]:
 
 def _fold(fold: Callable[[tuple[Number, ...]], Number]) -> Rule:
     """The rule of `sum`/`max`: `fold` over the numbers of the operand.
-    Data never change, so the code keeps the items it last folded and the
-    result, one pair in one cell, and returns that result again for those
-    very items without folding them.  Only a tuple is kept: a hand-built
-    `ListData` or `ArrayData` may hold a list, which its builder can
-    change."""
+    Data never change, so the code keeps the items tuple it last folded and
+    the result, one pair in one cell, and returns that result again for
+    those very items without folding them."""
 
     def rule(ev, a: Code) -> Code:
         limits, cached = ev.limits, (None, None)
@@ -753,8 +794,7 @@ def _fold(fold: Callable[[tuple[Number, ...]], Number]) -> Rule:
             if items is last[0]:
                 return last[1]
             result = _sized(fold(items), NUMBER, limits)
-            if items.__class__ is tuple:
-                cached = items, result
+            cached = items, result
             return result
 
         return folded
@@ -880,7 +920,7 @@ _EXPRESSION_RULES: dict[type, Rule] = {
         (n.TopExp,): _unary(_top),
         (n.PopExp,): _unary(_pop),
         (n.ArrayExp,): _unary(_array, _LIMITS),
-        (n.AddToArrExp,): _binary(_add_to_array, _LIMITS),
+        (n.AddToArrExp,): _add_to_array_spine,
         (n.ChangeArrExp,): _ternary(_change_array),
         (n.ArrAtExp,): _binary(_array_at),
         (n.RecordExp,): _record,
@@ -1304,10 +1344,21 @@ class Evaluator:
         Python frame, this one.  The operands compile in a plain loop, as a
         comprehension is a frame of its own on Python 3.11, and
         through `self.compile_expression`, so a subclass that wraps it sees
-        every subexpression."""
+        every subexpression.  An `add-to-arr` spine is walked here, and its
+        rule gets the code of its base and of each element in source
+        order: the `add-to-arr`s nested in it are no levels of their own."""
         rule = _EXPRESSION_RULES.get(exp.__class__)
         if rule is None:
             raise TypeError(f"not a data or transfer expression: {exp!r}")
+        if exp.__class__ is n.AddToArrExp:
+            spine = []
+            while exp.__class__ is n.AddToArrExp:
+                spine.append(exp.dae2)
+                exp = exp.dae1
+            base, elements = self.compile_expression(exp), []
+            for element in reversed(spine):
+                elements.append(self.compile_expression(element))
+            return rule(self, base, tuple(elements))
         operands = [self]
         for field in exp.__dict__.values():
             operands.append(self.compile_expression(field) if isinstance(field, n.Node) else field)

@@ -3,7 +3,8 @@
 One row per program family and size, each a program that nests deeply in
 one way: a deep recursion (`cnt`, the function of `TestDeepRecursion` in
 tests/test_cli.py), a flat `+` chain, nested parentheses, writes of types
-nested through `set` definitions, and `=` on data nested as deeply.  Each
+nested through `set` definitions, `=` on data nested as deeply, and long
+array literals, each a left-nested `add-to-arr` spine as long as it.  Each
 cell is the exit code of `python -m lingua.cli run` or `check` on that
 program, or the name of the signal that ended it, in a child whose
 `RLIMIT_STACK` soft limit is 1 MB or 8 MB.  A program whose outcome does
@@ -51,6 +52,11 @@ def parentheses(depth: int) -> str:
     return f"begin-program let x be number tel ; x := {'(' * depth}1{')' * depth} end-program"
 
 
+def literal(elements: int) -> str:
+    items = ", ".join(str(k) for k in range(1, elements + 1))
+    return f"begin-program let a be array-type number ee tel ; a := array [{items}] end-program"
+
+
 def nested(depth: int, names: str) -> list[str]:
     """`t1 .. t<depth>`, each an array of the one before, and variables
     `<name>k` of type `tk` for each of `names`, each `<name>k` written as an
@@ -79,6 +85,8 @@ FAMILIES = {
     "340 nested parentheses": parentheses(340),
     "writes of types nested 1,000 deep": types(1_000),
     "= on data nested 1,000 deep": equality(1_000),
+    "array literal of 10,000 elements": literal(10_000),
+    "array literal of 25,000 elements": literal(25_000),
 }
 
 

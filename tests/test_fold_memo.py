@@ -115,13 +115,14 @@ class TestFreshVerdicts:
         assert apply_transfer(tra, as_array) == Composite(num(15), NUMBER)
         assert apply_transfer(tra, as_list) == Composite(num(15), NUMBER)
 
-    def test_a_hand_built_list_of_items_is_folded_every_time(self):
+    def test_a_hand_built_list_of_items_is_kept_as_a_tuple(self):
         items = [num(1), num(2)]
         com = Composite(ArrayData(items), ArrayBody(NUMBER))
         tra = transfer("sum (value)")
         assert apply_transfer(tra, com) == Composite(num(3), NUMBER)
         items[0] = num(10)
-        assert apply_transfer(tra, com) == Composite(num(12), NUMBER)
+        assert com.dat.items.__class__ is tuple
+        assert apply_transfer(tra, com) == Composite(num(3), NUMBER)
 
 
 class TestErrorsAgain:

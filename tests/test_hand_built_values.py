@@ -20,6 +20,7 @@ from lingua.kernel import (
     ArrayData,
     Composite,
     LangType,
+    ListData,
     Value,
     clan_bo_member,
     clan_tr_member,
@@ -84,6 +85,16 @@ def test_value_its_transfer_rejects_raises():
         Value(ArrayData((num(9),)), LangType(ArrayBody(NUMBER), small))
     held = Value(ArrayData((num(3),)), LangType(ArrayBody(NUMBER), small))
     assert held.com == Composite(ArrayData((num(3),)), ArrayBody(NUMBER))
+
+
+def test_a_caller_cannot_change_a_certified_collection():
+    small = transfer("all-array (value < 5) ee")
+    items = [num(3)]
+    held = Value(ArrayData(items), LangType(ArrayBody(NUMBER), small))
+    items[0] = num(9)
+    assert held.content == held.com.dat == ArrayData((num(3),))
+    for dat in (ListData(items), ArrayData(items)):
+        assert dat.items == (num(9),)
 
 
 def test_composite_is_not_a_constructor_argument():

@@ -18,6 +18,7 @@ from lingua.parser import (
 )
 from lingua.printer import print_concrete
 from lingua.semantics import eval_source_expression, run_source
+from lingua.state import empty_state
 
 
 def lit(value):
@@ -739,6 +740,34 @@ class TestNestingDepth:
             assert isinstance(node, cls)
             node = getattr(node, field)
         assert not isinstance(node, cls)
+
+    # An array literal is a left-nested `add-to-arr` spine as long as the
+    # literal, which compiles and runs as one loop at constant depth.
+    def test_a_long_array_literal(self):
+        text = "array [" + ", ".join(str(k) for k in range(5_000)) + "]"
+        assert eval_source_expression(text).dat.items == tuple(num(k) for k in range(5_000))
+
+    def test_an_array_literal_costs_calls_linear_in_its_length(self):
+        """The Python calls of compiling and running a literal of n, 2n and
+        4n elements, counted under `sys.setprofile` as `tests/call_counts.py`
+        counts them, at most 2.1 times as many per doubling."""
+        counts = []
+        for length in (1_000, 2_000, 4_000):
+            dae = parse_data_expression("array [" + ", ".join(str(k) for k in range(length)) + "]")
+            calls = 0
+
+            def profile(frame, event, arg):
+                nonlocal calls
+                if event == "call":
+                    calls += 1
+
+            sys.setprofile(profile)
+            try:
+                semantics.Evaluator().eval_data_exp(dae, empty_state())
+            finally:
+                sys.setprofile(None)
+            counts.append(calls)
+        assert counts[1] <= 2.1 * counts[0] and counts[2] <= 2.1 * counts[1], counts
 
     def test_procedure_declaration(self):
         # under pytest a hand-written declaration reader reaches 237 levels
