@@ -59,77 +59,72 @@ class RunConfig(metaclass=record, frozen=False):
     trace: bool = False
 
 
-def _scalar_text(dat: object) -> Optional[str]:
-    """The text of a truth value, number or word; None for anything else."""
-    if dat is True or dat is False:
-        return "true" if dat else "false"
-    if dat.__class__ is Number:
-        return dat.text()
-    if dat.__class__ is str:
-        return f"'{dat}'"
-    return None
+# How a truth value, a number and a word are written, by class: only a
+# number's writer is Python code, so the others cost no Python call
+_SCALAR_TEXT = {bool: ("false", "true").__getitem__, Number: Number.text, str: "'{}'".format}
 
 
-def _push_items(todo: list, out: list, brackets: str, pairs: list) -> None:
-    """Write the opening bracket, and push the (label, item) pairs, comma
-    separated, and the closing bracket, so that they pop in order."""
-    out.append(brackets[0])
-    todo.append(brackets[1])
-    for i in range(len(pairs) - 1, -1, -1):
-        label, item = pairs[i]
-        todo.append(item)
-        todo.append(f", {label}" if i else label)
+def _scalar_text(dat: object) -> str:
+    """The text of a truth value, number or word, as `nodes._render` takes
+    a scalar."""
+    write = _SCALAR_TEXT.get(dat.__class__)
+    if write is None:
+        raise TypeError(f"not a datum: {dat!r}")
+    return write(dat)
+
+
+def _labelled(fields: tuple) -> list[tuple[str, object]]:
+    """A record's (name, part) fields as `nodes._render`'s children."""
+    return [(f", {name}: " if i else f"{name}: ", part) for i, (name, part) in enumerate(fields)]
+
+
+def _data_parts(dat: Data, depth: int) -> tuple[str, list, str]:
+    """A collection datum's text around its items, as `nodes._render`
+    takes it.  A certified collection is homogeneous: when its first item
+    is a truth value, number or word, so is every item, and one join
+    writes them."""
+    if dat.__class__ is RecordData:
+        return "{", _labelled(dat.fields), "}"
+    opening, closing = "()" if dat.__class__ is ListData else "[]"
+    items = dat.items
+    write = _SCALAR_TEXT.get(items[0].__class__) if items else None
+    if write is not None:
+        return opening + ", ".join(map(write, items)) + closing, [], ""
+    return opening, [(", " if i else "", item) for i, item in enumerate(items)], closing
 
 
 def format_data(dat: Data) -> str:
-    """A datum's text, written along an explicit stack rather than by
-    recursion, so data of any depth prints at the default recursion limit.
-    A word is pushed as its text, so a `str` on the stack is text.  A
-    certified collection is homogeneous: when its first item is a truth
-    value, number or word, so is every item, and one join writes them."""
-    text = _scalar_text(dat)
-    if text is not None:
-        return text
-    out: list[str] = []
-    todo: list = [dat]
-    while todo:
-        dat = todo.pop()
-        cls = dat.__class__
-        if cls is str:
-            out.append(dat)
-        elif cls is RecordData:
-            pairs = [(f"{name}: ", _scalar_text(item) or item) for name, item in dat.fields]
-            _push_items(todo, out, "{}", pairs)
-        elif cls is ListData or cls is ArrayData:
-            brackets, items = "()" if cls is ListData else "[]", dat.items
-            if items and _scalar_text(items[0]) is not None:
-                out.append(brackets[0] + ", ".join(map(_scalar_text, items)) + brackets[1])
-            else:
-                _push_items(todo, out, brackets, [("", item) for item in items])
-        else:
-            raise TypeError(f"not a datum: {dat!r}")
-    return "".join(out)
+    """A datum's text, written by `nodes._render`, so data of any depth
+    prints at the default recursion limit."""
+    write = _SCALAR_TEXT.get(dat.__class__)
+    if write is not None:
+        return write(dat)
+    return n._render(dat, _data_parts, _scalar_text, (ListData, ArrayData, RecordData))
+
+
+def _simple_text(bod: object) -> str:
+    """A simple body's name, as `nodes._render` takes a scalar."""
+    if bod.__class__ is not SimpleBody:
+        raise TypeError(f"not a body: {bod!r}")
+    return bod.name
+
+
+def _body_parts(bod: Body, depth: int) -> tuple[str, list, str]:
+    """A collection body's text around its parts, as `nodes._render` takes
+    it; a collection of a simple body is one text."""
+    if bod.__class__ is RecordBody:
+        return "{", _labelled(bod.fields), "}"
+    kind, element = "list of " if bod.__class__ is ListBody else "array of ", bod.element
+    if element.__class__ is SimpleBody:
+        return kind + element.name, [], ""
+    return kind, [("", element)], ""
 
 
 def format_body(bod: Body) -> str:
-    """A body's text, written along an explicit stack as `format_data` is."""
-    out: list[str] = []
-    todo: list = [bod]
-    while todo:
-        bod = todo.pop()
-        cls = bod.__class__
-        if cls is str:
-            out.append(bod)
-        elif cls is SimpleBody:
-            out.append(bod.name)
-        elif cls is ListBody or cls is ArrayBody:
-            out.append("list of " if cls is ListBody else "array of ")
-            todo.append(bod.element)
-        elif cls is RecordBody:
-            _push_items(todo, out, "{}", [(f"{name}: ", element) for name, element in bod.fields])
-        else:
-            raise TypeError(f"not a body: {bod!r}")
-    return "".join(out)
+    """A body's text, written by `nodes._render` as `format_data` is."""
+    if bod.__class__ is SimpleBody:
+        return bod.name
+    return n._render(bod, _body_parts, _simple_text, (ListBody, ArrayBody, RecordBody))
 
 
 def format_composite(com: Composite) -> str:

@@ -62,43 +62,6 @@ def _walk(node: Node) -> list:
     return out
 
 
-def _render(node: Node, container: Callable, scalar: Callable[[Any], str]) -> str:
-    """Write `node` along an explicit stack, so nesting costs no recursion.
-
-    `container(value, depth)` gives a node's or tuple's (opening text,
-    [(text before child, child)], closing text); `scalar(value)` gives the
-    text of anything else.  Text rides the stack as `(text, None)`, and
-    empty text is dropped.  The repr, dumps and concrete syntax use it.
-    """
-    parts: list[str] = []
-    stack: list[tuple[Any, Any]] = [(node, 0)]
-    while stack:
-        value, depth = stack.pop()
-        if depth is not None and isinstance(value, (Node, tuple)):
-            opening, children, closing = container(value, depth)
-            stack.append((closing, None))
-            for before, child in reversed(children):
-                stack += ((child, depth + 1), (before, None))
-            stack.append((opening, None))
-        elif depth is not None:
-            parts.append(scalar(value))
-        elif value:
-            parts.append(value)
-    return "".join(parts)
-
-
-def _repr_parts(value: Any, depth: int):
-    """A node's or tuple's repr, the dataclass text, as `_render` takes it."""
-    if isinstance(value, Node):
-        labelled = [(f"{name}=", v) for name, v in value.__dict__.items()]
-        opening, closing = f"{value.__class__.__qualname__}(", ")"
-    else:
-        labelled = [("", v) for v in value]
-        opening, closing = "(", ",)" if len(value) == 1 else ")"
-    children = [(", " + label if i else label, v) for i, (label, v) in enumerate(labelled)]
-    return opening, children, closing
-
-
 class Node:
     """A frozen record of the fields its class annotates.
 
@@ -132,6 +95,47 @@ class Node:
         return _render(self, _repr_parts, repr)
 
     __setattr__ = __delattr__ = refuse_write
+
+
+def _render(
+    node: Any, container: Callable, scalar: Callable[[Any], str], containers: tuple = (Node, tuple)
+) -> str:
+    """Write `node` along an explicit stack, so nesting costs no recursion.
+
+    `container(value, depth)` gives the (opening text, [(text before
+    child, child)], closing text) of a value of one of the `containers`
+    classes, nodes and tuples unless given; `scalar(value)` gives the text
+    of anything else.  Text rides the stack as `(text, None)`, and empty
+    text is dropped.  The repr, dumps, concrete syntax and the CLI's text
+    of data and bodies use it.
+    """
+    parts: list[str] = []
+    stack: list[tuple[Any, Any]] = [(node, 0)]
+    while stack:
+        value, depth = stack.pop()
+        if depth is not None and isinstance(value, containers):
+            opening, children, closing = container(value, depth)
+            stack.append((closing, None))
+            for before, child in reversed(children):
+                stack += ((child, depth + 1), (before, None))
+            stack.append((opening, None))
+        elif depth is not None:
+            parts.append(scalar(value))
+        elif value:
+            parts.append(value)
+    return "".join(parts)
+
+
+def _repr_parts(value: Any, depth: int):
+    """A node's or tuple's repr, the dataclass text, as `_render` takes it."""
+    if isinstance(value, Node):
+        labelled = [(f"{name}=", v) for name, v in value.__dict__.items()]
+        opening, closing = f"{value.__class__.__qualname__}(", ")"
+    else:
+        labelled = [("", v) for v in value]
+        opening, closing = "(", ",)" if len(value) == 1 else ")"
+    children = [(", " + label if i else label, v) for i, (label, v) in enumerate(labelled)]
+    return opening, children, closing
 
 
 class DatExp(Node):

@@ -14,8 +14,25 @@ composites.  A node compiles by the rule one table keeps for its class:
 `_EXPRESSION_RULES` for data and transfer expressions, `_TYPE_RULES`,
 `_INSTRUCTION_RULES` and `_PREAMBLE_RULES`.  A rule builds the node's
 closure in its own frame.  Each operator is one function over operand
-composites, shared by data and transfer expressions; `_unary`, `_binary`
-and `_ternary` make its rule, which closes over the operand closures.
+composites, or types, shared by data and transfer expressions; `_unary`,
+`_binary` and `_ternary` make its rule, which closes over the operand
+closures and writes the ladder once: the operands left to right, the
+first error the result, then the operator.  They make the rules of the
+arithmetic, comparisons, equality and glue, `not`, the list, array and
+record operators, the selections, `small-number`, `increasing` and the
+list, array and record types.  Where a node fixes an identifier (a record
+operator, `record-type`) or a transfer (`replace-transfer-in`), its row in
+the rule table binds it as the operator's fixed operand.  Six rules keep
+an order of their own and are written by hand: the lazy connectives
+(`_lazy`) and `if` (`_conditional`) evaluate an operand only when the one
+before decides it is needed; a transfer's array selection checks for an
+array before it evaluates the index (`_array_at_transfer`);
+`expand-record-type` checks its base record type before it evaluates the
+addition (`_expanded_type`); `sum` and `max` keep their last result
+(`_fold`); and an `add-to-arr` spine checks each element as it adds it
+(`_add_to_array_spine`).  Literals, variable reads and calls have no
+operand expressions, and `all-list` and `all-array` apply a transfer,
+not an operator, to each element (`_all_elements`).
 Literals are built, and size-checked, when they compile, and each read
 of a variable is one closure per name: both are shared by every
 occurrence in an entry point's compile.  Sequences compile to flat
@@ -53,10 +70,11 @@ Nine rules keep a step's Python calls to those that decide something:
   and return type codes from one entry (`_Call`), compiled at the first
   call in an entry point, and runs the steps in a loop of its own.  The
   entry holds code only.  The callee's environment is built once per
-  procedure value per entry point, and its calls share it, as no code
-  writes an `Env`; the formal types, which read only that environment,
-  are evaluated in it then, and so is the return type, which a call
-  evaluates again only when its body has defined a type.  A call site
+  declaration and declaration-time environment per entry point, and its
+  calls share it, as no code writes an `Env`; the formal types, which
+  read only that environment, are evaluated in it then, and so is the
+  return type, which a call evaluates again only when its body has
+  defined a type.  A call site
   holds its actuals as one tuple, the ref list before the val, and the
   lists' lengths, both built when it compiles.
 - A parameter whose actual holds the formal's type object, not merely an
@@ -628,85 +646,44 @@ def _change_array(arr: Composite, idx: Composite, new: Composite) -> EvalResult:
     return _unchecked_composite(_unchecked_array(tuple(items)), arr.bod)
 
 
-def _record(ev, ide: str, a: DataCode) -> DataCode:
-    limits = ev.limits
-
-    def record(sta):
-        com = a(sta)
-        if isinstance(com, AbstractError):
-            return com
-        return _sized(RecordData.of({ide: com.dat}), RecordBody.of({ide: com.bod}), limits)
-
-    return record
+def _record(com: Composite, ide: str) -> EvalResult:
+    """A record literal, unchecked: its one attribute is within every
+    `max_collection_size`, as `Limits` requires it to be at least 1."""
+    return _unchecked_composite(RecordData.of({ide: com.dat}), RecordBody.of({ide: com.bod}))
 
 
-def _add_attribute(ev, ide: str, a: DataCode, b: DataCode) -> DataCode:
-    limits = ev.limits
-
-    def add_attribute(sta):
-        new = a(sta)
-        if isinstance(new, AbstractError):
-            return new
-        rec = b(sta)
-        if isinstance(rec, AbstractError):
-            return rec
-        if not isinstance(rec.bod, RecordBody):
-            return RECORD_EXPECTED
-        if rec.bod.has(ide):
-            return ATTRIBUTE_ALREADY_PRESENT
-        return _sized(
-            RecordData.of({**rec.dat.attributes(), ide: new.dat}),
-            rec.bod.with_added(ide, new.bod),
-            limits,
-        )
-
-    return add_attribute
+def _add_attribute(new: Composite, rec: Composite, param: tuple[str, Limits]) -> EvalResult:
+    ide, limits = param
+    if not isinstance(rec.bod, RecordBody):
+        return RECORD_EXPECTED
+    if rec.bod.has(ide):
+        return ATTRIBUTE_ALREADY_PRESENT
+    return _sized(
+        RecordData.of({**rec.dat.attributes(), ide: new.dat}),
+        rec.bod.with_added(ide, new.bod),
+        limits,
+    )
 
 
-def _record_at_rule(ev, a: DataCode, ide: str) -> DataCode:
-    def record_at(sta):
-        com = a(sta)
-        if isinstance(com, AbstractError):
-            return com
-        return _record_at(com, ide)
-
-    return record_at
-
-
-def _remove_attribute(ev, ide: str, a: DataCode) -> DataCode:
-    def remove_attribute(sta):
-        com = a(sta)
-        if isinstance(com, AbstractError):
-            return com
-        if not isinstance(com.bod, RecordBody):
-            return RECORD_EXPECTED
-        if not com.bod.has(ide):
-            return ATTRIBUTE_NOT_PRESENT
-        remaining = com.dat.attributes()
-        del remaining[ide]
-        return _unchecked_composite(RecordData.of(remaining), com.bod.with_removed(ide))
-
-    return remove_attribute
+def _remove_attribute(com: Composite, ide: str) -> EvalResult:
+    if not isinstance(com.bod, RecordBody):
+        return RECORD_EXPECTED
+    if not com.bod.has(ide):
+        return ATTRIBUTE_NOT_PRESENT
+    remaining = com.dat.attributes()
+    del remaining[ide]
+    return _unchecked_composite(RecordData.of(remaining), com.bod.with_removed(ide))
 
 
-def _change_record(ev, a: DataCode, ide: str, b: DataCode) -> DataCode:
-    def change_record(sta):
-        rec = a(sta)
-        if isinstance(rec, AbstractError):
-            return rec
-        new = b(sta)
-        if isinstance(new, AbstractError):
-            return new
-        if not isinstance(rec.bod, RecordBody):
-            return RECORD_EXPECTED
-        if not rec.bod.has(ide):
-            return ATTRIBUTE_NOT_PRESENT
-        return _unchecked_composite(
-            RecordData.of({**rec.dat.attributes(), ide: new.dat}),
-            RecordBody.of({**rec.bod.attributes(), ide: new.bod}),
-        )
-
-    return change_record
+def _change_record(rec: Composite, new: Composite, ide: str) -> EvalResult:
+    if not isinstance(rec.bod, RecordBody):
+        return RECORD_EXPECTED
+    if not rec.bod.has(ide):
+        return ATTRIBUTE_NOT_PRESENT
+    return _unchecked_composite(
+        RecordData.of({**rec.dat.attributes(), ide: new.dat}),
+        RecordBody.of({**rec.bod.attributes(), ide: new.bod}),
+    )
 
 
 def _read(ev, ide: str) -> DataCode:
@@ -849,14 +826,8 @@ def _collection_type(typ: LangType, body_cls: type) -> TypeResult:
     return LangType(body_cls(typ.bod), TT)
 
 
-def _record_type(ev, ide: str, inner: TypeCode) -> TypeCode:
-    def record_type(sta):
-        typ = inner(sta)
-        if isinstance(typ, AbstractError):
-            return typ
-        return LangType(RecordBody.of({ide: typ.bod}), TT)
-
-    return record_type
+def _record_type(typ: LangType, ide: str) -> TypeResult:
+    return LangType(RecordBody.of({ide: typ.bod}), TT)
 
 
 def _expanded_type(ev, base: TypeCode, ide: str, addition: TypeCode) -> TypeCode:
@@ -876,22 +847,15 @@ def _expanded_type(ev, base: TypeCode, ide: str, addition: TypeCode) -> TypeCode
     return expanded
 
 
-def _replaced_transfer(ev, base: TypeCode, tre: n.TraExp) -> TypeCode:
-    tra = ev._transfer(tre)
-
-    def replaced(sta):
-        typ = base(sta)
-        if isinstance(typ, AbstractError):
-            return typ
-        return LangType(typ.bod, tra)
-
-    return replaced
+def _replaced_transfer(typ: LangType, tra: Transfer) -> TypeResult:
+    return LangType(typ.bod, tra)
 
 
 # ---------------------------------------------------------------------------
 # the compile rule of every data and transfer expression class, called with
 # the evaluator and then the node's fields in order, each operand already
-# compiled; an operator both sorts share has one rule for both classes
+# compiled; an operator both sorts share has one rule for both classes, and
+# a node's identifier is bound as its operator's fixed operand
 
 _BOOLEANS = {value: _constant(boo_composite(value)) for value in (False, True)}
 
@@ -923,11 +887,11 @@ _EXPRESSION_RULES: dict[type, Rule] = {
         (n.AddToArrExp,): _add_to_array_spine,
         (n.ChangeArrExp,): _ternary(_change_array),
         (n.ArrAtExp,): _binary(_array_at),
-        (n.RecordExp,): _record,
-        (n.AddAttrExp,): _add_attribute,
-        (n.RecAtExp,): _record_at_rule,
-        (n.RemoveAttrExp,): _remove_attribute,
-        (n.ChangeRecExp,): _change_record,
+        (n.RecordExp,): lambda ev, ide, a: _unary(_record, ide)(ev, a),
+        (n.AddAttrExp,): lambda ev, ide, a, b: _binary(_add_attribute, (ide, ev.limits))(ev, a, b),
+        (n.RecAtExp,): lambda ev, a, ide: _unary(_record_at, ide)(ev, a),
+        (n.RemoveAttrExp,): lambda ev, ide, a: _unary(_remove_attribute, ide)(ev, a),
+        (n.ChangeRecExp,): lambda ev, a, ide, b: _binary(_change_record, ide)(ev, a, b),
         (n.CondExp,): _conditional,
         (n.FunCallExp,): _function_call,
         # transfer expressions only
@@ -961,9 +925,9 @@ _TYPE_RULES: dict[type, Rule] = {
     n.IdeTyp: lambda ev, ide: lambda sta: lookup_type(sta, ide) or TYPE_NOT_DEFINED,
     n.ListTyp: _unary(_collection_type, ListBody),
     n.ArrayTyp: _unary(_collection_type, ArrayBody),
-    n.RecordTyp: _record_type,
+    n.RecordTyp: lambda ev, ide, inner: _unary(_record_type, ide)(ev, inner),
     n.ExpandRecordTyp: _expanded_type,
-    n.ReplaceTransferTyp: _replaced_transfer,
+    n.ReplaceTransferTyp: lambda ev, base, tre: _unary(_replaced_transfer, ev._transfer(tre))(ev, base),
 }
 
 # The value of an element write, `ide := add-to-arr ide …`, `push … on ide`
@@ -1230,9 +1194,10 @@ class Procedure(metaclass=record):
 
 
 class _Callee(NamedTuple):
-    """What the calls of one procedure value share in an entry point: the
-    value, kept so that its id stays its own; the environment its body
-    runs in, with its group nested back in; and, evaluated in that
+    """What the calls of one declaration in one declaration-time
+    environment share in an entry point: the first procedure value called
+    with them, kept so that their ids stay their own; the environment the
+    body runs in, with its group nested back in; and, evaluated in that
     environment once, the formal types and the return type, if any."""
 
     pro: Procedure
@@ -1271,7 +1236,7 @@ class Evaluator:
         self._literals: dict[Union[tuple[int, int], str], Code] = {}
         self._reads: dict[str, DataCode] = {}
         self._calls: dict[int, tuple[n.Node, _Call]] = {}
-        self._envs: dict[int, _Callee] = {}
+        self._envs: dict[tuple[int, int], _Callee] = {}
 
     # -- entry points: compile, then run -----------------------------------
 
@@ -1450,8 +1415,9 @@ class Evaluator:
         self, kind: type, ide: str, actuals: tuple[str, ...], lengths: tuple[int, ...], sta: State
     ) -> Union[tuple[_Call, _Callee, State], AbstractError]:
         """Stages 1 and 2 of a call from a clear state: the compiled entry
-        of the declaration, of class `kind`, the entry of the procedure
-        value, and the local state its body runs on, or an error word.
+        of the declaration, of class `kind`, the entry its calls share in
+        their environment, and the local state its body runs on, or an
+        error word.
         `actuals` is every actual, the ref list before the val, and
         `lengths` the length of each list."""
         pro = sta.env.procs.get(ide)
@@ -1460,14 +1426,19 @@ class Evaluator:
         self.fuel.spend()
         dec = pro.dec
         # `dec` and `pro` are kept beside what is built from them, so their
-        # ids stay theirs.
-        compiled = self._calls.get(id(dec))
+        # ids, and that of `pro.env`, stay theirs.
+        dec_id = id(dec)
+        compiled = self._calls.get(dec_id)
         if compiled is None:
-            compiled = self._calls[id(dec)] = (dec, self._compile_call(dec))
+            compiled = self._calls[dec_id] = (dec, self._compile_call(dec))
         call = compiled[1]
         if call.lengths != lengths:
             return PARAMETER_LIST_MISMATCH
-        callee = self._envs.get(id(pro))
+        # Keyed by declaration and environment, not by the value: a
+        # group's members call each other through the values that each
+        # built environment holds, new ones every time.
+        key = dec_id, id(pro.env)
+        callee = self._envs.get(key)
         if callee is None:
             # The declaration-time environment with the whole group nested
             # back in, so every member, the callee included, resolves
@@ -1483,7 +1454,7 @@ class Evaluator:
             bare = State(env, Store({}, None))
             types = tuple([code(bare) for code in call.types])
             return_type = None if call.return_type is None else call.return_type(bare)
-            callee = self._envs[id(pro)] = _Callee(pro, env, types, return_type)
+            callee = self._envs[key] = _Callee(pro, env, types, return_type)
         valuation: dict[str, Value] = {}
         local = State(callee.env, Store(valuation, None))
         # The local valuation holds only the formals.  Each actual is looked

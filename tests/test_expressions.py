@@ -295,6 +295,32 @@ class TestRecords:
             "attribute-not-present"
         )
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "add-attr a of-value (1 / 0) to 5 ee",
+            "add-attr a of-value 1 to (1 / 0) ee",
+            "change-rec 5 at a by (1 / 0) ee",
+        ],
+    )
+    def test_an_operand_error_wins_over_the_record_checks(self, text):
+        # Operands evaluate left to right, and their first error beats
+        # record-expected and the attribute checks.
+        assert eval_text(text) == err("division-by-zero")
+
+    def test_size_limit(self):
+        lim = Limits(max_collection_size=2)
+        grown = "add-attr b of-value 2 to record a of-value 1 ee ee"
+        assert eval_text(grown, limits=lim) == Composite(
+            RecordData.of({"a": num(1), "b": num(2)}), RecordBody.of({"a": NUMBER, "b": NUMBER})
+        )
+        assert eval_text(f"add-attr c of-value 3 to {grown} ee", limits=lim) == err("overflow")
+
+    def test_a_one_attribute_literal_fits_the_smallest_limit(self):
+        assert eval_text("record a of-value 1 ee", limits=Limits(max_collection_size=1)) == (
+            Composite(RecordData.of({"a": num(1)}), RecordBody.of({"a": NUMBER}))
+        )
+
 
 class TestConditional:
     def test_branch_selection(self):

@@ -448,9 +448,9 @@ class TestFrameLaw:
 
 
 class TestCalleeEnvironments:
-    """A callee's environment is built once per procedure value in an
-    entry point, keyed by the value's identity, and dropped when the entry
-    point ends."""
+    """A callee's environment is built once per declaration and
+    declaration-time environment in an entry point, keyed by their
+    identities, and dropped when the entry point ends."""
 
     def test_one_declaration_in_two_states_reads_each_states_procedures(self):
         # Both entry points call `f`, one declaration node, bound in two
@@ -522,6 +522,26 @@ class TestCalleeEnvironments:
         assert register_word(sta) == word
         if word == "OK":
             assert lookup_variable(sta, "y").content == num(n)
+
+    def test_mutual_recursion_builds_one_environment_per_member(self, monkeypatch):
+        # `even` calls `odd` through a procedure value made when `even`'s
+        # environment was built, and the other way round: each member's
+        # environment is still built once, not once per level.
+        built = []
+
+        class CountedEnv(semantics.Env):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(semantics, "Env", CountedEnv)
+        sta = run_text(
+            f"begin-program {PARITY_MULTIPROC} ; "
+            "let res be word tel ; let k be number tel ; "
+            "k := 200 ; call even (ref res val k) end-program"
+        )
+        assert lookup_variable(sta, "res").content == "yes"
+        assert len(built) == 2
 
     def test_the_tables_are_empty_after_the_entry_point(self):
         evaluator = Evaluator()

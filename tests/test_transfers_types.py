@@ -280,6 +280,7 @@ class TestTypeExpressions:
     def test_inner_errors_propagate(self):
         assert typ("list-type nope ee") == err("type-not-defined")
         assert typ("record-type a as nope ee") == err("type-not-defined")
+        assert typ("replace-transfer-in nope by value ee") == err("type-not-defined")
 
     def test_error_state_short_circuits(self):
         sta = load_error(empty_state(), err("overflow"))
