@@ -39,6 +39,7 @@ evaluator test bodies with `is`.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
 from math import gcd
 from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
@@ -477,67 +478,81 @@ def num(value: Union[int, str]) -> Number:
     return Number.parse(value)
 
 
+def _simple_body(dat: Data) -> Optional[Body]:
+    """The body of a truth value, number or word; None for anything else."""
+    for cls, bod in ((bool, BOOLEAN), (Number, NUMBER), (str, WORD)):
+        if isinstance(dat, cls):
+            return bod
+    return None
+
+
+_END = object()  # past a collection's last part; or no part left yet, in `body_of`
+
+
 def body_of(dat: Data) -> Optional[Body]:
     """Best-effort descriptor; None when empty collections leave it open.
 
     Raises ValueError for a collection whose elements provably disagree.
+    The walk keeps the collections it is inside on an explicit stack, so
+    any depth costs no Python frame per level; it visits the parts in
+    order, and raises, or gives up on a record, where a recursive walk
+    would.
     """
-    match dat:
-        case bool():
-            return BOOLEAN
-        case Number():
-            return NUMBER
-        case str():
-            return WORD
-        case ListData(items) | ArrayData(items):
-            element: Optional[Body] = None
-            for item in items:
-                b = body_of(item)
-                if b is None:
-                    continue
-                if element is None:
-                    element = b
-                elif element is not b:
+    frames: list = []  # per collection entered: (datum, parts left, bodies found)
+    while True:
+        if isinstance(dat, (ListData, ArrayData, RecordData)):
+            parts = [d for _, d in dat.fields] if isinstance(dat, RecordData) else dat.items
+            frames.append((dat, iter(parts), []))
+            bod = _END
+        elif (bod := _simple_body(dat)) is None:
+            raise TypeError(f"not a datum: {dat!r}")
+        while frames:  # `bod`: the body of the part just left, if any
+            col, parts, found = frames[-1]
+            if bod is None and isinstance(col, RecordData):
+                frames.pop()  # an open attribute leaves the record open
+                continue
+            if bod is not None and bod is not _END:
+                if isinstance(col, RecordData) or not found:
+                    found.append(bod)
+                elif found[0] is not bod:
                     raise ValueError("collection elements have different bodies")
-            if element is None:
-                return None
-            return ListBody(element) if isinstance(dat, ListData) else ArrayBody(element)
-        case RecordData(fields):
-            out: dict[str, Body] = {}
-            for name, d in fields:
-                b = body_of(d)
-                if b is None:
-                    return None
-                out[name] = b
-            return RecordBody.of(out)
-    raise TypeError(f"not a datum: {dat!r}")
+            dat = next(parts, _END)
+            if dat is not _END:
+                break
+            frames.pop()
+            if isinstance(col, RecordData):
+                bod = RecordBody.of(dict(zip([name for name, _ in col.fields], found)))
+            elif found:
+                bod = (ListBody if isinstance(col, ListData) else ArrayBody)(found[0])
+            else:
+                bod = None
+        else:
+            return bod
 
 
 def clan_bo_member(dat: Data, bod: Body) -> bool:
     """Does the datum structurally match the body?
 
-    Empty lists and arrays match any element body.
+    Empty lists and arrays match any element body.  The parts are matched
+    from an explicit stack, so any depth costs no Python frame per level.
     """
-    match dat:
-        case bool():
-            return bod is BOOLEAN
-        case Number():
-            return bod is NUMBER
-        case str():
-            return bod is WORD
-        case ListData(items) | ArrayData(items):
-            body_cls = ListBody if isinstance(dat, ListData) else ArrayBody
-            return isinstance(bod, body_cls) and all(
-                clan_bo_member(item, bod.element) for item in items
-            )
-        case RecordData(fields):
+    todo = [(dat, bod)]
+    while todo:
+        dat, bod = todo.pop()
+        if isinstance(dat, (ListData, ArrayData)):
+            if not isinstance(bod, ListBody if isinstance(dat, ListData) else ArrayBody):
+                return False
+            todo += zip(dat.items, repeat(bod.element))
+        elif isinstance(dat, RecordData):
             if not isinstance(bod, RecordBody):
                 return False
             attrs = bod.attributes()
-            if set(attrs) != {name for name, _ in fields}:
+            if set(attrs) != {name for name, _ in dat.fields}:
                 return False
-            return all(clan_bo_member(d, attrs[name]) for name, d in fields)
-    return False
+            todo += [(d, attrs[name]) for name, d in dat.fields]
+        elif bod is None or _simple_body(dat) is not bod:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,10 @@ before decides it is needed; a transfer's array selection checks for an
 array before it evaluates the index (`_array_at_transfer`);
 `expand-record-type` checks its base record type before it evaluates the
 addition (`_expanded_type`); `sum` and `max` keep their last result
-(`_fold`); and an `add-to-arr` spine checks each element as it adds it
-(`_add_to_array_spine`).  Literals, variable reads and calls have no
-operand expressions, and `all-list` and `all-array` apply a transfer,
-not an operator, to each element (`_all_elements`).
+(`_fold`); and `add-to-arr`, alone or as a spine of them, checks each
+element as it adds it (`_add_to_array_spine`).  Literals, variable reads
+and calls have no operand expressions, and `all-list` and `all-array`
+apply a transfer, not an operator, to each element (`_all_elements`).
 Literals are built, and size-checked, when they compile, and each read
 of a variable is one closure per name: both are shared by every
 occurrence in an entry point's compile.  Sequences compile to flat
@@ -61,9 +61,12 @@ Nine rules keep a step's Python calls to those that decide something:
   the composite a read returns.
 - Assignment, the element writes and `yoke` compile to one write closure,
   `_assign`, one ladder of checks, which builds the new `Value` in its own
-  frame.  The verdict of `TT`, the transfer `true`, is `true` for every
-  composite, so a write under it never applies it: its yoke error, shape
-  and satisfaction steps are known to pass.
+  frame.  An element write's value is its expression's own code; under
+  `all-list T` or `all-array T` the write applies T only to the items it
+  put in, which a picker in `_ELEMENT_WRITES` finds from the new items
+  and the held ones.  The verdict of `TT`, the transfer `true`, is `true`
+  for every composite, so a write under it never applies it: its yoke
+  error, shape and satisfaction steps are known to pass.
 - Bodies are interned, so an equal body is the held body itself, and a
   write calls `coherent` only when the new body is not the held one.
 - A call reads its formal lengths, formal type codes, body steps, result
@@ -107,7 +110,8 @@ from __future__ import annotations
 import gc
 import sys
 import threading
-from itertools import chain
+from itertools import chain, compress, count
+from operator import is_not
 from typing import Callable, NamedTuple, Optional, TypeVar, Union
 
 from .kernel import (
@@ -347,19 +351,6 @@ def _ternary(op: Callable) -> Rule:
     return rule
 
 
-def _with_element(op: Callable, at: int) -> Callable:
-    """`op`, its result paired with its operand `at`: the element it adds
-    to, or changes in, a collection."""
-
-    def paired(*operands):
-        com = op(*operands)
-        if isinstance(com, AbstractError):
-            return com
-        return com, operands[at]
-
-    return paired
-
-
 def _lazy(short_on: bool, expected: AbstractError) -> Rule:
     """The rule of a McCarthy connective: a left operand equal to
     `short_on` decides alone; a non-Boolean operand yields `expected`."""
@@ -585,48 +576,34 @@ def _array(com: Composite, limits: Limits) -> EvalResult:
     return _sized(_unchecked_array((com.dat,)), ArrayBody(com.bod), limits)
 
 
-def _not_addable(arr: Composite, new: Composite, added: int, limits: Limits) -> Optional[AbstractError]:
-    """Why `new` cannot be the `added`-th element added to `arr`, or None:
-    `array-expected`, then `no-coherence`, then `overflow` once the length
-    passes the limit."""
-    if not isinstance(arr.bod, ArrayBody):
-        return ARRAY_EXPECTED
-    if new.bod is not arr.bod.element:
-        return NO_COHERENCE
-    if len(arr.dat.items) + added > limits.max_collection_size:
-        return OVERFLOW
-    return None
-
-
-def _add_to_array(arr: Composite, new: Composite, limits: Limits) -> EvalResult:
-    error = _not_addable(arr, new, 1, limits)
-    if error is not None:
-        return error
-    return _unchecked_composite(_unchecked_array((*arr.dat.items, new.dat)), arr.bod)
-
-
 def _add_to_array_spine(ev, base: DataCode, elements: tuple[DataCode, ...]) -> DataCode:
-    """The rule of an `add-to-arr` spine, `base` with `elements` added in
-    source order: one loop, which checks each element as the nested
-    `add-to-arr`s would, right after evaluating it, so the first error
-    wins and no element past an overflow is evaluated.  One tuple is built,
-    at the end."""
+    """The rule of `add-to-arr` and of a spine of them, `base` with
+    `elements` added in source order: one loop, which checks each element
+    as the nested `add-to-arr`s would, right after evaluating it:
+    `array-expected`, then `no-coherence`, then `overflow` once the length
+    passes the limit.  So the first error wins and no element past an
+    overflow is evaluated.  One tuple is built, at the end."""
     limits = ev.limits
 
     def add_to_array(sta):
         arr = base(sta)
         if isinstance(arr, AbstractError):
             return arr
-        added = []
+        bod, added, room = arr.bod, [], None  # room: elements the limit lets in
+        if isinstance(bod, ArrayBody):
+            room = limits.max_collection_size - len(arr.dat.items)
         for element in elements:
             new = element(sta)
             if isinstance(new, AbstractError):
                 return new
-            error = _not_addable(arr, new, len(added) + 1, limits)
-            if error is not None:
-                return error
+            if room is None:
+                return ARRAY_EXPECTED
+            if new.bod is not bod.element:
+                return NO_COHERENCE
+            if len(added) >= room:
+                return OVERFLOW
             added.append(new.dat)
-        return _unchecked_composite(_unchecked_array((*arr.dat.items, *added)), arr.bod)
+        return _unchecked_composite(_unchecked_array((*arr.dat.items, *added)), bod)
 
     return add_to_array
 
@@ -930,12 +907,22 @@ _TYPE_RULES: dict[type, Rule] = {
     n.ReplaceTransferTyp: lambda ev, base, tre: _unary(_replaced_transfer, ev._transfer(tre))(ev, base),
 }
 
-# The value of an element write, `ide := add-to-arr ide …`, `push … on ide`
-# or `change-arr ide …`: the new collection paired with the new element.
-_ELEMENT_WRITES: dict[type, Rule] = {
-    n.AddToArrExp: _binary(_with_element(_add_to_array, 1), _LIMITS),
-    n.PushExp: _binary(_with_element(_push, 0), _LIMITS),
-    n.ChangeArrExp: _ternary(_with_element(_change_array, 2)),
+
+def _changed(items: tuple, held: tuple) -> ArrayData:
+    """The one item of `items` that is not the held item at its place, as
+    an array; an empty one when `change-arr` put that very item back.  The
+    search stops at it, in C."""
+    i = next(compress(count(), map(is_not, items, held)), len(items))
+    return _unchecked_array(items[i : i + 1])
+
+
+# An element write, `ide := add-to-arr ide …`, `push … on ide` or
+# `change-arr ide …`: the field that is `IdeExp(ide)`, and the picker of
+# the items the write put in, from the new items and the held ones.
+_ELEMENT_WRITES: dict[type, tuple[str, Callable[[tuple, tuple], Data]]] = {
+    n.AddToArrExp: ("dae1", lambda items, held: _unchecked_array(items[-1:])),
+    n.PushExp: ("dae2", lambda items, held: _unchecked_list(items[:1])),
+    n.ChangeArrExp: ("dae1", _changed),
 }
 
 
@@ -946,7 +933,7 @@ _ELEMENT_WRITES: dict[type, Rule] = {
 def _assign(
     ide: str,
     value: DataCode,
-    single: Optional[Callable[[tuple], Data]] = None,
+    picked: Optional[Callable[[tuple, tuple], Data]] = None,
     yoke: Optional[Transfer] = None,
 ) -> StateCode:
     """Every write by one ladder: error state, declaredness, expression
@@ -955,12 +942,12 @@ def _assign(
     identical body is coherent.  `yoke ide := tre` runs it on the composite
     `ide` holds, with `yoke` in place of the held transfer.
 
-    For an element write, `value` yields the new collection paired with the
-    element it adds or changes, and `single` makes a collection of one
-    datum.  Every `Value` satisfies its own transfer, so under `all-list T`
-    or `all-array T` every old element satisfies T, and the verdict on the
-    new collection is the verdict on the one element alone; any other yoke
-    checks the whole value.
+    For an element write, `picked` picks the items the write put in from
+    the new collection's items and the held ones.  Every `Value` satisfies
+    its own transfer, every item not picked is a held item, and the body
+    is the held body, so under `all-list T` or `all-array T` the verdict
+    on the new collection is the verdict on the picked items alone; any
+    other yoke checks the whole value.
     """
 
     def assign(sta):
@@ -972,13 +959,12 @@ def _assign(
         new = value(sta)
         if isinstance(new, AbstractError):
             return load_error(sta, new)
-        if single is not None:
-            new, element = new
         typ = val.typ
         tra = typ.tra if yoke is None else yoke
         if tra is not TT:
-            if single is not None and tra.elementwise:
-                com = apply_transfer(tra, _unchecked_composite(single((element.dat,)), new.bod))
+            if picked is not None and tra.elementwise:
+                dat = picked(new.dat.items, val.content.items)
+                com = apply_transfer(tra, _unchecked_composite(dat, new.bod))
             else:
                 com = apply_transfer(tra, new)
             if isinstance(com, AbstractError):
@@ -1367,18 +1353,15 @@ class Evaluator:
         """`ide := dae`, as `_assign`.  Whether `dae` adds or changes one
         element of the value `ide` holds is decided here, from the tree:
         `add-to-arr`, `push` and `change-arr` with `ide` itself as their
-        collection pass `_assign` the maker of a one-datum collection."""
-        sub, write = self.compile_expression, _ELEMENT_WRITES.get(dae.__class__)
+        collection pass `_assign` the picker of the items they put in.  The
+        value compiles as any expression does."""
+        value, write = self.compile_expression(dae), _ELEMENT_WRITES.get(dae.__class__)
         if write is not None:
-            match dae:
-                case n.AddToArrExp(n.IdeExp(held) as target, element) if held == ide:
-                    return _assign(ide, write(self, sub(target), sub(element)), _unchecked_array)
-                case n.PushExp(element, n.IdeExp(held) as target) if held == ide:
-                    return _assign(ide, write(self, sub(element), sub(target)), _unchecked_list)
-                case n.ChangeArrExp(n.IdeExp(held) as target, index, element) if held == ide:
-                    operands = sub(target), sub(index), sub(element)
-                    return _assign(ide, write(self, *operands), _unchecked_array)
-        return _assign(ide, sub(dae))
+            field, picked = write
+            target = getattr(dae, field)
+            if target.__class__ is n.IdeExp and target.ide == ide:
+                return _assign(ide, value, picked)
+        return _assign(ide, value)
 
     def compile_preamble(self, pam) -> StateCode:
         """A declaration, a definition, skip or a sequence of them: the rule

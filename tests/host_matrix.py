@@ -5,9 +5,12 @@ one way: a deep recursion (`cnt`, the function of `TestDeepRecursion` in
 tests/test_cli.py), a flat `+` chain, nested parentheses, writes of types
 nested through `set` definitions, `=` on data nested as deeply, and long
 array literals, each a left-nested `add-to-arr` spine as long as it.  Each
-cell is the exit code of `python -m lingua.cli run` or `check` on that
-program, or the name of the signal that ended it, in a child whose
-`RLIMIT_STACK` soft limit is 1 MB or 8 MB.  A program whose outcome does
+cell runs `python -m lingua.cli run` or `check` on that program `RUNS`
+times, in a child whose `RLIMIT_STACK` soft limit is 1 MB or 8 MB, and
+reads every distinct outcome in the order first seen, each an exit code
+or the name of the signal that ended the child: `0/SIGSEGV` is a cell
+that exited 0 and crashed in other runs, since one run of a cell that
+crashes only sometimes is not its outcome.  A program whose outcome does
 not depend on the host reads the same in every column on every Python
 version.  The children run the interpreter that runs this script; to
 measure another, run the script under it.  It needs no pytest.
@@ -31,6 +34,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 STACKS = {"1 MB": 2**20, "8 MB": 2**23}
 COMMANDS = ("run", "check")
+RUNS = 3
 TIMEOUT_S = 600
 
 
@@ -116,13 +120,20 @@ def outcome(command: str, path: Path, stack: int) -> str:
 def main() -> None:
     columns = [f"{command} {stack}" for command in COMMANDS for stack in STACKS]
     width = max(map(len, FAMILIES))
-    print(f"Python {platform.python_version()}: exit code or signal per RLIMIT_STACK")
+    print(
+        f"Python {platform.python_version()}: every distinct exit code or signal"
+        f" in {RUNS} runs per RLIMIT_STACK"
+    )
     print(f"{'program':<{width}}  " + "  ".join(f"{c:>10}" for c in columns))
     with tempfile.TemporaryDirectory() as tmp:
         for family, text in FAMILIES.items():
             path = Path(tmp) / "deep.lng"
             path.write_text(text, encoding="utf-8")
-            cells = [outcome(c, path, s) for c in COMMANDS for s in STACKS.values()]
+            cells = [
+                "/".join(dict.fromkeys(outcome(c, path, s) for _ in range(RUNS)))
+                for c in COMMANDS
+                for s in STACKS.values()
+            ]
             print(f"{family:<{width}}  " + "  ".join(f"{c:>10}" for c in cells), flush=True)
 
 

@@ -194,6 +194,56 @@ class TestApplicationCount:
             2 * length + 1
         )
 
+    @pytest.mark.parametrize("length", [10, 1_000])
+    def test_putting_back_the_held_element_applies_t_to_none(self, length):
+        yoke = "yoke a := all-array (value < 100000) ee"
+        write = "a := change-arr a at 2 by a.[2] ee"
+        # Only the yoke itself applies T: the write changes no element.
+        assert count_applications(length, f"{yoke} ; {write}") == length
+
+    @pytest.mark.parametrize("length", [10, 1_000])
+    def test_push_applies_t_once(self, length):
+        held = Value(ListData(numbers(*range(length))), LangType(ListBody(NUMBER), TT))
+        sta = bind_variable(empty_state(), "l", held)
+        evaluator = CountingEvaluator()
+        text = "yoke l := all-list (value < 100000) ee ; l := push 5 on l ee"
+        final = evaluator.run_program(parse_program(f"begin-program {text} end-program"), sta)
+        assert register_word(final) == "OK"
+        assert evaluator.applications == length + 1
+
+
+class RecordingEvaluator(Evaluator):
+    """Records the class of every node it compiles as an expression."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.compiled = set()
+
+    def compile_expression(self, exp):
+        self.compiled.add(exp.__class__)
+        return super().compile_expression(exp)
+
+
+class TestOneDefinition:
+    @pytest.mark.parametrize(
+        "write, cls",
+        [
+            ("a := add-to-arr a new 5 ee", n.AddToArrExp),
+            ("l := push 5 on l ee", n.PushExp),
+            ("a := change-arr a at 1 by 5 ee", n.ChangeArrExp),
+        ],
+    )
+    def test_element_write_compiles_its_value_as_an_expression(self, write, cls):
+        """An element write runs the code its expression compiles to, so a
+        subclass that wraps `compile_expression` sees the write's node."""
+        yoke = LangType(NUMBERS, transfer("all-array (value < 9) ee"))
+        sta = bind_variable(empty_state(), "a", Value(ArrayData(numbers(1, 2)), yoke))
+        sta = bind_variable(sta, "l", Value(ListData(numbers(1)), LangType(ListBody(NUMBER), TT)))
+        evaluator = RecordingEvaluator()
+        final = evaluator.run_program(parse_program(f"begin-program {write} end-program"), sta)
+        assert register_word(final) == "OK"
+        assert cls in evaluator.compiled
+
 
 # -- the element verdict against the whole-value check, over random writes
 

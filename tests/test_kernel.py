@@ -550,6 +550,45 @@ class TestConstructors:
         assert body_of(RecordData.of({"a": num(1), "b": ListData(())})) is None
 
 
+def deep_array(leaf, depth):
+    """`leaf` wrapped in `depth` one-element arrays, built unchecked."""
+    dat = leaf
+    for _ in range(depth):
+        dat = kernel._unchecked_array((dat,))
+    return dat
+
+
+class TestDeepCertification:
+    """The public constructors certify data nested deeper than the
+    recursion limit, and still reject a heterogeneous collection there."""
+
+    @pytest.fixture(autouse=True)
+    def default_limit(self):
+        previous = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        yield
+        sys.setrecursionlimit(previous)
+
+    def test_data_5000_deep_is_certified(self):
+        dat, bod = deep_array(num(1), 5000), deep_array_body(NUMBER, 5000)
+        assert Composite(dat, bod).dat is dat
+        assert Value(dat, LangType(bod, TT)).com.bod is bod
+        assert body_of(ArrayData((dat,))) is ArrayBody(bod)
+        assert body_of(dat) is bod
+
+    def test_heterogeneous_collection_5000_deep_is_rejected(self):
+        dat = deep_array(kernel._unchecked_array((num(1), "a")), 5000)
+        bod = deep_array_body(NUMBER, 5001)
+        for construct in (
+            lambda: Composite(dat, bod),
+            lambda: Value(dat, LangType(bod, TT)),
+            lambda: ArrayData((dat,)),
+            lambda: body_of(dat),
+        ):
+            with pytest.raises(ValueError):
+                construct()
+
+
 # ---------------------------------------------------------------------------
 # transfers and types
 
