@@ -288,14 +288,6 @@ class Number(Data, metaclass=record):
     def is_zero(self) -> bool:
         return self.coeff == 0
 
-    def is_integer(self) -> bool:
-        return self.exp >= 0
-
-    def to_int(self) -> int:
-        if not self.is_integer():
-            raise ValueError(f"{self.text()} is not an integer")
-        return self.coeff * 10**self.exp
-
     def __str__(self) -> str:
         return self.text()
 

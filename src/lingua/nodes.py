@@ -1,7 +1,8 @@
 """Abstract syntax trees.
 
-One class per grammar clause, each a frozen record of the fields it
-annotates: `Node` defines that record once for all of them.  Field names
+One class per grammar clause, each a `record` of the fields it annotates,
+as in `class AddExp(DatExp, metaclass=record)`; `Node` defines equality,
+hashing, the repr and freezing once for all of them.  Field names
 follow the clause metavariables: ide for identifiers, dae for data
 expressions, tre for transfer expressions, tex for type expressions, ins
 for instructions, pam for preambles.  A sequence form holds its items,
@@ -14,16 +15,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional, Union
 
 from .kernel import Number
-from .record import method, refuse_write
-
-
-def _init(cls: type, names: tuple[str, ...]) -> Callable:
-    """`cls.__init__`, taking `names` positionally or by keyword and
-    storing each straight into the instance `__dict__`."""
-    source = f"def __init__(self{''.join(', ' + name for name in names)}):\n"
-    source += "    d = self.__dict__\n"
-    source += "".join(f"    d[{name!r}] = {name}\n" for name in names)
-    return method(cls.__qualname__, source, {})
+from .record import record, refuse_write
 
 
 class _LazyFields:
@@ -53,7 +45,8 @@ def _walk(node: Node) -> list:
         x = todo.pop()
         if isinstance(x, Node):
             out.append(x.__class__)
-            todo += x.__dict__.values()
+            for name in x.__match_args__:
+                todo.append(getattr(x, name))
         elif x.__class__ is tuple:
             out += (_TUPLE, len(x))
             todo += x
@@ -65,19 +58,21 @@ def _walk(node: Node) -> list:
 class Node:
     """A frozen record of the fields its class annotates.
 
-    Each subclass gets `__match_args__` from its own annotations, an
-    `__init__` for them and dataclass field metadata, built when
+    Each concrete subclass is a `record`, its fields its `__slots__` and
+    `__match_args__`, through which every reader goes.  Node adds a weak
+    reference slot and dataclass field metadata, built when
     `dataclasses.fields` first reads it.  Equality and hashing go by class
     and fields, the repr is the dataclass text, and assigning or deleting
     an attribute raises `FrozenInstanceError`, as for a frozen dataclass.
     """
 
+    __slots__ = ("__weakref__",)
+    __match_args__ = ()
+
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
-        names = cls.__match_args__ = tuple(cls.__dict__.get("__annotations__", ()))
-        cls.__init__ = _init(cls, names)
         if cls.__doc__ is None:  # else `dataclass` builds one from a signature
-            cls.__doc__ = f"{cls.__name__}({', '.join(names)})"
+            cls.__doc__ = f"{cls.__name__}({', '.join(cls.__match_args__)})"
         cls.__dataclass_fields__ = _LazyFields()
 
     # Equality, hashing and the repr walk the tree with an explicit stack,
@@ -129,7 +124,7 @@ def _render(
 def _repr_parts(value: Any, depth: int):
     """A node's or tuple's repr, the dataclass text, as `_render` takes it."""
     if isinstance(value, Node):
-        labelled = [(f"{name}=", v) for name, v in value.__dict__.items()]
+        labelled = [(f"{name}=", getattr(value, name)) for name in value.__match_args__]
         opening, closing = f"{value.__class__.__qualname__}(", ")"
     else:
         labelled = [("", v) for v in value]
@@ -139,131 +134,133 @@ def _repr_parts(value: Any, depth: int):
 
 
 class DatExp(Node):
-    pass
+    __slots__ = ()
 
 
 class TraExp(Node):
-    pass
+    __slots__ = ()
 
 
 class TypExp(Node):
-    pass
+    __slots__ = ()
 
 
 class Instruction(Node):
-    pass
+    __slots__ = ()
 
 
 class Declaration(Node):
     """Preamble items other than skip and sequencing."""
+
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
 # data expressions
 
 
-class BoolLit(DatExp):
+class BoolLit(DatExp, metaclass=record):
     value: bool
 
 
-class NumLit(DatExp):
+class NumLit(DatExp, metaclass=record):
     num: Number
 
 
-class WordLit(DatExp):
+class WordLit(DatExp, metaclass=record):
     wor: str
 
 
-class IdeExp(DatExp):
+class IdeExp(DatExp, metaclass=record):
     ide: str
 
 
-class AndExp(DatExp):
+class AndExp(DatExp, metaclass=record):
     dae1: DatExp
     dae2: DatExp
 
 
-class OrExp(DatExp):
+class OrExp(DatExp, metaclass=record):
     dae1: DatExp
     dae2: DatExp
 
 
-class NotExp(DatExp):
+class NotExp(DatExp, metaclass=record):
     dae: DatExp
 
 
-class LessExp(DatExp):
+class LessExp(DatExp, metaclass=record):
     dae1: DatExp
     dae2: DatExp
 
 
-class AddExp(DatExp):
+class AddExp(DatExp, metaclass=record):
     dae1: DatExp
     dae2: DatExp
 
 
-class DivExp(DatExp):
+class DivExp(DatExp, metaclass=record):
     dae1: DatExp
     dae2: DatExp
 
 
-class MulExp(DatExp):
+class MulExp(DatExp, metaclass=record):
     """Extension: (dae * dae)."""
 
     dae1: DatExp
     dae2: DatExp
 
 
-class SubExp(DatExp):
+class SubExp(DatExp, metaclass=record):
     """Extension: (dae - dae)."""
 
     dae1: DatExp
     dae2: DatExp
 
 
-class EqExp(DatExp):
+class EqExp(DatExp, metaclass=record):
     """Extension: (dae = dae)."""
 
     dae1: DatExp
     dae2: DatExp
 
 
-class GlueExp(DatExp):
+class GlueExp(DatExp, metaclass=record):
     dae1: DatExp
     dae2: DatExp
 
 
-class ListExp(DatExp):
+class ListExp(DatExp, metaclass=record):
     dae: DatExp
 
 
-class PushExp(DatExp):
+class PushExp(DatExp, metaclass=record):
     """push dae1 on dae2 ee"""
 
     dae1: DatExp
     dae2: DatExp
 
 
-class TopExp(DatExp):
+class TopExp(DatExp, metaclass=record):
     dae: DatExp
 
 
-class PopExp(DatExp):
+class PopExp(DatExp, metaclass=record):
     dae: DatExp
 
 
-class ArrayExp(DatExp):
+class ArrayExp(DatExp, metaclass=record):
     dae: DatExp
 
 
-class AddToArrExp(DatExp):
+class AddToArrExp(DatExp, metaclass=record):
     """add-to-arr dae1 new dae2 ee"""
 
     dae1: DatExp
     dae2: DatExp
 
 
-class ChangeArrExp(DatExp):
+class ChangeArrExp(DatExp, metaclass=record):
     """change-arr dae1 at dae2 by dae3 ee"""
 
     dae1: DatExp
@@ -271,21 +268,21 @@ class ChangeArrExp(DatExp):
     dae3: DatExp
 
 
-class ArrAtExp(DatExp):
+class ArrAtExp(DatExp, metaclass=record):
     """arr dae1 at dae2 ee"""
 
     dae1: DatExp
     dae2: DatExp
 
 
-class RecordExp(DatExp):
+class RecordExp(DatExp, metaclass=record):
     """record ide of-value dae ee"""
 
     ide: str
     dae: DatExp
 
 
-class AddAttrExp(DatExp):
+class AddAttrExp(DatExp, metaclass=record):
     """add-attr ide of-value dae1 to dae2 ee"""
 
     ide: str
@@ -293,21 +290,21 @@ class AddAttrExp(DatExp):
     dae2: DatExp
 
 
-class RecAtExp(DatExp):
+class RecAtExp(DatExp, metaclass=record):
     """rec dae at ide ee"""
 
     dae: DatExp
     ide: str
 
 
-class RemoveAttrExp(DatExp):
+class RemoveAttrExp(DatExp, metaclass=record):
     """remove-attr ide from dae ee"""
 
     ide: str
     dae: DatExp
 
 
-class ChangeRecExp(DatExp):
+class ChangeRecExp(DatExp, metaclass=record):
     """change-rec dae1 at ide by dae2 ee"""
 
     dae1: DatExp
@@ -315,7 +312,7 @@ class ChangeRecExp(DatExp):
     dae2: DatExp
 
 
-class CondExp(DatExp):
+class CondExp(DatExp, metaclass=record):
     """if dae1 then dae2 else dae3 fi"""
 
     dae1: DatExp
@@ -323,7 +320,7 @@ class CondExp(DatExp):
     dae3: DatExp
 
 
-class FunCallExp(DatExp):
+class FunCallExp(DatExp, metaclass=record):
     """ide (actual parameters); actuals are plain identifiers."""
 
     ide: str
@@ -334,98 +331,98 @@ class FunCallExp(DatExp):
 # transfer expressions
 
 
-class TraNumLit(TraExp):
+class TraNumLit(TraExp, metaclass=record):
     num: Number
 
 
-class TraWordLit(TraExp):
+class TraWordLit(TraExp, metaclass=record):
     wor: str
 
 
-class TraBoolLit(TraExp):
+class TraBoolLit(TraExp, metaclass=record):
     value: bool
 
 
-class TraAddExp(TraExp):
+class TraAddExp(TraExp, metaclass=record):
     tre1: TraExp
     tre2: TraExp
 
 
-class TraDivExp(TraExp):
+class TraDivExp(TraExp, metaclass=record):
     tre1: TraExp
     tre2: TraExp
 
 
-class SumExp(TraExp):
+class SumExp(TraExp, metaclass=record):
     tre: TraExp
 
 
-class MaxExp(TraExp):
+class MaxExp(TraExp, metaclass=record):
     tre: TraExp
 
 
-class TraGlueExp(TraExp):
+class TraGlueExp(TraExp, metaclass=record):
     tre1: TraExp
     tre2: TraExp
 
 
-class TraEqExp(TraExp):
+class TraEqExp(TraExp, metaclass=record):
     tre1: TraExp
     tre2: TraExp
 
 
-class TraLessExp(TraExp):
+class TraLessExp(TraExp, metaclass=record):
     tre1: TraExp
     tre2: TraExp
 
 
-class SmallNumberExp(TraExp):
+class SmallNumberExp(TraExp, metaclass=record):
     tre: TraExp
 
 
-class IncreasingExp(TraExp):
+class IncreasingExp(TraExp, metaclass=record):
     tre: TraExp
 
 
-class TraAndExp(TraExp):
+class TraAndExp(TraExp, metaclass=record):
     tre1: TraExp
     tre2: TraExp
 
 
-class TraOrExp(TraExp):
+class TraOrExp(TraExp, metaclass=record):
     tre1: TraExp
     tre2: TraExp
 
 
-class TraNotExp(TraExp):
+class TraNotExp(TraExp, metaclass=record):
     tre: TraExp
 
 
-class AllListExp(TraExp):
+class AllListExp(TraExp, metaclass=record):
     tre: TraExp
 
 
-class AllArrayExp(TraExp):
+class AllArrayExp(TraExp, metaclass=record):
     tre: TraExp
 
 
-class TopTra(TraExp):
+class TopTra(TraExp, metaclass=record):
     pass
 
 
-class ArrayAtTra(TraExp):
+class ArrayAtTra(TraExp, metaclass=record):
     """array[tre] - select from the current array composite."""
 
     tre: TraExp
 
 
-class RecordAtTra(TraExp):
+class RecordAtTra(TraExp, metaclass=record):
     """record.ide - select from the current record composite."""
 
     ide: str
 
 
-class ValueTra(TraExp):
+class ValueTra(TraExp, metaclass=record):
     """The identity transfer."""
 
 
@@ -433,38 +430,38 @@ class ValueTra(TraExp):
 # type expressions
 
 
-class BooleanTyp(TypExp):
+class BooleanTyp(TypExp, metaclass=record):
     pass
 
 
-class NumberTyp(TypExp):
+class NumberTyp(TypExp, metaclass=record):
     pass
 
 
-class WordTyp(TypExp):
+class WordTyp(TypExp, metaclass=record):
     pass
 
 
-class IdeTyp(TypExp):
+class IdeTyp(TypExp, metaclass=record):
     ide: str
 
 
-class ListTyp(TypExp):
+class ListTyp(TypExp, metaclass=record):
     tex: TypExp
 
 
-class ArrayTyp(TypExp):
+class ArrayTyp(TypExp, metaclass=record):
     tex: TypExp
 
 
-class RecordTyp(TypExp):
+class RecordTyp(TypExp, metaclass=record):
     """record-type ide as tex ee"""
 
     ide: str
     tex: TypExp
 
 
-class ExpandRecordTyp(TypExp):
+class ExpandRecordTyp(TypExp, metaclass=record):
     """expand-record-type tex1 at ide by tex2 ee"""
 
     tex1: TypExp
@@ -472,7 +469,7 @@ class ExpandRecordTyp(TypExp):
     tex2: TypExp
 
 
-class ReplaceTransferTyp(TypExp):
+class ReplaceTransferTyp(TypExp, metaclass=record):
     """replace-transfer-in tex by tre ee"""
 
     tex: TypExp
@@ -483,34 +480,34 @@ class ReplaceTransferTyp(TypExp):
 # declarations, definitions, parameters
 
 
-class VarDec(Declaration):
+class VarDec(Declaration, metaclass=record):
     """let ide be tex tel"""
 
     ide: str
     tex: TypExp
 
 
-class VarDecSeq(Declaration):
+class VarDecSeq(Declaration, metaclass=record):
     items: tuple[VarDec, ...]
 
 
-class TypDef(Declaration):
+class TypDef(Declaration, metaclass=record):
     """set ide as tex tes"""
 
     ide: str
     tex: TypExp
 
 
-class TypDefSeq(Declaration):
+class TypDefSeq(Declaration, metaclass=record):
     items: tuple[TypDef, ...]
 
 
-class FormalParam(Node):
+class FormalParam(Node, metaclass=record):
     ide: str
     tex: TypExp
 
 
-class ImpProcDec(Declaration):
+class ImpProcDec(Declaration, metaclass=record):
     """proc ide (val ... ref ...) program end proc"""
 
     ide: str
@@ -519,13 +516,13 @@ class ImpProcDec(Declaration):
     prg: "Program"
 
 
-class MultiProcDec(Declaration):
+class MultiProcDec(Declaration, metaclass=record):
     """begin multiproc ipd+ end multiproc"""
 
     decs: tuple[ImpProcDec, ...]
 
 
-class FunProcDec(Declaration):
+class FunProcDec(Declaration, metaclass=record):
     """Either `fun ide (fpar) dae endfun` (prg and tex are None) or
     `fun ide (fpar) program return dae as tex end fun`."""
 
@@ -540,23 +537,23 @@ class FunProcDec(Declaration):
 # instructions
 
 
-class AssignIns(Instruction):
+class AssignIns(Instruction, metaclass=record):
     ide: str
     dae: DatExp
 
 
-class YokeIns(Instruction):
+class YokeIns(Instruction, metaclass=record):
     """yoke ide := tre"""
 
     ide: str
     tre: TraExp
 
 
-class SkipIns(Instruction):
+class SkipIns(Instruction, metaclass=record):
     pass
 
 
-class CallIns(Instruction):
+class CallIns(Instruction, metaclass=record):
     """call ide (ref ... val ...)"""
 
     ide: str
@@ -564,25 +561,25 @@ class CallIns(Instruction):
     val_args: tuple[str, ...]
 
 
-class IfIns(Instruction):
+class IfIns(Instruction, metaclass=record):
     dae: DatExp
     ins1: Instruction
     ins2: Instruction
 
 
-class IfErrorIns(Instruction):
+class IfErrorIns(Instruction, metaclass=record):
     """if-error dae then ins fi"""
 
     dae: DatExp
     ins: Instruction
 
 
-class WhileIns(Instruction):
+class WhileIns(Instruction, metaclass=record):
     dae: DatExp
     ins: Instruction
 
 
-class SeqIns(Instruction):
+class SeqIns(Instruction, metaclass=record):
     items: tuple[Instruction, ...]
 
 
@@ -592,11 +589,11 @@ class SeqIns(Instruction):
 Preamble = Union[Declaration, SkipIns, "PreSeq"]
 
 
-class PreSeq(Node):
+class PreSeq(Node, metaclass=record):
     items: tuple[Union[Declaration, SkipIns], ...]
 
 
-class Program(Node):
+class Program(Node, metaclass=record):
     """begin-program [pam ;] ins end-program"""
 
     pam: Optional[Preamble]

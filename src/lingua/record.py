@@ -8,9 +8,10 @@ default) that calls the class's own `__post_init__`, equality and hashing
 by class and fields, the dataclass repr, and pickling and copying through
 the constructor.  A write raises `dataclasses.FrozenInstanceError` unless
 the class statement says `frozen=False`; a mutable record is not
-hashable.  A method the class body or a base class defines is kept, and
-names its `__slots__` lists are storage beside the fields.  Each distinct
-method source compiles once, and classes share the code.
+hashable.  A class may have no fields.  A method the class body or a base
+class defines is kept, and only the methods `record` installs are
+compiled; names its `__slots__` lists are storage beside the fields.  Each
+distinct method source compiles once, and classes share the code.
 """
 
 from types import CodeType, FunctionType
@@ -62,23 +63,24 @@ def record(name: str, bases: tuple, namespace: dict, frozen: bool = True) -> typ
     body = "".join(f"    _set_{key}(self, {key})\n" if frozen else f"    self.{key} = {key}\n" for key in names)
     if "__post_init__" in namespace:
         body += "    self.__post_init__()\n"
-    methods = [
-        (f"def __init__(self{params}):\n{body}", tuple(defaults.values())),
-        ("def __eq__(self, other):\n    if other.__class__ is self.__class__:\n"
-         f"        return {fields('self')} == {fields('other')}\n    return NotImplemented\n", ()),
-    ]
+    body = body or "    pass\n"
+    sources = {
+        "__init__": (f"def __init__(self{params}):\n{body}", tuple(defaults.values())),
+        "__eq__": ("def __eq__(self, other):\n    if other.__class__ is self.__class__:\n"
+                   f"        return {fields('self')} == {fields('other')}\n    return NotImplemented\n", ()),
+    }
     made = {"__repr__": _repr, "__reduce__": _reduce}
     if frozen:
-        methods.append((f"def __hash__(self):\n    return hash({fields('self')})\n", ()))
+        sources["__hash__"] = (f"def __hash__(self):\n    return hash({fields('self')})\n", ())
         made["__setattr__"] = made["__delattr__"] = refuse_write
     else:
         made["__hash__"] = None
+    kept = namespace.keys() | {key for base in bases for cls in base.__mro__[:-1] for key in vars(cls)}
     env: dict = {}
-    for source, argdefs in methods:
-        fn = method(namespace["__qualname__"], source, env, argdefs)
-        made[fn.__name__] = fn
-    inherited = {key for base in bases for cls in base.__mro__[:-1] for key in vars(cls)}
-    namespace.update((key, fn) for key, fn in made.items() if key not in namespace and key not in inherited)
+    for key, (source, argdefs) in sources.items():
+        if key not in kept:  # compiled only where it is installed
+            made[key] = method(namespace["__qualname__"], source, env, argdefs)
+    namespace.update((key, fn) for key, fn in made.items() if key not in kept)
     cls = type(name, bases, namespace)
     env.update((f"_set_{key}", cls.__dict__[key].__set__) for key in names)
     return cls

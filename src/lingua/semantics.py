@@ -1311,7 +1311,8 @@ class Evaluator:
                 elements.append(self.compile_expression(element))
             return rule(self, base, tuple(elements))
         operands = [self]
-        for field in exp.__dict__.values():
+        for name in exp.__match_args__:
+            field = getattr(exp, name)
             operands.append(self.compile_expression(field) if isinstance(field, n.Node) else field)
         return rule(*operands)
 
@@ -1327,7 +1328,8 @@ class Evaluator:
         if rule is None:
             raise TypeError(f"not a type expression: {tex!r}")
         operands = [self]
-        for field in tex.__dict__.values():
+        for name in tex.__match_args__:
+            field = getattr(tex, name)
             operands.append(self.compile_type_exp(field) if isinstance(field, n.TypExp) else field)
         return rule(*operands)
 
@@ -1339,7 +1341,10 @@ class Evaluator:
         rule = _INSTRUCTION_RULES.get(ins.__class__)
         if rule is None:
             raise TypeError(f"not an instruction: {ins!r}")
-        code, trace = rule(self, *ins.__dict__.values()), self.trace
+        operands = [self]
+        for name in ins.__match_args__:
+            operands.append(getattr(ins, name))
+        code, trace = rule(*operands), self.trace
         if trace is None or ins.__class__ is n.SeqIns:
             return code
 

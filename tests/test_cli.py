@@ -786,3 +786,44 @@ class TestDeepRecursion:
         proc = self.run(tmp_path, 2_000, small_stack)
         assert (proc.returncode, proc.stderr) == (0, b"")
         assert b"(2000, number)" in proc.stdout
+
+
+class TestLongProgramsOnA1MbStack:
+    """A long array literal or `+` chain parses into a tree as deep as the
+    program is long, and the process frees that tree when the command ends.
+    Nodes are slotted records, which CPython frees without spending C
+    stack per level, so the outcome does not depend on the stack.  A tree
+    of instance dicts crashed under a 1 MB stack in some runs on Python
+    3.13.0.  Each run is a subprocess: a crash would take the test with it."""
+
+    LITERAL = (
+        "begin-program let a be array-type number ee tel ; a := array [%s] end-program"
+        % ", ".join(str(k) for k in range(1, 25_001))
+    )
+    CHAIN = "begin-program let x be number tel ; x := 1%s end-program" % (" + 1" * 9_999)
+    RUNS = 5
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [("check", LITERAL), ("run", LITERAL), ("check", CHAIN)],
+        ids=["check-literal", "run-literal", "check-chain"],
+    )
+    def test_exits_zero_every_time(self, tmp_path, command, text):
+        resource = pytest.importorskip("resource", reason="no resource module to limit the stack")
+
+        def small_stack():  # in the child only
+            hard = resource.getrlimit(resource.RLIMIT_STACK)[1]
+            resource.setrlimit(resource.RLIMIT_STACK, (2**20, hard))
+
+        path = write(tmp_path, "long.lng", text)
+        codes = [
+            subprocess.run(
+                [sys.executable, "-m", "lingua.cli", command, path],
+                capture_output=True,
+                env=cli_env(),
+                preexec_fn=small_stack,
+                timeout=60,
+            ).returncode
+            for _ in range(self.RUNS)
+        ]
+        assert codes == [0] * self.RUNS

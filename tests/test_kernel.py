@@ -93,11 +93,6 @@ class TestNumber:
         with pytest.raises(ZeroDivisionError):
             Number.parse("1").divide(Number.parse("0"))
 
-    def test_to_int_of_a_fraction_raises(self):
-        assert Number.parse("120").to_int() == 120
-        with pytest.raises(ValueError, match=r"^0\.5 is not an integer$"):
-            Number.parse("0.5").to_int()
-
     def test_digit_count(self):
         assert Number.make(1, 30).digits() == 31
         assert Number.parse("0").digits() == 1

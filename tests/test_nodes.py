@@ -9,6 +9,7 @@ import copy
 import dataclasses
 import pickle
 import sys
+import weakref
 
 import pytest
 
@@ -44,6 +45,14 @@ def test_fields_are_the_match_args_in_declaration_order(cls):
     names = tuple(f.name for f in dataclasses.fields(cls))
     assert names == cls.__match_args__
     assert names == tuple(cls.__dict__.get("__annotations__", {}))
+
+
+def test_a_node_is_a_slotted_record_of_its_fields(cls):
+    # No instance dict: freeing a deep tree of dicts spends C stack per level.
+    node = cls(**values(cls))
+    assert not hasattr(node, "__dict__")
+    assert weakref.ref(node)() is node
+    assert cls.__slots__ == cls.__match_args__
 
 
 def test_positional_and_keyword_construction_agree(cls):

@@ -23,8 +23,13 @@ from lingua.kernel import (
     Value,
     num,
 )
+from lingua import record as record_module
 from lingua.record import record
 from lingua.state import empty_state
+
+
+class Fieldless(metaclass=record):
+    pass
 
 
 def test_a_frozen_record_refuses_writes_and_deletes():
@@ -94,3 +99,33 @@ def test_a_record_class_is_a_plain_type():
     # takes a slower path, and the evaluator tests records on every step.
     for cls in (AbstractError, ListBody, Composite, Transfer, Value, Limits, SourceSpan, RunConfig):
         assert type(cls) is type, cls
+
+
+def test_a_record_without_fields():
+    first = Fieldless()
+    assert first == Fieldless() and first is not Fieldless()
+    assert hash(first) == hash(Fieldless()) and repr(first) == "Fieldless()"
+    assert first != object()
+    assert pickle.loads(pickle.dumps(first)) == first == copy.deepcopy(first)
+    with pytest.raises(TypeError):
+        Fieldless(1)
+
+
+def test_a_method_a_base_defines_is_not_compiled():
+    class Base:
+        __slots__ = ()
+
+        def __eq__(self, other):
+            return self is other
+
+        def __hash__(self):
+            return id(self)
+
+    before = set(record_module._CODES)
+
+    class Derived(Base, metaclass=record):
+        only_in_test_a_method_a_base_defines: int
+
+    added = set(record_module._CODES) - before
+    assert [source.split("(")[0] for source in added] == ["def __init__"]
+    assert Derived.__eq__ is Base.__eq__ and Derived.__hash__ is Base.__hash__
